@@ -16,11 +16,10 @@ import (
 // Edge insertion uses Italiano-style row OR-propagation: inserting u→v
 // unions v's descendant row into the row of every ancestor w of u that
 // does not already reach v. The ancestor set is read from a transposed
-// closure maintained in the same pass, so provenance "ancestors of t"
-// queries are answered by a row lookup with no lazy transpose build.
-// The update cost is O(|anc(u)| · V/64) word operations plus one
-// transposed-bit write per newly reachable pair — for a single edge on a
-// large workflow this is orders of magnitude below a rebuild.
+// closure maintained in the same pass. The update cost is
+// O(|anc(u)| · V/64) word operations plus one transposed-bit write per
+// newly reachable pair — for a single edge on a large workflow this is
+// orders of magnitude below a rebuild.
 //
 // The IncrementalClosure owns its graph: after construction, callers
 // must route every mutation through AddEdge/Grow (mutating the graph
@@ -33,30 +32,35 @@ type IncrementalClosure struct {
 	fwd *Closure // Row(u) = reflexive descendants of u
 	rev *Closure // Row(v) = reflexive ancestors of v (transpose of fwd)
 
-	// labels/revLabels are the interval reachability label indexes
-	// maintained alongside the closures: labels answers "u reaches v",
-	// revLabels is built over the reversed graph so its rows enumerate
-	// ancestors. Edge insertion patches both in the same Italiano pass
-	// that ORs closure rows; past the patch budget they are dropped and
-	// lazily rebuilt on the next Labels() call, bounding fragmentation
-	// from long patch sequences. Both nil while stale or when the graph
-	// exceeded the label interval budget (callers fall back to closure
-	// rows) — they are always present or absent together.
+	// labels/revLabels are the reachability label indexes maintained
+	// alongside the closures: labels answers "u reaches v", revLabels is
+	// built over the reversed graph so its rows enumerate ancestors.
+	// Edge insertion patches both in the same Italiano pass that ORs
+	// closure rows; past the patch budget they are dropped and lazily
+	// rebuilt on the next Labels() call, bounding fragmentation from
+	// long patch sequences. Both nil exactly while stale.
 	labels        *Labels
 	revLabels     *Labels
 	labelsStale   bool
-	labelBuilds   int64 // label-index (pair) builds: initial + rebuilds
-	labelRebuilds int64 // rebuilds triggered by the patch budget
-	labelPatches  int64 // lifetime Patch calls, both directions
+	labelBudget   func(n int) int // interval budget of label builds
+	labelBuilds   int64           // label-index (pair) builds: initial + rebuilds
+	labelRebuilds int64           // rebuilds triggered by the patch budget
+	labelPatches  int64           // lifetime Patch calls, both directions
 }
 
 // NewIncrementalClosure computes the initial closure of g (which must be
 // acyclic) and its transpose, and takes ownership of g.
 func NewIncrementalClosure(g *Graph) (*IncrementalClosure, error) {
+	return newIncrementalClosure(g, labelBudget)
+}
+
+// newIncrementalClosure is NewIncrementalClosure with an explicit label
+// interval budget (tests force bitmap rows with a zero budget).
+func newIncrementalClosure(g *Graph, budget func(n int) int) (*IncrementalClosure, error) {
 	if !g.IsAcyclic() {
 		return nil, ErrCycle
 	}
-	ic := &IncrementalClosure{g: g}
+	ic := &IncrementalClosure{g: g, labelBudget: budget}
 	ic.rebuild()
 	return ic, nil
 }
@@ -74,18 +78,11 @@ func (ic *IncrementalClosure) rebuild() {
 	ic.labelsStale = true
 }
 
-// rebuildLabels builds the forward/reverse label pair; if either blows
-// the interval budget both are dropped, keeping the pair invariant.
+// rebuildLabels builds the forward/reverse label pair.
 func (ic *IncrementalClosure) rebuildLabels() {
-	ic.labels = BuildLabels(ic.g)
-	if ic.labels != nil {
-		ic.revLabels = BuildLabels(ic.g.Reversed())
-		if ic.revLabels == nil {
-			ic.labels = nil
-		}
-	} else {
-		ic.revLabels = nil
-	}
+	budget := ic.labelBudget(ic.g.n)
+	ic.labels = buildLabels(ic.g, budget)
+	ic.revLabels = buildLabels(ic.g.Reversed(), budget)
 	ic.labelsStale = false
 	ic.labelBuilds++
 }
@@ -110,9 +107,7 @@ func (ic *IncrementalClosure) labelPatchBudget() int64 {
 }
 
 // Labels returns the current forward label index, rebuilding the pair
-// first when a patch-budget overrun marked it stale. It returns nil
-// when the graph blew the interval budget — closure rows remain
-// authoritative either way. The returned index is mutated by
+// first when it is stale; never nil. The returned index is mutated by
 // AddEdge/Grow; concurrent readers must hold a Fork instead.
 func (ic *IncrementalClosure) Labels() *Labels {
 	if ic.labelsStale {
@@ -121,8 +116,8 @@ func (ic *IncrementalClosure) Labels() *Labels {
 	return ic.labels
 }
 
-// RevLabels returns the reverse (ancestor-direction) label index, nil
-// exactly when Labels is nil. Same rebuild and sharing rules.
+// RevLabels returns the reverse (ancestor-direction) label index. Same
+// rebuild and sharing rules as Labels.
 func (ic *IncrementalClosure) RevLabels() *Labels {
 	if ic.labelsStale {
 		ic.rebuildLabels()
@@ -162,10 +157,6 @@ func (ic *IncrementalClosure) Graph() *Graph { return ic.g }
 // Fwd returns the forward closure (descendant rows). The returned
 // Closure is updated in place by AddEdge and replaced by Grow/Rollback.
 func (ic *IncrementalClosure) Fwd() *Closure { return ic.fwd }
-
-// Rev returns the transposed closure (ancestor rows), maintained in the
-// same pass as Fwd. Same sharing rules as Fwd.
-func (ic *IncrementalClosure) Rev() *Closure { return ic.rev }
 
 // N returns the current node count.
 func (ic *IncrementalClosure) N() int { return ic.g.N() }
@@ -223,7 +214,7 @@ func (ic *IncrementalClosure) AddEdge(u, v int, dirty *bitset.Set) (bool, error)
 	// Italiano propagation: every ancestor w of u (including u) that does
 	// not yet reach v gains v's entire descendant row. The newly set bits
 	// of each row are mirrored into the transposed closure before the OR,
-	// so Rev stays the exact transpose of Fwd throughout. No row read in
+	// so rev stays the exact transpose of fwd throughout. No row read in
 	// this loop is ever a row written: a written row belongs to an
 	// ancestor of u, and neither fwd[v] nor rev[u] can be such a row
 	// without closing the cycle rejected above.
@@ -260,8 +251,8 @@ func (ic *IncrementalClosure) AddEdge(u, v int, dirty *bitset.Set) (bool, error)
 // Grow appends k isolated nodes to the graph and widens both closure
 // matrices, preserving every existing reachability bit. New nodes start
 // with only their reflexive bit — exactly what a from-scratch closure of
-// the grown graph holds. Grow replaces the Closure objects returned by
-// Fwd/Rev (the matrices change dimension); holders of the old ones must
+// the grown graph holds. Grow replaces the Closure object returned by
+// Fwd (the matrices change dimension); holders of the old one must
 // re-fetch.
 func (ic *IncrementalClosure) Grow(k int) int {
 	first := ic.g.AddNodes(k)

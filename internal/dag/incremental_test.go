@@ -17,7 +17,7 @@ func checkAgainstScratch(t *testing.T, ic *IncrementalClosure) {
 		t.Fatalf("forward closure diverged from from-scratch rebuild (n=%d, m=%d)",
 			ic.Graph().N(), ic.Graph().M())
 	}
-	if !ic.Rev().Matrix().Equal(transpose(scratch).Matrix()) {
+	if !ic.rev.Matrix().Equal(transpose(scratch).Matrix()) {
 		t.Fatalf("transposed closure diverged from from-scratch transpose (n=%d, m=%d)",
 			ic.Graph().N(), ic.Graph().M())
 	}

@@ -1,14 +1,17 @@
 package dag
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file implements the interval / tree-cover reachability label
 // index (Agrawal–Borgida–Jagadish): each node carries a short sorted
 // list of postorder intervals whose union covers exactly the postorder
 // positions of its reachable set. Membership — "does u reach v?" — is a
 // binary search over u's intervals instead of a closure-row bit test,
-// and, unlike closure rows, a label fits in a couple of cache lines, so
-// the query serve path never touches an O(n)-bit row.
+// and, unlike closure rows, a label of a graph within the interval
+// budget fits in a couple of cache lines.
 //
 // Construction numbers a spanning forest of the condensation in
 // postorder (so every subtree owns a contiguous interval), then merges
@@ -18,9 +21,12 @@ import "slices"
 // label and one postorder position, which reproduces the reflexive
 // closure semantics of Reachability exactly.
 //
-// Worst-case label size is O(n) intervals per node; graphs that
-// actually hit that blow-up are detected by an interval budget, in
-// which case Build returns nil and callers fall back to closure rows.
+// Worst-case label size is O(n) intervals per node. A graph whose
+// cover exceeds the interval budget gets bitmap rows instead: each row
+// is a position bitmap of MarkWords(n) words, the size of a closure
+// row, so the index is total — every graph has one, with memory bounded
+// by about one closure matrix — and every operation keeps its contract
+// for both row kinds.
 
 // Interval is a closed range [Lo, Hi] of postorder positions.
 type Interval struct {
@@ -42,20 +48,24 @@ type Labels struct {
 	// node.
 	byPosStart []int32
 	byPosNodes []int32
-	// rows[u] is u's sorted, disjoint, non-adjacent interval cover.
-	// Members of one SCC share a row at build time; Patch always
-	// installs a freshly allocated row, never mutates one in place, so
-	// forked snapshots stay immutable.
-	rows [][]Interval
+	// An index holds exactly one kind of row. rows[u] is u's sorted,
+	// disjoint, non-adjacent interval cover; bitRows[u] (over-budget
+	// graphs only) is u's reachable positions as a bitmap, words past
+	// its length being zero. Members of one SCC share a row at build
+	// time; Patch always installs a freshly allocated row, never
+	// mutates one in place, so forked snapshots stay immutable.
+	rows    [][]Interval
+	bitRows [][]uint64
 
 	intervals int   // current total interval count across rows
+	words     int   // current total word count across bitRows
 	patches   int64 // Patch calls since the last build
 }
 
 // labelBudgetFactor bounds the total interval count of a label index to
 // factor×n (+ a small constant floor). Beyond it the cover is
-// degenerating toward quadratic memory and closure rows are the better
-// representation, so Build gives up and returns nil. 128 admits dense
+// degenerating toward quadratic memory and bitmap rows are the better
+// representation, so the build switches to them. 128 admits dense
 // layered DAGs (a 4096-task, 16-layer, p=0.05 graph needs ~85
 // intervals/node ≈ 2.7 MB) while still refusing covers within ~3% of
 // the quadratic worst case at that size.
@@ -63,10 +73,13 @@ const labelBudgetFactor = 128
 
 func labelBudget(n int) int { return labelBudgetFactor*n + 256 }
 
-// BuildLabels computes the label index of g, cyclic or not. It returns
-// nil when the interval budget is exceeded — the caller keeps serving
-// from closure rows in that case.
-func BuildLabels(g *Graph) *Labels {
+// BuildLabels computes the label index of g, cyclic or not. It never
+// returns nil: a graph over the interval budget gets bitmap rows.
+func BuildLabels(g *Graph) *Labels { return buildLabels(g, labelBudget(g.n)) }
+
+// buildLabels is BuildLabels with an explicit interval budget (tests
+// force bitmap rows with a budget of 0).
+func buildLabels(g *Graph, budget int) *Labels {
 	n := g.n
 	l := &Labels{
 		pos:        make([]int32, n),
@@ -176,9 +189,9 @@ func BuildLabels(g *Graph) *Labels {
 	// Reverse-topological label merge over the condensation. The DFS
 	// finish order is a reverse topological order of the condensation
 	// (every successor finishes before its predecessors), so iterating
-	// it forward visits all successors of c before c.
+	// it forward visits all successors of c before c. Past the interval
+	// budget the build switches to bitmap rows over the same order.
 	crows := make([][]Interval, p)
-	budget := labelBudget(n)
 	var scratch []Interval
 	for _, c := range order {
 		scratch = scratch[:0]
@@ -190,7 +203,9 @@ func BuildLabels(g *Graph) *Labels {
 		crows[c] = row
 		l.intervals += len(row)
 		if l.intervals > budget {
-			return nil
+			l.intervals = 0
+			l.buildBitRows(order, csuccs, post, sccOf)
+			return l
 		}
 	}
 	// Rows are shared across SCC members (and counted once: the shared
@@ -202,6 +217,29 @@ func BuildLabels(g *Graph) *Labels {
 		l.rows[u] = crows[sccOf[u]]
 	}
 	return l
+}
+
+// buildBitRows fills l with bitmap rows of MarkWords(n) words, merged
+// over the condensation in the same reverse topological order as the
+// interval rows, each component's row shared by its members.
+func (l *Labels) buildBitRows(order []int32, csuccs [][]int32, post, sccOf []int32) {
+	w := MarkWords(len(sccOf))
+	crows := make([][]uint64, len(order))
+	for _, c := range order {
+		row := make([]uint64, w)
+		row[post[c]>>6] = 1 << (uint(post[c]) & 63)
+		for _, s := range csuccs[c] {
+			for i, x := range crows[s] {
+				row[i] |= x
+			}
+		}
+		crows[c] = row
+	}
+	l.words = len(order) * w
+	l.bitRows = make([][]uint64, len(sccOf))
+	for u, c := range sccOf {
+		l.bitRows[u] = crows[c]
+	}
 }
 
 // mergeIntervals sorts ivs by Lo and coalesces overlapping or adjacent
@@ -232,6 +270,11 @@ func mergeIntervals(dst, ivs []Interval) []Interval {
 // scan below a handful of intervals.
 func (l *Labels) Reaches(u, v int) bool {
 	p := l.pos[v]
+	if l.bitRows != nil {
+		row := l.bitRows[u]
+		w := int(p >> 6)
+		return w < len(row) && row[w]&(1<<(uint(p)&63)) != 0
+	}
 	row := l.rows[u]
 	if len(row) <= 8 {
 		for _, iv := range row {
@@ -259,13 +302,22 @@ func (l *Labels) Reaches(u, v int) bool {
 
 // AppendReachable appends the reachable set of u (reflexive, ascending
 // node order) to dst and returns the extended slice. This is the
-// ordered iterator of the index: it walks u's intervals and the
-// position→node table, never a closure row.
+// ordered iterator of the index: it walks u's intervals (or set bits)
+// and the position→node table.
 func (l *Labels) AppendReachable(dst []int32, u int) []int32 {
 	start := len(dst)
-	for _, iv := range l.rows[u] {
-		lo, hi := l.byPosStart[iv.Lo], l.byPosStart[iv.Hi+1]
-		dst = append(dst, l.byPosNodes[lo:hi]...)
+	if l.bitRows != nil {
+		for i, x := range l.bitRows[u] {
+			for ; x != 0; x &= x - 1 {
+				p := i<<6 + bits.TrailingZeros64(x)
+				dst = append(dst, l.byPosNodes[l.byPosStart[p]:l.byPosStart[p+1]]...)
+			}
+		}
+	} else {
+		for _, iv := range l.rows[u] {
+			lo, hi := l.byPosStart[iv.Lo], l.byPosStart[iv.Hi+1]
+			dst = append(dst, l.byPosNodes[lo:hi]...)
+		}
 	}
 	added := dst[start:]
 	slices.Sort(added)
@@ -274,11 +326,24 @@ func (l *Labels) AppendReachable(dst []int32, u int) []int32 {
 
 // Patch merges v's label row into w's, maintaining the exact-cover
 // invariant after the closure gains reach(w) ⊇ reach(v) (the Italiano
-// edge-insertion step). The merged row is freshly allocated and
-// assigned — rows shared with forked snapshots are never written.
-// Patch is only meaningful on indexes built over acyclic graphs (the
-// IncrementalClosure's case); SCC-shared rows are never patched.
+// edge-insertion step): an interval merge, or a word-wise OR of bitmap
+// rows. The merged row is freshly allocated and assigned — rows shared
+// with forked snapshots are never written. Patch is only meaningful on
+// indexes built over acyclic graphs (the IncrementalClosure's case);
+// SCC-shared rows are never patched.
 func (l *Labels) Patch(w, v int) {
+	l.patches++
+	if l.bitRows != nil {
+		old, src := l.bitRows[w], l.bitRows[v]
+		row := make([]uint64, max(len(old), len(src)))
+		copy(row, old)
+		for i, x := range src {
+			row[i] |= x
+		}
+		l.bitRows[w] = row
+		l.words += len(row) - len(old)
+		return
+	}
 	old := l.rows[w]
 	scratch := make([]Interval, 0, len(old)+len(l.rows[v]))
 	scratch = append(scratch, old...)
@@ -289,14 +354,14 @@ func (l *Labels) Patch(w, v int) {
 	merged := mergeIntervals(scratch[:0], scratch)
 	l.rows[w] = merged
 	l.intervals += len(merged) - len(old)
-	l.patches++
 }
 
 // Grow appends k new isolated nodes, each its own postorder position
-// with a singleton self-interval — exactly what a from-scratch build of
-// the grown graph produces for isolated nodes appended last. All
-// existing rows and tables are untouched (append-only), so forked
-// snapshots remain valid.
+// with a singleton self-interval (or self-bit) — exactly what a
+// from-scratch build of the grown graph produces for isolated nodes
+// appended last. All existing rows and tables are untouched
+// (append-only; older bitmap rows stay shorter, their missing words
+// zero), so forked snapshots remain valid.
 func (l *Labels) Grow(k int) {
 	for i := 0; i < k; i++ {
 		u := int32(len(l.pos))
@@ -304,6 +369,13 @@ func (l *Labels) Grow(k int) {
 		l.pos = append(l.pos, q)
 		l.byPosNodes = append(l.byPosNodes, u)
 		l.byPosStart = append(l.byPosStart, int32(len(l.byPosNodes)))
+		if l.bitRows != nil {
+			row := make([]uint64, q>>6+1)
+			row[q>>6] = 1 << (uint(q) & 63)
+			l.bitRows = append(l.bitRows, row)
+			l.words += len(row)
+			continue
+		}
 		l.rows = append(l.rows, []Interval{{Lo: q, Hi: q}})
 		l.intervals++
 	}
@@ -320,7 +392,9 @@ func (l *Labels) Fork() *Labels {
 		byPosStart: l.byPosStart,
 		byPosNodes: l.byPosNodes,
 		rows:       slices.Clone(l.rows),
+		bitRows:    slices.Clone(l.bitRows),
 		intervals:  l.intervals,
+		words:      l.words,
 		patches:    l.patches,
 	}
 }
@@ -330,8 +404,15 @@ func (l *Labels) Fork() *Labels {
 // position of u's reachable set. Together with Marked this turns a
 // batch of membership tests against one source node into O(1) lookups:
 // interval runs are set word-wise, so marking costs O(intervals +
-// span/64) regardless of how many tests follow.
+// span/64) regardless of how many tests follow (a bitmap row is OR-ed
+// in, O(n/64)).
 func (l *Labels) MarkRow(mark []uint64, u int) {
+	if l.bitRows != nil {
+		for i, x := range l.bitRows[u] {
+			mark[i] |= x
+		}
+		return
+	}
 	for _, iv := range l.rows[u] {
 		lw, hw := int(iv.Lo)>>6, int(iv.Hi)>>6
 		loMask := ^uint64(0) << (uint(iv.Lo) & 63)
@@ -362,17 +443,19 @@ func MarkWords(n int) int { return (n + 63) / 64 }
 // N returns the number of labeled nodes.
 func (l *Labels) N() int { return len(l.pos) }
 
-// Intervals returns the total interval count across all rows (shared
-// SCC rows counted once per node).
+// Intervals returns the total interval count across all rows, a row
+// shared by the members of one SCC counted once per component; 0 for
+// an index with bitmap rows.
 func (l *Labels) Intervals() int { return l.intervals }
 
 // Patches returns the number of Patch calls since the build.
 func (l *Labels) Patches() int64 { return l.patches }
 
-// MemoryBytes estimates the resident size of the index.
+// MemoryBytes estimates the resident size of the index. An interval
+// and a bitmap word are both 8 bytes.
 func (l *Labels) MemoryBytes() int64 {
 	b := int64(len(l.pos))*4 + int64(len(l.byPosStart))*4 + int64(len(l.byPosNodes))*4
-	b += int64(len(l.rows)) * 24 // slice headers
-	b += int64(l.intervals) * 8
+	b += int64(len(l.rows)+len(l.bitRows)) * 24 // slice headers
+	b += int64(l.intervals+l.words) * 8
 	return b
 }

@@ -32,13 +32,40 @@ func randDigraph(rng *rand.Rand, n int, p float64) *Graph {
 	return g
 }
 
+// labelBudgets are the interval budgets the label property tests run
+// under: the production budget, which keeps these graphs on interval
+// rows, and zero, which forces bitmap rows.
+var labelBudgets = []struct {
+	name   string
+	budget func(n int) int
+}{
+	{"intervals", labelBudget},
+	{"bitmap", func(int) int { return 0 }},
+}
+
+// checkRowKind asserts that a non-empty l holds only the kind of rows
+// named by want ("intervals" or "bitmap").
+func checkRowKind(t *testing.T, l *Labels, want string) {
+	t.Helper()
+	got := "mixed"
+	switch {
+	case l.rows != nil && l.bitRows == nil:
+		got = "intervals"
+	case l.bitRows != nil && l.rows == nil:
+		got = "bitmap"
+	}
+	if l.N() > 0 && got != want {
+		t.Fatalf("want %s rows, index holds %s rows", want, got)
+	}
+}
+
 // checkLabelsMatchClosure asserts that l answers exactly like the
 // closure for every ordered pair, and that the ordered iterator
 // enumerates exactly the closure row members.
 func checkLabelsMatchClosure(t *testing.T, g *Graph, l *Labels) {
 	t.Helper()
 	if l == nil {
-		t.Fatal("BuildLabels returned nil within budget")
+		t.Fatal("label build returned nil")
 	}
 	c := g.Reachability()
 	n := g.N()
@@ -76,49 +103,107 @@ func checkLabelsMatchClosure(t *testing.T, g *Graph, l *Labels) {
 }
 
 func TestLabelsMatchClosureRandomDAGs(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range []int{0, 1, 2, 3, 8, 17, 40, 80} {
-		for _, p := range []float64{0, 0.02, 0.1, 0.4, 0.9} {
-			g := randDAG(rng, n, p)
-			checkLabelsMatchClosure(t, g, BuildLabels(g))
-		}
+	for _, lb := range labelBudgets {
+		t.Run(lb.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(8))
+			for _, n := range []int{0, 1, 2, 3, 8, 17, 40, 80, 130} {
+				for _, p := range []float64{0, 0.02, 0.1, 0.4, 0.9} {
+					g := randDAG(rng, n, p)
+					l := buildLabels(g, lb.budget(n))
+					checkRowKind(t, l, lb.name)
+					checkLabelsMatchClosure(t, g, l)
+				}
+			}
+		})
 	}
 }
 
+// TestLabelsMatchClosureCyclic covers the condensed (SCC-sharing) build
+// on raw random digraphs and on quotients of random DAGs under random
+// partitions — the cyclic view graphs of unsound views.
 func TestLabelsMatchClosureCyclic(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{2, 3, 8, 17, 40} {
-		for _, p := range []float64{0.05, 0.15, 0.5} {
-			g := randDigraph(rng, n, p)
-			checkLabelsMatchClosure(t, g, BuildLabels(g))
-		}
+	for _, lb := range labelBudgets {
+		t.Run(lb.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			var graphs []*Graph
+			for _, n := range []int{2, 3, 8, 17, 40, 90} {
+				for _, p := range []float64{0.05, 0.15, 0.5} {
+					graphs = append(graphs, randDigraph(rng, n, p))
+					g := randDAG(rng, n, p)
+					k := 1 + rng.Intn(n/2+1)
+					partOf := make([]int, n)
+					for u := range partOf {
+						partOf[u] = rng.Intn(k)
+					}
+					q, err := g.Quotient(partOf, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					graphs = append(graphs, q)
+				}
+			}
+			sawCycle := false
+			for _, g := range graphs {
+				sawCycle = sawCycle || !g.IsAcyclic()
+				l := buildLabels(g, lb.budget(g.N()))
+				checkRowKind(t, l, lb.name)
+				checkLabelsMatchClosure(t, g, l)
+			}
+			if !sawCycle {
+				t.Fatal("no cyclic input generated; strengthen the workload")
+			}
+		})
 	}
 }
 
+// TestLabelsGrowAndPatchViaIncremental drives both label indexes
+// through IncrementalClosure edge and node additions (Patch, Grow,
+// patch-budget rebuilds), checking them against the closure as they
+// go; every Fork taken along the way must keep answering for the graph
+// it was taken at.
 func TestLabelsGrowAndPatchViaIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	ic, err := NewIncrementalClosure(New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 1200; step++ {
-		if rng.Intn(12) == 0 {
-			ic.Grow(1 + rng.Intn(3))
-		}
-		n := ic.N()
-		if n >= 2 {
-			u, v := rng.Intn(n), rng.Intn(n)
-			_, _ = ic.AddEdge(u, v, nil) // cycles/self-loops rejected, fine
-		}
-		if step%97 == 0 {
-			checkLabelsMatchClosure(t, ic.Graph(), ic.Labels())
-			checkLabelsMatchClosure(t, ic.Graph().Reversed(), ic.RevLabels())
-		}
-	}
-	checkLabelsMatchClosure(t, ic.Graph(), ic.Labels())
-	checkLabelsMatchClosure(t, ic.Graph().Reversed(), ic.RevLabels())
-	if ic.LabelRebuilds() == 0 {
-		t.Fatal("expected at least one threshold rebuild over 1200 mutations")
+	for _, lb := range labelBudgets {
+		t.Run(lb.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(10))
+			ic, err := newIncrementalClosure(New(6), lb.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type fork struct {
+				g        *Graph
+				fwd, rev *Labels
+			}
+			var forks []fork
+			check := func() {
+				fwd, rev := ic.Labels(), ic.RevLabels()
+				checkRowKind(t, fwd, lb.name)
+				checkRowKind(t, rev, lb.name)
+				checkLabelsMatchClosure(t, ic.Graph(), fwd)
+				checkLabelsMatchClosure(t, ic.Graph().Reversed(), rev)
+				forks = append(forks, fork{g: ic.Graph().Clone(), fwd: fwd.Fork(), rev: rev.Fork()})
+			}
+			for step := 0; step < 1200; step++ {
+				if rng.Intn(12) == 0 {
+					ic.Grow(1 + rng.Intn(3))
+				}
+				n := ic.N()
+				if n >= 2 {
+					u, v := rng.Intn(n), rng.Intn(n)
+					_, _ = ic.AddEdge(u, v, nil) // cycles/self-loops rejected, fine
+				}
+				if step%97 == 0 {
+					check()
+				}
+			}
+			check()
+			for _, f := range forks {
+				checkLabelsMatchClosure(t, f.g, f.fwd)
+				checkLabelsMatchClosure(t, f.g.Reversed(), f.rev)
+			}
+			if ic.LabelRebuilds() == 0 {
+				t.Fatal("expected at least one threshold rebuild over 1200 mutations")
+			}
+		})
 	}
 }
 
@@ -141,27 +226,31 @@ func TestLabelsRollbackRebuilds(t *testing.T) {
 }
 
 func TestLabelsFork(t *testing.T) {
-	g := New(5)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	ic, err := NewIncrementalClosure(g)
-	if err != nil {
-		t.Fatal(err)
+	for _, lb := range labelBudgets {
+		t.Run(lb.name, func(t *testing.T) {
+			g := New(5)
+			g.MustAddEdge(0, 1)
+			g.MustAddEdge(1, 2)
+			ic, err := newIncrementalClosure(g, lb.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := ic.Labels().Fork()
+			if _, err := ic.AddEdge(2, 3, nil); err != nil {
+				t.Fatal(err)
+			}
+			ic.Grow(2)
+			// The fork answers for the old world: 2 did not reach 3.
+			if snap.Reaches(2, 3) {
+				t.Fatal("fork sees a post-fork edge")
+			}
+			if !snap.Reaches(0, 2) {
+				t.Fatal("fork lost a pre-fork path")
+			}
+			// The live index answers for the new world.
+			checkLabelsMatchClosure(t, ic.Graph(), ic.Labels())
+		})
 	}
-	snap := ic.Labels().Fork()
-	if _, err := ic.AddEdge(2, 3, nil); err != nil {
-		t.Fatal(err)
-	}
-	ic.Grow(2)
-	// The fork answers for the old world: 2 did not reach 3.
-	if snap.Reaches(2, 3) {
-		t.Fatal("fork sees a post-fork edge")
-	}
-	if !snap.Reaches(0, 2) {
-		t.Fatal("fork lost a pre-fork path")
-	}
-	// The live index answers for the new world.
-	checkLabelsMatchClosure(t, ic.Graph(), ic.Labels())
 }
 
 func TestLabelsStats(t *testing.T) {
@@ -175,5 +264,14 @@ func TestLabelsStats(t *testing.T) {
 	}
 	if l.MemoryBytes() <= 0 {
 		t.Fatal("no memory accounted")
+	}
+	// Bitmap rows: no intervals, and one MarkWords(n)-word row per node
+	// (every node is its own component here).
+	b := buildLabels(g, 0)
+	if b.Intervals() != 0 {
+		t.Fatalf("bitmap index counts %d intervals", b.Intervals())
+	}
+	if want := int64(30*MarkWords(30)) * 8; b.MemoryBytes() < want || b.MemoryBytes() > want+64*30 {
+		t.Fatalf("bitmap index MemoryBytes = %d, want %d + O(n)", b.MemoryBytes(), want)
 	}
 }

@@ -10,25 +10,23 @@ import (
 )
 
 // This file implements the epoch-stamped, lock-free read session behind
-// the run store's lineage serve path. Every committed state transition
-// (registration, mutation, view attach/detach — the restore paths
-// re-enter the same functions) publishes a fresh ReadEpoch through an
-// atomic pointer: an immutable snapshot of exactly what a lineage query
-// needs — the workflow version, the task-ID table, a forked reachability
-// label index, and per-view label indexes over the quotient graphs.
-// Readers load the pointer and serve without ever touching the
-// workflow's RWMutex, so heavy read traffic stops contending with
-// mutations entirely. The only lazily filled piece is the audited
-// level's provenance audit, which must read live closure rows: the
-// first audited query per (view, version) takes the read lock to build
-// it, verifies the epoch is still current, and caches the result on the
-// epoch — every later audited query at that version is lock-free again.
+// every lineage answer. Every committed state transition (registration,
+// mutation, view attach/detach — the restore paths re-enter the same
+// functions) publishes a fresh ReadEpoch through an atomic pointer: an
+// immutable snapshot of exactly what a lineage query needs — the
+// workflow version, the task-ID table, a forked reachability label
+// index, and per-view label indexes over the quotient graphs. The label
+// indexes are total (dag.BuildLabels never fails), so every published
+// epoch answers every query. Readers get it through LiveWorkflow.Read
+// and serve without touching the workflow's RWMutex, so heavy read
+// traffic stops contending with mutations entirely. The only lazily
+// filled piece is the audited level's provenance audit, which must read
+// live closure rows: the first audited query per (view, version) takes
+// the read lock once to build it and caches it on the epoch — every
+// later audited query at that version is lock-free again.
 
 // ReadEpoch is an immutable snapshot of one live workflow version for
-// lock-free lineage reads. Obtain one with LiveWorkflow.Epoch; a nil
-// epoch means the label index is unavailable (interval budget exceeded,
-// or the workflow is closed) and callers serve through the locked
-// ProvSession path instead.
+// lock-free lineage reads. Obtain one with LiveWorkflow.Read.
 type ReadEpoch struct {
 	version uint64
 	taskIDs []string
@@ -39,19 +37,19 @@ type ReadEpoch struct {
 
 // EpochView is the per-view slice of a ReadEpoch: the immutable view
 // object of that version, its soundness at publication, a label index
-// over the quotient graph, and the lazily cached provenance audit.
+// over the quotient graph, and the lazily cached provenance audit. A
+// republish that keeps the version and the view object reuses it
+// whole, audit included.
 type EpochView struct {
 	v     *view.View
 	sound bool
 	// labels/revLabels are the composite-level label indexes (forward
-	// and ancestor direction); both nil when the quotient graph blew
-	// the interval budget (readers fall back to the locked path for
-	// this view).
+	// and ancestor direction).
 	labels    *dag.Labels
 	revLabels *dag.Labels
 	// audit caches the provenance audit for this epoch's version,
-	// filled by LiveWorkflow.EpochAudit under the read lock on the
-	// first audited query.
+	// filled by LiveWorkflow.Read under the read lock on the first
+	// audited query.
 	audit atomic.Pointer[provenance.ViewAudit]
 }
 
@@ -64,12 +62,11 @@ func (ep *ReadEpoch) TaskID(u int) string { return ep.taskIDs[u] }
 // Tasks returns the number of tasks at the epoch's version.
 func (ep *ReadEpoch) Tasks() int { return len(ep.taskIDs) }
 
-// Labels returns the task-level reachability label index (never nil on
-// a published epoch).
+// Labels returns the task-level reachability label index.
 func (ep *ReadEpoch) Labels() *dag.Labels { return ep.labels }
 
-// RevLabels returns the ancestor-direction task-level index (never nil
-// on a published epoch): RevLabels().Reaches(v, u) ⇔ u reaches v.
+// RevLabels returns the ancestor-direction task-level index:
+// RevLabels().Reaches(v, u) ⇔ u reaches v.
 func (ep *ReadEpoch) RevLabels() *dag.Labels { return ep.rev }
 
 // View returns the epoch's snapshot of view vid, or nil when the view
@@ -83,41 +80,75 @@ func (ev *EpochView) View() *view.View { return ev.v }
 // Sound reports the view's maintained soundness at the epoch's version.
 func (ev *EpochView) Sound() bool { return ev.sound }
 
-// Labels returns the composite-level label index, or nil when the
-// quotient graph exceeded the interval budget.
+// Labels returns the composite-level label index.
 func (ev *EpochView) Labels() *dag.Labels { return ev.labels }
 
-// RevLabels returns the ancestor-direction composite-level index, nil
-// exactly when Labels is nil.
+// RevLabels returns the ancestor-direction composite-level index.
 func (ev *EpochView) RevLabels() *dag.Labels { return ev.revLabels }
 
-// Epoch returns the current read epoch, or nil when lock-free serving
-// is unavailable (no epoch published yet, label budget exceeded, or the
-// workflow closed). The returned epoch may lag the live version during
-// an in-flight mutation; answers served from it are consistent as of
-// its stamped version.
-func (lw *LiveWorkflow) Epoch() *ReadEpoch { return lw.epoch.Load() }
+// Read hands a reader the published read epoch and, when auditView
+// names one of its views, that view's provenance audit pinned to the
+// epoch (nil when the epoch has no such view; the caller reports it).
+// It is lock-free when the epoch is published and the audit cached.
+// Otherwise it takes the read lock once: the epoch loaded under it is
+// current, because every publication runs under the write lock, so
+// version drift cannot fail it; the audit it builds there is cached on
+// the epoch for every later reader. A workflow without an epoch is
+// closed — replay publishes before the registry serves (BeginRestore)
+// — and Read fails with ErrUnknownWorkflow.
+func (lw *LiveWorkflow) Read(auditView string) (*ReadEpoch, *provenance.ViewAudit, error) {
+	if ep := lw.epoch.Load(); ep != nil {
+		if a, ok := ep.cachedAudit(auditView); ok {
+			return ep, a, nil
+		}
+	}
+	lw.mu.RLock()
+	defer lw.mu.RUnlock()
+	ep := lw.epoch.Load()
+	if lw.closed || ep == nil {
+		return nil, nil, lw.errClosed("read")
+	}
+	if a, ok := ep.cachedAudit(auditView); ok {
+		return ep, a, nil
+	}
+	obs.MAuditCacheMisses.Inc()
+	ev := ep.views[auditView]
+	a := provenance.AuditView(lw.prov, ev.v)
+	ev.audit.Store(a)
+	return ep, a, nil
+}
+
+// cachedAudit is Read's answer without building anything: ok is false
+// only when view vid is in the epoch with no audit cached yet.
+func (ep *ReadEpoch) cachedAudit(vid string) (*provenance.ViewAudit, bool) {
+	if vid == "" {
+		return nil, true
+	}
+	ev := ep.views[vid]
+	if ev == nil {
+		return nil, true
+	}
+	a := ev.audit.Load()
+	if a != nil {
+		obs.MAuditCacheHits.Inc()
+	}
+	return a, a != nil
+}
 
 // publishEpochLocked rebuilds and atomically publishes the read epoch.
 // Callers hold the write lock (or own lw exclusively, pre-publication).
-// When the task graph's label index is unavailable the epoch is cleared
-// and readers fall back to the locked path wholesale.
 func (lw *LiveWorkflow) publishEpochLocked() {
 	if lw.reg.restoring.Load() {
-		// Replay mode (Registry.BeginRestore): defer the rebuild, clear
-		// any stale epoch so readers take the locked path meanwhile.
+		// Replay mode (Registry.BeginRestore): defer the rebuild until
+		// EndRestore, before the registry serves.
 		lw.epoch.Store(nil)
 		return
 	}
-	labels := lw.ic.Labels()
-	if labels == nil {
-		lw.epoch.Store(nil)
-		return
-	}
+	old := lw.epoch.Load()
 	ep := &ReadEpoch{
 		version: lw.version,
 		taskIDs: make([]string, lw.wf.N()),
-		labels:  labels.Fork(),
+		labels:  lw.ic.Labels().Fork(),
 		rev:     lw.ic.RevLabels().Fork(),
 		views:   make(map[string]*EpochView, len(lw.views)),
 	}
@@ -128,50 +159,25 @@ func (lw *LiveWorkflow) publishEpochLocked() {
 		ep.taskIDs[i] = lw.wf.Task(i).ID
 	}
 	for vid, lv := range lw.views {
-		ev := &EpochView{v: lv.v, sound: lv.report.Sound}
-		qg := lv.v.Graph()
-		ev.labels = dag.BuildLabels(qg)
-		if ev.labels != nil {
-			ev.revLabels = dag.BuildLabels(qg.Reversed())
-			if ev.revLabels == nil {
-				ev.labels = nil
+		if old != nil && old.version == lw.version {
+			// Same version, same view object: same quotient graph and
+			// report, so its labels and audit carry over.
+			if ev := old.views[vid]; ev != nil && ev.v == lv.v {
+				ep.views[vid] = ev
+				continue
 			}
 		}
+		qg := lv.v.Graph()
+		ep.views[vid] = &EpochView{
+			v:         lv.v,
+			sound:     lv.report.Sound,
+			labels:    dag.BuildLabels(qg),
+			revLabels: dag.BuildLabels(qg.Reversed()),
+		}
 		lw.reg.viewLabelBuilds.Add(1)
-		ep.views[vid] = ev
 	}
 	lw.epoch.Store(ep)
 	obs.MEpochPublishes.Inc()
-}
-
-// EpochAudit returns the provenance audit of view vid at exactly ep's
-// version, building and caching it on the epoch under the read lock on
-// first use. ok is false when the audit cannot be pinned to ep's
-// version — the workflow moved on, closed, or dropped the view — in
-// which case the caller re-resolves a fresh epoch or falls back to the
-// locked session path.
-func (lw *LiveWorkflow) EpochAudit(ep *ReadEpoch, vid string) (audit *provenance.ViewAudit, ok bool) {
-	ev := ep.views[vid]
-	if ev == nil {
-		return nil, false
-	}
-	if a := ev.audit.Load(); a != nil {
-		obs.MAuditCacheHits.Inc()
-		return a, true
-	}
-	lw.mu.RLock()
-	defer lw.mu.RUnlock()
-	if lw.closed || lw.version != ep.version {
-		return nil, false
-	}
-	lv := lw.views[vid]
-	if lv == nil || lv.v != ev.v {
-		return nil, false
-	}
-	obs.MAuditCacheMisses.Inc()
-	a := lv.viewAudit(lw.prov)
-	ev.audit.Store(a)
-	return a, true
 }
 
 // LabelStats aggregates label-index counters for /v1/stats: lifetime
@@ -179,11 +185,9 @@ func (lw *LiveWorkflow) EpochAudit(ep *ReadEpoch, vid string) (audit *provenance
 // resident interval count and memory footprint of every live index
 // (task-level and per-view).
 type LabelStats struct {
-	// Workflows counts resident workflows currently serving lock-free
-	// from a label index; Disabled counts residents whose graphs blew
-	// the interval budget (serving from closure rows).
+	// Workflows counts resident workflows serving from a published
+	// epoch.
 	Workflows int `json:"workflows"`
-	Disabled  int `json:"disabled"`
 	// Builds / Rebuilds / Patches are task-level index counters summed
 	// over resident workflows: full builds, rebuilds forced past the
 	// patch damage threshold, and incremental edge patches.
@@ -222,17 +226,14 @@ func (r *Registry) LabelStats() LabelStats {
 		ep := lw.epoch.Load()
 		lw.mu.RUnlock()
 		if ep == nil {
-			st.Disabled++
 			continue
 		}
 		st.Workflows++
 		st.Intervals += int64(ep.labels.Intervals()) + int64(ep.rev.Intervals())
 		st.MemoryBytes += ep.labels.MemoryBytes() + ep.rev.MemoryBytes()
 		for _, ev := range ep.views {
-			if ev.labels != nil {
-				st.Intervals += int64(ev.labels.Intervals()) + int64(ev.revLabels.Intervals())
-				st.MemoryBytes += ev.labels.MemoryBytes() + ev.revLabels.MemoryBytes()
-			}
+			st.Intervals += int64(ev.labels.Intervals()) + int64(ev.revLabels.Intervals())
+			st.MemoryBytes += ev.labels.MemoryBytes() + ev.revLabels.MemoryBytes()
 		}
 	}
 	return st

@@ -131,9 +131,10 @@ func (r *Registry) Restore(id string, version uint64, wf *workflow.Workflow, vie
 // thousands of records per workflow before anyone can query, so
 // publishing a fresh read epoch after every one is pure waste; deferred,
 // each workflow pays for exactly one publication at the end of recovery.
-// Pair with EndRestore before the registry serves traffic. Queries
-// issued while restoring (recovery itself runs some) fall back to the
-// locked session path and stay correct.
+// Pair with EndRestore before the registry serves traffic: a workflow
+// has no read epoch while restoring, and lineage readers treat a
+// missing epoch as a closed workflow (LiveWorkflow.Read). Run ingestion
+// during replay reads the live state under the lock and stays correct.
 func (r *Registry) BeginRestore() { r.restoring.Store(true) }
 
 // EndRestore leaves replay mode and publishes one read epoch per live

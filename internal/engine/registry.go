@@ -170,58 +170,17 @@ type LiveWorkflow struct {
 
 	// epoch is the published lock-free read snapshot (epoch.go):
 	// rebuilt under the write lock after every committed transition,
-	// loaded by the run store's lineage path without any lock. nil
-	// while the label index is unavailable or the workflow is closed.
+	// handed to readers by Read. nil once the workflow is closed (and
+	// while replay defers publication).
 	epoch atomic.Pointer[ReadEpoch]
 
 	used uint64 // registry LRU stamp, guarded by reg.mu
 }
 
-// liveView pairs an attached view with its permanently current report
-// and a lazily built, mutation-invalidated view-level lineage engine.
+// liveView pairs an attached view with its permanently current report.
 type liveView struct {
 	v      *view.View
 	report *soundness.Report
-
-	// veMu guards ve and audit: lineage queries run under the workflow's
-	// read lock, so concurrent first queries must not race the builds.
-	// Writers (Mutate) hold the workflow's write lock and reset both to
-	// nil without taking veMu — no reader can be inside it then.
-	veMu  sync.Mutex
-	ve    *provenance.ViewEngine
-	audit *provenance.ViewAudit
-}
-
-// viewEngine returns the cached view-level lineage engine, building it
-// on first use after each view change. The quotient graph and its
-// closure are only recomputed when the view itself was replaced, not
-// per query.
-func (lv *liveView) viewEngine() *provenance.ViewEngine {
-	lv.veMu.Lock()
-	defer lv.veMu.Unlock()
-	if lv.ve == nil {
-		lv.ve = provenance.NewViewEngine(lv.v)
-	}
-	return lv.ve
-}
-
-// viewAudit returns the cached provenance audit of the view against the
-// live lineage engine, built on first use after each mutation (Mutate
-// resets it alongside ve). Audited run-store lineage queries read their
-// spurious-composite delta from here, so the O(k·n) audit runs once per
-// (view, version), not once per query.
-func (lv *liveView) viewAudit(prov *provenance.Engine) *provenance.ViewAudit {
-	lv.veMu.Lock()
-	defer lv.veMu.Unlock()
-	if lv.audit == nil {
-		if lv.ve == nil {
-			lv.ve = provenance.NewViewEngine(lv.v)
-		}
-		// Reuse the cached quotient-closure engine: the audit shares it
-		// with the view-level lineage path instead of building a second.
-		lv.audit = provenance.AuditViewUsing(prov, lv.ve)
-	}
-	return lv.audit
 }
 
 // Mutation is a batch of structural additions to a live workflow. The
@@ -547,7 +506,7 @@ func (lw *LiveWorkflow) close() {
 	lw.mu.Lock()
 	lw.closed = true
 	// Lock-free readers must stop serving a dead registration: with the
-	// epoch cleared they fall back to the locked path, which sees closed.
+	// epoch cleared, Read takes the lock and sees closed.
 	lw.epoch.Store(nil)
 	lw.mu.Unlock()
 	lw.seedMu.Lock()
@@ -564,7 +523,7 @@ func (lw *LiveWorkflow) close() {
 // no repoint. Callers hold the write lock (or own lw exclusively).
 func (lw *LiveWorkflow) repoint() {
 	lw.oracle = soundness.NewOracleWithClosure(lw.wf, lw.ic.Graph(), lw.ic.Fwd())
-	lw.prov = provenance.NewEngineWithClosures(lw.wf, lw.ic.Fwd(), lw.ic.Rev())
+	lw.prov = provenance.NewEngineWithClosures(lw.wf, lw.ic.Fwd())
 }
 
 // errClosed is the shared guard for operations on dead handles.
@@ -802,52 +761,56 @@ func (lw *LiveWorkflow) Correct(ctx context.Context, vid string, crit core.Crite
 
 // Lineage answers a provenance query for taskID through view vid,
 // contrasting the exact workflow-level answer with the view-level one.
+// It reads the epoch's labels; only the task lookup takes the read
+// lock, and the epoch loaded under it is current.
 func (lw *LiveWorkflow) Lineage(vid, taskID string) (*LineageResult, error) {
 	lw.mu.RLock()
-	defer lw.mu.RUnlock()
-	if lw.closed {
+	closed := lw.closed
+	ep := lw.epoch.Load()
+	t, known := lw.wf.Index(taskID)
+	lw.mu.RUnlock()
+	if closed || ep == nil {
 		return nil, lw.errClosed("lineage")
 	}
-	lv, ok := lw.views[vid]
-	if !ok {
+	ev := ep.views[vid]
+	if ev == nil {
 		return nil, errf(ErrUnknownView, "lineage", "no view %q on workflow %q", vid, lw.id)
 	}
-	t, ok := lw.wf.Index(taskID)
-	if !ok {
+	if !known {
 		return nil, errf(ErrUnknownTask, "lineage", "no task %q in workflow %q", taskID, lw.id)
 	}
-	ve := lv.viewEngine()
-	exact := lw.prov.Lineage(t)
-	viewed := ve.TaskLineage(t)
+	v, home := ev.v, ev.v.CompOf(t)
 	res := &LineageResult{
 		Task:            taskID,
-		Version:         lw.version,
-		ViewSound:       lv.report.Sound,
-		WorkflowLineage: lw.taskIDs(exact),
-		ViewLineage:     lw.taskIDs(viewed),
+		Version:         ep.version,
+		ViewSound:       ev.sound,
+		WorkflowLineage: []string{},
+		ViewLineage:     []string{},
 	}
-	for _, ci := range ve.CompositeLineage(lv.v.CompOf(t)) {
-		res.CompositeLineage = append(res.CompositeLineage, lv.v.Composite(ci).ID)
+	// Mark t's ancestors and home's upstream composites once; every
+	// membership test below is one bit probe, in ascending order.
+	mark := make([]uint64, dag.MarkWords(ep.Tasks()))
+	ep.rev.MarkRow(mark, t)
+	cmark := make([]uint64, dag.MarkWords(v.N()))
+	ev.revLabels.MarkRow(cmark, home)
+	for ci := 0; ci < v.N(); ci++ {
+		if ci != home && ev.revLabels.Marked(cmark, ci) {
+			res.CompositeLineage = append(res.CompositeLineage, v.Composite(ci).ID)
+		}
 	}
-	exactSet := bitset.New(lw.wf.N())
-	for _, u := range exact {
-		exactSet.Set(u)
-	}
-	for _, u := range viewed {
-		if !exactSet.Test(u) {
-			res.FalsePositives = append(res.FalsePositives, lw.wf.Task(u).ID)
+	for u := 0; u < ep.Tasks(); u++ {
+		exact := ep.rev.Marked(mark, u)
+		if exact && u != t {
+			res.WorkflowLineage = append(res.WorkflowLineage, ep.taskIDs[u])
+		}
+		if cu := v.CompOf(u); cu != home && ev.revLabels.Marked(cmark, cu) {
+			res.ViewLineage = append(res.ViewLineage, ep.taskIDs[u])
+			if !exact {
+				res.FalsePositives = append(res.FalsePositives, ep.taskIDs[u])
+			}
 		}
 	}
 	return res, nil
-}
-
-// taskIDs maps task indices to IDs; callers hold a lock.
-func (lw *LiveWorkflow) taskIDs(idx []int) []string {
-	out := make([]string, len(idx))
-	for i, t := range idx {
-		out[i] = lw.wf.Task(t).ID
-	}
-	return out
 }
 
 // Mutate applies a batch of task and edge additions atomically: the
@@ -1002,8 +965,6 @@ func (lw *LiveWorkflow) MutateCtx(ctx context.Context, m Mutation) (*MutationRes
 		dirtyComps := soundness.DirtyComposites(lv.v, dirty, oldK)
 		delta := soundness.Revalidate(lw.oracle, lv.v, dirtyComps)
 		lv.report = soundness.Merge(prev, delta, lv.v)
-		lv.ve = nil    // lineage engine rebuilt lazily over the new state
-		lv.audit = nil // provenance audit likewise
 
 		vd := ViewDelta{View: vid, Sound: lv.report.Sound}
 		for _, ci := range dirtyComps {
@@ -1041,60 +1002,4 @@ func (lw *LiveWorkflow) MutateCtx(ctx context.Context, m Mutation) (*MutationRes
 		}
 	}
 	return res, nil
-}
-
-// ProvSession is a read-consistent provenance query session over a live
-// workflow, handed to the callback of LiveWorkflow.Query. Every pointer
-// it exposes references live registry state guarded by the read lock the
-// session holds: use them inside the callback only, never retain them.
-// The run store (internal/runs) answers all three lineage levels through
-// one session — exact rows from the incrementally maintained closure,
-// view-level rows from the cached quotient closure, and the audited
-// delta from the cached provenance audit.
-type ProvSession struct {
-	lw *LiveWorkflow
-}
-
-// Query invokes fn with a provenance session while holding the live
-// workflow's read lock, so everything fn reads — task space, version,
-// closure rows, view engines, audits — reflects one consistent version.
-func (lw *LiveWorkflow) Query(fn func(ps *ProvSession) error) error {
-	lw.mu.RLock()
-	defer lw.mu.RUnlock()
-	if lw.closed {
-		return lw.errClosed("query")
-	}
-	return fn(&ProvSession{lw: lw})
-}
-
-// Workflow returns the live workflow object (valid only inside the
-// session callback).
-func (ps *ProvSession) Workflow() *workflow.Workflow { return ps.lw.wf }
-
-// Version returns the workflow version the session reads.
-func (ps *ProvSession) Version() uint64 { return ps.lw.version }
-
-// Lineage returns the task-level lineage engine backed by the live
-// incrementally maintained closure — exact rows, zero rebuild cost.
-func (ps *ProvSession) Lineage() *provenance.Engine { return ps.lw.prov }
-
-// View returns the attached view vid with its cached quotient-closure
-// engine and incrementally maintained soundness report.
-func (ps *ProvSession) View(vid string) (*view.View, *provenance.ViewEngine, *soundness.Report, error) {
-	lv, ok := ps.lw.views[vid]
-	if !ok {
-		return nil, nil, nil, errf(ErrUnknownView, "query", "no view %q on workflow %q", vid, ps.lw.id)
-	}
-	return lv.v, lv.viewEngine(), lv.report, nil
-}
-
-// Audit returns the cached provenance audit of view vid (spurious and
-// missing composite pairs against ground truth), built on first use per
-// workflow version.
-func (ps *ProvSession) Audit(vid string) (*provenance.ViewAudit, error) {
-	lv, ok := ps.lw.views[vid]
-	if !ok {
-		return nil, errf(ErrUnknownView, "query", "no view %q on workflow %q", vid, ps.lw.id)
-	}
-	return lv.viewAudit(ps.lw.prov), nil
 }

@@ -471,6 +471,59 @@ func TestRegistryLineageFigure1(t *testing.T) {
 	}
 }
 
+// TestReadPinsAuditToEpoch checks the one way readers get an epoch: the
+// audit is built once per (view, version), carried across a republish
+// that keeps the version and the view object, rebuilt after a
+// mutation; an unknown view yields no audit, and a closed workflow
+// reads as unknown.
+func TestReadPinsAuditToEpoch(t *testing.T) {
+	reg := NewRegistry(New())
+	lw := figure1Registered(t, reg)
+	ep1, a1, err := lw.Read("fig1b")
+	if err != nil || a1 == nil {
+		t.Fatalf("Read = %v, %v", a1, err)
+	}
+	if _, again, _ := lw.Read("fig1b"); again != a1 {
+		t.Fatal("audit rebuilt within one epoch")
+	}
+	// Attaching another view republishes at the same version.
+	if _, _, err := lw.AttachView("solo", func(wf *workflow.Workflow) (*view.View, error) {
+		b := view.NewBuilder(wf, "solo")
+		for i := 0; i < wf.N(); i++ {
+			b.Assign("c"+wf.Task(i).ID, wf.Task(i).ID)
+		}
+		return b.Build()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ep2, a2, err := lw.Read("fig1b")
+	if err != nil || ep2 == ep1 || ep2.Version() != ep1.Version() {
+		t.Fatalf("attach must republish at version %d: %v", ep1.Version(), err)
+	}
+	if a2 != a1 {
+		t.Fatal("audit not carried across a same-version republish")
+	}
+	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}, {"4", "5"}}}); err != nil {
+		t.Fatal(err)
+	}
+	ep3, a3, err := lw.Read("fig1b")
+	if err != nil || ep3.Version() != 2 || a3 == a1 {
+		t.Fatalf("Read after mutate: version %d, rebuilt %v, %v", ep3.Version(), a3 != a1, err)
+	}
+	if a3.FalsePairs == 0 {
+		t.Fatal("completed Figure 1 must audit spurious composite pairs")
+	}
+	if ep, a, err := lw.Read("nope"); err != nil || a != nil || ep.View("nope") != nil {
+		t.Fatalf("Read(unknown view) = %v, %v", a, err)
+	}
+	if err := reg.Delete("phylo"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := lw.Read(""); !hasCode(err, ErrUnknownWorkflow) {
+		t.Fatalf("Read on a deleted workflow = %v", err)
+	}
+}
+
 func TestRegistryCorrectLiveView(t *testing.T) {
 	reg := NewRegistry(New())
 	lw := figure1Registered(t, reg)

@@ -70,14 +70,6 @@ var (
 	MLineageLatency = Default.HistogramVec("wolves_lineage_latency_seconds",
 		"Lineage query latency in seconds, by answer level.",
 		"level", LatencyBuckets, "exact", "view", "audited")
-	// MLineageDriftRetries counts label-path retries after an epoch moved
-	// mid-answer.
-	MLineageDriftRetries = Default.Counter("wolves_lineage_drift_retries_total",
-		"Label-indexed lineage attempts retried because the epoch moved mid-answer.")
-	// MLineageFallbacks counts queries that fell back to the locked
-	// closure-row path after exhausting label-path retries.
-	MLineageFallbacks = Default.Counter("wolves_lineage_fallbacks_total",
-		"Lineage queries answered by the locked closure-row fallback after label-path retries were exhausted.")
 )
 
 // Ingest write path (internal/runs).

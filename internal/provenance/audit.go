@@ -49,17 +49,7 @@ func AuditView(e *Engine, v *view.View) *ViewAudit {
 	if !workflow.Same(v.Workflow(), e.wf) {
 		panic("provenance: view belongs to a different workflow")
 	}
-	return AuditViewUsing(e, NewViewEngine(v))
-}
-
-// AuditViewUsing is AuditView against a caller-held view engine,
-// skipping the quotient-closure build — the registry path, where the
-// cached ViewEngine of the live view is already in hand.
-func AuditViewUsing(e *Engine, ve *ViewEngine) *ViewAudit {
-	v := ve.View()
-	if !workflow.Same(v.Workflow(), e.wf) {
-		panic("provenance: view belongs to a different workflow")
-	}
+	ve := NewViewEngine(v)
 	k := v.N()
 	a := &ViewAudit{
 		Composites:         k,

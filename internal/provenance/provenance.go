@@ -24,10 +24,9 @@ import (
 type Engine struct {
 	wf  *workflow.Workflow
 	fwd *dag.Closure // forward reachability: Row(u) = descendants of u
-	rev *dag.Closure // transposed closure, when supplied at construction
 
 	ancOnce sync.Once     // guards the one-time construction of anc
-	anc     []*bitset.Set // ancestors of u, derived from rev or built by transposing fwd
+	anc     []*bitset.Set // ancestors of u, built by transposing fwd
 }
 
 // NewEngine builds the workflow-level lineage engine, computing the
@@ -36,16 +35,17 @@ func NewEngine(wf *workflow.Workflow) *Engine {
 	return &Engine{wf: wf, fwd: wf.Graph().Reachability()}
 }
 
-// NewEngineWithClosures builds a lineage engine over caller-supplied
-// closures, skipping all closure computation. rev, when non-nil, must be
-// the exact transpose of fwd; ancestor queries then share its rows
-// instead of building a transpose. This is the registry path: both
-// closures come from an IncrementalClosure whose matrices are updated in
-// place as the live workflow mutates, so lineage answers stay current
-// across edge mutations with no rebuild (the registry constructs a fresh
-// engine only when the matrices are replaced, i.e. on task growth).
-func NewEngineWithClosures(wf *workflow.Workflow, fwd, rev *dag.Closure) *Engine {
-	return &Engine{wf: wf, fwd: fwd, rev: rev}
+// NewEngineWithClosures builds a lineage engine over a caller-supplied
+// forward closure, skipping the closure computation. This is the
+// registry path: fwd comes from an IncrementalClosure whose matrix is
+// updated in place as the live workflow mutates, so forward queries
+// (Reaches, Descendants, DescendantSet) and AuditView stay current
+// across edge mutations with no rebuild (the registry constructs a
+// fresh engine only when the matrix is replaced, i.e. on task growth).
+// Ancestor rows are transposed once, on the first ancestor query, and
+// do not follow later updates of fwd.
+func NewEngineWithClosures(wf *workflow.Workflow, fwd *dag.Closure) *Engine {
+	return &Engine{wf: wf, fwd: fwd}
 }
 
 // Workflow returns the engine's workflow.
@@ -55,12 +55,6 @@ func (e *Engine) ancestors() []*bitset.Set {
 	e.ancOnce.Do(func() {
 		n := e.fwd.N()
 		e.anc = make([]*bitset.Set, n)
-		if e.rev != nil {
-			for v := 0; v < n; v++ {
-				e.anc[v] = e.rev.Row(v)
-			}
-			return
-		}
 		for v := 0; v < n; v++ {
 			e.anc[v] = bitset.New(n)
 		}

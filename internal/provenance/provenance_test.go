@@ -272,30 +272,35 @@ func TestAncestorsConcurrentBuild(t *testing.T) {
 }
 
 // TestNewEngineWithClosures pins that a registry-backed engine sharing
-// an incrementally maintained transpose answers identically to the
-// self-built one, and stays current through in-place edge mutations.
+// an incrementally maintained closure answers identically to the
+// self-built one, and that its forward queries and AuditView stay
+// current through in-place edge mutations.
 func TestNewEngineWithClosures(t *testing.T) {
-	wf, _ := repo.Figure1()
+	wf, v := repo.Figure1()
 	ic, err := dag.NewIncrementalClosure(wf.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := NewEngineWithClosures(wf, ic.Fwd(), ic.Rev())
+	live := NewEngineWithClosures(wf, ic.Fwd())
 	fresh := NewEngine(wf)
 	for i := 0; i < wf.N(); i++ {
 		if !reflect.DeepEqual(live.Lineage(i), fresh.Lineage(i)) {
-			t.Fatalf("task %d: shared-transpose lineage diverges", i)
+			t.Fatalf("task %d: shared-closure lineage diverges", i)
 		}
 	}
 
-	// Mutate in place: 3→8 gives task 8 the whole 1-2-3 ancestry. The
+	// Mutate in place: 3→8 gives task 3 the whole downstream of 8. The
 	// live engine must see it without any rebuild.
-	u, v := wf.MustIndex("3"), wf.MustIndex("8")
-	if _, err := ic.AddEdge(u, v, nil); err != nil {
+	u, w := wf.MustIndex("3"), wf.MustIndex("8")
+	if _, err := ic.AddEdge(u, w, nil); err != nil {
 		t.Fatal(err)
 	}
 	wf.StructureChanged()
-	if !reflect.DeepEqual(live.Lineage(v), NewEngine(wf).Lineage(v)) {
+	fresh = NewEngine(wf)
+	if !reflect.DeepEqual(live.Descendants(u), fresh.Descendants(u)) {
 		t.Fatal("live engine stale after in-place edge mutation")
+	}
+	if !reflect.DeepEqual(AuditView(live, v), AuditView(fresh, v)) {
+		t.Fatal("audit over the live engine stale after in-place edge mutation")
 	}
 }

@@ -310,7 +310,7 @@ func (s *Store) ingestWire(ctx context.Context, workflowID string, w *wireRun, j
 			"run %q is empty: no invocations and no artifacts", w.Run)
 	}
 	// Validation, shard insertion and the journal append all run inside
-	// one read-locked session. The lock is what orders this ingestion
+	// one read-locked State call. The lock is what orders this ingestion
 	// against a same-ID re-registration: replacing a workflow close()s
 	// the old incarnation under its WRITE lock before the registry
 	// journals the new registration record, so a recRun record appended
@@ -319,14 +319,14 @@ func (s *Store) ingestWire(ctx context.Context, workflowID string, w *wireRun, j
 	// incarnation it was validated against live.
 	var run *Run
 	var replaced, wantSnap bool
-	if err := lw.Query(func(ps *engine.ProvSession) error {
-		version := ps.Version()
+	if err := lw.State(func(st *engine.LiveState) error {
+		version := st.Version
 		if !journal && w.Version != 0 {
 			// Restore path: keep the version stamp the run was originally
 			// validated under, so recovered metadata is byte-identical.
 			version = w.Version
 		}
-		r, berr := buildRun(ps.Workflow(), version, w, rawDoc, sc, s.legacyDocs)
+		r, berr := buildRun(st.Workflow, version, w, rawDoc, sc, s.legacyDocs)
 		if berr != nil {
 			return berr
 		}
@@ -413,8 +413,8 @@ func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]
 	defer scratchPool.Put(sc)
 
 	var wantSnap bool
-	if err := lw.Query(func(ps *engine.ProvSession) error {
-		version := ps.Version()
+	if err := lw.State(func(st *engine.LiveState) error {
+		version := st.Version
 		built := make([]*Run, 0, len(docs))
 		for i, doc := range docs {
 			w := sc.wire()
@@ -430,7 +430,7 @@ func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]
 				return errf(engine.ErrInvalidTrace, "ingest",
 					"run %q is empty: no invocations and no artifacts", w.Run)
 			}
-			r, berr := buildRun(ps.Workflow(), version, w, nil, sc, s.legacyDocs)
+			r, berr := buildRun(st.Workflow, version, w, nil, sc, s.legacyDocs)
 			if berr != nil {
 				return berr
 			}

@@ -5,17 +5,15 @@ import (
 	"sync"
 	"time"
 
-	"wolves/internal/bitset"
 	"wolves/internal/dag"
 	"wolves/internal/engine"
 	"wolves/internal/obs"
-	"wolves/internal/provenance"
 	"wolves/internal/view"
 )
 
 // Query levels and directions.
 const (
-	LevelExact   = "exact"   // task closure from the registry's incremental rows
+	LevelExact   = "exact"   // task-level reachability of the workflow
 	LevelView    = "view"    // composite (quotient) closure of an attached view
 	LevelAudited = "audited" // view level + provenance-audit delta
 
@@ -138,12 +136,11 @@ func (a *Answer) Release() {
 // Lineage answers one query against an ingested run.
 //
 // The serve path is label-indexed and lock-free: the answer is
-// assembled from the workflow's published ReadEpoch — interval
-// reachability labels for membership, the run's invoked-task list for
-// enumeration — without taking the workflow lock. When no epoch is
-// available (label budget exceeded, or the epoch moved mid-assembly on
-// the audited level) it falls back to the closure-row path under the
-// read lock; the two produce byte-identical answers (see
+// assembled from the workflow's published ReadEpoch — reachability
+// labels for membership, the run's invoked-task list for enumeration —
+// without taking the workflow lock (the first audited query per view
+// and version takes it once to build the audit). Answers are
+// byte-identical to a from-scratch closure computation (see
 // TestLabelAnswersMatchClosureRows).
 func (s *Store) Lineage(workflowID string, q Query) (*Answer, error) {
 	return s.LineageCtx(context.Background(), workflowID, q) //lint:allow ctxpass compat wrapper anchors its own root
@@ -200,29 +197,13 @@ func (s *Store) LineageCtx(ctx context.Context, workflowID string, q Query) (*An
 	span.SetAttr("workflow", workflowID)
 	span.SetAttr("level", level)
 
-	// Two label attempts: the second absorbs an epoch that moved between
-	// the load and the audited-delta pin. Anything rarer than that — or
-	// a workflow with no label index at all — serves from closure rows.
-	for attempt := 0; attempt < 2; attempt++ {
-		if attempt > 0 {
-			obs.MLineageDriftRetries.Inc()
-		}
-		if ans, qerr, served := s.lineageLabels(lw, run, q, ai, level, dir); served {
-			span.End()
-			if qerr != nil {
-				return nil, qerr
-			}
-			finishLineage(level, start)
-			return ans, nil
-		}
-	}
-	obs.MLineageFallbacks.Inc()
-	ans, err := s.lineageRows(lw, run, q, ai, level, dir)
+	ans, err := s.lineageLabels(lw, run, q, ai, level, dir)
 	span.End()
-	if err == nil {
-		finishLineage(level, start)
+	if err != nil {
+		return nil, err
 	}
-	return ans, err
+	finishLineage(level, start)
+	return ans, nil
 }
 
 // finishLineage records the per-level serve counters and latency for
@@ -234,36 +215,25 @@ func finishLineage(level string, start time.Time) {
 }
 
 // lineageLabels serves one query entirely from the published read
-// epoch. served is false when the epoch path cannot answer (no epoch,
-// view without labels, audited delta unpinnable) — the caller retries
-// or falls back to closure rows.
-func (s *Store) lineageLabels(lw *engine.LiveWorkflow, run *Run, q Query, ai int32, level, dir string) (*Answer, *engine.Error, bool) {
-	ep := lw.Epoch()
-	if ep == nil || run.n > ep.Tasks() {
-		// No epoch, or the epoch briefly lags a task-growing mutation the
-		// run was already validated against.
-		return nil, nil, false
+// epoch. The run was validated under the read lock after its version's
+// epoch was published, and task sets only grow, so the epoch covers
+// every task the run names.
+func (s *Store) lineageLabels(lw *engine.LiveWorkflow, run *Run, q Query, ai int32, level, dir string) (*Answer, error) {
+	auditView := ""
+	if level == LevelAudited {
+		auditView = q.View
+	}
+	ep, audit, err := lw.Read(auditView)
+	if err != nil {
+		return nil, wrapErr("lineage", err)
 	}
 	anc := dir == DirAncestors
 
-	// Resolve the view and pin the audited delta before assembling
-	// anything, so version drift costs a retry, not a torn answer.
 	var ev *engine.EpochView
-	var audit *provenance.ViewAudit
 	if level != LevelExact {
 		if ev = ep.View(q.View); ev == nil {
 			return nil, errf(engine.ErrUnknownView, "query",
-				"no view %q on workflow %q", q.View, lw.ID()), true
-		}
-		if ev.Labels() == nil {
-			return nil, nil, false
-		}
-		if level == LevelAudited {
-			a, ok := lw.EpochAudit(ep, q.View)
-			if !ok {
-				return nil, nil, false
-			}
-			audit = a
+				"no view %q on workflow %q", q.View, lw.ID())
 		}
 	}
 
@@ -289,7 +259,7 @@ func (s *Store) lineageLabels(lw *engine.LiveWorkflow, run *Run, q Query, ai int
 				ans.Sound = &ans.soundVal
 			}
 		}
-		return ans, nil, true
+		return ans, nil
 	}
 	t := int(run.procTask[gen])
 	ans.Producer = ep.TaskID(t)
@@ -309,9 +279,9 @@ func (s *Store) lineageLabels(lw *engine.LiveWorkflow, run *Run, q Query, ai int
 		ans.viewSoundVal = ev.Sound()
 		ans.ViewSound = &ans.viewSoundVal
 
-		// Mark home's interval cover once, then every membership test is
-		// one bit probe. Composite enumeration scans ascending, home
-		// excluded — the same order the closure-row path emits.
+		// Mark home's row once, then every membership test is one bit
+		// probe. Composite enumeration scans ascending, home excluded —
+		// the order a closure row enumerates.
 		mp := scratchMark(vl)
 		mark := *mp
 		vl.MarkRow(mark, home)
@@ -348,13 +318,13 @@ func (s *Store) lineageLabels(lw *engine.LiveWorkflow, run *Run, q Query, ai int
 	if q.Witness {
 		ans.Witness = run.appendWitness(ans.Witness[:0], ai)
 	}
-	return ans, nil, true
+	return ans, nil
 }
 
 // fillExactLabels writes the exact-level tasks and artifacts: the run's
 // invoked tasks (home excluded) whose mark bit places them in the
 // answer, ascending, then this run's artifacts those tasks generated in
-// artifact order — the same set and order as the closure-row path.
+// artifact order — the set and order a closure row yields.
 // Direction picks the index (forward labels mark descendants of home,
 // reverse labels mark its ancestors); after the one MarkRow pass each
 // candidate costs a single bit probe instead of an interval search.
@@ -420,162 +390,10 @@ func scratchMark(l *dag.Labels) *[]uint64 {
 
 func releaseMark(p *[]uint64) { markPool.Put(p) }
 
-// lineageRows is the closure-row serve path: the original locked
-// ProvSession implementation, kept as the fallback for workflows
-// without a label index and as the independent oracle the equivalence
-// property test checks the label path against.
-func (s *Store) lineageRows(lw *engine.LiveWorkflow, run *Run, q Query, ai int32, level, dir string) (*Answer, error) {
-	ans := newAnswer()
-	ans.Workflow = lw.ID()
-	ans.Run = q.Run
-	ans.Artifact = q.Artifact
-	ans.Level = level
-	ans.Direction = dir
-	qerr := lw.Query(func(ps *engine.ProvSession) error {
-		ans.Version = ps.Version()
-		gen := run.artGen[ai]
-		if gen < 0 {
-			// External input: it has no producing invocation, so its
-			// closure-level lineage is empty at every level; the witness
-			// is empty too. View fields still report the view's health.
-			if level != LevelExact {
-				_, _, rep, verr := ps.View(q.View)
-				if verr != nil {
-					return verr
-				}
-				ans.View = q.View
-				ans.viewSoundVal = rep.Sound
-				ans.ViewSound = &ans.viewSoundVal
-				if level == LevelAudited {
-					ans.soundVal = true
-					ans.Sound = &ans.soundVal
-				}
-			}
-			return nil
-		}
-		t := int(run.procTask[gen])
-		ans.Producer = ps.Workflow().Task(t).ID
-
-		switch level {
-		case LevelExact:
-			s.answerExact(ans, ps, run, t, dir)
-		default:
-			if verr := s.answerView(ans, ps, run, t, q.View, dir, level == LevelAudited); verr != nil {
-				return verr
-			}
-		}
-		if q.Witness {
-			ans.Witness = run.appendWitness(ans.Witness[:0], ai)
-		}
-		return nil
-	})
-	if qerr != nil {
-		ans.Release()
-		return nil, wrapErr("lineage", qerr)
-	}
-	return ans, nil
-}
-
 // inRun reports whether task u (an index of the possibly-grown live
 // workflow) had an invocation in the run; tasks added after ingestion
 // are outside the run by construction.
 func (r *Run) inRun(u int) bool { return u < r.n && r.invoked.Test(u) }
-
-// fillTasks writes the invoked tasks of want (excluding home) into the
-// answer, plus this run's artifacts they generated.
-func (r *Run) fillTasks(ans *Answer, ps *engine.ProvSession, want *bitset.Set, home int) {
-	wf := ps.Workflow()
-	want.ForEach(func(u int) bool {
-		if u != home && r.inRun(u) {
-			ans.Tasks = append(ans.Tasks, wf.Task(u).ID)
-		}
-		return true
-	})
-	for i, g := range r.artGen {
-		if g < 0 {
-			continue
-		}
-		if u := int(r.procTask[g]); u != home && want.Test(u) {
-			ans.Artifacts = append(ans.Artifacts, r.artID[i])
-		}
-	}
-}
-
-// answerExact serves the task-closure level from the registry's
-// incrementally maintained rows: zero closure builds per query.
-func (s *Store) answerExact(ans *Answer, ps *engine.ProvSession, run *Run, t int, dir string) {
-	// Both directions read the shared closure rows directly (stable under
-	// the session's read lock); fillTasks excludes the home task itself.
-	prov := ps.Lineage()
-	var want *bitset.Set
-	if dir == DirAncestors {
-		want = prov.LineageSet(t)
-	} else {
-		want = prov.DescendantSet(t)
-	}
-	run.fillTasks(ans, ps, want, t)
-}
-
-// answerView serves the composite-closure level (and, when audited is
-// set, attaches the cached provenance-audit delta for the home
-// composite).
-func (s *Store) answerView(ans *Answer, ps *engine.ProvSession, run *Run, t int, vid, dir string, audited bool) error {
-	v, ve, rep, err := ps.View(vid)
-	if err != nil {
-		return err
-	}
-	ans.View = vid
-	ans.viewSoundVal = rep.Sound
-	ans.ViewSound = &ans.viewSoundVal
-
-	home := v.CompOf(t)
-	var comps []int
-	var taskList []int
-	if dir == DirAncestors {
-		comps = ve.CompositeLineage(home)
-		taskList = ve.TaskLineage(t)
-	} else {
-		comps = ve.CompositeDescendants(home)
-		taskList = ve.TaskDescendants(t)
-	}
-	for _, ci := range comps {
-		ans.Composites = append(ans.Composites, v.Composite(ci).ID)
-	}
-	want := bitset.New(ps.Workflow().N())
-	for _, u := range taskList {
-		want.Set(u)
-	}
-	run.fillTasks(ans, ps, want, t)
-
-	if !audited {
-		return nil
-	}
-	audit, err := ps.Audit(vid)
-	if err != nil {
-		return err
-	}
-	var spur, miss []int
-	if dir == DirAncestors {
-		spur, miss = audit.SpuriousUpstream[home], audit.MissingUpstream[home]
-	} else {
-		spur, miss = audit.SpuriousDownstream[home], audit.MissingDownstream[home]
-	}
-	wf := ps.Workflow()
-	for _, ci := range spur {
-		ans.Spurious = append(ans.Spurious, v.Composite(ci).ID)
-		for _, m := range v.Composite(ci).Members() {
-			if run.inRun(m) {
-				ans.SpuriousTasks = append(ans.SpuriousTasks, wf.Task(m).ID)
-			}
-		}
-	}
-	for _, ci := range miss {
-		ans.Missing = append(ans.Missing, v.Composite(ci).ID)
-	}
-	ans.soundVal = len(spur) == 0 && len(miss) == 0
-	ans.Sound = &ans.soundVal
-	return nil
-}
 
 // witnessScratch holds the per-walk marking state of appendWitness.
 type witnessScratch struct {

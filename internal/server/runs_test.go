@@ -336,7 +336,7 @@ func TestStatsLabelCounters(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Labels.Workflows != 1 || st.Labels.Disabled != 0 {
+	if st.Labels.Workflows != 1 {
 		t.Fatalf("label workflows = %+v", st.Labels)
 	}
 	if st.Labels.Builds < 1 || st.Labels.ViewBuilds < 1 {

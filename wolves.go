@@ -217,9 +217,6 @@ type (
 	// RunJournal persists ingested runs; internal/storage implements it
 	// next to the registry Journal.
 	RunJournal = runs.Journal
-	// ProvSession is a read-locked provenance query session over a live
-	// workflow (LiveWorkflow.Query).
-	ProvSession = engine.ProvSession
 )
 
 // NewRunStore constructs a run store over reg.
