@@ -60,6 +60,33 @@ func BenchmarkReachabilityLayered(b *testing.B) {
 	}
 }
 
+// labelsSink keeps benchmarked label builds observable.
+var labelsSink *Labels
+
+// BenchmarkBuildLabels times a forward plus reverse label build of the
+// layered DAGs live workflows are registered with (16 layers, p=0.05):
+// fwd+rev through the public single-direction entry point and a
+// materialized reversed graph, pair through BuildLabelPair, which the
+// registry uses.
+func BenchmarkBuildLabels(b *testing.B) {
+	for _, n := range []int{1024, 4096} {
+		g := layeredDAG(n, 16, 0.05, 0, 7)
+		b.Run(fmt.Sprintf("n=%d/fwd+rev", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildLabels(g)
+				labelsSink = BuildLabels(g.Reversed())
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/pair", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, labelsSink = BuildLabelPair(g)
+			}
+		})
+	}
+}
+
 // BenchmarkTopoOrderLayered isolates the topological-sort cost on the
 // same graphs (the seed used an O(n²) min-scan ready list).
 func BenchmarkTopoOrderLayered(b *testing.B) {

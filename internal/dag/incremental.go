@@ -21,6 +21,12 @@ import (
 // newly reachable pair — for a single edge on a large workflow this is
 // orders of magnitude below a rebuild.
 //
+// The same pass patches the forward and reverse reachability label
+// indexes (labels.go), so a committed edge costs label work only for
+// the rows whose reach changed. The pair is rebuilt only when patching
+// has doubled its size since the last build; there is no periodic
+// rebuild, so local edit streams never pay O(n+m) label construction.
+//
 // The IncrementalClosure owns its graph: after construction, callers
 // must route every mutation through AddEdge/Grow (mutating the graph
 // directly would silently desynchronize the closure). The structure is
@@ -34,17 +40,19 @@ type IncrementalClosure struct {
 
 	// labels/revLabels are the reachability label indexes maintained
 	// alongside the closures: labels answers "u reaches v", revLabels is
-	// built over the reversed graph so its rows enumerate ancestors.
+	// built over the predecessor lists so its rows enumerate ancestors.
 	// Edge insertion patches both in the same Italiano pass that ORs
-	// closure rows; past the patch budget they are dropped and lazily
-	// rebuilt on the next Labels() call, bounding fragmentation from
-	// long patch sequences. Both nil exactly while stale.
+	// closure rows, and Grow extends them. The pair is dropped — and
+	// lazily rebuilt on the next Labels() call — only when patching has
+	// doubled its size since the build (dropOverGrownLabels). Both nil
+	// exactly while stale.
 	labels        *Labels
 	revLabels     *Labels
 	labelsStale   bool
 	labelBudget   func(n int) int // interval budget of label builds
+	labelBuilt    int             // pair size (intervals + words) at the last build
 	labelBuilds   int64           // label-index (pair) builds: initial + rebuilds
-	labelRebuilds int64           // rebuilds triggered by the patch budget
+	labelRebuilds int64           // rebuilds forced by the size rule
 	labelPatches  int64           // lifetime Patch calls, both directions
 }
 
@@ -80,30 +88,38 @@ func (ic *IncrementalClosure) rebuild() {
 
 // rebuildLabels builds the forward/reverse label pair.
 func (ic *IncrementalClosure) rebuildLabels() {
-	budget := ic.labelBudget(ic.g.n)
-	ic.labels = buildLabels(ic.g, budget)
-	ic.revLabels = buildLabels(ic.g.Reversed(), budget)
+	ic.labels, ic.revLabels = buildLabelPair(ic.g, ic.labelBudget(ic.g.n))
+	ic.labelBuilt = ic.labelSize()
 	ic.labelsStale = false
 	ic.labelBuilds++
 }
 
-// dropLabels discards the label pair past the patch budget, marking it
-// stale so the next Labels()/RevLabels() call rebuilds fresh.
-func (ic *IncrementalClosure) dropLabels() {
+// labelSize is the pair's current size: intervals plus bitmap words,
+// both directions.
+func (ic *IncrementalClosure) labelSize() int {
+	return ic.labels.intervals + ic.labels.words + ic.revLabels.intervals + ic.revLabels.words
+}
+
+// dropOverGrownLabels drops the patched pair, marking it stale so the
+// next Labels()/RevLabels() call rebuilds fresh, once it has doubled in
+// size since its last build or an interval index has passed the
+// interval budget (the rebuild then picks bitmap rows). Patches can
+// fragment covers, but not much under local edits: on a 4096-task
+// layered DAG taking random forward edges that span at most n/16
+// tasks, the patched forward cover is 1.02×, 1.10× and 1.38× a fresh
+// build's after 250, 1000 and 4000 edges (reverse 1.00×), while the
+// pair's total size never exceeds 1.01× its built size — far from 2×.
+func (ic *IncrementalClosure) dropOverGrownLabels() {
+	if ic.labels == nil {
+		return
+	}
+	budget := ic.labelBudget(ic.g.n)
+	if ic.labelSize() <= 2*ic.labelBuilt && ic.labels.intervals <= budget && ic.revLabels.intervals <= budget {
+		return
+	}
 	ic.labels, ic.revLabels = nil, nil
 	ic.labelsStale = true
 	ic.labelRebuilds++
-}
-
-// labelPatchBudget is the number of label patches tolerated (per
-// direction) before the pair is dropped and rebuilt: each patch can
-// fragment a row, and past roughly half the node count a fresh O(n+m)
-// build is cheaper than the accumulated fragmentation it clears.
-func (ic *IncrementalClosure) labelPatchBudget() int64 {
-	if b := int64(ic.g.n) / 2; b > 256 {
-		return b
-	}
-	return 256
 }
 
 // Labels returns the current forward label index, rebuilding the pair
@@ -128,8 +144,8 @@ func (ic *IncrementalClosure) RevLabels() *Labels {
 // LabelBuilds returns the number of full label-index builds.
 func (ic *IncrementalClosure) LabelBuilds() int64 { return ic.labelBuilds }
 
-// LabelRebuilds returns the number of rebuilds forced by the patch
-// budget.
+// LabelRebuilds returns the number of rebuilds forced by the size rule
+// (see dropOverGrownLabels).
 func (ic *IncrementalClosure) LabelRebuilds() int64 { return ic.labelRebuilds }
 
 // LabelPatches returns the lifetime count of incremental label patches.
@@ -190,7 +206,6 @@ func (ic *IncrementalClosure) AddEdge(u, v int, dirty *bitset.Set) (bool, error)
 		// The path u→…→v already existed; the closure is unchanged.
 		return true, nil
 	}
-	patchBudget := ic.labelPatchBudget()
 	// Reverse-label patches run first, while the forward rows are still
 	// pre-insertion: every descendant x of v that u did not already
 	// reach gains u's reflexive ancestor cover (anc'(x) = anc(x) ∪
@@ -204,10 +219,6 @@ func (ic *IncrementalClosure) AddEdge(u, v int, dirty *bitset.Set) (bool, error)
 			}
 			rl.Patch(x, u)
 			ic.labelPatches++
-			if rl.patches >= patchBudget {
-				ic.dropLabels()
-				return false
-			}
 			return true
 		})
 	}
@@ -236,15 +247,13 @@ func (ic *IncrementalClosure) AddEdge(u, v int, dirty *bitset.Set) (bool, error)
 		if lbl := ic.labels; lbl != nil {
 			lbl.Patch(w, v)
 			ic.labelPatches++
-			if lbl.patches >= patchBudget {
-				ic.dropLabels()
-			}
 		}
 		if dirty != nil {
 			dirty.Set(w)
 		}
 		return true
 	})
+	ic.dropOverGrownLabels()
 	return true, nil
 }
 
@@ -265,6 +274,7 @@ func (ic *IncrementalClosure) Grow(k int) int {
 	if ic.labels != nil {
 		ic.labels.Grow(k)
 		ic.revLabels.Grow(k)
+		ic.dropOverGrownLabels()
 	}
 	return first
 }

@@ -14,12 +14,22 @@ import (
 // budget fits in a couple of cache lines.
 //
 // Construction numbers a spanning forest of the condensation in
-// postorder (so every subtree owns a contiguous interval), then merges
-// successor labels in reverse topological order. Cyclic inputs (view
-// quotient graphs of unsound views) are handled by labeling the
-// condensation: all members of a strongly connected component share one
-// label and one postorder position, which reproduces the reflexive
-// closure semantics of Reachability exactly.
+// postorder (so every subtree owns a contiguous interval), then unions
+// successor labels in reverse topological order through a word bitmap
+// read back as runs — no sorting anywhere. The reverse (ancestor)
+// index is built from the predecessor lists over the same condensation
+// (BuildLabelPair). Cyclic inputs (view quotient graphs of unsound
+// views) are handled by labeling the condensation: all members of a
+// strongly connected component share one label and one postorder
+// position, which reproduces the reflexive closure semantics of
+// Reachability exactly.
+//
+// After the build, rows are only ever patched: Patch merges two sorted
+// covers in one linear pass into a fresh row of exactly the merged
+// length, and the owning IncrementalClosure rebuilds the pair only when
+// patching has doubled its size (incremental.go). Every row is its own
+// allocation, so a patched-away row is freed on its own rather than
+// pinning a shared build arena.
 //
 // Worst-case label size is O(n) intervals per node. A graph whose
 // cover exceeds the interval budget gets bitmap rows instead: each row
@@ -57,9 +67,8 @@ type Labels struct {
 	rows    [][]Interval
 	bitRows [][]uint64
 
-	intervals int   // current total interval count across rows
-	words     int   // current total word count across bitRows
-	patches   int64 // Patch calls since the last build
+	intervals int // current total interval count across rows
+	words     int // current total word count across bitRows
 }
 
 // labelBudgetFactor bounds the total interval count of a label index to
@@ -77,10 +86,67 @@ func labelBudget(n int) int { return labelBudgetFactor*n + 256 }
 // returns nil: a graph over the interval budget gets bitmap rows.
 func BuildLabels(g *Graph) *Labels { return buildLabels(g, labelBudget(g.n)) }
 
+// BuildLabelPair computes the forward label index of g and its reverse
+// (ancestor-direction) index in one pass: the reverse index is built
+// from g's predecessor lists over the same condensation, so it equals
+// BuildLabels of the reversed graph without materializing that graph.
+func BuildLabelPair(g *Graph) (fwd, rev *Labels) { return buildLabelPair(g, labelBudget(g.n)) }
+
 // buildLabels is BuildLabels with an explicit interval budget (tests
 // force bitmap rows with a budget of 0).
 func buildLabels(g *Graph, budget int) *Labels {
+	return condense(g).labels(g.succs, budget)
+}
+
+// buildLabelPair is BuildLabelPair with an explicit interval budget.
+func buildLabelPair(g *Graph, budget int) (fwd, rev *Labels) {
+	c := condense(g)
+	return c.labels(g.succs, budget), c.labels(g.preds, budget)
+}
+
+// condensation is the strongly-connected-component structure of a graph,
+// shared by its forward and reverse label builds (a graph and its
+// reverse have the same components).
+type condensation struct {
+	// sccOf[u] names u's component. Component c owns members[start[c]:
+	// start[c+1]], ascending; components are ordered by smallest member,
+	// so an acyclic graph's components are its nodes, in order.
+	sccOf   []int32
+	start   []int32
+	members []int32
+}
+
+func condense(g *Graph) *condensation {
 	n := g.n
+	cd := &condensation{
+		sccOf:   make([]int32, n),
+		start:   make([]int32, 0, n+1),
+		members: make([]int32, 0, n),
+	}
+	if g.IsAcyclic() {
+		for u := int32(0); u < int32(n); u++ {
+			cd.sccOf[u] = u
+			cd.start = append(cd.start, u)
+			cd.members = append(cd.members, u)
+		}
+	} else {
+		for ci, comp := range g.SCC() {
+			cd.start = append(cd.start, int32(len(cd.members)))
+			for _, u := range comp {
+				cd.sccOf[u] = int32(ci)
+				cd.members = append(cd.members, int32(u))
+			}
+		}
+	}
+	cd.start = append(cd.start, int32(n))
+	return cd
+}
+
+// labels builds the label index over one direction of the graph: adj is
+// its successor lists (forward index) or predecessor lists (reverse
+// index).
+func (cd *condensation) labels(adj [][]int32, budget int) *Labels {
+	n, p := len(cd.sccOf), len(cd.start)-1
 	l := &Labels{
 		pos:        make([]int32, n),
 		byPosStart: make([]int32, 1, n+1),
@@ -91,45 +157,37 @@ func buildLabels(g *Graph, budget int) *Labels {
 		return l
 	}
 
-	// Condense. sccOf[u] names u's component; comps are ordered by
-	// smallest member, which SCC already guarantees, so singleton-SCC
-	// (acyclic) graphs get component indices identical to a plain
-	// renumbering.
-	comps := g.SCC()
-	p := len(comps)
-	sccOf := make([]int32, n)
-	for ci, comp := range comps {
-		for _, u := range comp {
-			sccOf[u] = int32(ci)
+	// Condensation adjacency. Every component of an acyclic graph is
+	// its own node, and a Graph has neither parallel edges nor
+	// self-loops, so adj is already the condensation's adjacency;
+	// otherwise it is derived, deduplicated with a stamp array.
+	csuccs := adj
+	if p < n {
+		csuccs = make([][]int32, p)
+		stamp := make([]int32, p)
+		for i := range stamp {
+			stamp[i] = -1
 		}
-	}
-
-	// Condensation adjacency, deduplicated with a stamp array.
-	csuccs := make([][]int32, p)
-	stamp := make([]int32, p)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	for ci := int32(0); ci < int32(p); ci++ {
-		for _, u := range comps[ci] {
-			for _, v := range g.succs[u] {
-				cv := sccOf[v]
-				if cv == ci || stamp[cv] == ci {
-					continue
+		for ci := int32(0); ci < int32(p); ci++ {
+			for _, u := range cd.members[cd.start[ci]:cd.start[ci+1]] {
+				for _, v := range adj[u] {
+					cv := cd.sccOf[v]
+					if cv == ci || stamp[cv] == ci {
+						continue
+					}
+					stamp[cv] = ci
+					csuccs[ci] = append(csuccs[ci], cv)
 				}
-				stamp[cv] = ci
-				csuccs[ci] = append(csuccs[ci], cv)
 			}
 		}
 	}
 
-	// Spanning forest + postorder numbering over the condensation.
-	// lo[c] is the counter value when c is first entered, post[c] the
-	// value assigned on exit: c's spanning subtree owns exactly
-	// [lo[c], post[c]].
+	// Spanning forest + postorder numbering over the condensation:
+	// post[c] is the counter value assigned when c is exited, so c's
+	// spanning subtree owns a contiguous range of positions ending at
+	// post[c].
 	const unvisited = -1
 	post := make([]int32, p)
-	lo := make([]int32, p)
 	for i := range post {
 		post[i] = unvisited
 	}
@@ -144,7 +202,6 @@ func buildLabels(g *Graph, budget int) *Labels {
 		if post[root] != unvisited {
 			continue
 		}
-		lo[root] = counter
 		post[root] = -2 // on stack
 		stack = append(stack[:0], dfsFrame{c: root})
 		for len(stack) > 0 {
@@ -154,7 +211,6 @@ func buildLabels(g *Graph, budget int) *Labels {
 				c := csuccs[f.c][f.i]
 				f.i++
 				if post[c] == unvisited {
-					lo[c] = counter
 					post[c] = -2
 					stack = append(stack, dfsFrame{c: c})
 					advanced = true
@@ -178,10 +234,10 @@ func buildLabels(g *Graph, budget int) *Labels {
 		compAtPos[post[c]] = c
 	}
 	for q := 0; q < p; q++ {
-		comp := comps[compAtPos[q]]
-		for _, u := range comp {
+		c := compAtPos[q]
+		for _, u := range cd.members[cd.start[c]:cd.start[c+1]] {
 			l.pos[u] = int32(q)
-			l.byPosNodes = append(l.byPosNodes, int32(u))
+			l.byPosNodes = append(l.byPosNodes, u)
 		}
 		l.byPosStart = append(l.byPosStart, int32(len(l.byPosNodes)))
 	}
@@ -189,22 +245,38 @@ func buildLabels(g *Graph, budget int) *Labels {
 	// Reverse-topological label merge over the condensation. The DFS
 	// finish order is a reverse topological order of the condensation
 	// (every successor finishes before its predecessors), so iterating
-	// it forward visits all successors of c before c. Past the interval
-	// budget the build switches to bitmap rows over the same order.
+	// it forward visits all successors of c before c. Each row is c's
+	// own position plus the union of its successors' rows — which
+	// include the tree children's, so the whole subtree below c. The
+	// covers are set word-wise into a position bitmap, as MarkRow does,
+	// and read back as maximal runs: no sort, and only the touched word
+	// span is scanned and cleared. A successor whose position is
+	// already set is skipped: some successor unioned before it reaches
+	// it, so its row is already contained. Past the interval budget the
+	// build switches to bitmap rows over the same order.
 	crows := make([][]Interval, p)
+	mark := make([]uint64, MarkWords(p))
 	var scratch []Interval
 	for _, c := range order {
-		scratch = scratch[:0]
-		scratch = append(scratch, Interval{Lo: lo[c], Hi: post[c]})
+		lw, hw := post[c]>>6, post[c]>>6
 		for _, s := range csuccs[c] {
-			scratch = append(scratch, crows[s]...)
+			if mark[post[s]>>6]&(1<<(uint(post[s])&63)) != 0 {
+				continue
+			}
+			row := crows[s]
+			for _, iv := range row {
+				markRun(mark, iv.Lo, iv.Hi)
+			}
+			lw, hw = min(lw, row[0].Lo>>6), max(hw, row[len(row)-1].Hi>>6)
 		}
-		row := mergeIntervals(nil, scratch)
-		crows[c] = row
-		l.intervals += len(row)
+		mark[post[c]>>6] |= 1 << (uint(post[c]) & 63)
+		scratch = appendRuns(scratch[:0], mark[lw:hw+1], lw<<6)
+		clear(mark[lw : hw+1])
+		crows[c] = append(make([]Interval, 0, len(scratch)), scratch...)
+		l.intervals += len(scratch)
 		if l.intervals > budget {
 			l.intervals = 0
-			l.buildBitRows(order, csuccs, post, sccOf)
+			l.buildBitRows(order, csuccs, post, cd.sccOf)
 			return l
 		}
 	}
@@ -213,8 +285,8 @@ func buildLabels(g *Graph, budget int) *Labels {
 	// where every component is a singleton, so its per-row accounting
 	// agrees with this count.
 	l.rows = make([][]Interval, n)
-	for u := 0; u < n; u++ {
-		l.rows[u] = crows[sccOf[u]]
+	for u, c := range cd.sccOf {
+		l.rows[u] = crows[c]
 	}
 	return l
 }
@@ -227,12 +299,15 @@ func (l *Labels) buildBitRows(order []int32, csuccs [][]int32, post, sccOf []int
 	crows := make([][]uint64, len(order))
 	for _, c := range order {
 		row := make([]uint64, w)
-		row[post[c]>>6] = 1 << (uint(post[c]) & 63)
 		for _, s := range csuccs[c] {
+			if row[post[s]>>6]&(1<<(uint(post[s])&63)) != 0 {
+				continue // contained in a row unioned before
+			}
 			for i, x := range crows[s] {
 				row[i] |= x
 			}
 		}
+		row[post[c]>>6] |= 1 << (uint(post[c]) & 63)
 		crows[c] = row
 	}
 	l.words = len(order) * w
@@ -242,27 +317,84 @@ func (l *Labels) buildBitRows(order []int32, csuccs [][]int32, post, sccOf []int
 	}
 }
 
-// mergeIntervals sorts ivs by Lo and coalesces overlapping or adjacent
-// intervals into dst (reset to length 0 first). Positions are integral,
-// so [1,3] and [4,6] merge into [1,6].
-func mergeIntervals(dst, ivs []Interval) []Interval {
-	dst = dst[:0]
-	if len(ivs) == 0 {
-		return dst
+// markRun sets positions lo..hi (inclusive) in mark, word-wise.
+func markRun(mark []uint64, lo, hi int32) {
+	lw, hw := int(lo)>>6, int(hi)>>6
+	loMask := ^uint64(0) << (uint(lo) & 63)
+	hiMask := ^uint64(0) >> (63 - (uint(hi) & 63))
+	if lw == hw {
+		mark[lw] |= loMask & hiMask
+		return
 	}
-	slices.SortFunc(ivs, func(a, b Interval) int { return int(a.Lo) - int(b.Lo) })
-	cur := ivs[0]
-	for _, iv := range ivs[1:] {
-		if iv.Lo <= cur.Hi+1 {
-			if iv.Hi > cur.Hi {
-				cur.Hi = iv.Hi
+	mark[lw] |= loMask
+	for w := lw + 1; w < hw; w++ {
+		mark[w] = ^uint64(0)
+	}
+	mark[hw] |= hiMask
+}
+
+// appendRuns appends the maximal runs of set bits in words — whose bit
+// 0 is position base — to dst as intervals, in ascending order: the
+// canonical (sorted, disjoint, non-adjacent) cover of the set.
+func appendRuns(dst []Interval, words []uint64, base int32) []Interval {
+	var start int32
+	inRun := false
+	for i, x := range words {
+		wbase := base + int32(i)<<6
+		for off := 0; off < 64; {
+			if !inRun {
+				y := x >> uint(off)
+				if y == 0 {
+					break
+				}
+				off += bits.TrailingZeros64(y)
+				start, inRun = wbase+int32(off), true
 			}
+			// Set bits from off upward; the shifted-in top bits read as
+			// ones in the complement, so ones ≤ 64-off.
+			ones := bits.TrailingZeros64(^(x >> uint(off)))
+			if off+ones == 64 {
+				break // the run continues into the next word
+			}
+			off += ones
+			dst = append(dst, Interval{Lo: start, Hi: wbase + int32(off) - 1})
+			inRun = false
+		}
+	}
+	if inRun {
+		dst = append(dst, Interval{Lo: start, Hi: base + int32(len(words))<<6 - 1})
+	}
+	return dst
+}
+
+// unionCovers writes the canonical cover of the union of the canonical
+// covers a and b into out — in one linear merge pass — and returns its
+// length. With a nil out it only counts, so callers can allocate the
+// result at exactly its length.
+func unionCovers(out, a, b []Interval) int {
+	n := 0
+	var cur Interval
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		var iv Interval
+		if j == len(b) || (i < len(a) && a[i].Lo <= b[j].Lo) {
+			iv, i = a[i], i+1
+		} else {
+			iv, j = b[j], j+1
+		}
+		if n > 0 && iv.Lo <= cur.Hi+1 {
+			cur.Hi = max(cur.Hi, iv.Hi)
 			continue
 		}
-		dst = append(dst, cur)
+		if n > 0 && out != nil {
+			out[n-1] = cur
+		}
 		cur = iv
+		n++
 	}
-	return append(dst, cur)
+	if n > 0 && out != nil {
+		out[n-1] = cur
+	}
+	return n
 }
 
 // Reaches reports whether u reaches v, reflexively, exactly as
@@ -326,13 +458,13 @@ func (l *Labels) AppendReachable(dst []int32, u int) []int32 {
 
 // Patch merges v's label row into w's, maintaining the exact-cover
 // invariant after the closure gains reach(w) ⊇ reach(v) (the Italiano
-// edge-insertion step): an interval merge, or a word-wise OR of bitmap
-// rows. The merged row is freshly allocated and assigned — rows shared
-// with forked snapshots are never written. Patch is only meaningful on
-// indexes built over acyclic graphs (the IncrementalClosure's case);
-// SCC-shared rows are never patched.
+// edge-insertion step): a linear merge of the two sorted covers, or a
+// word-wise OR of bitmap rows. The merged row is freshly allocated at
+// exactly its length and assigned — rows shared with forked snapshots
+// are never written, and no spare capacity escapes MemoryBytes. Patch
+// is only meaningful on indexes built over acyclic graphs (the
+// IncrementalClosure's case); SCC-shared rows are never patched.
 func (l *Labels) Patch(w, v int) {
-	l.patches++
 	if l.bitRows != nil {
 		old, src := l.bitRows[w], l.bitRows[v]
 		row := make([]uint64, max(len(old), len(src)))
@@ -344,16 +476,11 @@ func (l *Labels) Patch(w, v int) {
 		l.words += len(row) - len(old)
 		return
 	}
-	old := l.rows[w]
-	scratch := make([]Interval, 0, len(old)+len(l.rows[v]))
-	scratch = append(scratch, old...)
-	scratch = append(scratch, l.rows[v]...)
-	// In-place merge: dst aliases scratch's front, which is safe (the
-	// write index never catches the read index) and saves a second
-	// allocation; the result is retained as the new row.
-	merged := mergeIntervals(scratch[:0], scratch)
-	l.rows[w] = merged
-	l.intervals += len(merged) - len(old)
+	old, src := l.rows[w], l.rows[v]
+	row := make([]Interval, unionCovers(nil, old, src))
+	unionCovers(row, old, src)
+	l.rows[w] = row
+	l.intervals += len(row) - len(old)
 }
 
 // Grow appends k new isolated nodes, each its own postorder position
@@ -395,7 +522,6 @@ func (l *Labels) Fork() *Labels {
 		bitRows:    slices.Clone(l.bitRows),
 		intervals:  l.intervals,
 		words:      l.words,
-		patches:    l.patches,
 	}
 }
 
@@ -414,18 +540,7 @@ func (l *Labels) MarkRow(mark []uint64, u int) {
 		return
 	}
 	for _, iv := range l.rows[u] {
-		lw, hw := int(iv.Lo)>>6, int(iv.Hi)>>6
-		loMask := ^uint64(0) << (uint(iv.Lo) & 63)
-		hiMask := ^uint64(0) >> (63 - (uint(iv.Hi) & 63))
-		if lw == hw {
-			mark[lw] |= loMask & hiMask
-			continue
-		}
-		mark[lw] |= loMask
-		for w := lw + 1; w < hw; w++ {
-			mark[w] = ^uint64(0)
-		}
-		mark[hw] |= hiMask
+		markRun(mark, iv.Lo, iv.Hi)
 	}
 }
 
@@ -447,9 +562,6 @@ func (l *Labels) N() int { return len(l.pos) }
 // shared by the members of one SCC counted once per component; 0 for
 // an index with bitmap rows.
 func (l *Labels) Intervals() int { return l.intervals }
-
-// Patches returns the number of Patch calls since the build.
-func (l *Labels) Patches() int64 { return l.patches }
 
 // MemoryBytes estimates the resident size of the index. An interval
 // and a bitmap word are both 8 bytes.

@@ -2,6 +2,8 @@ package dag
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -157,10 +159,13 @@ func TestLabelsMatchClosureCyclic(t *testing.T) {
 }
 
 // TestLabelsGrowAndPatchViaIncremental drives both label indexes
-// through IncrementalClosure edge and node additions (Patch, Grow,
-// patch-budget rebuilds), checking them against the closure as they
-// go; every Fork taken along the way must keep answering for the graph
-// it was taken at.
+// through IncrementalClosure edge and node additions (Patch, Grow and
+// size-rule rebuilds), checking them against the closure as they go;
+// every Fork taken along the way must keep answering for the graph it
+// was taken at. It then pins the rebuild rule: a patch history that
+// keeps the pair under twice its built size never rebuilds, and (for
+// interval rows, whose covers patches can fragment) one that fragments
+// the covers rebuilds exactly when the patched pair would pass 2×.
 func TestLabelsGrowAndPatchViaIncremental(t *testing.T) {
 	for _, lb := range labelBudgets {
 		t.Run(lb.name, func(t *testing.T) {
@@ -200,10 +205,201 @@ func TestLabelsGrowAndPatchViaIncremental(t *testing.T) {
 				checkLabelsMatchClosure(t, f.g, f.fwd)
 				checkLabelsMatchClosure(t, f.g.Reversed(), f.rev)
 			}
-			if ic.LabelRebuilds() == 0 {
-				t.Fatal("expected at least one threshold rebuild over 1200 mutations")
+
+			t.Run("under 2x never rebuilds", func(t *testing.T) {
+				checkPatchHistoryKeepsLabels(t, lb.budget)
+			})
+			if lb.name == "intervals" {
+				t.Run("fragmented past 2x rebuilds", checkFragmentedLabelsRebuild)
 			}
 		})
+	}
+}
+
+// checkPatchHistoryKeepsLabels drives a long history of local forward
+// edges (spanning at most n/16 nodes of a layered DAG) and asserts the
+// patched pair stays under twice its built size and is never rebuilt,
+// while answering exactly like the closure.
+func checkPatchHistoryKeepsLabels(t *testing.T, budget func(int) int) {
+	const n = 512
+	ic, err := newIncrementalClosure(layeredDAG(n, 8, 0.05, 0, 12), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic.Labels()
+	rng := rand.New(rand.NewSource(12))
+	for i := 1; i <= 1500; i++ {
+		u := rng.Intn(n - 1)
+		v := u + 1 + rng.Intn(min(n/16, n-1-u))
+		if _, err := ic.AddEdge(u, v, nil); err != nil {
+			t.Fatal(err) // index order is topological
+		}
+		if i%500 == 0 {
+			checkLabelsMatchClosure(t, ic.Graph(), ic.Labels())
+			checkLabelsMatchClosure(t, ic.Graph().Reversed(), ic.RevLabels())
+		}
+	}
+	if size := ic.labelSize(); size > 2*ic.labelBuilt {
+		t.Fatalf("workload grew the pair to %d > 2×%d; it must stay under 2×", size, ic.labelBuilt)
+	}
+	if ic.LabelRebuilds() != 0 || ic.LabelBuilds() != 1 {
+		t.Fatalf("%d rebuilds (%d builds) under 2× growth, want none", ic.LabelRebuilds(), ic.LabelBuilds())
+	}
+}
+
+// checkFragmentedLabelsRebuild adds edges i→i+2 over isolated nodes,
+// which splits every cover into alternating positions, and asserts the
+// pair is dropped exactly at the first edge after which its patched
+// size would exceed twice the built size — computed independently as
+// the canonical cover of every reach set over the pair's positions —
+// and that the lazily rebuilt pair matches the closure.
+func checkFragmentedLabelsRebuild(t *testing.T) {
+	const n = 64
+	ic, err := NewIncrementalClosure(New(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd, rev := ic.Labels(), ic.RevLabels()
+	built := ic.labelBuilt
+	crossed := false
+	for i := 0; i+2 < n && !crossed; i++ {
+		if _, err := ic.AddEdge(i, i+2, nil); err != nil {
+			t.Fatal(err)
+		}
+		crossed = referenceCoverSize(ic.Graph(), fwd, rev) > 2*built
+		want := int64(0)
+		if crossed {
+			want = 1
+		}
+		if ic.LabelRebuilds() != want {
+			t.Fatalf("edge %d→%d: %d rebuilds, want %d (patched size %d, built %d)",
+				i, i+2, ic.LabelRebuilds(), want, referenceCoverSize(ic.Graph(), fwd, rev), built)
+		}
+		if !crossed {
+			checkLabelsMatchClosure(t, ic.Graph(), ic.labels)
+			checkLabelsMatchClosure(t, ic.Graph().Reversed(), ic.revLabels)
+		}
+	}
+	if !crossed {
+		t.Fatal("the fragmenting history never passed 2×; lengthen it")
+	}
+	checkLabelsMatchClosure(t, ic.Graph(), ic.Labels())
+	checkLabelsMatchClosure(t, ic.Graph().Reversed(), ic.RevLabels())
+	if ic.LabelBuilds() != 2 {
+		t.Fatalf("%d builds, want the initial build and one rebuild", ic.LabelBuilds())
+	}
+}
+
+// referenceCoverSize is the interval count of the canonical covers of
+// every reach set of g (forward over fwd's positions, ancestors over
+// rev's), merged by the reference mergeIntervals.
+func referenceCoverSize(g *Graph, fwd, rev *Labels) int {
+	c := g.Reachability()
+	size := 0
+	for u := 0; u < g.N(); u++ {
+		var down, up []Interval
+		for v := 0; v < g.N(); v++ {
+			if c.Reaches(u, v) {
+				down = append(down, Interval{fwd.pos[v], fwd.pos[v]})
+			}
+			if c.Reaches(v, u) {
+				up = append(up, Interval{rev.pos[v], rev.pos[v]})
+			}
+		}
+		size += len(mergeIntervals(nil, down)) + len(mergeIntervals(nil, up))
+	}
+	return size
+}
+
+// mergeIntervals is the reference merge: it sorts ivs by Lo and
+// coalesces overlapping or adjacent intervals into dst (reset to length
+// 0 first). Positions are integral, so [1,3] and [4,6] merge into [1,6].
+func mergeIntervals(dst, ivs []Interval) []Interval {
+	dst = dst[:0]
+	if len(ivs) == 0 {
+		return dst
+	}
+	slices.SortFunc(ivs, func(a, b Interval) int { return int(a.Lo) - int(b.Lo) })
+	cur := ivs[0]
+	for _, iv := range ivs[1:] {
+		if iv.Lo <= cur.Hi+1 {
+			if iv.Hi > cur.Hi {
+				cur.Hi = iv.Hi
+			}
+			continue
+		}
+		dst = append(dst, cur)
+		cur = iv
+	}
+	return append(dst, cur)
+}
+
+// TestLabelKernelsMatchReference is the differential test of the
+// sort-free kernels. Build: every interval row equals the reference
+// cover — the sort-based merge of the singleton positions the closure
+// says the node reaches — and the reverse index of BuildLabelPair
+// equals BuildLabels of the reversed graph row for row. Sizes straddle
+// word boundaries so runs end on bit 63 and cross words. Patch: every
+// patched row equals the reference merge of the two covers and is
+// allocated at exactly its length.
+func TestLabelKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{1, 63, 64, 65, 127, 128, 129, 300} {
+		for _, p := range []float64{0.3 / float64(n), 3 / float64(n), 0.05} {
+			for _, g := range []*Graph{randDAG(rng, n, p), randDigraph(rng, n, p/2)} {
+				fwd, rev := buildLabelPair(g, labelBudget(n))
+				checkRowKind(t, fwd, "intervals")
+				checkRowsMatchReference(t, g, fwd, false)
+				checkRowsMatchReference(t, g, rev, true)
+				if want := BuildLabels(g.Reversed()); !reflect.DeepEqual(rev, want) {
+					t.Fatalf("n=%d: BuildLabelPair's reverse index differs from BuildLabels(g.Reversed())", n)
+				}
+				if g.IsAcyclic() {
+					checkPatchMatchesReference(t, rng, fwd)
+				}
+			}
+		}
+	}
+}
+
+// checkRowsMatchReference compares every row of l with the reference
+// cover of the node's reach set (its ancestors when up is set).
+func checkRowsMatchReference(t *testing.T, g *Graph, l *Labels, up bool) {
+	t.Helper()
+	c := g.Reachability()
+	for u := 0; u < g.N(); u++ {
+		var ivs []Interval
+		for v := 0; v < g.N(); v++ {
+			if (!up && c.Reaches(u, v)) || (up && c.Reaches(v, u)) {
+				ivs = append(ivs, Interval{l.pos[v], l.pos[v]})
+			}
+		}
+		if want := mergeIntervals(nil, ivs); !slices.Equal(l.rows[u], want) {
+			t.Fatalf("n=%d up=%v: row %d = %v, reference %v", g.N(), up, u, l.rows[u], want)
+		}
+	}
+}
+
+// checkPatchMatchesReference patches random row pairs of a fork of l and
+// checks each result against the reference merge and for cap == len.
+func checkPatchMatchesReference(t *testing.T, rng *rand.Rand, l *Labels) {
+	t.Helper()
+	f := l.Fork()
+	for i := 0; i < 2*f.N(); i++ {
+		w, v := rng.Intn(f.N()), rng.Intn(f.N())
+		want := mergeIntervals(nil, append(slices.Clone(f.rows[w]), f.rows[v]...))
+		before := f.intervals - len(f.rows[w])
+		f.Patch(w, v)
+		got := f.rows[w]
+		if !slices.Equal(got, want) {
+			t.Fatalf("Patch(%d,%d) = %v, reference %v", w, v, got, want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("Patch(%d,%d): cap %d != len %d", w, v, cap(got), len(got))
+		}
+		if f.intervals != before+len(got) {
+			t.Fatalf("Patch(%d,%d): interval count %d, want %d", w, v, f.intervals, before+len(got))
+		}
 	}
 }
 

@@ -19,11 +19,17 @@ import (
 // indexes are total (dag.BuildLabels never fails), so every published
 // epoch answers every query. Readers get it through LiveWorkflow.Read
 // and serve without touching the workflow's RWMutex, so heavy read
-// traffic stops contending with mutations entirely. The only lazily
-// filled piece is the audited level's provenance audit, which must read
-// live closure rows: the first audited query per (view, version) takes
-// the read lock once to build it and caches it on the epoch — every
-// later audited query at that version is lock-free again.
+// traffic stops contending with mutations entirely.
+//
+// Publication costs what the transition changed. The task labels are
+// patched in place by the incremental closure and forked; a view's
+// labels are carried over from the previous epoch unless the batch
+// changed its quotient's reachability, in which case they are rebuilt
+// from the quotient graph the registry maintains (liveView.q) — never
+// from the workflow. The audited level's provenance audit is the one
+// lazily filled piece: the first audited query per (view, version)
+// derives it from the epoch's own labels (provenance.AuditLabels),
+// still without the workflow lock, and caches it on the epoch.
 
 // ReadEpoch is an immutable snapshot of one live workflow version for
 // lock-free lineage reads. Obtain one with LiveWorkflow.Read.
@@ -48,8 +54,7 @@ type EpochView struct {
 	labels    *dag.Labels
 	revLabels *dag.Labels
 	// audit caches the provenance audit for this epoch's version,
-	// filled by LiveWorkflow.Read under the read lock on the first
-	// audited query.
+	// filled by LiveWorkflow.Read on the first audited query.
 	audit atomic.Pointer[provenance.ViewAudit]
 }
 
@@ -89,53 +94,35 @@ func (ev *EpochView) RevLabels() *dag.Labels { return ev.revLabels }
 // Read hands a reader the published read epoch and, when auditView
 // names one of its views, that view's provenance audit pinned to the
 // epoch (nil when the epoch has no such view; the caller reports it).
-// It is lock-free when the epoch is published and the audit cached.
-// Otherwise it takes the read lock once: the epoch loaded under it is
-// current, because every publication runs under the write lock, so
-// version drift cannot fail it; the audit it builds there is cached on
-// the epoch for every later reader. A workflow without an epoch is
-// closed — replay publishes before the registry serves (BeginRestore)
-// — and Read fails with ErrUnknownWorkflow.
+// It never takes the workflow's lock: an uncached audit is derived from
+// the epoch's own labels, and concurrent first readers may each build
+// one — the first CompareAndSwap wins and every reader returns the
+// cached audit. A workflow without an epoch is closed — replay
+// publishes before the registry serves (BeginRestore) — and Read fails
+// with ErrUnknownWorkflow.
 func (lw *LiveWorkflow) Read(auditView string) (*ReadEpoch, *provenance.ViewAudit, error) {
-	if ep := lw.epoch.Load(); ep != nil {
-		if a, ok := ep.cachedAudit(auditView); ok {
-			return ep, a, nil
-		}
-	}
-	lw.mu.RLock()
-	defer lw.mu.RUnlock()
 	ep := lw.epoch.Load()
-	if lw.closed || ep == nil {
+	if ep == nil {
 		return nil, nil, lw.errClosed("read")
 	}
-	if a, ok := ep.cachedAudit(auditView); ok {
+	ev := ep.views[auditView]
+	if ev == nil {
+		return ep, nil, nil
+	}
+	if a := ev.audit.Load(); a != nil {
+		obs.MAuditCacheHits.Inc()
 		return ep, a, nil
 	}
 	obs.MAuditCacheMisses.Inc()
-	ev := ep.views[auditView]
-	a := provenance.AuditView(lw.prov, ev.v)
-	ev.audit.Store(a)
+	a := provenance.AuditLabels(ev.v, ep.labels, ev.revLabels)
+	if !ev.audit.CompareAndSwap(nil, a) {
+		a = ev.audit.Load()
+	}
 	return ep, a, nil
 }
 
-// cachedAudit is Read's answer without building anything: ok is false
-// only when view vid is in the epoch with no audit cached yet.
-func (ep *ReadEpoch) cachedAudit(vid string) (*provenance.ViewAudit, bool) {
-	if vid == "" {
-		return nil, true
-	}
-	ev := ep.views[vid]
-	if ev == nil {
-		return nil, true
-	}
-	a := ev.audit.Load()
-	if a != nil {
-		obs.MAuditCacheHits.Inc()
-	}
-	return a, a != nil
-}
-
-// publishEpochLocked rebuilds and atomically publishes the read epoch.
+// publishEpochLocked assembles and atomically publishes the read epoch,
+// carrying every view's labels over unless Mutate dropped them.
 // Callers hold the write lock (or own lw exclusively, pre-publication).
 func (lw *LiveWorkflow) publishEpochLocked() {
 	if lw.reg.restoring.Load() {
@@ -167,14 +154,16 @@ func (lw *LiveWorkflow) publishEpochLocked() {
 				continue
 			}
 		}
-		qg := lv.v.Graph()
+		if lv.labels == nil {
+			lv.labels, lv.revLabels = dag.BuildLabelPair(lv.q)
+			lw.reg.viewLabelBuilds.Add(1)
+		}
 		ep.views[vid] = &EpochView{
 			v:         lv.v,
 			sound:     lv.report.Sound,
-			labels:    dag.BuildLabels(qg),
-			revLabels: dag.BuildLabels(qg.Reversed()),
+			labels:    lv.labels,
+			revLabels: lv.revLabels,
 		}
-		lw.reg.viewLabelBuilds.Add(1)
 	}
 	lw.epoch.Store(ep)
 	obs.MEpochPublishes.Inc()
@@ -189,13 +178,14 @@ type LabelStats struct {
 	// epoch.
 	Workflows int `json:"workflows"`
 	// Builds / Rebuilds / Patches are task-level index counters summed
-	// over resident workflows: full builds, rebuilds forced past the
-	// patch damage threshold, and incremental edge patches.
+	// over resident workflows: full builds, rebuilds forced once patching
+	// doubled an index pair's size, and incremental edge patches.
 	Builds   int64 `json:"builds"`
 	Rebuilds int64 `json:"rebuilds"`
 	Patches  int64 `json:"patches"`
 	// ViewBuilds is the lifetime count of view-level (quotient) label
-	// builds across all publications.
+	// pair builds: one per attach, plus one per publication after a
+	// batch that changed the quotient's reachability.
 	ViewBuilds int64 `json:"view_builds"`
 	// Intervals / MemoryBytes cover every resident index, task-level
 	// and view-level.

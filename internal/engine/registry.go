@@ -13,7 +13,6 @@ import (
 	"wolves/internal/core"
 	"wolves/internal/dag"
 	"wolves/internal/obs"
-	"wolves/internal/provenance"
 	"wolves/internal/soundness"
 	"wolves/internal/view"
 	"wolves/internal/workflow"
@@ -143,7 +142,7 @@ func NewRegistry(eng *Engine, opts ...RegistryOption) *Registry {
 
 // LiveWorkflow is one named, versioned, mutable workflow owned by a
 // Registry, together with its incrementally maintained closure, oracle,
-// lineage engine and attached views. Obtain one with Registry.Register
+// label indexes and attached views. Obtain one with Registry.Register
 // or Registry.Get; all methods are safe for concurrent use.
 type LiveWorkflow struct {
 	reg *Registry
@@ -155,7 +154,6 @@ type LiveWorkflow struct {
 	wf      *workflow.Workflow
 	ic      *dag.IncrementalClosure
 	oracle  *soundness.Oracle
-	prov    *provenance.Engine
 
 	viewOrder []string
 	views     map[string]*liveView
@@ -177,10 +175,19 @@ type LiveWorkflow struct {
 	used uint64 // registry LRU stamp, guarded by reg.mu
 }
 
-// liveView pairs an attached view with its permanently current report.
+// liveView pairs an attached view with its permanently current report
+// and the structures its epoch labels are carried across mutations with.
 type liveView struct {
 	v      *view.View
 	report *soundness.Report
+	// q is v's quotient graph, built once at attach; Mutate appends the
+	// new singleton composites and the applied inter-composite edges.
+	q *dag.Graph
+	// labels/revLabels index q. Mutate drops them (nil) when a batch
+	// adds a composite or a quotient edge not already reachable; the
+	// next publication rebuilds them from q, every other one carries
+	// them over unchanged.
+	labels, revLabels *dag.Labels
 }
 
 // Mutation is a batch of structural additions to a live workflow. The
@@ -517,13 +524,12 @@ func (lw *LiveWorkflow) close() {
 	lw.seedMu.Unlock()
 }
 
-// repoint rebuilds the derived engines over the current closure objects.
-// Called whenever ic's matrices are replaced (registration, task growth,
+// repoint rebuilds the oracle over the current closure objects. Called
+// whenever ic's matrices are replaced (registration, task growth,
 // rollback); edge-only mutations update the matrices in place and need
 // no repoint. Callers hold the write lock (or own lw exclusively).
 func (lw *LiveWorkflow) repoint() {
 	lw.oracle = soundness.NewOracleWithClosure(lw.wf, lw.ic.Graph(), lw.ic.Fwd())
-	lw.prov = provenance.NewEngineWithClosures(lw.wf, lw.ic.Fwd())
 }
 
 // errClosed is the shared guard for operations on dead handles.
@@ -669,7 +675,7 @@ func (lw *LiveWorkflow) attachView(ctx context.Context, vid string, build func(w
 	if _, exists := lw.views[vid]; !exists {
 		lw.viewOrder = append(lw.viewOrder, vid)
 	}
-	lw.views[vid] = &liveView{v: v, report: rep}
+	lw.views[vid] = &liveView{v: v, report: rep, q: v.Graph()}
 	lw.publishEpochLocked()
 	if journal && lw.reg.journal != nil {
 		if err := lw.reg.journal.ViewAttached(ctx, lw.stateLocked(), vid, v); err != nil {
@@ -962,6 +968,7 @@ func (lw *LiveWorkflow) MutateCtx(ctx context.Context, m Mutation) (*MutationRes
 			}
 			lv.v = nv
 		}
+		lv.extendQuotient(oldK, applied)
 		dirtyComps := soundness.DirtyComposites(lv.v, dirty, oldK)
 		delta := soundness.Revalidate(lw.oracle, lv.v, dirtyComps)
 		lv.report = soundness.Merge(prev, delta, lv.v)
@@ -1002,4 +1009,27 @@ func (lw *LiveWorkflow) MutateCtx(ctx context.Context, m Mutation) (*MutationRes
 		}
 	}
 	return res, nil
+}
+
+// extendQuotient brings lv's maintained quotient graph up to date with
+// a committed batch — the composites past oldK are the batch's new
+// singletons; applied are its inserted task edges — and drops the label
+// pair unless the batch left quotient reachability unchanged: no
+// composite added, and every new inter-composite edge (cu, cv) already
+// implied by a path cu→…→cv.
+func (lv *liveView) extendQuotient(oldK int, applied [][2]int) {
+	if k := lv.v.N() - oldK; k > 0 {
+		lv.q.AddNodes(k)
+		lv.labels, lv.revLabels = nil, nil
+	}
+	for _, e := range applied {
+		cu, cv := lv.v.CompOf(e[0]), lv.v.CompOf(e[1])
+		if cu == cv {
+			continue
+		}
+		lv.q.MustAddEdge(cu, cv)
+		if lv.labels != nil && !lv.labels.Reaches(cu, cv) {
+			lv.labels, lv.revLabels = nil, nil
+		}
+	}
 }

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"wolves/internal/bitset"
+	"wolves/internal/dag"
 	"wolves/internal/view"
 	"wolves/internal/workflow"
 )
@@ -49,16 +50,7 @@ func AuditView(e *Engine, v *view.View) *ViewAudit {
 	if !workflow.Same(v.Workflow(), e.wf) {
 		panic("provenance: view belongs to a different workflow")
 	}
-	ve := NewViewEngine(v)
 	k := v.N()
-	a := &ViewAudit{
-		Composites:         k,
-		SpuriousUpstream:   make([][]int, k),
-		SpuriousDownstream: make([][]int, k),
-		MissingUpstream:    make([][]int, k),
-		MissingDownstream:  make([][]int, k),
-	}
-
 	// trueReach[A] = set of composites containing a task reachable from
 	// some member of A.
 	n := e.wf.N()
@@ -75,15 +67,70 @@ func AuditView(e *Engine, v *view.View) *ViewAudit {
 		})
 		trueReach[c] = cs
 	}
+	return countPairs(trueReach, NewViewEngine(v).anc)
+}
+
+// AuditLabels is AuditView over reachability label indexes instead of
+// closures: reach indexes the task graph of v's workflow at v's
+// version (members' MarkRow gives true composite reach), and viewAnc is
+// the ancestor-direction index of v's quotient graph (the reported
+// upstream composites). It reads nothing of the live workflow — only
+// v's immutable partition and the two indexes — so it can build the
+// audit of a published read epoch without the workflow's lock.
+func AuditLabels(v *view.View, reach, viewAnc *dag.Labels) *ViewAudit {
+	k, n := v.N(), reach.N()
+	trueReach := make([]*bitset.Set, k)
+	mark := make([]uint64, dag.MarkWords(n))
+	for c := 0; c < k; c++ {
+		clear(mark)
+		for _, t := range v.Composite(c).Members() {
+			reach.MarkRow(mark, t)
+		}
+		cs := bitset.New(k)
+		for t := 0; t < n; t++ {
+			if reach.Marked(mark, t) {
+				cs.Set(v.CompOf(t))
+			}
+		}
+		trueReach[c] = cs
+	}
+	reported := make([]*bitset.Set, k)
+	cmark := make([]uint64, dag.MarkWords(k))
 	for b := 0; b < k; b++ {
-		reported := ve.anc[b]
+		clear(cmark)
+		viewAnc.MarkRow(cmark, b)
+		rs := bitset.New(k)
+		for a := 0; a < k; a++ {
+			if viewAnc.Marked(cmark, a) {
+				rs.Set(a)
+			}
+		}
+		reported[b] = rs
+	}
+	return countPairs(trueReach, reported)
+}
+
+// countPairs is the audit's pair-counting loop, shared by AuditView and
+// AuditLabels. trueReach[a] holds every composite some member of a
+// reaches; reported[b] every composite the view places upstream of b.
+// Both relations are reflexive; the diagonal is not counted.
+func countPairs(trueReach, reported []*bitset.Set) *ViewAudit {
+	k := len(trueReach)
+	a := &ViewAudit{
+		Composites:         k,
+		SpuriousUpstream:   make([][]int, k),
+		SpuriousDownstream: make([][]int, k),
+		MissingUpstream:    make([][]int, k),
+		MissingDownstream:  make([][]int, k),
+	}
+	for b := 0; b < k; b++ {
 		wrong := false
 		for a2 := 0; a2 < k; a2++ {
 			if a2 == b {
 				continue
 			}
 			real := trueReach[a2].Test(b)
-			rep := reported.Test(a2)
+			rep := reported[b].Test(a2)
 			if real {
 				a.TruePairs++
 			}

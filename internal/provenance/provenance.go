@@ -35,19 +35,6 @@ func NewEngine(wf *workflow.Workflow) *Engine {
 	return &Engine{wf: wf, fwd: wf.Graph().Reachability()}
 }
 
-// NewEngineWithClosures builds a lineage engine over a caller-supplied
-// forward closure, skipping the closure computation. This is the
-// registry path: fwd comes from an IncrementalClosure whose matrix is
-// updated in place as the live workflow mutates, so forward queries
-// (Reaches, Descendants, DescendantSet) and AuditView stay current
-// across edge mutations with no rebuild (the registry constructs a
-// fresh engine only when the matrix is replaced, i.e. on task growth).
-// Ancestor rows are transposed once, on the first ancestor query, and
-// do not follow later updates of fwd.
-func NewEngineWithClosures(wf *workflow.Workflow, fwd *dag.Closure) *Engine {
-	return &Engine{wf: wf, fwd: fwd}
-}
-
 // Workflow returns the engine's workflow.
 func (e *Engine) Workflow() *workflow.Workflow { return e.wf }
 

@@ -182,7 +182,7 @@ func (s *Server) bindCollectors() {
 	// Reachability label index, summed over resident workflows.
 	d.CounterFunc("wolves_label_index_builds_total", "Task-level label index full builds.",
 		func() uint64 { return uint64(s.reg.LabelStats().Builds) })
-	d.CounterFunc("wolves_label_index_rebuilds_total", "Label rebuilds forced past the patch damage threshold.",
+	d.CounterFunc("wolves_label_index_rebuilds_total", "Task-level label index rebuilds forced once patching doubled its size.",
 		func() uint64 { return uint64(s.reg.LabelStats().Rebuilds) })
 	d.CounterFunc("wolves_label_index_patches_total", "Incremental label edge patches.",
 		func() uint64 { return uint64(s.reg.LabelStats().Patches) })
