@@ -57,18 +57,6 @@ func (g *Graph) Reachability() *Closure {
 // Matrix returns the flat reachability matrix backing the closure.
 func (c *Closure) Matrix() *bitset.Matrix { return c.m }
 
-// Clone returns an independent deep copy of the closure. Snapshots of a
-// live (incrementally maintained) closure hand out clones so later
-// mutations never reach published state.
-func (c *Closure) Clone() *Closure {
-	n := len(c.views)
-	cp := &Closure{m: c.m.Clone(), views: make([]bitset.Set, n)}
-	for u := 0; u < n; u++ {
-		cp.views[u] = cp.m.RowView(u)
-	}
-	return cp
-}
-
 func (g *Graph) reachabilityDP(order []int) *Closure {
 	c := newClosure(g.n)
 	workers := closureWorkers(g.n)

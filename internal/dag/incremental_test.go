@@ -8,8 +8,10 @@ import (
 	"wolves/internal/bitset"
 )
 
-// checkAgainstScratch asserts that ic's closures are byte-identical to a
-// from-scratch rebuild of its graph.
+// checkAgainstScratch asserts that ic's forward closure is
+// byte-identical to a from-scratch rebuild of its graph, and that both
+// label indexes answer every pair exactly like it: Labels().Reaches(u,
+// v) and RevLabels().Reaches(v, u) hold exactly when u reaches v.
 func checkAgainstScratch(t *testing.T, ic *IncrementalClosure) {
 	t.Helper()
 	scratch := ic.Graph().Reachability()
@@ -17,25 +19,41 @@ func checkAgainstScratch(t *testing.T, ic *IncrementalClosure) {
 		t.Fatalf("forward closure diverged from from-scratch rebuild (n=%d, m=%d)",
 			ic.Graph().N(), ic.Graph().M())
 	}
-	if !ic.rev.Matrix().Equal(transpose(scratch).Matrix()) {
-		t.Fatalf("transposed closure diverged from from-scratch transpose (n=%d, m=%d)",
-			ic.Graph().N(), ic.Graph().M())
+	fwd, rev := ic.Labels(), ic.RevLabels()
+	for u := 0; u < ic.N(); u++ {
+		for v := 0; v < ic.N(); v++ {
+			want := scratch.Reaches(u, v)
+			if fwd.Reaches(u, v) != want {
+				t.Fatalf("Labels().Reaches(%d,%d) = %v, scratch closure says %v", u, v, !want, want)
+			}
+			if rev.Reaches(v, u) != want {
+				t.Fatalf("RevLabels().Reaches(%d,%d) = %v, scratch closure says %v", v, u, !want, want)
+			}
+		}
 	}
 }
 
 // TestIncrementalClosureRandomEquivalence is the satellite property test:
 // after each of 1k random edge insertions on random DAGs (sizes 8–128),
 // the incrementally maintained rows are byte-identical to a from-scratch
-// Reachability() rebuild, and the transposed rows to its transpose.
-// Cycle rejections are cross-checked against the scratch closure, and
-// occasional Grow calls exercise the node-addition path mid-stream.
+// Reachability() rebuild, and both label indexes answer like it. Cycle
+// rejections are cross-checked against the scratch closure, and
+// occasional Grow calls exercise the node-addition path mid-stream. The
+// bitmap subtest forces bitmap label rows, so AddEdge's ancestor walk
+// runs over both row kinds.
 func TestIncrementalClosureRandomEquivalence(t *testing.T) {
+	for _, lb := range labelBudgets {
+		t.Run(lb.name, func(t *testing.T) { checkRandomEquivalence(t, lb.budget) })
+	}
+}
+
+func checkRandomEquivalence(t *testing.T, budget func(int) int) {
 	rng := rand.New(rand.NewSource(42))
 	insertions := 0
 	for insertions < 1000 {
 		n := 8 + rng.Intn(121) // 8..128
 		g := New(n)
-		ic, err := NewIncrementalClosure(g)
+		ic, err := newIncrementalClosure(g, budget)
 		if err != nil {
 			t.Fatalf("empty graph rejected: %v", err)
 		}
@@ -117,11 +135,19 @@ func TestIncrementalClosureDirtySet(t *testing.T) {
 }
 
 // TestIncrementalClosureRollback verifies that a rollback after a
-// partially applied batch restores the exact pre-batch state.
+// partially applied batch restores the exact pre-batch state, and that
+// a rollback with nothing to undo touches nothing. Subtests run over
+// both label row kinds.
 func TestIncrementalClosureRollback(t *testing.T) {
+	for _, lb := range labelBudgets {
+		t.Run(lb.name, func(t *testing.T) { checkRollback(t, lb.budget) })
+	}
+}
+
+func checkRollback(t *testing.T, budget func(int) int) {
 	g := New(4)
 	g.MustAddEdge(0, 1)
-	ic, err := NewIncrementalClosure(g)
+	ic, err := newIncrementalClosure(g, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +157,14 @@ func TestIncrementalClosureRollback(t *testing.T) {
 	// Apply a batch: one new node, two edges, then pretend the next edge
 	// failed and roll everything back.
 	ic.Grow(1)
+	checkAgainstScratch(t, ic)
 	applied := [][2]int{}
 	for _, e := range [][2]int{{1, 2}, {2, 4}} {
 		if _, err := ic.AddEdge(e[0], e[1], nil); err != nil {
 			t.Fatalf("AddEdge(%v): %v", e, err)
 		}
 		applied = append(applied, e)
+		checkAgainstScratch(t, ic)
 	}
 	ic.Rollback(4, applied)
 
@@ -145,6 +173,18 @@ func TestIncrementalClosureRollback(t *testing.T) {
 	}
 	if !ic.Fwd().Matrix().Equal(wantFwd) {
 		t.Fatal("rollback did not restore the forward closure")
+	}
+	checkAgainstScratch(t, ic)
+
+	// A batch rejected at its first edge applied nothing: the rollback
+	// must keep every structure, not rebuild it.
+	fwd, labels, rev, builds := ic.Fwd(), ic.Labels(), ic.RevLabels(), ic.LabelBuilds()
+	if _, err := ic.AddEdge(1, 0, nil); !errors.Is(err, ErrCycle) {
+		t.Fatalf("AddEdge(1,0) = %v, want a cycle rejection", err)
+	}
+	ic.Rollback(4, nil)
+	if ic.Fwd() != fwd || ic.Labels() != labels || ic.RevLabels() != rev || ic.LabelBuilds() != builds {
+		t.Fatal("a rollback with nothing to undo replaced the closure or labels")
 	}
 	checkAgainstScratch(t, ic)
 }

@@ -432,28 +432,27 @@ func (l *Labels) Reaches(u, v int) bool {
 	return lo > 0 && row[lo-1].Hi >= p
 }
 
-// AppendReachable appends the reachable set of u (reflexive, ascending
-// node order) to dst and returns the extended slice. This is the
-// ordered iterator of the index: it walks u's intervals (or set bits)
-// and the position→node table.
-func (l *Labels) AppendReachable(dst []int32, u int) []int32 {
-	start := len(dst)
+// forEachReachable calls fn for every node u reaches (reflexively), in
+// postorder-position order, not node order: it walks u's intervals (or
+// set bits) through the position→node table. AddEdge enumerates
+// ancestors this way over the reverse index. fn must not patch row u.
+func (l *Labels) forEachReachable(u int, fn func(v int)) {
 	if l.bitRows != nil {
 		for i, x := range l.bitRows[u] {
 			for ; x != 0; x &= x - 1 {
 				p := i<<6 + bits.TrailingZeros64(x)
-				dst = append(dst, l.byPosNodes[l.byPosStart[p]:l.byPosStart[p+1]]...)
+				for _, v := range l.byPosNodes[l.byPosStart[p]:l.byPosStart[p+1]] {
+					fn(int(v))
+				}
 			}
 		}
-	} else {
-		for _, iv := range l.rows[u] {
-			lo, hi := l.byPosStart[iv.Lo], l.byPosStart[iv.Hi+1]
-			dst = append(dst, l.byPosNodes[lo:hi]...)
+		return
+	}
+	for _, iv := range l.rows[u] {
+		for _, v := range l.byPosNodes[l.byPosStart[iv.Lo]:l.byPosStart[iv.Hi+1]] {
+			fn(int(v))
 		}
 	}
-	added := dst[start:]
-	slices.Sort(added)
-	return dst
 }
 
 // Patch merges v's label row into w's, maintaining the exact-cover

@@ -62,8 +62,8 @@ func checkRowKind(t *testing.T, l *Labels, want string) {
 }
 
 // checkLabelsMatchClosure asserts that l answers exactly like the
-// closure for every ordered pair, and that the ordered iterator
-// enumerates exactly the closure row members.
+// closure for every ordered pair, and that the row walk enumerates
+// exactly the closure row members, each once.
 func checkLabelsMatchClosure(t *testing.T, g *Graph, l *Labels) {
 	t.Helper()
 	if l == nil {
@@ -89,17 +89,13 @@ func checkLabelsMatchClosure(t *testing.T, g *Graph, l *Labels) {
 			}
 		}
 	}
-	var buf []int32
+	var buf []int
 	for u := 0; u < n; u++ {
-		buf = l.AppendReachable(buf[:0], u)
-		members := c.Row(u).Members()
-		if len(buf) != len(members) {
-			t.Fatalf("AppendReachable(%d): %d nodes, closure row has %d", u, len(buf), len(members))
-		}
-		for i, m := range members {
-			if int(buf[i]) != m {
-				t.Fatalf("AppendReachable(%d)[%d] = %d, want %d", u, i, buf[i], m)
-			}
+		buf = buf[:0]
+		l.forEachReachable(u, func(v int) { buf = append(buf, v) })
+		slices.Sort(buf)
+		if members := c.Row(u).Members(); !slices.Equal(buf, members) {
+			t.Fatalf("forEachReachable(%d) walks %v, closure row is %v", u, buf, members)
 		}
 	}
 }
@@ -226,7 +222,6 @@ func checkPatchHistoryKeepsLabels(t *testing.T, budget func(int) int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic.Labels()
 	rng := rand.New(rand.NewSource(12))
 	for i := 1; i <= 1500; i++ {
 		u := rng.Intn(n - 1)
@@ -249,10 +244,10 @@ func checkPatchHistoryKeepsLabels(t *testing.T, budget func(int) int) {
 
 // checkFragmentedLabelsRebuild adds edges i→i+2 over isolated nodes,
 // which splits every cover into alternating positions, and asserts the
-// pair is dropped exactly at the first edge after which its patched
+// pair is rebuilt exactly at the first edge after which its patched
 // size would exceed twice the built size — computed independently as
 // the canonical cover of every reach set over the pair's positions —
-// and that the lazily rebuilt pair matches the closure.
+// and that the rebuilt pair matches the closure.
 func checkFragmentedLabelsRebuild(t *testing.T) {
 	const n = 64
 	ic, err := NewIncrementalClosure(New(n))

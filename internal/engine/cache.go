@@ -10,7 +10,9 @@ import (
 	"wolves/internal/workflow"
 )
 
-// CacheStats is a snapshot of the oracle cache's counters. Builds counts
+// CacheStats is a snapshot of the oracle cache's counters. The cache is
+// a plain LRU over the workflows of stateless requests, keyed by
+// fingerprint; the live registry never populates it. Builds counts
 // closure constructions (the expensive part a hit avoids): a cache-hit
 // Validate leaves Builds untouched.
 type CacheStats struct {
@@ -18,11 +20,8 @@ type CacheStats struct {
 	Misses    int64 `json:"misses"`
 	Builds    int64 `json:"builds"`
 	Evictions int64 `json:"evictions"`
-	// Invalidations counts entries removed because the live workflow
-	// whose snapshots seeded them was deleted, replaced or evicted.
-	Invalidations int64 `json:"invalidations"`
-	Size          int   `json:"size"`
-	Capacity      int   `json:"capacity"`
+	Size      int   `json:"size"`
+	Capacity  int   `json:"capacity"`
 }
 
 // cacheEntry holds the per-workflow derived state. The oracle (and the
@@ -50,7 +49,7 @@ type oracleCache struct {
 	entries  map[string]*list.Element // fp → element holding *cacheEntry
 	order    *list.List               // front = most recently used
 
-	hits, misses, builds, evictions, invalidations atomic.Int64
+	hits, misses, builds, evictions atomic.Int64
 }
 
 func newOracleCache(capacity int) *oracleCache {
@@ -101,40 +100,6 @@ func (c *oracleCache) oracleFor(e *cacheEntry) *soundness.Oracle {
 	return e.oracle
 }
 
-// seed pre-populates the oracle of wf's cache entry with build's result,
-// unless one is already present. The registry seeds snapshots of live
-// workflows this way: the snapshot's oracle is a copy of the live,
-// incrementally maintained closure, so stateless Engine calls against
-// the snapshot never pay a closure construction. Seeding does not count
-// as a Build (no closure DP ran).
-func (c *oracleCache) seed(wf *workflow.Workflow, build func() *soundness.Oracle) {
-	if c.capacity <= 0 {
-		// Caching disabled: the entry would be thrown away, so do not pay
-		// for the closure copy either.
-		return
-	}
-	e := c.get(wf)
-	e.oracleOnce.Do(func() { e.oracle = build() })
-}
-
-// remove drops the entry keyed by fingerprint fp, if present. The
-// registry calls this when a live workflow dies (delete, replace, LRU
-// eviction) for every fingerprint its snapshots seeded: a later request
-// for an equal workflow rebuilds from scratch instead of trusting state
-// descended from the dead registration.
-func (c *oracleCache) remove(fp string) {
-	c.mu.Lock()
-	el, ok := c.entries[fp]
-	if ok {
-		c.order.Remove(el)
-		delete(c.entries, fp)
-	}
-	c.mu.Unlock()
-	if ok {
-		c.invalidations.Add(1)
-	}
-}
-
 // provFor returns the (lazily built) lineage engine of the entry.
 func (c *oracleCache) provFor(e *cacheEntry) *provenance.Engine {
 	e.provOnce.Do(func() {
@@ -148,12 +113,11 @@ func (c *oracleCache) stats() CacheStats {
 	size := c.order.Len()
 	c.mu.Unlock()
 	return CacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Builds:        c.builds.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
-		Size:          size,
-		Capacity:      c.capacity,
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Builds:    c.builds.Load(),
+		Evictions: c.evictions.Load(),
+		Size:      size,
+		Capacity:  c.capacity,
 	}
 }

@@ -131,6 +131,9 @@ func (r *Registry) Restore(id string, version uint64, wf *workflow.Workflow, vie
 // thousands of records per workflow before anyone can query, so
 // publishing a fresh read epoch after every one is pure waste; deferred,
 // each workflow pays for exactly one publication at the end of recovery.
+// Only epochs and view labels are deferred: the task-level label pair
+// always exists and is patched by every replayed edge, as on the live
+// path.
 // Pair with EndRestore before the registry serves traffic: a workflow
 // has no read epoch while restoring, and lineage readers treat a
 // missing epoch as a closed workflow (LiveWorkflow.Read). Run ingestion

@@ -63,11 +63,10 @@ import (
 //
 // The registry reuses the Engine's machinery rather than duplicating
 // it: initial view validation fans composites over the Engine's worker
-// pool, corrections run through CorrectWithOracle (inheriting corrector
-// options and the Optimal timeout), and Snapshot seeds the Engine's
-// fingerprint-keyed oracle cache with a copy of the live closure, so
-// stateless Validate/Correct calls against a snapshot skip the closure
-// build entirely.
+// pool, and corrections run through CorrectWithOracle (inheriting
+// corrector options and the Optimal timeout) against the live oracle.
+// The Engine's oracle cache stays a plain LRU over stateless requests:
+// snapshots are plain workflow copies and never touch it.
 
 // DefaultRegistryCapacity is the live-workflow capacity used when
 // WithRegistryCapacity is not given.
@@ -157,14 +156,6 @@ type LiveWorkflow struct {
 
 	viewOrder []string
 	views     map[string]*liveView
-
-	// seedMu guards seeded: the fingerprints this workflow's snapshots
-	// seeded into the engine's oracle cache. Snapshots run under the read
-	// lock, so concurrent seeds need their own mutex; close() purges
-	// every seeded entry so a dead registration cannot keep serving
-	// oracles through the cache.
-	seedMu sync.Mutex
-	seeded map[string]struct{}
 
 	// epoch is the published lock-free read snapshot (epoch.go):
 	// rebuilt under the write lock after every committed transition,
@@ -505,10 +496,8 @@ func (r *Registry) Infos() []WorkflowInfo {
 	return infos
 }
 
-// close marks lw dead and purges every oracle-cache entry its snapshots
-// seeded; subsequent operations fail with ErrUnknownWorkflow, and a
-// deleted-then-reregistered ID can never serve an oracle descended from
-// the dead registration.
+// close marks lw dead; subsequent operations fail with
+// ErrUnknownWorkflow.
 func (lw *LiveWorkflow) close() {
 	lw.mu.Lock()
 	lw.closed = true
@@ -516,12 +505,6 @@ func (lw *LiveWorkflow) close() {
 	// epoch cleared, Read takes the lock and sees closed.
 	lw.epoch.Store(nil)
 	lw.mu.Unlock()
-	lw.seedMu.Lock()
-	for fp := range lw.seeded {
-		lw.reg.eng.cache.remove(fp)
-	}
-	lw.seeded = nil
-	lw.seedMu.Unlock()
 }
 
 // repoint rebuilds the oracle over the current closure objects. Called
@@ -570,36 +553,14 @@ func (lw *LiveWorkflow) infoLocked() WorkflowInfo {
 }
 
 // Snapshot returns an immutable deep copy of the live workflow at its
-// current version. The snapshot's entry in the Engine's oracle cache is
-// seeded with a copy of the live closure, so stateless Engine calls on
-// the snapshot skip the closure rebuild.
+// current version.
 func (lw *LiveWorkflow) Snapshot() (*workflow.Workflow, uint64, error) {
 	lw.mu.RLock()
 	defer lw.mu.RUnlock()
 	if lw.closed {
 		return nil, 0, lw.errClosed("snapshot")
 	}
-	return lw.snapshotLocked(), lw.version, nil
-}
-
-// snapshotLocked clones and cache-seeds under a held read lock. The
-// closure matrix is copied only when the fingerprint's cache entry has
-// no oracle yet (first snapshot per version); the seed callback runs
-// synchronously, so the copy still happens under this lock.
-func (lw *LiveWorkflow) snapshotLocked() *workflow.Workflow {
-	snap := lw.wf.Clone()
-	reach := lw.ic.Fwd()
-	lw.reg.eng.cache.seed(snap, func() *soundness.Oracle {
-		return soundness.NewOracleWithClosure(snap, snap.Graph(), reach.Clone())
-	})
-	// Remember the fingerprint so close() can purge the seeded entry.
-	lw.seedMu.Lock()
-	if lw.seeded == nil {
-		lw.seeded = make(map[string]struct{})
-	}
-	lw.seeded[snap.Fingerprint()] = struct{}{}
-	lw.seedMu.Unlock()
-	return snap
+	return lw.wf.Clone(), lw.version, nil
 }
 
 // Resource returns the metadata and workflow snapshot as one consistent
@@ -612,7 +573,7 @@ func (lw *LiveWorkflow) Resource() (WorkflowInfo, *workflow.Workflow, error) {
 	if lw.closed {
 		return WorkflowInfo{}, nil, lw.errClosed("get")
 	}
-	return lw.infoLocked(), lw.snapshotLocked(), nil
+	return lw.infoLocked(), lw.wf.Clone(), nil
 }
 
 // AttachView decodes/builds a view against the live workflow under its
@@ -921,7 +882,8 @@ func (lw *LiveWorkflow) MutateCtx(ctx context.Context, m Mutation) (*MutationRes
 		ok, err := lw.ic.AddEdge(e[0], e[1], dirty)
 		if err != nil {
 			// Roll the whole batch back: pop applied edges, shrink the
-			// graph and task list, rebuild the closures, repoint.
+			// graph and task list, rebuild the closure and labels (not
+			// when nothing was applied yet), repoint.
 			lw.ic.Rollback(n0, applied)
 			lw.wf.TruncateTasks(n0)
 			lw.repoint()

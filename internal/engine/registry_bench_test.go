@@ -67,6 +67,42 @@ func (w *benchWorkload) batch(i, size int) [][2]string {
 	return out
 }
 
+// register registers the workload's workflow with its view attached.
+func (w *benchWorkload) register(b *testing.B) *LiveWorkflow {
+	b.Helper()
+	lw, err := NewRegistry(New()).Register("bench", w.wf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := lw.AttachView("v", func(wf *workflow.Workflow) (*view.View, error) {
+		return w.v, nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	return lw
+}
+
+// BenchmarkRegister measures registering the workload's workflow: the
+// closure and label pair builds and the first epoch publication.
+func BenchmarkRegister(b *testing.B) {
+	for _, n := range []int{1024, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			w := newBenchWorkload(b, n)
+			reg := NewRegistry(New())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				wf := w.wf.Clone()
+				b.StartTimer()
+				if _, err := reg.Register("bench", wf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMutateIncremental measures the registry path: one Mutate call
 // per iteration — incremental closure update, dirty-set revalidation,
 // report merge.
@@ -75,16 +111,7 @@ func BenchmarkMutateIncremental(b *testing.B) {
 		for _, batch := range []int{1, 64} {
 			b.Run(fmt.Sprintf("n=%d/batch=%d", n, batch), func(b *testing.B) {
 				w := newBenchWorkload(b, n)
-				reg := NewRegistry(New())
-				lw, err := reg.Register("bench", w.wf)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := lw.AttachView("v", func(wf *workflow.Workflow) (*view.View, error) {
-					return w.v, nil
-				}); err != nil {
-					b.Fatal(err)
-				}
+				lw := w.register(b)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -94,6 +121,33 @@ func BenchmarkMutateIncremental(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkMutateRejected measures a batch rejected at its first edge:
+// each iteration sends one edge from a successor back to its
+// predecessor, which closes a cycle. The failed insertion touches
+// nothing, so the rejection must cost no rebuild.
+func BenchmarkMutateRejected(b *testing.B) {
+	for _, n := range []int{1024, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			w := newBenchWorkload(b, n)
+			var back [][2]string
+			for u := 0; u < w.wf.N(); u++ {
+				for _, v := range w.wf.Graph().Succs(u) {
+					back = append(back, [2]string{w.wf.Task(int(v)).ID, w.wf.Task(u).ID})
+				}
+			}
+			lw := w.register(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, err := lw.Mutate(Mutation{Edges: [][2]string{back[i%len(back)]}})
+				if !hasCode(err, ErrCycleRejected) {
+					b.Fatalf("back edge %v: error = %v, want a cycle rejection", back[i%len(back)], err)
+				}
+			}
+		})
 	}
 }
 

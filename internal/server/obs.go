@@ -180,7 +180,7 @@ func (s *Server) bindCollectors() {
 		func() float64 { return float64(s.eng.CacheStats().Size) })
 
 	// Reachability label index, summed over resident workflows.
-	d.CounterFunc("wolves_label_index_builds_total", "Task-level label index full builds.",
+	d.CounterFunc("wolves_label_index_builds_total", "Task-level label index pair builds: registration, rollback and size-rule rebuilds.",
 		func() uint64 { return uint64(s.reg.LabelStats().Builds) })
 	d.CounterFunc("wolves_label_index_rebuilds_total", "Task-level label index rebuilds forced once patching doubled its size.",
 		func() uint64 { return uint64(s.reg.LabelStats().Rebuilds) })

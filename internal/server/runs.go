@@ -93,7 +93,7 @@ type BuildStats struct {
 }
 
 // StatsResponse is the body of GET /v1/stats: the oracle cache's
-// hit/miss/eviction/invalidation counters, the registry population with
+// hit/miss/build/eviction counters, the registry population with
 // per-workflow versions, the run store's resident and lifetime counters
 // (runs, artifacts, bytes journaled), the reachability label index's
 // build/patch/memory counters, the build identity, and the boot-time
