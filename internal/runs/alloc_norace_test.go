@@ -43,3 +43,33 @@ func TestLineageAllocationCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestIngestAllocationCeiling is the CI allocation-regression guard for
+// run ingest: warm allocations per document on the JSON, NDJSON,
+// batch-of-8 and RestoreRun paths must stay under one constant for
+// 256- and 1,024-artifact documents alike — an ingest allocates a fixed
+// set of objects, never one per record. (alloc_race_test.go substitutes
+// a behavioral pass under -race.)
+func TestIngestAllocationCeiling(t *testing.T) {
+	for _, size := range []int{256, 1024} {
+		for _, tc := range ingestAllocCases(t, size) {
+			i := 0
+			op := func() {
+				if _, err := tc.op(i); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			for k := 0; k < 16; k++ {
+				op() // warm the scratch pool and its capacities
+			}
+			got := testing.AllocsPerRun(48, op) / float64(tc.docs)
+			if got > ingestAllocCeiling {
+				t.Errorf("%s/artifacts=%d: %.1f allocs per document, ceiling %d — ingest allocates per record again",
+					tc.name, size, got, ingestAllocCeiling)
+			} else {
+				t.Logf("%s/artifacts=%d: %.1f allocs per document (ceiling %d)", tc.name, size, got, ingestAllocCeiling)
+			}
+		}
+	}
+}

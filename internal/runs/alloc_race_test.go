@@ -4,6 +4,8 @@ package runs
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +39,38 @@ func TestLineageAllocationCeiling(t *testing.T) {
 			if !bytes.Equal(first, encBuf) {
 				t.Fatalf("%s: pooled serve diverged on iteration %d:\nfirst %s\n  got %s",
 					tc.name, i, first, encBuf)
+			}
+		}
+	}
+}
+
+// TestIngestAllocationCeiling under -race: the AllocsPerRun ceiling
+// cannot hold, so the same warm ingests run behaviorally — cycling each
+// path's pool twice must give identical infos and canonical documents
+// on both rounds, so no pooled arena, slice or buffer leaks state from
+// one document into the next.
+func TestIngestAllocationCeiling(t *testing.T) {
+	for _, size := range []int{256, 1024} {
+		for _, tc := range ingestAllocCases(t, size) {
+			var first []string
+			for i := 0; i < 32; i++ {
+				infos, err := tc.op(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				for _, info := range infos {
+					_, run, err := tc.s.lookup("wf", info.Run)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&b, "%+v %q %x;", info, run.artID, run.Doc())
+				}
+				if i < 16 {
+					first = append(first, b.String())
+				} else if first[i-16] != b.String() {
+					t.Fatalf("%s/artifacts=%d: pooled ingest %d diverged from its first round", tc.name, size, i)
+				}
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package runs
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"wolves/internal/engine"
@@ -10,13 +12,13 @@ import (
 	"wolves/internal/workflow"
 )
 
-// This file holds the shared fixture for the lineage allocation guard.
-// The guard itself lives in two build-tag-gated files with the same
-// test name: alloc_norace_test.go asserts the AllocsPerRun ceiling
-// (the race runtime's instrumentation allocates on every barrier, so
-// the ceiling only means something without -race), and
-// alloc_race_test.go runs the same warm queries as a behavioral check
-// so `go test -race ./...` still exercises the pooled serve path.
+// This file holds the shared fixtures for the lineage and ingest
+// allocation guards. Each guard lives in two build-tag-gated files with
+// the same test name: alloc_norace_test.go asserts the AllocsPerRun
+// ceiling (the race runtime's instrumentation allocates on every
+// barrier, so the ceiling only means something without -race), and
+// alloc_race_test.go runs the same warm operations as a behavioral
+// check so `go test -race ./...` still exercises the pooled paths.
 
 // lineageAllocCase is one level of the serve path under guard.
 type lineageAllocCase struct {
@@ -76,4 +78,67 @@ func lineageAllocStore(t *testing.T) (*Store, []lineageAllocCase) {
 		{"witness", Query{Run: "r", Artifact: sink, Witness: true}, 8},
 	}
 	return s, cases
+}
+
+// ingestAllocCeiling bounds warm allocations per ingested document, on
+// every ingest path and whatever the document's record count: the Run's
+// fixed set of objects (struct, two strings, ID and index slabs, the
+// artifact index map, the invoked bitset, the canonical document) plus
+// the RunInfo and slack for pool misses under GC pressure. The string
+// decoder it replaced made 1,087 allocations for a 256-artifact document
+// and 4,179 for a 1,024-artifact one.
+const ingestAllocCeiling = 24
+
+// ingestAllocCase is one ingest path under the allocation guard: op(i)
+// ingests input i of a small cycled pool into s; an input holds docs
+// documents.
+type ingestAllocCase struct {
+	name string
+	docs int
+	s    *Store
+	op   func(i int) (infos []RunInfo, err error)
+}
+
+// ingestAllocCases returns the JSON, NDJSON, batch-of-8 and RestoreRun
+// paths over windowed runs of size artifacts on a layered n=1024
+// workflow, each cycling 16 run IDs so ingests replace runs, as a
+// long-lived store does.
+func ingestAllocCases(t *testing.T, size int) []ingestAllocCase {
+	t.Helper()
+	const pool = 16
+	s, wf := benchStore(t, 1024)
+	docs := make([][]byte, pool)
+	streams := make([][]byte, pool)
+	for i := range docs {
+		id := fmt.Sprintf("r%d", i)
+		docs[i] = windowRunDoc(wf, id, i*37, size)
+		streams[i] = windowRunNDJSON(wf, id, i*37, size)
+		if _, err := s.Ingest("wf", docs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, canonical := s.SnapshotRuns("wf")
+	one := func(info *RunInfo, err error) ([]RunInfo, error) {
+		if err != nil {
+			return nil, err
+		}
+		return []RunInfo{*info}, nil
+	}
+	return []ingestAllocCase{
+		{"json", 1, s, func(i int) ([]RunInfo, error) { return one(s.Ingest("wf", docs[i%pool])) }},
+		{"ndjson", 1, s, func(i int) ([]RunInfo, error) {
+			return one(s.IngestNDJSON("wf", bytes.NewReader(streams[i%pool])))
+		}},
+		{"batch=8", 8, s, func(i int) ([]RunInfo, error) {
+			j := 8 * i % pool
+			return s.IngestBatch("wf", docs[j:j+8])
+		}},
+		{"restore", 1, s, func(i int) ([]RunInfo, error) {
+			if err := s.RestoreRun("wf", "", canonical[i%pool]); err != nil {
+				return nil, err
+			}
+			info, err := s.Info("wf", fmt.Sprintf("r%d", i%pool))
+			return one(info, err)
+		}},
+	}
 }

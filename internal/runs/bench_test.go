@@ -1,6 +1,7 @@
 package runs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -14,7 +15,7 @@ import (
 
 // benchStore registers a layered n-task workflow with an interval view
 // and returns a run store over it.
-func benchStore(b *testing.B, n int) (*Store, *workflow.Workflow) {
+func benchStore(b testing.TB, n int) (*Store, *workflow.Workflow) {
 	b.Helper()
 	wf := gen.Layered(gen.LayeredConfig{
 		Name: fmt.Sprintf("bench-%d", n), Tasks: n, Layers: 16,
@@ -85,33 +86,101 @@ func fullRunDoc(wf *workflow.Workflow, runID string) []byte {
 	return raw
 }
 
-// BenchmarkIngest measures steady-state trace ingestion: a pool of
-// distinct run documents, cycled (so long bench runs replace instead of
-// accumulating), each invoking a quarter of the workflow — the record
-// count scales with n so per-op cost is comparable across sizes (a
-// fixed window made n=4096 look cheaper than n=1024: same trace bytes,
-// larger task space). Per-op cost covers JSON decode, task-space
-// validation, dense interning and shard insertion.
-func BenchmarkIngest(b *testing.B) {
-	for _, n := range []int{1024, 4096} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s, wf := benchStore(b, n)
-			const pool = 1024
-			docs := make([][]byte, pool)
-			bytes := 0
-			for i := range docs {
-				docs[i] = windowRunDoc(wf, fmt.Sprintf("r%d", i), i*37, n/4)
-				bytes += len(docs[i])
-			}
-			b.SetBytes(int64(bytes / pool))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Ingest("wf", docs[i%pool]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// windowRunNDJSON is windowRunDoc as an NDJSON stream: the run record,
+// then one record per artifact and per used edge.
+func windowRunNDJSON(wf *workflow.Workflow, runID string, start, size int) []byte {
+	var out []byte
+	line := func(v any) {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			panic(err)
+		}
+		out = append(append(out, raw...), '\n')
 	}
+	line(map[string]any{"run": runID})
+	n := wf.N()
+	for k := 0; k < size; k++ {
+		task := wf.Task((start + k) % n).ID
+		line(map[string]any{"artifact": map[string]any{
+			"id": fmt.Sprintf("%s/%d", runID, k), "generated_by": task}})
+		if k > 0 {
+			line(map[string]any{"used": map[string]any{
+				"process": task, "artifact": fmt.Sprintf("%s/%d", runID, k-1)}})
+		}
+	}
+	return out
+}
+
+// BenchmarkIngest measures steady-state trace ingestion of one run
+// invoking a quarter of the workflow — the record count scales with n so
+// per-op cost is comparable across sizes (a fixed window made n=4096
+// look cheaper than n=1024: same trace bytes, larger task space). Each
+// variant cycles a pool of distinct runs, so long bench runs replace
+// instead of accumulating:
+//
+//   - n=…: one JSON document per op;
+//   - ndjson/n=…: one NDJSON stream per op;
+//   - batch=8/n=…: one IngestBatch of 8 JSON documents per op;
+//   - restore/n=…: one RestoreRun of a binary canonical document per op,
+//     as recovery replays it.
+//
+// Per-op cost covers decode, task-space validation, dense interning and
+// shard insertion, plus the canonical encode everywhere but restore.
+func BenchmarkIngest(b *testing.B) {
+	const pool = 1024
+	// bench runs op over a pool of inputs made by mk; prep, when set,
+	// turns the pool into op's inputs first. perOp documents make one op.
+	bench := func(name string, perOp int, mk func(wf *workflow.Workflow, runID string, start, size int) []byte,
+		prep func(s *Store, in [][]byte) [][]byte, op func(s *Store, in [][]byte, i int) error) {
+		for _, n := range []int{1024, 4096} {
+			b.Run(fmt.Sprintf("%sn=%d", name, n), func(b *testing.B) {
+				s, wf := benchStore(b, n)
+				in := make([][]byte, pool)
+				for i := range in {
+					in[i] = mk(wf, fmt.Sprintf("r%d", i), i*37, n/4)
+				}
+				if prep != nil {
+					in = prep(s, in)
+				}
+				total := 0
+				for _, d := range in {
+					total += len(d)
+				}
+				b.SetBytes(int64(perOp * total / pool))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := op(s, in, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+	bench("", 1, windowRunDoc, nil, func(s *Store, in [][]byte, i int) error {
+		_, err := s.Ingest("wf", in[i%pool])
+		return err
+	})
+	bench("ndjson/", 1, windowRunNDJSON, nil, func(s *Store, in [][]byte, i int) error {
+		_, err := s.IngestNDJSON("wf", bytes.NewReader(in[i%pool]))
+		return err
+	})
+	bench("batch=8/", 8, windowRunDoc, nil, func(s *Store, in [][]byte, i int) error {
+		j := 8 * i % pool
+		_, err := s.IngestBatch("wf", in[j:j+8])
+		return err
+	})
+	bench("restore/", 1, windowRunDoc, func(s *Store, in [][]byte) [][]byte {
+		for _, doc := range in {
+			if _, err := s.Ingest("wf", doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		_, docs := s.SnapshotRuns("wf")
+		return docs
+	}, func(s *Store, in [][]byte, i int) error {
+		return s.RestoreRun("wf", "", in[i%pool])
+	})
 }
 
 // BenchmarkLineageQuery contrasts the three answer levels over one full

@@ -9,13 +9,15 @@
 //
 // Binary documents open with the version tag docBinV1 (0xD1), which can
 // never open a JSON document (JSON docs start with '{'), so
-// decodeRunDoc sniffs the first byte and both forms decode through the
-// same path — JSON-era data dirs restore unchanged, byte for byte, and
-// restored documents keep whichever encoding they were written with.
+// ingestScratch.decodeDoc sniffs the first byte and both forms decode
+// through the same path — JSON-era data dirs restore unchanged, byte
+// for byte, and restored documents keep whichever encoding they were
+// written with.
 package runs
 
 import (
 	"fmt"
+	"slices"
 
 	"wolves/internal/binwire"
 	"wolves/internal/workflow"
@@ -59,24 +61,31 @@ func (r *Run) appendDocBinary(dst []byte, wf *workflow.Workflow) []byte {
 
 // decodeRunDocBinaryInto materializes a binary canonical document back
 // into the wire shape, which then flows through the ordinary validation
-// path — a recovered run is re-validated exactly like a fresh one.
+// path — a recovered run is re-validated exactly like a fresh one. Each
+// string is copied once onto w's arena; references by index reuse the
+// span of the string they point at.
 func decodeRunDocBinaryInto(w *wireRun, doc []byte) error {
+	// The document's strings fit in the document.
+	w.arena = slices.Grow(w.arena, len(doc))
 	r := binwire.NewReader(doc[1:])
 	w.Version = r.Uvarint()
-	w.Run = r.String()
+	w.Run = w.put(r.Bytes())
 	if n := r.Len(2); n > 0 {
+		w.Invocations = slices.Grow(w.Invocations, n)
 		for i := 0; i < n; i++ {
-			w.Invocations = append(w.Invocations, wireInvocation{ID: r.String(), Task: r.String()})
+			id := w.put(r.Bytes())
+			w.Invocations = append(w.Invocations, wireInvocation{ID: id, Task: w.put(r.Bytes())})
 		}
 	}
 	if n := r.Len(2); n > 0 {
+		w.Artifacts = slices.Grow(w.Artifacts, n)
 		for i := 0; i < n; i++ {
-			a := wireArtifact{ID: r.String()}
+			a := wireArtifact{ID: w.put(r.Bytes())}
 			gen := r.Uvarint()
 			if r.Err() == nil && gen > 0 {
 				gi := int(gen - 1)
 				if gi >= len(w.Invocations) {
-					return fmt.Errorf("binary run document: artifact %q generated_by index %d out of range", a.ID, gi)
+					return fmt.Errorf("binary run document: artifact %q generated_by index %d out of range", w.bytes(a.ID), gi)
 				}
 				a.GeneratedBy = w.Invocations[gi].ID
 			}
@@ -84,6 +93,7 @@ func decodeRunDocBinaryInto(w *wireRun, doc []byte) error {
 		}
 	}
 	if n := r.Len(2); n > 0 {
+		w.Used = slices.Grow(w.Used, n)
 		for i := 0; i < n; i++ {
 			pi, ai := r.Uvarint(), r.Uvarint()
 			if r.Err() != nil {

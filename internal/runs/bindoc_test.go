@@ -26,13 +26,15 @@ func TestBinaryDocRoundTrip(t *testing.T) {
 	// Decode the binary document and compare with the wire shape the
 	// original JSON decodes to: same run, invocations materialized in
 	// the same dense order, same artifact producers and used edges.
-	var fromBin, fromJSON wireRun
-	if err := decodeRunDocInto(&fromBin, doc); err != nil {
+	var sc ingestScratch
+	var bin, jsn wireRun
+	if err := sc.decodeDoc(&bin, doc); err != nil {
 		t.Fatal(err)
 	}
-	if err := decodeRunDocInto(&fromJSON, figure1RunDoc("r1")); err != nil {
+	if err := sc.decodeDoc(&jsn, figure1RunDoc("r1")); err != nil {
 		t.Fatal(err)
 	}
+	fromBin, fromJSON := bin.strings(), jsn.strings()
 	if fromBin.Run != "r1" {
 		t.Fatalf("run id = %q", fromBin.Run)
 	}
@@ -79,10 +81,8 @@ func TestBinaryDocRoundTrip(t *testing.T) {
 	}
 
 	// Truncations of the binary doc must reject, never panic.
-	var w wireRun
 	for cut := 1; cut < len(doc); cut++ {
-		w = wireRun{}
-		if err := decodeRunDocInto(&w, doc[:cut]); err == nil {
+		if err := sc.decodeDoc(sc.wire(), doc[:cut]); err == nil {
 			t.Fatalf("doc truncated to %d bytes decoded clean", cut)
 		}
 	}

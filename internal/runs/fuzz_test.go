@@ -38,7 +38,9 @@ func checkIngestErr(t *testing.T, err error) {
 }
 
 // FuzzIngestDoc throws arbitrary bytes at the whole-document OPM ingest
-// path (decode → validate → intern → canonical re-encode).
+// path (decode → validate → intern → canonical re-encode), and at
+// RestoreRun, and checks both against the string reference
+// (ingest_ref_test.go).
 func FuzzIngestDoc(f *testing.F) {
 	f.Add(figure1RunDoc("r1"))
 	f.Add([]byte(`{"run":"r2","invocations":[{"id":"i1","task":"CRB"}],` +
@@ -52,6 +54,7 @@ func FuzzIngestDoc(f *testing.F) {
 
 	reg := fuzzRegistry(f)
 	f.Fuzz(func(t *testing.T, doc []byte) {
+		checkIngestAgainstRef(t, reg, "phylo", doc, nil)
 		s := New(reg)
 		info, err := s.Ingest("phylo", doc)
 		if err != nil {
@@ -73,7 +76,8 @@ func FuzzIngestDoc(f *testing.F) {
 
 // FuzzIngestNDJSON throws arbitrary byte streams at the NDJSON ingest
 // path, including torn final lines — which must reject the whole run
-// (runs are atomic, never partially ingested).
+// (runs are atomic, never partially ingested) — and checks it against
+// the string reference.
 func FuzzIngestNDJSON(f *testing.F) {
 	f.Add([]byte("{\"run\":\"r1\"}\n{\"artifact\":{\"id\":\"a1\",\"generated_by\":\"CRB\"}}\n" +
 		"{\"used\":{\"process\":\"CRB\",\"artifact\":\"a1\"}}\n"))
@@ -87,6 +91,7 @@ func FuzzIngestNDJSON(f *testing.F) {
 
 	reg := fuzzRegistry(f)
 	f.Fuzz(func(t *testing.T, stream []byte) {
+		checkNDJSONAgainstRef(t, reg, "phylo", stream)
 		s := New(reg)
 		info, err := s.IngestNDJSON("phylo", bytes.NewReader(stream))
 		if err != nil {

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,47 +25,97 @@ import (
 // engine.Error with code ErrInvalidTrace (wolvesd: 422) — malformed
 // input must never panic or surface as internal.
 //
-// The decode and build state is pooled (ingestScratch): at steady state
-// an ingest allocates only what the immutable Run retains, so a
+// Decoding materializes no strings: the decoders append every string to
+// a per-ingest byte arena and record spans of it, and buildRun resolves
+// task, invocation and artifact references by bytes. What the immutable
+// Run keeps is copied out once — its ID, one string holding every
+// artifact and explicit invocation ID (implicit invocations reuse the
+// workflow's task-ID strings), and exactly-sized index slices — so no
+// retained byte aliases the caller's buffer. The arena and the rest of
+// the working set are pooled (ingestScratch): at steady state an ingest
+// allocates a fixed number of objects whatever its record count, and a
 // sustained NDJSON firehose does not churn the heap per document.
+
+// span locates one decoded string in its run's arena: arena[off:end].
+type span struct{ off, end int }
+
+func (s span) len() int { return s.end - s.off }
 
 // wireInvocation is one process of the trace: an invocation of a
 // workflow task.
 type wireInvocation struct {
-	ID   string `json:"id"`
-	Task string `json:"task"`
+	ID, Task span
 }
 
 // wireArtifact is one data item. GeneratedBy names the producing
 // invocation (or, when the trace declares no invocations, the producing
 // task); empty means an external input to the run.
 type wireArtifact struct {
-	ID          string `json:"id"`
-	GeneratedBy string `json:"generated_by,omitempty"`
+	ID, GeneratedBy span
 }
 
 // wireUsed is one consumption edge: Process (an invocation — or task,
 // see above) read Artifact.
 type wireUsed struct {
-	Process  string `json:"process"`
-	Artifact string `json:"artifact"`
+	Process, Artifact span
 }
 
-// wireRun is the JSON document shape of one run. When Invocations is
-// empty, process references (generated_by, used.process) name workflow
-// tasks directly and one implicit invocation is created per referenced
-// task — the paper's own simplification, and the natural encoding for
-// Execute-style traces.
+// wireRun is one decoded run document, the span form of jsonRun (which
+// documents the fields). When Invocations is empty, process references
+// (generated_by, used.process) name workflow tasks directly and one
+// implicit invocation is created per referenced task — the paper's own
+// simplification, and the natural encoding for Execute-style traces.
 type wireRun struct {
-	Run string `json:"run"`
+	Run span
 	// Version is ingestion metadata, not part of the trace: the workflow
 	// version the run was validated against. Client-supplied values are
 	// ignored on live ingestion; the canonical document records it so
 	// recovery restores runs with their original version stamp.
+	Version     uint64
+	Invocations []wireInvocation
+	Artifacts   []wireArtifact
+	Used        []wireUsed
+	// arena holds the bytes of every span above.
+	arena []byte
+}
+
+// bytes returns the bytes of s, valid until the arena is reset.
+func (w *wireRun) bytes(s span) []byte { return w.arena[s.off:s.end:s.end] }
+
+// str materializes s as a string — for error messages and tests.
+func (w *wireRun) str(s span) string { return string(w.bytes(s)) }
+
+// put appends b to the arena and returns its span.
+func (w *wireRun) put(b []byte) span {
+	off := len(w.arena)
+	w.arena = append(w.arena, b...)
+	return span{off, len(w.arena)}
+}
+
+// jsonRun is the JSON document shape of one run, with string fields: the
+// shape the decoders' spans stand for, and the one JSON canonical
+// documents (WithLegacyJSONDocs) are marshaled from.
+type jsonRun struct {
+	Run         string           `json:"run"`
 	Version     uint64           `json:"version,omitempty"`
-	Invocations []wireInvocation `json:"invocations,omitempty"`
-	Artifacts   []wireArtifact   `json:"artifacts,omitempty"`
-	Used        []wireUsed       `json:"used,omitempty"`
+	Invocations []jsonInvocation `json:"invocations,omitempty"`
+	Artifacts   []jsonArtifact   `json:"artifacts,omitempty"`
+	Used        []jsonUsed       `json:"used,omitempty"`
+}
+
+type jsonInvocation struct {
+	ID   string `json:"id"`
+	Task string `json:"task"`
+}
+
+type jsonArtifact struct {
+	ID          string `json:"id"`
+	GeneratedBy string `json:"generated_by,omitempty"`
+}
+
+type jsonUsed struct {
+	Process  string `json:"process"`
+	Artifact string `json:"artifact"`
 }
 
 // NDJSON framing limits. The line cap equals the HTTP layer's request
@@ -78,22 +130,29 @@ const (
 	// ndjsonBufBytes sizes the pooled stream reader: lines that fit are
 	// framed with zero copies, longer ones spill.
 	ndjsonBufBytes = 64 << 10
-	// ndjsonSpillKeep caps the spill capacity retained in the pool; a
-	// rare multi-megabyte line must not pin its buffer forever.
-	ndjsonSpillKeep = 1 << 20
+	// scratchKeep caps the capacity of each byte buffer (arena, decoder
+	// unquote buffer, NDJSON spill, encode buffer) the scratch pool
+	// retains: a rare multi-megabyte document or line must not pin its
+	// buffers forever.
+	scratchKeep = 1 << 20
 )
 
 // ingestScratch recycles the per-ingest working set: the decoded wire
-// run (slice capacities survive), the build-time invocation index, the
-// CSR fill cursor, the binary-doc encode buffer, and the NDJSON stream
-// reader. One scratch serves one ingest at a time, whole batches
-// included.
+// run and its arena (capacities survive), the build-time invocation
+// indexes, the CSR fill cursor, the binary-doc encode buffer, and the
+// NDJSON stream reader. One scratch serves one ingest at a time, whole
+// batches included.
 type ingestScratch struct {
 	w        wireRun
 	line     wireLine
 	jd       jdec
 	lineBufs wireLineBufs
+	// procIdx maps process references to their dense invocation index;
+	// its keys are slices of the Run's retained ID string (explicit
+	// invocations) or the workflow's task IDs (implicit ones).
 	procIdx  map[string]int32
+	procTask []int32
+	artGen   []int32
 	fill     []int32
 	enc      []byte
 	br       *bufio.Reader
@@ -107,49 +166,54 @@ var scratchPool = sync.Pool{New: func() any {
 	}
 }}
 
-// wire resets and returns the scratch's wire run, keeping the slice
-// capacities of previous decodes so the backing arrays are reused. Only
-// the lengths are reset: both decoders write every field of an element
-// they emit past the reset length (the JSON decoder appends explicit
-// zero elements before filling them, the binary decoder appends full
-// composite literals), so nothing stale from a previous document can
-// leak through.
+// trim prepares sc for the pool: it drops byte buffers an outsized
+// ingest grew past scratchKeep and the decoder's and stream reader's
+// hold on the request body. Callers defer scratchPool.Put(sc.trim()) in
+// a closure, so the trim runs at return.
+func (sc *ingestScratch) trim() *ingestScratch {
+	if cap(sc.w.arena) > scratchKeep {
+		sc.w.arena = nil
+	}
+	if cap(sc.jd.buf) > scratchKeep {
+		sc.jd.buf = nil
+	}
+	if cap(sc.spill) > scratchKeep {
+		sc.spill = nil
+	}
+	if cap(sc.enc) > scratchKeep {
+		sc.enc = nil
+	}
+	sc.jd.b, sc.jd.arena = nil, nil
+	sc.br.Reset(nil)
+	return sc
+}
+
+// wire resets and returns the scratch's wire run, keeping the capacities
+// of previous decodes so the backing arrays are reused. Only the lengths
+// are reset: both decoders write every field of an element they emit
+// past the reset length (the JSON decoder appends explicit zero elements
+// before filling them, the binary decoder appends full composite
+// literals), so nothing stale from a previous document can leak through.
 func (sc *ingestScratch) wire() *wireRun {
 	sc.w = wireRun{
 		Invocations: sc.w.Invocations[:0],
 		Artifacts:   sc.w.Artifacts[:0],
 		Used:        sc.w.Used[:0],
+		arena:       sc.w.arena[:0],
 	}
 	return &sc.w
 }
 
-// decodeRunDocInto parses one full run document — the binary canonical
-// form when the first byte is its version tag, JSON otherwise — into w.
-func decodeRunDocInto(w *wireRun, doc []byte) error {
-	if len(doc) > 0 && doc[0] == docBinV1 {
-		return decodeRunDocBinaryInto(w, doc)
-	}
-	var d jdec
-	return d.decodeRunDocJSON(w, doc)
-}
-
-// decodeDoc is decodeRunDocInto through the pooled decoder scratch —
-// the hot ingestion paths, where the unquote buffer is reused across
-// documents.
+// decodeDoc parses one full run document — the binary canonical form
+// when the first byte is its version tag, JSON otherwise — into w.
 func (sc *ingestScratch) decodeDoc(w *wireRun, doc []byte) error {
 	if len(doc) > 0 && doc[0] == docBinV1 {
 		return decodeRunDocBinaryInto(w, doc)
 	}
+	// A document's strings never outgrow it by much; one growth up front
+	// spares a cold arena its doubling steps.
+	w.arena = slices.Grow(w.arena, len(doc))
 	return sc.jd.decodeRunDocJSON(w, doc)
-}
-
-// decodeRunDoc parses one full run document of either encoding.
-func decodeRunDoc(doc []byte) (*wireRun, error) {
-	var w wireRun
-	if err := decodeRunDocInto(&w, doc); err != nil {
-		return nil, err
-	}
-	return &w, nil
 }
 
 // Ingest validates and stores one run document for workflowID,
@@ -165,7 +229,7 @@ func (s *Store) Ingest(workflowID string, doc []byte) (*RunInfo, error) {
 // span into the journal append and is observability-only.
 func (s *Store) IngestCtx(ctx context.Context, workflowID string, doc []byte) (*RunInfo, error) {
 	sc := scratchPool.Get().(*ingestScratch)
-	defer scratchPool.Put(sc)
+	defer func() { scratchPool.Put(sc.trim()) }()
 	w := sc.wire()
 	if err := sc.decodeDoc(w, doc); err != nil {
 		return nil, errf(engine.ErrInvalidTrace, "ingest", "malformed run document: %v", err)
@@ -173,12 +237,14 @@ func (s *Store) IngestCtx(ctx context.Context, workflowID string, doc []byte) (*
 	return s.ingestWire(ctx, workflowID, w, true, nil, sc)
 }
 
-// wireLine is one NDJSON record: exactly one of the fields is set.
+// wireLine is one NDJSON record — {"run": …}, {"invocation": {…}},
+// {"artifact": {…}} or {"used": {…}}: exactly one of the fields is set.
+// Its spans index the arena of the run the record accumulates into.
 type wireLine struct {
-	Run        string          `json:"run,omitempty"`
-	Invocation *wireInvocation `json:"invocation,omitempty"`
-	Artifact   *wireArtifact   `json:"artifact,omitempty"`
-	Used       *wireUsed       `json:"used,omitempty"`
+	Run        span
+	Invocation *wireInvocation
+	Artifact   *wireArtifact
+	Used       *wireUsed
 }
 
 // IngestNDJSON streams one run from r: each line is a JSON record
@@ -196,13 +262,7 @@ func (s *Store) IngestNDJSON(workflowID string, r io.Reader) (*RunInfo, error) {
 func (s *Store) IngestNDJSONCtx(ctx context.Context, workflowID string, r io.Reader) (*RunInfo, error) {
 	sc := scratchPool.Get().(*ingestScratch)
 	sc.br.Reset(r)
-	defer func() {
-		sc.br.Reset(nil) // drop the request body before pooling
-		if cap(sc.spill) > ndjsonSpillKeep {
-			sc.spill = nil
-		}
-		scratchPool.Put(sc)
-	}()
+	defer func() { scratchPool.Put(sc.trim()) }()
 	w := sc.wire()
 	lineNo := 0
 	for {
@@ -232,7 +292,7 @@ func (s *Store) IngestNDJSONCtx(ctx context.Context, workflowID string, r io.Rea
 		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			lineNo++
 			sc.line = wireLine{}
-			if jerr := sc.jd.decodeWireLineJSON(&sc.line, trimmed, &sc.lineBufs); jerr != nil {
+			if jerr := sc.jd.decodeWireLineJSON(&sc.line, trimmed, &sc.lineBufs, &w.arena); jerr != nil {
 				if torn {
 					return nil, errf(engine.ErrInvalidTrace, "ingest",
 						"NDJSON stream ends with a torn record at line %d: %v", lineNo, jerr)
@@ -253,11 +313,11 @@ func (s *Store) IngestNDJSONCtx(ctx context.Context, workflowID string, r io.Rea
 // accumulate folds one NDJSON record into the run under construction.
 func accumulate(w *wireRun, rec *wireLine, lineNo int) *engine.Error {
 	set := 0
-	if rec.Run != "" {
+	if rec.Run.len() > 0 {
 		set++
-		if w.Run != "" && w.Run != rec.Run {
+		if w.Run.len() > 0 && !bytes.Equal(w.bytes(w.Run), w.bytes(rec.Run)) {
 			return errf(engine.ErrInvalidTrace, "ingest",
-				"NDJSON line %d: run id %q conflicts with %q", lineNo, rec.Run, w.Run)
+				"NDJSON line %d: run id %q conflicts with %q", lineNo, w.bytes(rec.Run), w.bytes(w.Run))
 		}
 		w.Run = rec.Run
 	}
@@ -289,7 +349,9 @@ func (s *Store) ingestWire(ctx context.Context, workflowID string, w *wireRun, j
 	ctx, span := obs.StartSpan(ctx, "runs", "ingest")
 	defer span.End()
 	span.SetAttr("workflow", workflowID)
-	span.SetAttr("run", w.Run)
+	if span != nil {
+		span.SetAttr("run", w.str(w.Run))
+	}
 	lw, err := s.reg.Get(workflowID)
 	if err != nil {
 		return nil, wrapErr("ingest", err)
@@ -302,12 +364,12 @@ func (s *Store) ingestWire(ctx context.Context, workflowID string, w *wireRun, j
 			return nil, wrapErr("ingest", gerr)
 		}
 	}
-	if w.Run == "" {
+	if w.Run.len() == 0 {
 		return nil, errf(engine.ErrInvalidTrace, "ingest", "run document missing run id")
 	}
 	if len(w.Artifacts) == 0 && len(w.Invocations) == 0 {
 		return nil, errf(engine.ErrInvalidTrace, "ingest",
-			"run %q is empty: no invocations and no artifacts", w.Run)
+			"run %q is empty: no invocations and no artifacts", w.bytes(w.Run))
 	}
 	// Validation, shard insertion and the journal append all run inside
 	// one read-locked State call. The lock is what orders this ingestion
@@ -410,7 +472,7 @@ func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]
 		return nil, wrapErr("ingest", gerr)
 	}
 	sc := scratchPool.Get().(*ingestScratch)
-	defer scratchPool.Put(sc)
+	defer func() { scratchPool.Put(sc.trim()) }()
 
 	var wantSnap bool
 	if err := lw.State(func(st *engine.LiveState) error {
@@ -422,13 +484,13 @@ func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]
 				return errf(engine.ErrInvalidTrace, "ingest",
 					"batch document %d: malformed run document: %v", i, derr)
 			}
-			if w.Run == "" {
+			if w.Run.len() == 0 {
 				return errf(engine.ErrInvalidTrace, "ingest",
 					"batch document %d: run document missing run id", i)
 			}
 			if len(w.Artifacts) == 0 && len(w.Invocations) == 0 {
 				return errf(engine.ErrInvalidTrace, "ingest",
-					"run %q is empty: no invocations and no artifacts", w.Run)
+					"run %q is empty: no invocations and no artifacts", w.bytes(w.Run))
 			}
 			r, berr := buildRun(st.Workflow, version, w, nil, sc, s.legacyDocs)
 			if berr != nil {
@@ -489,128 +551,191 @@ func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]
 // canonical document is rawDoc verbatim when non-nil (restore path),
 // otherwise freshly encoded — binary by default, JSON under the
 // legacy-docs knob.
+//
+// References resolve by bytes against the arena, so no transient string
+// is built. The Run's strings are its ID and ids, one string holding
+// every explicit invocation ID and then every artifact ID in document
+// order: procID, artID and the artIdx and procIdx keys are slices of it.
 func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, rawDoc []byte,
 	sc *ingestScratch, legacyDocs bool) (*Run, *engine.Error) {
+	n := wf.N()
+	runID := string(w.bytes(w.Run))
+	var sb strings.Builder
+	size := 0
+	for _, inv := range w.Invocations {
+		size += inv.ID.len()
+	}
+	for _, a := range w.Artifacts {
+		size += a.ID.len()
+	}
+	sb.Grow(size)
+	for _, inv := range w.Invocations {
+		sb.Write(w.bytes(inv.ID))
+	}
+	for _, a := range w.Artifacts {
+		sb.Write(w.bytes(a.ID))
+	}
+	ids := sb.String()
+	// nextID hands out the consecutive slices of ids.
+	off := 0
+	nextID := func(s span) string {
+		id := ids[off : off+s.len()]
+		off += s.len()
+		return id
+	}
+
 	run := &Run{
-		id:      w.Run,
+		id:      runID,
 		version: version,
-		n:       wf.N(),
+		n:       n,
 		artIdx:  make(map[string]int32, len(w.Artifacts)),
-		invoked: bitset.New(wf.N()),
+		invoked: bitset.New(n),
+		used:    make([][2]int32, len(w.Used)),
 	}
 	implicit := len(w.Invocations) == 0
 	clear(sc.procIdx)
 	procIdx := sc.procIdx
+	sc.procTask, sc.artGen = sc.procTask[:0], sc.artGen[:0]
 
-	addProc := func(id string, task int) int32 {
-		pi := int32(len(run.procID))
-		procIdx[id] = pi
-		run.procID = append(run.procID, id)
-		run.procTask = append(run.procTask, int32(task))
-		run.invoked.Set(task)
+	// addProc creates the next invocation, of task ti.
+	addProc := func(ti int) int32 {
+		pi := int32(len(sc.procTask))
+		sc.procTask = append(sc.procTask, int32(ti))
+		run.invoked.Set(ti)
 		return pi
 	}
 	for i, inv := range w.Invocations {
-		if inv.ID == "" {
+		id := nextID(inv.ID)
+		if id == "" {
 			return nil, errf(engine.ErrInvalidTrace, "ingest",
-				"run %q: invocation %d has an empty id", w.Run, i)
+				"run %q: invocation %d has an empty id", runID, i)
 		}
-		if _, dup := procIdx[inv.ID]; dup {
+		if _, dup := procIdx[id]; dup {
 			return nil, errf(engine.ErrInvalidTrace, "ingest",
-				"run %q: duplicate invocation id %q", w.Run, inv.ID)
+				"run %q: duplicate invocation id %q", runID, id)
 		}
-		ti, ok := wf.Index(inv.Task)
+		ti, ok := wf.IndexBytes(w.bytes(inv.Task))
 		if !ok {
-			return nil, traceErr(w.Run, fmt.Errorf("invocation %q: %w: %q",
-				inv.ID, workflow.ErrUnknownTask, inv.Task))
+			return nil, traceErr(runID, fmt.Errorf("invocation %q: %w: %q",
+				id, workflow.ErrUnknownTask, w.bytes(inv.Task)))
 		}
-		addProc(inv.ID, ti)
+		procIdx[id] = addProc(ti)
 	}
 	// resolve maps a process reference onto a dense invocation index. In
 	// implicit mode the reference is a task ID and the invocation is
 	// created on first use. The caller's context string is built lazily
 	// (whereFmt+whereArg), only on the failure paths — the success path
 	// of the hot loops below must not pay a fmt.Sprintf per edge.
-	resolve := func(ref, whereFmt, whereArg string) (int32, *engine.Error) {
-		if pi, ok := procIdx[ref]; ok {
+	resolve := func(ref span, whereFmt string, whereArg span) (int32, *engine.Error) {
+		b := w.bytes(ref)
+		if pi, ok := procIdx[string(b)]; ok {
 			return pi, nil
 		}
 		if !implicit {
 			return 0, errf(engine.ErrInvalidTrace, "ingest",
 				"run %q: %s references unknown invocation %q",
-				w.Run, fmt.Sprintf(whereFmt, whereArg), ref)
+				runID, fmt.Sprintf(whereFmt, w.bytes(whereArg)), b)
 		}
-		ti, ok := wf.Index(ref)
+		ti, ok := wf.IndexBytes(b)
 		if !ok {
-			return 0, traceErr(w.Run, fmt.Errorf("%s: %w: %q",
-				fmt.Sprintf(whereFmt, whereArg), workflow.ErrUnknownTask, ref))
+			return 0, traceErr(runID, fmt.Errorf("%s: %w: %q",
+				fmt.Sprintf(whereFmt, w.bytes(whereArg)), workflow.ErrUnknownTask, b))
 		}
-		return addProc(ref, ti), nil
+		pi := addProc(ti)
+		procIdx[wf.Task(ti).ID] = pi
+		return pi, nil
 	}
 
 	for i, a := range w.Artifacts {
-		if a.ID == "" {
+		id := nextID(a.ID)
+		if id == "" {
 			return nil, errf(engine.ErrInvalidTrace, "ingest",
-				"run %q: artifact %d has an empty id", w.Run, i)
+				"run %q: artifact %d has an empty id", runID, i)
 		}
-		if _, dup := run.artIdx[a.ID]; dup {
+		if _, dup := run.artIdx[id]; dup {
 			return nil, errf(engine.ErrInvalidTrace, "ingest",
-				"run %q: duplicate artifact id %q", w.Run, a.ID)
+				"run %q: duplicate artifact id %q", runID, id)
 		}
 		gen := int32(-1)
-		if a.GeneratedBy != "" {
+		if a.GeneratedBy.len() > 0 {
 			pi, gerr := resolve(a.GeneratedBy, "artifact %q generated_by", a.ID)
 			if gerr != nil {
 				return nil, gerr
 			}
 			gen = pi
 		}
-		run.artIdx[a.ID] = int32(len(run.artID))
-		run.artID = append(run.artID, a.ID)
-		run.artGen = append(run.artGen, gen)
+		run.artIdx[id] = int32(i)
+		sc.artGen = append(sc.artGen, gen)
 	}
 
-	for _, u := range w.Used {
+	for i, u := range w.Used {
 		pi, uerr := resolve(u.Process, "used edge for artifact %q", u.Artifact)
 		if uerr != nil {
 			return nil, uerr
 		}
-		ai, ok := run.artIdx[u.Artifact]
+		ai, ok := run.artIdx[string(w.bytes(u.Artifact))]
 		if !ok {
 			return nil, errf(engine.ErrInvalidTrace, "ingest",
 				"run %q: dangling used edge: process %q consumes unknown artifact %q",
-				w.Run, u.Process, u.Artifact)
+				runID, w.bytes(u.Process), w.bytes(u.Artifact))
 		}
-		run.used = append(run.used, [2]int32{pi, ai})
+		run.used[i] = [2]int32{pi, ai}
 	}
+
+	// The run is valid: lay out its retained slices, sized from the final
+	// counts. Both ID tables share one []string and every dense index one
+	// []int32 slab, each carved with capped capacity.
+	np, na := len(sc.procTask), len(w.Artifacts)
+	strs := make([]string, np+na)
+	run.procID, run.artID = strs[:np:np], strs[np:]
+	off = 0 // hand out ids again, in the same order
+	for i, inv := range w.Invocations {
+		run.procID[i] = nextID(inv.ID)
+	}
+	if implicit {
+		for i, ti := range sc.procTask {
+			run.procID[i] = wf.Task(int(ti)).ID
+		}
+	}
+	for i, a := range w.Artifacts {
+		run.artID[i] = nextID(a.ID)
+	}
+	nInvoked := run.invoked.Count()
+	slab := make([]int32, 2*np+1+na+len(w.Used)+nInvoked)
+	carve := func(k int) []int32 {
+		s := slab[:k:k]
+		slab = slab[k:]
+		return s
+	}
+	run.procTask = carve(np)
+	copy(run.procTask, sc.procTask)
+	run.artGen = carve(na)
+	copy(run.artGen, sc.artGen)
 
 	// Sorted invoked-task list for the label query path (invocations may
 	// arrive in any order and repeat tasks; the bitset dedups).
+	run.invokedList = carve(nInvoked)[:0]
 	run.invoked.ForEach(func(u int) bool {
 		run.invokedList = append(run.invokedList, int32(u))
 		return true
 	})
 
 	// CSR adjacency (artifacts consumed per invocation) for why-provenance
-	// walks: O(invocations + used) words, built once at ingestion. counts
-	// is retained as run.usedStart; only the fill cursor is scratch.
-	counts := make([]int32, len(run.procID)+1)
+	// walks: O(invocations + used) words, built once at ingestion. Only
+	// the fill cursor is scratch.
+	run.usedStart = carve(np + 1)
 	for _, e := range run.used {
-		counts[e[0]+1]++
+		run.usedStart[e[0]+1]++
 	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
+	for i := 1; i < len(run.usedStart); i++ {
+		run.usedStart[i] += run.usedStart[i-1]
 	}
-	run.usedStart = counts
-	run.usedArt = make([]int32, len(run.used))
-	fill := sc.fill
-	if cap(fill) < len(run.procID) {
-		fill = make([]int32, len(run.procID))
-	} else {
-		fill = fill[:len(run.procID)]
-		clear(fill)
+	run.usedArt = carve(len(run.used))
+	if cap(sc.fill) < np {
+		sc.fill = make([]int32, np)
 	}
-	sc.fill = fill
+	fill := sc.fill[:np]
+	clear(fill)
 	for _, e := range run.used {
 		run.usedArt[run.usedStart[e[0]]+fill[e[0]]] = e[1]
 		fill[e[0]]++
@@ -626,9 +751,9 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, rawDoc []byte,
 		// encoding (JSON era or binary) they were written with.
 		run.doc = rawDoc
 	case legacyDocs:
-		doc, err := json.Marshal(run.wireDoc(wf))
+		doc, err := json.Marshal(run.jsonDoc(wf))
 		if err != nil {
-			return nil, errf(engine.ErrInternal, "ingest", "encode run %q: %v", w.Run, err)
+			return nil, errf(engine.ErrInternal, "ingest", "encode run %q: %v", runID, err)
 		}
 		run.doc = doc
 	default:
@@ -649,22 +774,22 @@ func traceErr(runID string, cause error) *engine.Error {
 	}
 }
 
-// wireDoc re-encodes the dense run as its normalized wire document;
+// jsonDoc re-encodes the dense run as its normalized JSON document;
 // called at build time, while the workflow is lock-protected.
-func (r *Run) wireDoc(wf *workflow.Workflow) *wireRun {
-	w := &wireRun{Run: r.id, Version: r.version}
+func (r *Run) jsonDoc(wf *workflow.Workflow) *jsonRun {
+	w := &jsonRun{Run: r.id, Version: r.version}
 	for i, id := range r.procID {
-		w.Invocations = append(w.Invocations, wireInvocation{ID: id, Task: wf.Task(int(r.procTask[i])).ID})
+		w.Invocations = append(w.Invocations, jsonInvocation{ID: id, Task: wf.Task(int(r.procTask[i])).ID})
 	}
 	for i, id := range r.artID {
-		a := wireArtifact{ID: id}
+		a := jsonArtifact{ID: id}
 		if g := r.artGen[i]; g >= 0 {
 			a.GeneratedBy = r.procID[g]
 		}
 		w.Artifacts = append(w.Artifacts, a)
 	}
 	for _, e := range r.used {
-		w.Used = append(w.Used, wireUsed{Process: r.procID[e[0]], Artifact: r.artID[e[1]]})
+		w.Used = append(w.Used, jsonUsed{Process: r.procID[e[0]], Artifact: r.artID[e[1]]})
 	}
 	return w
 }

@@ -2,14 +2,18 @@
 // encoding/json's reflective decoder dominated the ingest profile —
 // ~85% of Store.Ingest was json.Unmarshal of the incoming document —
 // and the wire formats are three tiny fixed structs, so a purpose-built
-// decoder removes the reflection entirely. Behavior is pinned to
-// encoding/json, not merely inspired by it: acceptance, rejection and
-// the decoded structs agree exactly (FuzzJSONDecodeEquivalence
-// differentially fuzzes the two decoders), including the obscure
-// corners — case-folded key matching, duplicate-key merge semantics,
-// null as leave-unchanged (but slice- and pointer-clearing), lone
-// surrogate replacement, invalid-UTF-8 replacement, and the scanner's
-// nesting cap — so swapping decoders is invisible on the wire.
+// decoder removes the reflection entirely. It materializes no strings:
+// every string value is unquoted onto the tail of a byte arena and
+// recorded as a span of it, so a document decodes with no
+// allocation once the pooled arena and slices have grown to fit.
+// Behavior is pinned to encoding/json, not merely inspired by it:
+// acceptance, rejection and the decoded values agree exactly
+// (FuzzJSONDecodeEquivalence differentially fuzzes the two decoders,
+// spans turned back into strings), including the obscure corners —
+// case-folded key matching, duplicate-key merge semantics, null as
+// leave-unchanged (but slice- and pointer-clearing), lone surrogate
+// replacement, invalid-UTF-8 replacement, and the scanner's nesting
+// cap — so swapping decoders is invisible on the wire.
 package runs
 
 import (
@@ -28,32 +32,36 @@ const jsonMaxDepth = 10000
 
 var errJSONEnd = errors.New("unexpected end of JSON input")
 
-// jdec is the decoder state: input, cursor, open-container depth, and a
-// scratch buffer backing escaped-string decodes (clean strings — no
-// escapes, no control bytes, pure ASCII — are sliced zero-copy). The
-// zero value is ready to use; pooling one (ingestScratch) reuses the
-// scratch buffer across documents.
+// jdec is the decoder state: input, cursor, open-container depth, a
+// scratch buffer backing escaped key decodes (clean keys — no escapes,
+// no control bytes, pure ASCII — are sliced zero-copy), and the arena
+// that decoded string values are appended to. The entry points set
+// arena; pooling a jdec (ingestScratch) reuses the scratch buffer
+// across documents.
 type jdec struct {
 	b     []byte
 	i     int
 	depth int
 	buf   []byte
+	arena *[]byte
 }
 
 // wireLineBufs are the pointee buffers behind a decoded wireLine's
 // pointer fields, so the per-line NDJSON decode allocates nothing. The
 // pointers aliased into the wireLine are valid until the next decode
-// with the same bufs — accumulate() copies them out line by line.
+// with the same bufs — accumulate() copies them out line by line (the
+// spans they hold index the run's arena, which outlives the line).
 type wireLineBufs struct {
 	inv  wireInvocation
 	art  wireArtifact
 	used wireUsed
 }
 
-// decodeRunDocJSON parses one JSON run document into w with the
-// decoder's scratch. Matches json.Unmarshal(doc, w) exactly.
+// decodeRunDocJSON parses one JSON run document into w, appending its
+// string values to w's arena. Matches json.Unmarshal of doc into the
+// string-field shape exactly.
 func (d *jdec) decodeRunDocJSON(w *wireRun, doc []byte) error {
-	d.b, d.i, d.depth = doc, 0, 0
+	d.b, d.i, d.depth, d.arena = doc, 0, 0, &w.arena
 	d.ws()
 	c, err := d.peek()
 	if err != nil {
@@ -75,11 +83,12 @@ func (d *jdec) decodeRunDocJSON(w *wireRun, doc []byte) error {
 	return d.end()
 }
 
-// decodeWireLineJSON parses one NDJSON record into l. Pointer fields
-// point into bufs when non-nil (the pooled path), or freshly allocated
-// structs otherwise. Matches json.Unmarshal(line, l) exactly.
-func (d *jdec) decodeWireLineJSON(l *wireLine, line []byte, bufs *wireLineBufs) error {
-	d.b, d.i, d.depth = line, 0, 0
+// decodeWireLineJSON parses one NDJSON record into l, appending its
+// string values to *arena. Pointer fields point into bufs when non-nil
+// (the pooled path), or freshly allocated structs otherwise. Matches
+// json.Unmarshal of line into the string-field shape exactly.
+func (d *jdec) decodeWireLineJSON(l *wireLine, line []byte, bufs *wireLineBufs, arena *[]byte) error {
+	d.b, d.i, d.depth, d.arena = line, 0, 0, arena
 	d.ws()
 	c, err := d.peek()
 	if err != nil {
@@ -100,6 +109,40 @@ func (d *jdec) decodeWireLineJSON(l *wireLine, line []byte, bufs *wireLineBufs) 
 	return d.end()
 }
 
+// SplitBatch frames a JSON array of run documents — the body of a batch
+// ingest — into its elements, as sub-slices of body: no element is
+// copied, so they live as long as body does. Acceptance matches
+// json.Unmarshal of body into []json.RawMessage for an array body: the
+// whole of it must be well-formed JSON (nesting cap included) with only
+// whitespace after the array, and each element comes back without its
+// surrounding whitespace.
+func SplitBatch(body []byte) ([][]byte, error) {
+	d := jdec{b: body}
+	d.ws()
+	c, err := d.peek()
+	if err != nil {
+		return nil, err
+	}
+	if c != '[' {
+		return nil, d.errInvalid(c, "looking for the beginning of a batch array")
+	}
+	docs := make([][]byte, 0, 8)
+	if err := d.array(func() error {
+		start := d.i
+		if err := d.skipValue(); err != nil {
+			return err
+		}
+		docs = append(docs, body[start:d.i:d.i])
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if err := d.end(); err != nil {
+		return nil, err
+	}
+	return docs, nil
+}
+
 // runObject decodes the wireRun object body; d.i is at '{'.
 func (d *jdec) runObject(w *wireRun) error {
 	return d.object(func(key []byte) error {
@@ -109,11 +152,11 @@ func (d *jdec) runObject(w *wireRun) error {
 		case "version":
 			return d.uintField(&w.Version)
 		case "invocations":
-			return d.invocationsField(&w.Invocations)
+			return arrayField(d, &w.Invocations, d.invocationObject, "invocations", "an invocation")
 		case "artifacts":
-			return d.artifactsField(&w.Artifacts)
+			return arrayField(d, &w.Artifacts, d.artifactObject, "artifacts", "an artifact")
 		case "used":
-			return d.usedField(&w.Used)
+			return arrayField(d, &w.Used, d.usedObject, "used", "a used")
 		}
 		// No exact match: case-folded match in struct field order, like
 		// encoding/json's fallback; then skip as an unknown field.
@@ -123,11 +166,11 @@ func (d *jdec) runObject(w *wireRun) error {
 		case foldedEq(key, "VERSION"):
 			return d.uintField(&w.Version)
 		case foldedEq(key, "INVOCATIONS"):
-			return d.invocationsField(&w.Invocations)
+			return arrayField(d, &w.Invocations, d.invocationObject, "invocations", "an invocation")
 		case foldedEq(key, "ARTIFACTS"):
-			return d.artifactsField(&w.Artifacts)
+			return arrayField(d, &w.Artifacts, d.artifactObject, "artifacts", "an artifact")
 		case foldedEq(key, "USED"):
-			return d.usedField(&w.Used)
+			return arrayField(d, &w.Used, d.usedObject, "used", "a used")
 		}
 		return d.skipValue()
 	})
@@ -135,85 +178,20 @@ func (d *jdec) runObject(w *wireRun) error {
 
 // lineObject decodes the wireLine object body; d.i is at '{'.
 func (d *jdec) lineObject(l *wireLine, bufs *wireLineBufs) error {
-	// Pointer-field decode, shared across the three record kinds: null
-	// clears the pointer; an object decodes into the existing pointee
-	// when the pointer is already set (duplicate-key merge, exactly
-	// encoding/json's indirect() reuse) or into a zeroed buffer/fresh
-	// allocation when nil.
+	var invBuf *wireInvocation
+	var artBuf *wireArtifact
+	var usedBuf *wireUsed
+	if bufs != nil {
+		invBuf, artBuf, usedBuf = &bufs.inv, &bufs.art, &bufs.used
+	}
 	inv := func() error {
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		if c == 'n' {
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-			l.Invocation = nil
-			return nil
-		}
-		if c != '{' {
-			return d.errInvalid(c, "decoding an invocation object")
-		}
-		if l.Invocation == nil {
-			if bufs != nil {
-				bufs.inv = wireInvocation{}
-				l.Invocation = &bufs.inv
-			} else {
-				l.Invocation = new(wireInvocation)
-			}
-		}
-		return d.invocationObject(l.Invocation)
+		return pointerField(d, &l.Invocation, invBuf, d.invocationObject, "an invocation")
 	}
 	art := func() error {
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		if c == 'n' {
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-			l.Artifact = nil
-			return nil
-		}
-		if c != '{' {
-			return d.errInvalid(c, "decoding an artifact object")
-		}
-		if l.Artifact == nil {
-			if bufs != nil {
-				bufs.art = wireArtifact{}
-				l.Artifact = &bufs.art
-			} else {
-				l.Artifact = new(wireArtifact)
-			}
-		}
-		return d.artifactObject(l.Artifact)
+		return pointerField(d, &l.Artifact, artBuf, d.artifactObject, "an artifact")
 	}
 	used := func() error {
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		if c == 'n' {
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-			l.Used = nil
-			return nil
-		}
-		if c != '{' {
-			return d.errInvalid(c, "decoding a used object")
-		}
-		if l.Used == nil {
-			if bufs != nil {
-				bufs.used = wireUsed{}
-				l.Used = &bufs.used
-			} else {
-				l.Used = new(wireUsed)
-			}
-		}
-		return d.usedObject(l.Used)
+		return pointerField(d, &l.Used, usedBuf, d.usedObject, "a used")
 	}
 	return d.object(func(key []byte) error {
 		switch string(key) {
@@ -240,60 +218,71 @@ func (d *jdec) lineObject(l *wireLine, bufs *wireLineBufs) error {
 	})
 }
 
+// pointerField decodes an object into *pp with obj: null clears the
+// pointer; an object decodes into the existing pointee when the pointer
+// is already set (duplicate-key merge, exactly encoding/json's
+// indirect() reuse), or else into buf, zeroed, when non-nil, or a fresh
+// allocation. elem names the object in errors.
+func pointerField[T any](d *jdec, pp **T, buf *T, obj func(*T) error, elem string) error {
+	c, err := d.peek()
+	if err != nil {
+		return err
+	}
+	if c == 'n' {
+		if err := d.literal("null"); err != nil {
+			return err
+		}
+		*pp = nil
+		return nil
+	}
+	if c != '{' {
+		return d.errInvalid(c, "decoding "+elem+" object")
+	}
+	if *pp == nil {
+		if buf == nil {
+			buf = new(T)
+		} else {
+			var zero T
+			*buf = zero
+		}
+		*pp = buf
+	}
+	return obj(*pp)
+}
+
 // invocationObject decodes one invocation object into el; d.i is at '{'.
 // el is not zeroed: reused slice elements and merged pointees keep
 // fields the JSON omits, matching encoding/json.
 func (d *jdec) invocationObject(el *wireInvocation) error {
-	return d.object(func(key []byte) error {
-		switch string(key) {
-		case "id":
-			return d.stringField(&el.ID)
-		case "task":
-			return d.stringField(&el.Task)
-		}
-		switch {
-		case foldedEq(key, "ID"):
-			return d.stringField(&el.ID)
-		case foldedEq(key, "TASK"):
-			return d.stringField(&el.Task)
-		}
-		return d.skipValue()
-	})
+	return d.pairObject(&el.ID, "id", "ID", &el.Task, "task", "TASK")
 }
 
 // artifactObject decodes one artifact object into el; d.i is at '{'.
 func (d *jdec) artifactObject(el *wireArtifact) error {
-	return d.object(func(key []byte) error {
-		switch string(key) {
-		case "id":
-			return d.stringField(&el.ID)
-		case "generated_by":
-			return d.stringField(&el.GeneratedBy)
-		}
-		switch {
-		case foldedEq(key, "ID"):
-			return d.stringField(&el.ID)
-		case foldedEq(key, "GENERATED_BY"):
-			return d.stringField(&el.GeneratedBy)
-		}
-		return d.skipValue()
-	})
+	return d.pairObject(&el.ID, "id", "ID", &el.GeneratedBy, "generated_by", "GENERATED_BY")
 }
 
 // usedObject decodes one used-edge object into el; d.i is at '{'.
 func (d *jdec) usedObject(el *wireUsed) error {
+	return d.pairObject(&el.Process, "process", "PROCESS", &el.Artifact, "artifact", "ARTIFACT")
+}
+
+// pairObject decodes an object of two string fields: key ka (folded
+// form fa) into a, key kb (fb) into b. Exact key matches win over
+// case-folded ones, as in encoding/json; other keys are skipped.
+func (d *jdec) pairObject(a *span, ka, fa string, b *span, kb, fb string) error {
 	return d.object(func(key []byte) error {
 		switch string(key) {
-		case "process":
-			return d.stringField(&el.Process)
-		case "artifact":
-			return d.stringField(&el.Artifact)
+		case ka:
+			return d.stringField(a)
+		case kb:
+			return d.stringField(b)
 		}
 		switch {
-		case foldedEq(key, "PROCESS"):
-			return d.stringField(&el.Process)
-		case foldedEq(key, "ARTIFACT"):
-			return d.stringField(&el.Artifact)
+		case foldedEq(key, fa):
+			return d.stringField(a)
+		case foldedEq(key, fb):
+			return d.stringField(b)
 		}
 		return d.skipValue()
 	})
@@ -361,8 +350,9 @@ func (d *jdec) object(field func(key []byte) error) error {
 	}
 }
 
-// stringField decodes a string value into *s; null leaves *s unchanged.
-func (d *jdec) stringField(s *string) error {
+// stringField decodes a string value onto the arena's tail and points
+// *s at it; null leaves *s unchanged.
+func (d *jdec) stringField(s *span) error {
 	c, err := d.peek()
 	if err != nil {
 		return err
@@ -371,11 +361,19 @@ func (d *jdec) stringField(s *string) error {
 	case 'n':
 		return d.literal("null")
 	case '"':
-		v, err := d.readString()
+		start, done, err := d.cleanPrefix()
 		if err != nil {
 			return err
 		}
-		*s = string(v)
+		a := *d.arena
+		off := len(a)
+		if done {
+			a = append(a, d.b[start:d.i-1]...)
+		} else if a, err = d.unquote(a, start); err != nil {
+			return err
+		}
+		*d.arena = a
+		*s = span{off, len(a)}
 		return nil
 	}
 	return d.errInvalid(c, "decoding a string field")
@@ -415,12 +413,14 @@ func (d *jdec) uintField(v *uint64) error {
 	return nil
 }
 
-// invocationsField decodes the invocations array. Null sets the slice
-// nil; a duplicate key re-decodes into the existing elements in place
-// (omitted fields keep their prior values) — both encoding/json's
-// semantics. Elements appended past the existing length start zeroed,
-// which is also what makes pooled-scratch reuse safe without clearing.
-func (d *jdec) invocationsField(sp *[]wireInvocation) error {
+// arrayField decodes a JSON array of objects into *sp, each with obj.
+// Null sets the slice nil; a duplicate key re-decodes into the existing
+// elements in place (omitted fields and null elements keep their prior
+// values) — both encoding/json's semantics. Elements appended past the
+// existing length start zeroed, which is also what makes pooled-scratch
+// reuse safe without clearing. what and elem name the array and an
+// element in errors.
+func arrayField[T any](d *jdec, sp *[]T, obj func(*T) error, what, elem string) error {
 	c, err := d.peek()
 	if err != nil {
 		return err
@@ -433,29 +433,13 @@ func (d *jdec) invocationsField(sp *[]wireInvocation) error {
 		return nil
 	}
 	if c != '[' {
-		return d.errInvalid(c, "decoding the invocations array")
+		return d.errInvalid(c, "decoding the "+what+" array")
 	}
-	if err := d.push(); err != nil {
-		return err
-	}
-	d.i++
-	d.ws()
 	old, n := *sp, 0
-	if c, err := d.peek(); err != nil {
-		return err
-	} else if c == ']' {
-		d.i++
-		d.depth--
-		if old == nil {
-			*sp = []wireInvocation{}
-		} else {
-			*sp = old[:0]
-		}
-		return nil
-	}
-	for {
+	if err := d.array(func() error {
 		if n == len(old) {
-			old = append(old, wireInvocation{})
+			var zero T
+			old = append(old, zero)
 		}
 		c, err := d.peek()
 		if err != nil {
@@ -463,97 +447,50 @@ func (d *jdec) invocationsField(sp *[]wireInvocation) error {
 		}
 		switch c {
 		case 'n':
-			// Null element: the element keeps its value (zero when fresh,
-			// prior value when a duplicate key reuses it).
 			if err := d.literal("null"); err != nil {
 				return err
 			}
 		case '{':
-			if err := d.invocationObject(&old[n]); err != nil {
+			if err := obj(&old[n]); err != nil {
 				return err
 			}
 		default:
-			return d.errInvalid(c, "decoding an invocation object")
+			return d.errInvalid(c, "decoding "+elem+" object")
 		}
 		n++
-		d.ws()
-		c, err = d.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			d.i++
-			d.ws()
-		case ']':
-			d.i++
-			d.depth--
-			*sp = old[:n]
-			return nil
-		default:
-			return d.errInvalid(c, "after array element")
-		}
+		return nil
+	}); err != nil {
+		return err
 	}
+	if old == nil {
+		old = []T{} // [] decodes to an empty, non-nil slice
+	}
+	*sp = old[:n]
+	return nil
 }
 
-// artifactsField decodes the artifacts array; semantics as
-// invocationsField.
-func (d *jdec) artifactsField(sp *[]wireArtifact) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*sp = nil
-		return nil
-	}
-	if c != '[' {
-		return d.errInvalid(c, "decoding the artifacts array")
-	}
+// array drives one [...] body: depth accounting and comma discipline.
+// elem is called with the cursor on each element and must consume
+// exactly that element.
+func (d *jdec) array(elem func() error) error {
 	if err := d.push(); err != nil {
 		return err
 	}
-	d.i++
+	d.i++ // '['
 	d.ws()
-	old, n := *sp, 0
 	if c, err := d.peek(); err != nil {
 		return err
 	} else if c == ']' {
 		d.i++
 		d.depth--
-		if old == nil {
-			*sp = []wireArtifact{}
-		} else {
-			*sp = old[:0]
-		}
 		return nil
 	}
 	for {
-		if n == len(old) {
-			old = append(old, wireArtifact{})
-		}
-		c, err := d.peek()
-		if err != nil {
+		if err := elem(); err != nil {
 			return err
 		}
-		switch c {
-		case 'n':
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-		case '{':
-			if err := d.artifactObject(&old[n]); err != nil {
-				return err
-			}
-		default:
-			return d.errInvalid(c, "decoding an artifact object")
-		}
-		n++
 		d.ws()
-		c, err = d.peek()
+		c, err := d.peek()
 		if err != nil {
 			return err
 		}
@@ -564,82 +501,6 @@ func (d *jdec) artifactsField(sp *[]wireArtifact) error {
 		case ']':
 			d.i++
 			d.depth--
-			*sp = old[:n]
-			return nil
-		default:
-			return d.errInvalid(c, "after array element")
-		}
-	}
-}
-
-// usedField decodes the used array; semantics as invocationsField.
-func (d *jdec) usedField(sp *[]wireUsed) error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	if c == 'n' {
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		*sp = nil
-		return nil
-	}
-	if c != '[' {
-		return d.errInvalid(c, "decoding the used array")
-	}
-	if err := d.push(); err != nil {
-		return err
-	}
-	d.i++
-	d.ws()
-	old, n := *sp, 0
-	if c, err := d.peek(); err != nil {
-		return err
-	} else if c == ']' {
-		d.i++
-		d.depth--
-		if old == nil {
-			*sp = []wireUsed{}
-		} else {
-			*sp = old[:0]
-		}
-		return nil
-	}
-	for {
-		if n == len(old) {
-			old = append(old, wireUsed{})
-		}
-		c, err := d.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case 'n':
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-		case '{':
-			if err := d.usedObject(&old[n]); err != nil {
-				return err
-			}
-		default:
-			return d.errInvalid(c, "decoding a used object")
-		}
-		n++
-		d.ws()
-		c, err = d.peek()
-		if err != nil {
-			return err
-		}
-		switch c {
-		case ',':
-			d.i++
-			d.ws()
-		case ']':
-			d.i++
-			d.depth--
-			*sp = old[:n]
 			return nil
 		default:
 			return d.errInvalid(c, "after array element")
@@ -672,81 +533,70 @@ func (d *jdec) skipValue() error {
 	case c == '{':
 		return d.object(func([]byte) error { return d.skipValue() })
 	case c == '[':
-		if err := d.push(); err != nil {
-			return err
-		}
-		d.i++
-		d.ws()
-		if c, err := d.peek(); err != nil {
-			return err
-		} else if c == ']' {
-			d.i++
-			d.depth--
-			return nil
-		}
-		for {
-			if err := d.skipValue(); err != nil {
-				return err
-			}
-			d.ws()
-			c, err := d.peek()
-			if err != nil {
-				return err
-			}
-			switch c {
-			case ',':
-				d.i++
-				d.ws()
-			case ']':
-				d.i++
-				d.depth--
-				return nil
-			default:
-				return d.errInvalid(c, "after array element")
-			}
-		}
+		return d.array(d.skipValue)
 	}
 	return d.errInvalid(c, "looking for beginning of value")
 }
 
-// readString decodes the string at d.i (which must be '"'), returning
-// its bytes. Clean ASCII is sliced zero-copy out of the input; escapes,
-// control-byte errors, and non-ASCII (which may need invalid-UTF-8
-// replacement) take the scratch-buffer slow path. The returned slice is
-// valid only until the next readString.
+// readString decodes the string at d.i (which must be '"') for
+// transient use (object keys, skipped values), returning its bytes.
+// Clean ASCII is sliced zero-copy out of the input; escapes and
+// non-ASCII (which may need invalid-UTF-8 replacement) are unquoted
+// into the scratch buffer. The returned slice is valid only until the
+// next readString.
 func (d *jdec) readString() ([]byte, error) {
+	start, done, err := d.cleanPrefix()
+	switch {
+	case err != nil:
+		return nil, err
+	case done:
+		return d.b[start : d.i-1], nil
+	}
+	buf, err := d.unquote(d.buf[:0], start)
+	if err != nil {
+		return nil, err
+	}
+	d.buf = buf
+	return buf, nil
+}
+
+// cleanPrefix advances over the string opened at d.i ('"') for as long
+// as its bytes need no unquoting, and returns the index of its first
+// content byte. done reports that the closing quote was reached (d.i is
+// then just past it); otherwise d.i rests on the first escape or
+// non-ASCII byte. Control bytes are rejected.
+func (d *jdec) cleanPrefix() (start int, done bool, err error) {
 	d.i++
-	start := d.i
+	start = d.i
 	for d.i < len(d.b) {
 		c := d.b[d.i]
 		if c == '"' {
-			s := d.b[start:d.i]
 			d.i++
-			return s, nil
+			return start, true, nil
 		}
 		if c == '\\' || c >= utf8.RuneSelf {
-			return d.readStringSlow(start)
+			return start, false, nil
 		}
 		if c < 0x20 {
-			return nil, d.errInvalid(c, "in string literal")
+			return start, false, d.errInvalid(c, "in string literal")
 		}
 		d.i++
 	}
-	return nil, errJSONEnd
+	return start, false, errJSONEnd
 }
 
-// readStringSlow finishes a string decode that needs byte processing,
-// mirroring encoding/json's unquote: escape table, \u with UTF-16
+// unquote finishes a string decode that needs byte processing, appending
+// the string's bytes from start onward to dst and returning it. It
+// mirrors encoding/json's unquote: escape table, \u with UTF-16
 // surrogate pairing (lone surrogates become U+FFFD without error), and
 // invalid raw UTF-8 replaced with U+FFFD.
-func (d *jdec) readStringSlow(start int) ([]byte, error) {
-	buf := append(d.buf[:0], d.b[start:d.i]...)
+func (d *jdec) unquote(dst []byte, start int) ([]byte, error) {
+	buf := append(dst, d.b[start:d.i]...)
 	for d.i < len(d.b) {
 		c := d.b[d.i]
 		switch {
 		case c == '"':
 			d.i++
-			d.buf = buf
 			return buf, nil
 		case c == '\\':
 			d.i++

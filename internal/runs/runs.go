@@ -187,14 +187,18 @@ type Run struct {
 	// instead of scanning an O(n) closure row per query.
 	invokedList []int32
 
-	doc []byte // canonical JSON document (journal, snapshots, export)
+	// doc is the canonical document (journal, snapshots, export): binary
+	// (bindoc.go) unless a legacy-docs store wrote it as JSON or it was
+	// restored from a JSON-era data dir.
+	doc []byte
 }
 
 // ID returns the run ID.
 func (r *Run) ID() string { return r.id }
 
-// Doc returns the canonical JSON document of the run. Shared; do not
-// mutate.
+// Doc returns the canonical document of the run: binary (docBinV1)
+// unless written by a WithLegacyJSONDocs store or restored from JSON-era
+// state, which stay JSON. Shared; do not mutate.
 func (r *Run) Doc() []byte { return r.doc }
 
 // RunInfo is the wire metadata of one ingested run.
@@ -356,9 +360,9 @@ func (s *Store) SnapshotRuns(workflowID string) (ids []string, docs [][]byte) {
 // which the replayer tolerates.
 func (s *Store) RestoreRun(workflowID, runID string, doc []byte) error {
 	sc := scratchPool.Get().(*ingestScratch)
-	defer scratchPool.Put(sc)
+	defer func() { scratchPool.Put(sc.trim()) }()
 	w := sc.wire()
-	if err := decodeRunDocInto(w, doc); err != nil {
+	if err := sc.decodeDoc(w, doc); err != nil {
 		return errf(engine.ErrInvalidTrace, "restore", "run %q of workflow %q: %v", runID, workflowID, err)
 	}
 	// The recovered document is already canonical: retain its bytes
@@ -366,8 +370,8 @@ func (s *Store) RestoreRun(workflowID, runID string, doc []byte) error {
 	// and WAL record derived from it later — is byte-identical to the
 	// pre-crash one, whichever encoding it was written with.
 	raw := doc
-	if w.Run == "" {
-		w.Run = runID // pre-canonical document: re-encode below instead
+	if w.Run.len() == 0 {
+		w.Run = w.put([]byte(runID)) // pre-canonical document: re-encode below instead
 		raw = nil
 	}
 	ctx := context.Background() //lint:allow ctxpass replay of durable state: journaling is off, nothing downstream to trace or cancel

@@ -160,16 +160,13 @@ func (s *Server) handleRunIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		// A JSON array is a batch of run documents: validated
 		// all-or-nothing and journaled as one group-commit burst.
+		// Its elements are framed as sub-slices of the body, not copied.
 		if body := bytes.TrimLeft(raw, " \t\r\n"); len(body) > 0 && body[0] == '[' {
-			var docs []json.RawMessage
-			if jerr := json.Unmarshal(body, &docs); jerr != nil {
+			batch, jerr := runs.SplitBatch(body)
+			if jerr != nil {
 				writeError(w, &engine.Error{Code: engine.ErrInvalidTrace, Op: "ingest",
 					Message: "malformed run document batch: " + jerr.Error(), Err: jerr})
 				return
-			}
-			batch := make([][]byte, len(docs))
-			for i, d := range docs {
-				batch[i] = d
 			}
 			infos, berr := s.runs.IngestBatchCtx(r.Context(), id, batch)
 			if berr != nil {

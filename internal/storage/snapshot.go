@@ -28,11 +28,17 @@ type snapshotView struct {
 // kind ('{' vs '"'), so decoding needs no version field.
 type docBytes []byte
 
+// MarshalJSON quotes the base64 encoding directly: the standard
+// alphabet needs no JSON escaping, so the bytes equal json.Marshal of
+// the encoded string without its two intermediate copies.
 func (d docBytes) MarshalJSON() ([]byte, error) {
 	if len(d) > 0 && d[0] == '{' {
 		return d, nil
 	}
-	return json.Marshal(base64.StdEncoding.EncodeToString(d))
+	out := make([]byte, 0, base64.StdEncoding.EncodedLen(len(d))+2)
+	out = append(out, '"')
+	out = base64.StdEncoding.AppendEncode(out, d)
+	return append(out, '"'), nil
 }
 
 func (d *docBytes) UnmarshalJSON(b []byte) error {

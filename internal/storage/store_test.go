@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -1014,5 +1015,162 @@ func TestIngestVsReRegisterRecovers(t *testing.T) {
 	}
 	if got := recovered.IDs(); len(got) != 1 || got[0] != "wf" {
 		t.Fatalf("recovered IDs = %v", got)
+	}
+}
+
+// legacyDocBytes is docBytes as it was encoded before the quoted base64
+// was appended directly: EncodeToString, then json.Marshal of the
+// string, and the mirror-image decode.
+type legacyDocBytes []byte
+
+func (d legacyDocBytes) MarshalJSON() ([]byte, error) {
+	if len(d) > 0 && d[0] == '{' {
+		return d, nil
+	}
+	return json.Marshal(base64.StdEncoding.EncodeToString(d))
+}
+
+func (d *legacyDocBytes) UnmarshalJSON(b []byte) error {
+	if len(b) > 0 && b[0] == '"' {
+		var s string
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+		raw, err := base64.StdEncoding.DecodeString(s)
+		if err != nil {
+			return err
+		}
+		*d = raw
+		return nil
+	}
+	*d = append([]byte(nil), b...)
+	return nil
+}
+
+// legacySnapshotDoc is snapshotDoc over legacyDocBytes.
+type legacySnapshotDoc struct {
+	LSN      uint64          `json:"lsn"`
+	ID       string          `json:"id"`
+	Version  uint64          `json:"version"`
+	Workflow json.RawMessage `json:"workflow"`
+	Views    []snapshotView  `json:"views,omitempty"`
+	Runs     []struct {
+		ID  string         `json:"id"`
+		Doc legacyDocBytes `json:"doc"`
+	} `json:"runs,omitempty"`
+}
+
+// TestSnapshotDocBytesMatchLegacyEncoding pins the snapshot run-document
+// encoding byte for byte to the json.Marshal-of-a-base64-string form it
+// replaced: the snapshot files a durable store writes re-encode
+// identically through the legacy shape, synthetic documents of every
+// length and both eras encode identically, and decoding returns the
+// original bytes.
+func TestSnapshotDocBytesMatchLegacyEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	doc := &snapshotDoc{LSN: 9, ID: "wf", Version: 3, Workflow: json.RawMessage(`{"name":"w"}`)}
+	for n := 0; n < 40; n++ {
+		b := make([]byte, n)
+		rng.Read(b)
+		if n > 0 && b[0] == '{' {
+			b[0] = 0xD1 // a JSON-era document is tested below
+		}
+		doc.Runs = append(doc.Runs, snapshotRun{ID: fmt.Sprint("r", n), Doc: b})
+	}
+	doc.Runs = append(doc.Runs, snapshotRun{ID: "json-era", Doc: docBytes(`{"run":"json-era","artifacts":[{"id":"a"}]}`)})
+	got, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy legacySnapshotDoc
+	if err := json.Unmarshal(got, &legacy); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("snapshot encoding diverges from the legacy form:\n got: %s\nwant: %s", got, want)
+	}
+	var back snapshotDoc
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range doc.Runs {
+		if string(back.Runs[i].Doc) != string(r.Doc) || string(legacy.Runs[i].Doc) != string(r.Doc) {
+			t.Fatalf("run %s: document did not round-trip", r.ID)
+		}
+	}
+
+	// Escaped base64 (a JSON writer may spell '/' as "\/" or any byte as
+	// \u00XX) decodes to the same bytes; broken base64 fails.
+	raw := []byte{0xD1, 0xff, 0xfe, 0x3f, 0xfc, 0x00}
+	enc := base64.StdEncoding.EncodeToString(raw)
+	for _, quoted := range []string{
+		`"` + enc + `"`,
+		`"` + strings.ReplaceAll(enc, "/", `\/`) + `"`,
+		`"\u00` + fmt.Sprintf("%x", enc[0]) + enc[1:] + `"`,
+	} {
+		var d docBytes
+		if err := json.Unmarshal([]byte(quoted), &d); err != nil || string(d) != string(raw) {
+			t.Fatalf("decode %s = %x, %v; want %x", quoted, []byte(d), err, raw)
+		}
+	}
+	for _, bad := range []string{`"@@@@"`, `"QUJ"`, "\"\xff\xfe\""} {
+		var d docBytes
+		if err := json.Unmarshal([]byte(bad), &d); err == nil {
+			t.Fatalf("broken base64 %q decoded to %x", bad, []byte(d))
+		}
+	}
+
+	// Real snapshot files: a durable store with runs writes them, and
+	// each re-encodes byte-identically through the legacy shape.
+	dir := t.TempDir()
+	opts := testOpts()
+	opts.SnapshotEvery = 4
+	st, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newMutationWorkload(t, 64, 16, 15)
+	reg := engine.NewRegistry(engine.New(), engine.WithJournal(st))
+	rs := runs.New(reg, runs.WithJournal(st))
+	st.SetRunProvider(rs)
+	w.register(t, reg, "wf")
+	for i := 0; i < 12; i++ {
+		id, d := w.runDoc(i)
+		if _, err := rs.Ingest("wf", d); err != nil {
+			t.Fatalf("ingest %s: %v", id, err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "snap-*.json"))
+	if len(files) == 0 {
+		t.Fatal("no snapshot written")
+	}
+	withRuns := 0
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var l legacySnapshotDoc
+		if err := json.Unmarshal(data, &l); err != nil {
+			t.Fatal(err)
+		}
+		withRuns += len(l.Runs)
+		re, err := json.Marshal(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(re) != string(data) {
+			t.Fatalf("%s differs from its legacy re-encoding", f)
+		}
+	}
+	if withRuns == 0 {
+		t.Fatal("no snapshot embeds a run document")
 	}
 }

@@ -174,6 +174,13 @@ func (w *Workflow) Index(id string) (int, bool) {
 	return i, ok
 }
 
+// IndexBytes is Index for an ID held as bytes; the lookup materializes
+// no string.
+func (w *Workflow) IndexBytes(id []byte) (int, bool) {
+	i, ok := w.index[string(id)]
+	return i, ok
+}
+
 // MustIndex is Index for callers holding validated IDs.
 func (w *Workflow) MustIndex(id string) int {
 	i, ok := w.index[id]
