@@ -48,6 +48,115 @@ func New(n int) *Graph {
 	}
 }
 
+// Build returns the graph over n nodes holding the edges
+// edges[2k]→edges[2k+1], inserted in order as successive AddEdge calls
+// would insert them: a repeated edge collapses onto its first
+// occurrence, and successor and predecessor lists keep insertion order.
+// Endpoints must lie in [0, n) and differ; callers validate them first
+// (Build panics otherwise).
+//
+// Every successor list is carved out of one slab, every predecessor
+// list out of another, and the sorted mirrors out of a third, each
+// capped with a full slice expression: a later AddEdge reallocates the
+// one list it grows and never writes over its neighbour's. So a build
+// allocates a fixed number of objects whatever the edge count.
+func Build(n int, edges []int32) *Graph {
+	g := New(n)
+	if len(edges) == 0 {
+		return g
+	}
+	// off[u] is where u's successors start in succ; end[u] is one past
+	// its last, moving down as the fill below walks the edges backwards.
+	off := make([]int32, n+1)
+	for k := 0; k < len(edges); k += 2 {
+		u, v := edges[k], edges[k+1]
+		if u < 0 || v < 0 || int(u) >= n || int(v) >= n || u == v {
+			panic(fmt.Sprintf("dag: Build edge %d→%d invalid in a %d-node graph", u, v, n))
+		}
+		off[u+1]++
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	succ := make([]int32, len(edges)/2)
+	end := make([]int32, n)
+	copy(end, off[1:])
+	for k := len(edges) - 2; k >= 0; k -= 2 {
+		u := edges[k]
+		end[u]--
+		succ[end[u]] = edges[k+1]
+	}
+	// Mark repeats -1, walking each list forward: seen[v] == u+1 once v
+	// is in u's list. Survivors count towards their target's in-degree.
+	seen, pend := end, make([]int32, n)
+	clear(seen)
+	for u := 0; u < n; u++ {
+		for i := off[u]; i < off[u+1]; i++ {
+			v := succ[i]
+			if seen[v] == int32(u)+1 {
+				succ[i] = -1
+				continue
+			}
+			seen[v] = int32(u) + 1
+			pend[v]++
+			g.m++
+		}
+	}
+	for v := 1; v < n; v++ {
+		pend[v] += pend[v-1]
+	}
+	// Predecessors in insertion order: walk the edges backwards again,
+	// filling each list from its end, so pend[v] ends at v's start.
+	pred := make([]int32, g.m)
+	cur := end
+	copy(cur, off[1:])
+	for k := len(edges) - 2; k >= 0; k -= 2 {
+		u := edges[k]
+		cur[u]--
+		if v := succ[cur[u]]; v >= 0 {
+			pend[v]--
+			pred[pend[v]] = u
+		}
+	}
+	for v := 0; v < n; v++ {
+		hi := int32(len(pred))
+		if v+1 < n {
+			hi = pend[v+1]
+		}
+		if lo := pend[v]; hi > lo {
+			g.preds[v] = pred[lo:hi:hi]
+		}
+	}
+	mirrored := 0
+	for u := 0; u < n; u++ {
+		lo, k := off[u], off[u]
+		for _, v := range succ[off[u]:off[u+1]] {
+			if v >= 0 {
+				succ[k] = v
+				k++
+			}
+		}
+		if k > lo {
+			g.succs[u] = succ[lo:k:k]
+		}
+		if int(k-lo) >= mirrorMinDeg {
+			mirrored += int(k - lo)
+		}
+	}
+	if mirrored > 0 {
+		mirror := make([]int32, 0, mirrored)
+		for u := 0; u < n; u++ {
+			if s := g.succs[u]; len(s) >= mirrorMinDeg {
+				lo := len(mirror)
+				mirror = append(mirror, s...)
+				slices.Sort(mirror[lo:])
+				g.sorted[u] = mirror[lo:len(mirror):len(mirror)]
+			}
+		}
+	}
+	return g
+}
+
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
@@ -418,12 +527,13 @@ const maxDenseQuotientBits = 1 << 26
 // Quotient builds the quotient graph induced by the partition partOf,
 // where partOf[u] ∈ [0,k) names u's block. Inter-block multi-edges are
 // collapsed; intra-block edges are dropped. The quotient of a DAG may be
-// cyclic; callers diagnose that with SCC or TopoOrder.
+// cyclic; callers diagnose that with SCC or TopoOrder. The block edges
+// are collected in order and built in bulk (Build), so a quotient
+// allocates a fixed number of objects whatever its size.
 func (g *Graph) Quotient(partOf []int, k int) (*Graph, error) {
 	if len(partOf) != g.n {
 		return nil, fmt.Errorf("dag: partition has %d entries, graph has %d nodes", len(partOf), g.n)
 	}
-	q := New(k)
 	// Dedup inter-block edges with a flat k×k bitset (one allocation,
 	// O(1) membership) instead of a map keyed by bu*k+bv.
 	var seenBits *bitset.Set
@@ -433,6 +543,7 @@ func (g *Graph) Quotient(partOf []int, k int) (*Graph, error) {
 	} else {
 		seenMap = make(map[int64]bool, g.m)
 	}
+	var edges []int32
 	for u := 0; u < g.n; u++ {
 		bu := partOf[u]
 		if bu < 0 || bu >= k {
@@ -459,10 +570,13 @@ func (g *Graph) Quotient(partOf []int, k int) (*Graph, error) {
 				}
 				seenMap[key] = true
 			}
-			q.addEdgeUnchecked(bu, bv)
+			if edges == nil {
+				edges = make([]int32, 0, 2*min(g.m, k*k))
+			}
+			edges = append(edges, int32(bu), int32(bv))
 		}
 	}
-	return q, nil
+	return Build(k, edges), nil
 }
 
 // TransitiveReduction returns a copy of g with every edge u→v removed

@@ -257,13 +257,14 @@ func TestScratchPoolCapsArena(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		sc := scratchPool.Get().(*ingestScratch)
 		drained = append(drained, sc)
-		if cap(sc.w.arena) > scratchKeep || cap(sc.jd.buf) > scratchKeep ||
+		refs, unquote := sc.jd.Holds()
+		if cap(sc.w.arena) > scratchKeep || unquote > scratchKeep ||
 			cap(sc.spill) > scratchKeep || cap(sc.enc) > scratchKeep {
 			t.Fatalf("pooled scratch keeps arena %d, unquote %d, spill %d, encode %d bytes; cap %d",
-				cap(sc.w.arena), cap(sc.jd.buf), cap(sc.spill), cap(sc.enc), scratchKeep)
+				cap(sc.w.arena), unquote, cap(sc.spill), cap(sc.enc), scratchKeep)
 		}
-		if sc.jd.b != nil || sc.jd.arena != nil {
-			t.Fatalf("pooled scratch still references a decoded input (%d bytes) or arena", len(sc.jd.b))
+		if refs {
+			t.Fatal("pooled scratch still references a decoded input or arena")
 		}
 	}
 }

@@ -2,7 +2,8 @@ package runs
 
 import (
 	"strconv"
-	"unicode/utf8"
+
+	"wolves/internal/jsonwire"
 )
 
 // This file is the allocation-free wire encoder for lineage answers.
@@ -12,63 +13,6 @@ import (
 // string cases) — while appending into a caller-owned buffer so the
 // serve path never round-trips through reflection or an intermediate
 // []byte per response.
-
-const jsonHex = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal with the exact
-// escaping rules of encoding/json's default (HTML-escaping) encoder:
-// `"`/`\`/control bytes escaped, `<` `>` `&` as \u00xx, invalid UTF-8
-// as �, and U+2028/U+2029 escaped for JSONP safety.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', jsonHex[b>>4], jsonHex[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', jsonHex[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
 
 // appendStringArray appends xs as a JSON array of strings; a nil slice
 // encodes as null, matching encoding/json.
@@ -81,7 +25,7 @@ func appendStringArray(dst []byte, xs []string) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONString(dst, x)
+		dst = jsonwire.AppendString(dst, x)
 	}
 	return append(dst, ']')
 }
@@ -97,19 +41,19 @@ func appendBool(dst []byte, b bool) []byte {
 // extended buffer. The output is byte-identical to json.Marshal(a).
 func (a *Answer) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"workflow":`...)
-	dst = appendJSONString(dst, a.Workflow)
+	dst = jsonwire.AppendString(dst, a.Workflow)
 	dst = append(dst, `,"run":`...)
-	dst = appendJSONString(dst, a.Run)
+	dst = jsonwire.AppendString(dst, a.Run)
 	dst = append(dst, `,"artifact":`...)
-	dst = appendJSONString(dst, a.Artifact)
+	dst = jsonwire.AppendString(dst, a.Artifact)
 	if a.Producer != "" {
 		dst = append(dst, `,"producer":`...)
-		dst = appendJSONString(dst, a.Producer)
+		dst = jsonwire.AppendString(dst, a.Producer)
 	}
 	dst = append(dst, `,"level":`...)
-	dst = appendJSONString(dst, a.Level)
+	dst = jsonwire.AppendString(dst, a.Level)
 	dst = append(dst, `,"direction":`...)
-	dst = appendJSONString(dst, a.Direction)
+	dst = jsonwire.AppendString(dst, a.Direction)
 	dst = append(dst, `,"version":`...)
 	dst = strconv.AppendUint(dst, a.Version, 10)
 	dst = append(dst, `,"tasks":`...)
@@ -118,7 +62,7 @@ func (a *Answer) AppendJSON(dst []byte) []byte {
 	dst = appendStringArray(dst, a.Artifacts)
 	if a.View != "" {
 		dst = append(dst, `,"view":`...)
-		dst = appendJSONString(dst, a.View)
+		dst = jsonwire.AppendString(dst, a.View)
 	}
 	if a.ViewSound != nil {
 		dst = append(dst, `,"view_sound":`...)
@@ -152,11 +96,11 @@ func (a *Answer) AppendJSON(dst []byte) []byte {
 			}
 			e := &a.Witness[i]
 			dst = append(dst, `{"relation":`...)
-			dst = appendJSONString(dst, e.Relation)
+			dst = jsonwire.AppendString(dst, e.Relation)
 			dst = append(dst, `,"process":`...)
-			dst = appendJSONString(dst, e.Process)
+			dst = jsonwire.AppendString(dst, e.Process)
 			dst = append(dst, `,"artifact":`...)
-			dst = appendJSONString(dst, e.Artifact)
+			dst = jsonwire.AppendString(dst, e.Artifact)
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')

@@ -14,6 +14,7 @@ import (
 
 	"wolves/internal/bitset"
 	"wolves/internal/engine"
+	"wolves/internal/jsonwire"
 	"wolves/internal/obs"
 	"wolves/internal/workflow"
 )
@@ -36,10 +37,8 @@ import (
 // allocates a fixed number of objects whatever its record count, and a
 // sustained NDJSON firehose does not churn the heap per document.
 
-// span locates one decoded string in its run's arena: arena[off:end].
-type span struct{ off, end int }
-
-func (s span) len() int { return s.end - s.off }
+// span locates one decoded string in its run's arena.
+type span = jsonwire.Span
 
 // wireInvocation is one process of the trace: an invocation of a
 // workflow task.
@@ -80,7 +79,7 @@ type wireRun struct {
 }
 
 // bytes returns the bytes of s, valid until the arena is reset.
-func (w *wireRun) bytes(s span) []byte { return w.arena[s.off:s.end:s.end] }
+func (w *wireRun) bytes(s span) []byte { return w.arena[s.Off:s.End:s.End] }
 
 // str materializes s as a string — for error messages and tests.
 func (w *wireRun) str(s span) string { return string(w.bytes(s)) }
@@ -89,7 +88,7 @@ func (w *wireRun) str(s span) string { return string(w.bytes(s)) }
 func (w *wireRun) put(b []byte) span {
 	off := len(w.arena)
 	w.arena = append(w.arena, b...)
-	return span{off, len(w.arena)}
+	return span{Off: off, End: len(w.arena)}
 }
 
 // jsonRun is the JSON document shape of one run, with string fields: the
@@ -134,7 +133,7 @@ const (
 	// unquote buffer, NDJSON spill, encode buffer) the scratch pool
 	// retains: a rare multi-megabyte document or line must not pin its
 	// buffers forever.
-	scratchKeep = 1 << 20
+	scratchKeep = jsonwire.ScratchKeep
 )
 
 // ingestScratch recycles the per-ingest working set: the decoded wire
@@ -145,7 +144,7 @@ const (
 type ingestScratch struct {
 	w        wireRun
 	line     wireLine
-	jd       jdec
+	jd       jsonwire.Decoder
 	lineBufs wireLineBufs
 	// procIdx maps process references to their dense invocation index;
 	// its keys are slices of the Run's retained ID string (explicit
@@ -174,31 +173,29 @@ func (sc *ingestScratch) trim() *ingestScratch {
 	if cap(sc.w.arena) > scratchKeep {
 		sc.w.arena = nil
 	}
-	if cap(sc.jd.buf) > scratchKeep {
-		sc.jd.buf = nil
-	}
 	if cap(sc.spill) > scratchKeep {
 		sc.spill = nil
 	}
 	if cap(sc.enc) > scratchKeep {
 		sc.enc = nil
 	}
-	sc.jd.b, sc.jd.arena = nil, nil
+	sc.jd.Release()
 	sc.br.Reset(nil)
 	return sc
 }
 
 // wire resets and returns the scratch's wire run, keeping the capacities
-// of previous decodes so the backing arrays are reused. Only the lengths
-// are reset: both decoders write every field of an element they emit
-// past the reset length (the JSON decoder appends explicit zero elements
-// before filling them, the binary decoder appends full composite
-// literals), so nothing stale from a previous document can leak through.
+// of previous decodes so the backing arrays are reused. The slices come
+// back cleared of what the previous document wrote (jsonwire.Reuse): the
+// JSON decoder re-exposes slots past the length as encoding/json does,
+// and nothing stale from a previous document may show through them. A
+// slice an outsized document grew past jsonwire.SliceKeep bytes is
+// dropped here, at the scratch's next document.
 func (sc *ingestScratch) wire() *wireRun {
 	sc.w = wireRun{
-		Invocations: sc.w.Invocations[:0],
-		Artifacts:   sc.w.Artifacts[:0],
-		Used:        sc.w.Used[:0],
+		Invocations: jsonwire.Reuse(sc.w.Invocations),
+		Artifacts:   jsonwire.Reuse(sc.w.Artifacts),
+		Used:        jsonwire.Reuse(sc.w.Used),
 		arena:       sc.w.arena[:0],
 	}
 	return &sc.w
@@ -213,7 +210,7 @@ func (sc *ingestScratch) decodeDoc(w *wireRun, doc []byte) error {
 	// A document's strings never outgrow it by much; one growth up front
 	// spares a cold arena its doubling steps.
 	w.arena = slices.Grow(w.arena, len(doc))
-	return sc.jd.decodeRunDocJSON(w, doc)
+	return decodeRunDocJSON(&sc.jd, w, doc)
 }
 
 // Ingest validates and stores one run document for workflowID,
@@ -292,7 +289,7 @@ func (s *Store) IngestNDJSONCtx(ctx context.Context, workflowID string, r io.Rea
 		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			lineNo++
 			sc.line = wireLine{}
-			if jerr := sc.jd.decodeWireLineJSON(&sc.line, trimmed, &sc.lineBufs, &w.arena); jerr != nil {
+			if jerr := decodeWireLineJSON(&sc.jd, &sc.line, trimmed, &sc.lineBufs, &w.arena); jerr != nil {
 				if torn {
 					return nil, errf(engine.ErrInvalidTrace, "ingest",
 						"NDJSON stream ends with a torn record at line %d: %v", lineNo, jerr)
@@ -313,9 +310,9 @@ func (s *Store) IngestNDJSONCtx(ctx context.Context, workflowID string, r io.Rea
 // accumulate folds one NDJSON record into the run under construction.
 func accumulate(w *wireRun, rec *wireLine, lineNo int) *engine.Error {
 	set := 0
-	if rec.Run.len() > 0 {
+	if rec.Run.Len() > 0 {
 		set++
-		if w.Run.len() > 0 && !bytes.Equal(w.bytes(w.Run), w.bytes(rec.Run)) {
+		if w.Run.Len() > 0 && !bytes.Equal(w.bytes(w.Run), w.bytes(rec.Run)) {
 			return errf(engine.ErrInvalidTrace, "ingest",
 				"NDJSON line %d: run id %q conflicts with %q", lineNo, w.bytes(rec.Run), w.bytes(w.Run))
 		}
@@ -364,7 +361,7 @@ func (s *Store) ingestWire(ctx context.Context, workflowID string, w *wireRun, j
 			return nil, wrapErr("ingest", gerr)
 		}
 	}
-	if w.Run.len() == 0 {
+	if w.Run.Len() == 0 {
 		return nil, errf(engine.ErrInvalidTrace, "ingest", "run document missing run id")
 	}
 	if len(w.Artifacts) == 0 && len(w.Invocations) == 0 {
@@ -484,7 +481,7 @@ func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]
 				return errf(engine.ErrInvalidTrace, "ingest",
 					"batch document %d: malformed run document: %v", i, derr)
 			}
-			if w.Run.len() == 0 {
+			if w.Run.Len() == 0 {
 				return errf(engine.ErrInvalidTrace, "ingest",
 					"batch document %d: run document missing run id", i)
 			}
@@ -563,10 +560,10 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, rawDoc []byte,
 	var sb strings.Builder
 	size := 0
 	for _, inv := range w.Invocations {
-		size += inv.ID.len()
+		size += inv.ID.Len()
 	}
 	for _, a := range w.Artifacts {
-		size += a.ID.len()
+		size += a.ID.Len()
 	}
 	sb.Grow(size)
 	for _, inv := range w.Invocations {
@@ -579,8 +576,8 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, rawDoc []byte,
 	// nextID hands out the consecutive slices of ids.
 	off := 0
 	nextID := func(s span) string {
-		id := ids[off : off+s.len()]
-		off += s.len()
+		id := ids[off : off+s.Len()]
+		off += s.Len()
 		return id
 	}
 
@@ -657,7 +654,7 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, rawDoc []byte,
 				"run %q: duplicate artifact id %q", runID, id)
 		}
 		gen := int32(-1)
-		if a.GeneratedBy.len() > 0 {
+		if a.GeneratedBy.Len() > 0 {
 			pi, gerr := resolve(a.GeneratedBy, "artifact %q generated_by", a.ID)
 			if gerr != nil {
 				return nil, gerr

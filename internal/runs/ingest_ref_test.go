@@ -15,6 +15,7 @@ import (
 	"wolves/internal/binwire"
 	"wolves/internal/bitset"
 	"wolves/internal/engine"
+	"wolves/internal/jsonwire/jsonwiretest"
 	"wolves/internal/workflow"
 )
 
@@ -696,7 +697,7 @@ func TestIngestMatchesStringReference(t *testing.T) {
 	if accepted < 150 {
 		t.Fatalf("only %d of 1500 random documents accepted", accepted)
 	}
-	for _, s := range jsonDecSeeds {
+	for _, s := range jsonwiretest.Seeds {
 		checkIngestAgainstRef(t, reg, "phylo", []byte(s), []byte(s))
 	}
 	checkIngestAgainstRef(t, reg, "phylo", figure1RunDoc("fig1"), nil)

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
+
+	"wolves/internal/jsonwire"
+	"wolves/internal/jsonwire/jsonwiretest"
 )
 
 // strings turns the decoded spans back into the string-field shape,
@@ -61,26 +63,26 @@ func decodeEquiv(t *testing.T, data []byte) {
 
 	var want jsonRun
 	werr := json.Unmarshal(data, &want)
-	var d jdec
+	var d jsonwire.Decoder
 	var got wireRun
-	gerr := d.decodeRunDocJSON(&got, data)
+	gerr := decodeRunDocJSON(&d, &got, data)
 	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("wireRun acceptance diverges on %q:\n  encoding/json: %v\n  jdec:          %v", data, werr, gerr)
+		t.Fatalf("wireRun acceptance diverges on %q:\n  encoding/json: %v\n  jsonwire:      %v", data, werr, gerr)
 	}
 	if werr == nil && !reflect.DeepEqual(want, got.strings()) {
-		t.Fatalf("wireRun value diverges on %q:\n  encoding/json: %+v\n  jdec:          %+v", data, want, got.strings())
+		t.Fatalf("wireRun value diverges on %q:\n  encoding/json: %+v\n  jsonwire:      %+v", data, want, got.strings())
 	}
 
 	var wantL jsonLine
 	wlerr := json.Unmarshal(data, &wantL)
 	var gotL wireLine
 	var arena []byte
-	glerr := d.decodeWireLineJSON(&gotL, data, nil, &arena)
+	glerr := decodeWireLineJSON(&d, &gotL, data, nil, &arena)
 	if (wlerr == nil) != (glerr == nil) {
-		t.Fatalf("wireLine acceptance diverges on %q:\n  encoding/json: %v\n  jdec:          %v", data, wlerr, glerr)
+		t.Fatalf("wireLine acceptance diverges on %q:\n  encoding/json: %v\n  jsonwire:      %v", data, wlerr, glerr)
 	}
 	if wlerr == nil && !reflect.DeepEqual(wantL, lineStrings(&gotL, arena)) {
-		t.Fatalf("wireLine value diverges on %q:\n  encoding/json: %+v\n  jdec:          %+v", data, wantL, lineStrings(&gotL, arena))
+		t.Fatalf("wireLine value diverges on %q:\n  encoding/json: %+v\n  jsonwire:      %+v", data, wantL, lineStrings(&gotL, arena))
 	}
 
 	if body := bytes.TrimLeft(data, " \t\r\n"); len(body) > 0 && body[0] == '[' {
@@ -97,87 +99,16 @@ func decodeEquiv(t *testing.T, data []byte) {
 	}
 }
 
-// jsonDecSeeds are the corner cases the hand decoder must hit exactly:
-// escapes, surrogates, invalid UTF-8, case-folded keys, duplicate keys,
-// nulls at every position, numbers at the uint64 boundary, unknown
-// fields of every shape, and whitespace.
-var jsonDecSeeds = []string{
-	`null`,
-	`{}`,
-	` { } `,
-	`{"run":"r1","version":7,"invocations":[{"id":"i1","task":"align"}],"artifacts":[{"id":"a1","generated_by":"i1"}],"used":[{"process":"i1","artifact":"a1"}]}`,
-	`{"run":"a\u0062c\n\t\"\\\/"}`,
-	`{"run":"\ud834\udd1e"}`,
-	`{"run":"\ud834"}`,
-	`{"run":"\ud834\ud834"}`,
-	`{"run":"\udd1e tail"}`,
-	"{\"run\":\"\xff\xfe\"}",
-	"{\"r\xc3\xbcn\":\"x\"}",
-	`{"RUN":"x","Version":3}`,
-	`{"ru\u006e":"exact-after-unquote"}`,
-	`{"tas\u212a":"kelvin"}`,
-	`{"run":"a","run":"b"}`,
-	`{"run":"a","run":null}`,
-	`{"artifacts":[{"id":"a","generated_by":"g"}],"artifacts":[{"id":"b"}]}`,
-	`{"artifacts":[{"id":"a"}],"artifacts":null}`,
-	`{"artifacts":[],"invocations":[]}`,
-	`{"invocations":[null,{"id":"i"},null]}`,
-	`{"version":0}`,
-	`{"version":18446744073709551615}`,
-	`{"version":18446744073709551616}`,
-	`{"version":-1}`,
-	`{"version":1.5}`,
-	`{"version":1e3}`,
-	`{"version":null}`,
-	`{"version":"7"}`,
-	`{"unknown":{"a":[1,2.5,-3e-7,true,false,null,"s",{"k":[]}]}}`,
-	`{"used":[{"process":"p","artifact":"a","extra":[[[{"x":1}]]]}]}`,
-	`{"run":123}`,
-	`{"run":"a"} `,
-	`{"run":"a"}x`,
-	`{"run":"a",}`,
-	`{"run" "a"}`,
-	`{"run":}`,
-	`{run:"a"}`,
-	`{"run":"a"`,
-	`"top-level string"`,
-	`[{"run":"a"}]`,
-	`true`,
-	`12`,
-	`nul`,
-	`{"invocation":{"id":"i1","task":"t"},"artifact":{"id":"a"},"used":{"process":"p","artifact":"a"}}`,
-	`{"invocation":{"id":"a"},"invocation":{"task":"t"}}`,
-	`{"invocation":{"id":"a"},"invocation":null}`,
-	`{"invocation":null}`,
-	`{"invocation":[]}`,
-	`{"run":"\u0041\u00e9"}`,
-	"{\"run\":\"caf\xc3\xa9\"}",
-	`{"version": 0010}`,
-	`{"version": 10 }`,
-	"\ufeff{}",
-	`[]`,
-	` [ ] `,
-	`[{"run":"a"},{"run":"b"}]`,
-	`[ {"run":"a"} , null ,"s", 1, [2] ,{}]`,
-	`[{"run":"a"},]`,
-	`[{"run":"a"}`,
-	`[{"run":"a"}] x`,
-	`[{"run":"\x"}]`,
-	`[1 2]`,
-	"[\"\xff\"]",
-}
-
+// TestJSONDecodeEquivalence runs the shared jsonwire corpus through the
+// run-document and NDJSON-record decoders.
 func TestJSONDecodeEquivalence(t *testing.T) {
-	for _, s := range jsonDecSeeds {
+	for _, s := range jsonwiretest.Seeds {
 		decodeEquiv(t, []byte(s))
 	}
 	// The scanner's nesting cap: 9999 open containers inside the object
 	// pass, 10001 fail — on both decoders.
-	deep := func(n int) []byte {
-		return []byte(`{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `}`)
-	}
-	decodeEquiv(t, deep(jsonMaxDepth-1))
-	decodeEquiv(t, deep(jsonMaxDepth+1))
+	decodeEquiv(t, jsonwiretest.Deep(jsonwire.MaxDepth-1))
+	decodeEquiv(t, jsonwiretest.Deep(jsonwire.MaxDepth+1))
 }
 
 // TestJSONDecodePooledReuse pins the scratch-reuse contract: a document
@@ -208,7 +139,7 @@ func TestJSONDecodePooledReuse(t *testing.T) {
 		!reflect.DeepEqual(got.Artifacts, fresh.Artifacts) {
 		t.Fatalf("pooled decode diverges from fresh decode:\n  pooled: %+v\n  fresh:  %+v", got, fresh)
 	}
-	if w.Artifacts[0].GeneratedBy.len() != 0 {
+	if w.Artifacts[0].GeneratedBy.Len() != 0 {
 		t.Fatalf("stale generated_by leaked through pooled reuse: %+v", got.Artifacts[0])
 	}
 }
@@ -218,11 +149,11 @@ func TestJSONDecodePooledReuse(t *testing.T) {
 // second decode does not disturb values copied out of the first — its
 // spans index the shared arena, which only grows.
 func TestJSONDecodeLineBufs(t *testing.T) {
-	var d jdec
+	var d jsonwire.Decoder
 	var bufs wireLineBufs
 	var l wireLine
 	var arena []byte
-	if err := d.decodeWireLineJSON(&l, []byte(`{"invocation":{"id":"i1","task":"t1"}}`), &bufs, &arena); err != nil {
+	if err := decodeWireLineJSON(&d, &l, []byte(`{"invocation":{"id":"i1","task":"t1"}}`), &bufs, &arena); err != nil {
 		t.Fatalf("decode line: %v", err)
 	}
 	if l.Invocation != &bufs.inv {
@@ -230,7 +161,7 @@ func TestJSONDecodeLineBufs(t *testing.T) {
 	}
 	first := *l.Invocation
 	l = wireLine{}
-	if err := d.decodeWireLineJSON(&l, []byte(`{"invocation":{"id":"i2","task":"t2"}}`), &bufs, &arena); err != nil {
+	if err := decodeWireLineJSON(&d, &l, []byte(`{"invocation":{"id":"i2","task":"t2"}}`), &bufs, &arena); err != nil {
 		t.Fatalf("decode second line: %v", err)
 	}
 	w := &wireRun{arena: arena}
@@ -242,12 +173,12 @@ func TestJSONDecodeLineBufs(t *testing.T) {
 	}
 }
 
-// FuzzJSONDecodeEquivalence differentially fuzzes the hand-rolled
-// decoder against encoding/json over both wire shapes and the batch
-// framing: any input where acceptance or the decoded values diverge is
-// a bug in jsondec.go.
+// FuzzJSONDecodeEquivalence differentially fuzzes the run-document and
+// NDJSON-record decoders against encoding/json over both wire shapes
+// and the batch framing: any input where acceptance or the decoded
+// values diverge is a bug in jsondec.go or internal/jsonwire.
 func FuzzJSONDecodeEquivalence(f *testing.F) {
-	for _, s := range jsonDecSeeds {
+	for _, s := range jsonwiretest.Seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

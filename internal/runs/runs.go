@@ -370,7 +370,7 @@ func (s *Store) RestoreRun(workflowID, runID string, doc []byte) error {
 	// and WAL record derived from it later — is byte-identical to the
 	// pre-crash one, whichever encoding it was written with.
 	raw := doc
-	if w.Run.len() == 0 {
+	if w.Run.Len() == 0 {
 		w.Run = w.put([]byte(runID)) // pre-canonical document: re-encode below instead
 		raw = nil
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -122,7 +121,7 @@ func attachDecoded(ctx context.Context, lw *engine.LiveWorkflow, vid string, raw
 		vid = peek.Name
 	}
 	return lw.AttachViewCtx(ctx, vid, func(wf *workflow.Workflow) (*view.View, error) {
-		return view.DecodeJSON(wf, bytes.NewReader(raw))
+		return view.DecodeBytes(wf, raw)
 	})
 }
 
@@ -137,7 +136,7 @@ func (s *Server) handleWorkflowPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &engine.Error{Code: engine.ErrBadInput, Op: "register", Message: "missing workflow"})
 		return
 	}
-	wf, err := workflow.DecodeJSON(bytes.NewReader(req.Workflow))
+	wf, err := workflow.DecodeBytes(req.Workflow)
 	if err != nil {
 		writeError(w, &engine.Error{Code: engine.ErrBadInput, Op: "register", Message: err.Error(), Err: err})
 		return
@@ -158,7 +157,7 @@ func (s *Server) handleWorkflowPut(w http.ResponseWriter, r *http.Request) {
 			writeError(w, &engine.Error{Code: engine.ErrBadInput, Op: "register", Message: "views[] entry missing view"})
 			return
 		}
-		v, err := view.DecodeJSON(wf, bytes.NewReader(rv.View))
+		v, err := view.DecodeBytes(wf, rv.View)
 		if err != nil {
 			writeError(w, &engine.Error{Code: engine.ErrBadInput, Op: "register", Message: err.Error(), Err: err})
 			return

@@ -4,8 +4,12 @@
 // correction structures of the in-process API, so an HTTP round-trip and
 // a direct Engine call are interchangeable. The Engine's oracle cache
 // makes the serving story scale: the first request for a workflow builds
-// its reachability closure, every later request (same fingerprint) only
-// pays the per-view validation.
+// its reachability closure, and every later request with the same
+// fingerprint reuses it. A later request still decodes both documents
+// and fingerprints the workflow, but the span decoders
+// (workflow.DecodeBytes, view.DecodeBytes, fed the raw request bytes)
+// make that a fixed number of allocations, so a cache hit costs the
+// decode, the hash and the per-view validation.
 //
 // Stateless endpoints (workflow and view travel in every request):
 //
@@ -43,7 +47,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -380,11 +383,11 @@ func decodePair(wfRaw, vRaw json.RawMessage) (*workflow.Workflow, *view.View, er
 	if len(vRaw) == 0 {
 		return nil, nil, &engine.Error{Code: engine.ErrBadInput, Op: "decode", Message: "missing view"}
 	}
-	wf, err := workflow.DecodeJSON(bytes.NewReader(wfRaw))
+	wf, err := workflow.DecodeBytes(wfRaw)
 	if err != nil {
 		return nil, nil, &engine.Error{Code: engine.ErrBadInput, Op: "decode", Message: err.Error(), Err: err}
 	}
-	v, err := view.DecodeJSON(wf, bytes.NewReader(vRaw))
+	v, err := view.DecodeBytes(wf, vRaw)
 	if err != nil {
 		return nil, nil, &engine.Error{Code: engine.ErrBadInput, Op: "decode", Message: err.Error(), Err: err}
 	}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -330,7 +329,7 @@ func (s *Store) restoreSnapshots(reg *engine.Registry, rr RunRestorer, snaps []l
 // restoreSnapshot registers one snapshot document into reg and
 // re-ingests its embedded runs.
 func restoreSnapshot(reg *engine.Registry, rr RunRestorer, doc *snapshotDoc, stats *RecoveryStats) error {
-	wf, err := workflow.DecodeJSON(bytes.NewReader(doc.Workflow))
+	wf, err := workflow.DecodeBytes(doc.Workflow)
 	if err != nil {
 		return &decodeError{fmt.Errorf("snapshot %q: %w", doc.ID, err)}
 	}
@@ -338,7 +337,7 @@ func restoreSnapshot(reg *engine.Registry, rr RunRestorer, doc *snapshotDoc, sta
 	for _, sv := range doc.Views {
 		raw := sv.View
 		views = append(views, engine.RestoredView{ID: sv.ID, Build: func(wf *workflow.Workflow) (*view.View, error) {
-			return view.DecodeJSON(wf, bytes.NewReader(raw))
+			return view.DecodeBytes(wf, raw)
 		}})
 	}
 	if _, err := reg.Restore(doc.ID, doc.Version, wf, views); err != nil {
@@ -399,7 +398,7 @@ func decodeRecord(rec record, snapLSN map[string]uint64) (*decodedRec, error) {
 		if d.skip = rec.lsn <= snapLSN[body.ID]; d.skip {
 			break
 		}
-		if d.wf, err = workflow.DecodeJSON(bytes.NewReader(body.Workflow)); err != nil {
+		if d.wf, err = workflow.DecodeBytes(body.Workflow); err != nil {
 			return fail(err)
 		}
 	case recMutate:
@@ -492,7 +491,7 @@ func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted m
 			return fail(err)
 		}
 		_, _, err = lw.AttachView(d.att.VID, func(wf *workflow.Workflow) (*view.View, error) {
-			return view.DecodeJSON(wf, bytes.NewReader(d.att.View))
+			return view.DecodeBytes(wf, d.att.View)
 		})
 		if err != nil {
 			if engine.IsCode(err, engine.ErrUnknownWorkflow) {

@@ -10,7 +10,9 @@ package view
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wolves/internal/dag"
@@ -78,49 +80,82 @@ func (b *Builder) Named(compID, name string) *Builder {
 }
 
 // Build validates that the assignment is an exact partition and freezes
-// the view.
+// the view. Composites come in first-Assign order, each with its
+// members ascending; the first failure wins, in this order per
+// composite: no members, then each member in Assign order unknown to
+// the workflow or assigned twice; after all composites, a task left
+// unassigned.
 func (b *Builder) Build() (*View, error) {
-	v := &View{
-		wf:     b.wf,
-		name:   b.name,
-		compOf: make([]int, b.wf.N()),
-		index:  make(map[string]int, len(b.order)),
-	}
-	for i := range v.compOf {
-		v.compOf[i] = -1
-	}
+	n := 0
 	for _, cid := range b.order {
-		ids := b.comps[cid]
-		if len(ids) == 0 {
-			return nil, fmt.Errorf("%w: %q", ErrEmptyComp, cid)
-		}
-		if _, dup := v.index[cid]; dup {
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateComp, cid)
-		}
-		ci := len(v.comps)
-		v.index[cid] = ci
+		n += len(b.comps[cid])
+	}
+	slab := make([]int, 0, n)
+	comps := make([]Composite, len(b.order))
+	for ci, cid := range b.order {
 		name := b.names[cid]
 		if name == "" {
 			name = cid
 		}
-		comp := Composite{ID: cid, Name: name}
-		for _, tid := range ids {
+		lo := len(slab)
+		for _, tid := range b.comps[cid] {
 			ti, ok := b.wf.Index(tid)
 			if !ok {
-				return nil, fmt.Errorf("view: composite %q: %w: task %q", cid, workflow.ErrUnknownTask, tid)
+				ti = unknownMember
 			}
-			if v.compOf[ti] != -1 {
-				return nil, fmt.Errorf("%w: task %q assigned twice", ErrNotPartition, tid)
-			}
-			v.compOf[ti] = ci
-			comp.members = append(comp.members, ti)
+			slab = append(slab, ti)
 		}
-		sort.Ints(comp.members)
-		v.comps = append(v.comps, comp)
+		comps[ci] = Composite{ID: cid, Name: name, members: slab[lo:len(slab):len(slab)]}
+	}
+	return assemble(b.wf, b.name, comps, func(c *Composite, j int) string { return b.comps[c.ID][j] })
+}
+
+// unknownMember stands in a member list, as assemble takes it, for a
+// member the workflow does not know.
+const unknownMember = -1
+
+// assemble is the one view constructor: Builder.Build, the JSON decoder,
+// FromPartition, Atomic, ReplaceComposite and MergeComposites all hand
+// it composites (distinct IDs, names set) whose members are workflow
+// task indices. It checks the partition in the order given — per
+// composite, no members, then each member unknown (unknownMember: member
+// returns the ID member j of c was given as) or assigned twice; then a
+// task left unassigned — sorts the member lists that are not ascending
+// yet, and indexes the composite IDs. Member lists already ascending are never
+// written, so the edits can share them with the view they edit.
+func assemble(wf *workflow.Workflow, name string, comps []Composite, member func(c *Composite, j int) string) (*View, error) {
+	v := &View{
+		wf:     wf,
+		name:   name,
+		comps:  comps,
+		compOf: make([]int, wf.N()),
+		index:  make(map[string]int, len(comps)),
+	}
+	for i := range v.compOf {
+		v.compOf[i] = -1
+	}
+	for ci := range comps {
+		c := &comps[ci]
+		if len(c.members) == 0 {
+			return nil, fmt.Errorf("%w: %q", ErrEmptyComp, c.ID)
+		}
+		v.index[c.ID] = ci
+		for j, t := range c.members {
+			if t == unknownMember {
+				return nil, fmt.Errorf("view: composite %q: %w: task %q", c.ID, workflow.ErrUnknownTask, member(c, j))
+			}
+			if v.compOf[t] != -1 {
+				return nil, fmt.Errorf("%w: task %q assigned twice", ErrNotPartition, wf.Task(t).ID)
+			}
+			v.compOf[t] = ci
+		}
+		if !slices.IsSorted(c.members) {
+			slices.Sort(c.members)
+		}
 	}
 	for ti, ci := range v.compOf {
 		if ci == -1 {
-			return nil, fmt.Errorf("%w: task %q unassigned", ErrNotPartition, b.wf.Task(ti).ID)
+			return nil, fmt.Errorf("%w: task %q unassigned", ErrNotPartition, wf.Task(ti).ID)
 		}
 	}
 	return v, nil
@@ -144,11 +179,14 @@ func FromAssignments(wf *workflow.Workflow, name string, assign map[string][]str
 // Atomic returns the identity view: one singleton composite per task,
 // composite IDs equal to task IDs.
 func Atomic(wf *workflow.Workflow) *View {
-	b := NewBuilder(wf, wf.Name()+"-atomic")
-	for _, id := range wf.IDs() {
-		b.Assign(id, id)
+	slab := make([]int, wf.N())
+	comps := make([]Composite, wf.N())
+	for t := range slab {
+		slab[t] = t
+		id := wf.Task(t).ID
+		comps[t] = Composite{ID: id, Name: id, members: slab[t : t+1 : t+1]}
 	}
-	v, err := b.Build()
+	v, err := assemble(wf, wf.Name()+"-atomic", comps, nil)
 	if err != nil {
 		panic("view: atomic view must build: " + err.Error())
 	}
@@ -170,21 +208,31 @@ func FromPartition(wf *workflow.Workflow, name string, partOf []int) (*View, err
 			k = b + 1
 		}
 	}
-	builder := NewBuilder(wf, name)
+	// Counting sort of the tasks by block: off[b] is where block b's
+	// members start in slab, ascending because tasks are placed in
+	// index order.
+	off := make([]int, k+1)
+	for _, b := range partOf {
+		off[b+1]++
+	}
 	for b := 0; b < k; b++ {
-		cid := fmt.Sprintf("B%d", b)
-		any := false
-		for t, bt := range partOf {
-			if bt == b {
-				builder.Assign(cid, wf.Task(t).ID)
-				any = true
-			}
-		}
-		if !any {
+		if off[b+1] == 0 {
 			return nil, fmt.Errorf("view: block %d is empty", b)
 		}
+		off[b+1] += off[b]
 	}
-	return builder.Build()
+	slab := make([]int, len(partOf))
+	next := slices.Clone(off[:k])
+	for t, b := range partOf {
+		slab[next[b]] = t
+		next[b]++
+	}
+	comps := make([]Composite, k)
+	for b := range comps {
+		id := "B" + strconv.Itoa(b)
+		comps[b] = Composite{ID: id, Name: id, members: slab[off[b]:off[b+1]:off[b+1]]}
+	}
+	return assemble(wf, name, comps, nil)
 }
 
 // Workflow returns the underlying workflow.
@@ -265,12 +313,14 @@ func (v *View) Out(ci int) []int {
 
 // MergeComposites returns a new view in which the listed composites are
 // replaced by a single composite with the given id (the demo's "Create
-// Composite Task" feedback operation).
+// Composite Task" feedback operation). The merged composite takes the
+// place of the first of them; every other composite keeps its ID, name
+// and member list, shared with v.
 func (v *View) MergeComposites(newID string, compIDs ...string) (*View, error) {
 	if len(compIDs) < 2 {
 		return nil, errors.New("view: merge needs at least two composites")
 	}
-	merge := map[int]bool{}
+	merge := make([]bool, len(v.comps))
 	for _, id := range compIDs {
 		i, ok := v.index[id]
 		if !ok {
@@ -278,44 +328,50 @@ func (v *View) MergeComposites(newID string, compIDs ...string) (*View, error) {
 		}
 		merge[i] = true
 	}
-	if _, exists := v.index[newID]; exists && !merge[v.index[newID]] {
+	if i, exists := v.index[newID]; exists && !merge[i] {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateComp, newID)
 	}
-	b := NewBuilder(v.wf, v.name)
-	placed := false
+	size, first := 0, -1
+	for i, m := range merge {
+		if m {
+			size += len(v.comps[i].members)
+			if first < 0 {
+				first = i
+			}
+		}
+	}
+	members := make([]int, 0, size)
+	comps := make([]Composite, 0, len(v.comps))
 	for i := range v.comps {
-		c := &v.comps[i]
-		if merge[i] {
-			if !placed {
-				placed = true
-				for j := range v.comps {
-					if merge[j] {
-						for _, t := range v.comps[j].members {
-							b.Assign(newID, v.wf.Task(t).ID)
-						}
-					}
+		switch {
+		case !merge[i]:
+			comps = append(comps, v.comps[i])
+		case i == first:
+			for j, m := range merge {
+				if m {
+					members = append(members, v.comps[j].members...)
 				}
 			}
-			continue
+			comps = append(comps, Composite{ID: newID, Name: newID, members: members})
 		}
-		for _, t := range c.members {
-			b.Assign(c.ID, v.wf.Task(t).ID)
-		}
-		b.Named(c.ID, c.Name)
 	}
-	return b.Build()
+	return assemble(v.wf, v.name, comps, nil)
 }
 
 // ReplaceComposite returns a new view in which composite id is replaced
-// by the given blocks (task-index sets partitioning its members). Block
-// IDs are id+".1", id+".2", … unless there is exactly one block, which
-// keeps the original ID. This is how corrector splits are applied.
+// by the given blocks (task-index sets partitioning its members), in its
+// place. A single block keeps the ID id. Otherwise block i is named
+// id+".k" for the next k, counting from 1, that names no other
+// composite of v — so a split never folds a block into an existing
+// composite that happens to be called id+".1". Blocks are named after
+// their IDs; every other composite keeps its ID, name and member list,
+// shared with v. This is how corrector splits are applied.
 func (v *View) ReplaceComposite(id string, blocks [][]int) (*View, error) {
 	ci, ok := v.index[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownComp, id)
 	}
-	seen := map[int]bool{}
+	seen := make([]bool, v.wf.N())
 	total := 0
 	for _, blk := range blocks {
 		if len(blk) == 0 {
@@ -335,29 +391,42 @@ func (v *View) ReplaceComposite(id string, blocks [][]int) (*View, error) {
 	if total != len(v.comps[ci].members) {
 		return nil, fmt.Errorf("%w: split of %q covers %d of %d members", ErrNotPartition, id, total, len(v.comps[ci].members))
 	}
-	b := NewBuilder(v.wf, v.name)
-	for i := range v.comps {
-		c := &v.comps[i]
-		if i != ci {
-			for _, t := range c.members {
-				b.Assign(c.ID, v.wf.Task(t).ID)
-			}
-			b.Named(c.ID, c.Name)
+	ids := v.blockIDs(id, len(blocks))
+	members := make([]int, 0, total)
+	comps := make([]Composite, 0, len(v.comps)-1+len(blocks))
+	comps = append(comps, v.comps[:ci]...)
+	for bi, blk := range blocks {
+		lo := len(members)
+		members = append(members, blk...)
+		comps = append(comps, Composite{ID: ids[bi], Name: ids[bi], members: members[lo:len(members):len(members)]})
+	}
+	comps = append(comps, v.comps[ci+1:]...)
+	return assemble(v.wf, v.name, comps, nil)
+}
+
+// blockIDs names the n blocks ReplaceComposite splits composite id
+// into (see there). The IDs share one string, so a split costs the same
+// few allocations whatever its block count.
+func (v *View) blockIDs(id string, n int) []string {
+	if n == 1 {
+		return []string{id}
+	}
+	buf := make([]byte, 0, n*(len(id)+4))
+	ends := make([]int, 0, n) // ID i ends at ends[i] in buf
+	for k := 1; len(ends) < n; k++ {
+		lo := len(buf)
+		buf = strconv.AppendInt(append(append(buf, id...), '.'), int64(k), 10)
+		if _, taken := v.index[string(buf[lo:])]; taken {
+			buf = buf[:lo]
 			continue
 		}
-		for bi, blk := range blocks {
-			bid := id
-			if len(blocks) > 1 {
-				bid = fmt.Sprintf("%s.%d", id, bi+1)
-			}
-			sorted := append([]int(nil), blk...)
-			sort.Ints(sorted)
-			for _, t := range sorted {
-				b.Assign(bid, v.wf.Task(t).ID)
-			}
-		}
+		ends = append(ends, len(buf))
 	}
-	return b.Build()
+	all, ids, lo := string(buf), make([]string, n), 0
+	for i, hi := range ends {
+		ids[i], lo = all[lo:hi], hi
+	}
+	return ids
 }
 
 // ExtendSingletons returns a view covering every workflow task the view

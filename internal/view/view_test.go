@@ -322,3 +322,32 @@ func TestExtendSingletons(t *testing.T) {
 		t.Fatalf("composite-ID collision accepted: %v", err)
 	}
 }
+
+// TestBuildErrorPrecedence pins which failure Build reports when a view
+// has several, with the exact message: per composite in Assign order an
+// empty composite, then each member in Assign order unknown or assigned
+// twice; then a task left unassigned. The JSON decoder is pinned to
+// Build, so this is its precedence too.
+func TestBuildErrorPrecedence(t *testing.T) {
+	w := wfDiamond(t)
+	for _, c := range []struct {
+		build func(*Builder) *Builder
+		want  string
+	}{
+		{func(b *Builder) *Builder { return b.Assign("x", "a", "a", "ghost") },
+			`view: composites do not partition the workflow tasks: task "a" assigned twice`},
+		{func(b *Builder) *Builder { return b.Assign("x", "ghost", "a", "a") },
+			`view: composite "x": workflow: unknown task id: task "ghost"`},
+		{func(b *Builder) *Builder { return b.Assign("x", "d", "c").Assign("y").Assign("z", "ghost") },
+			`view: empty composite: "y"`},
+		{func(b *Builder) *Builder { return b.Assign("x", "d").Assign("y", "ghost").Assign("x", "d") },
+			`view: composites do not partition the workflow tasks: task "d" assigned twice`},
+		{func(b *Builder) *Builder { return b.Assign("x", "d", "a") },
+			`view: composites do not partition the workflow tasks: task "b" unassigned`},
+	} {
+		_, err := c.build(NewBuilder(w, "v")).Build()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("got %v, want %s", err, c.want)
+		}
+	}
+}

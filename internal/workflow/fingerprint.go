@@ -4,8 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
-	"sort"
+	"hash"
+	"slices"
 )
 
 // Fingerprint returns a stable content hash of the workflow's structure:
@@ -26,38 +26,70 @@ func (w *Workflow) Fingerprint() string {
 	if w.fp != "" && w.fpGen == w.gen {
 		return w.fp
 	}
-	h := sha256.New()
-	var buf8 [8]byte
+	// Everything goes through one buffer, flushed when full, so hashing
+	// allocates nothing per task.
+	hb := hashBuf{h: sha256.New()}
+	var num [8]byte
 	// Task count plus length-prefixed IDs: an unambiguous encoding.
 	// (A bare separator byte would let IDs containing that byte make
 	// structurally different workflows collide.)
-	binary.LittleEndian.PutUint64(buf8[:], uint64(len(w.tasks)))
-	h.Write(buf8[:])
+	binary.LittleEndian.PutUint64(num[:], uint64(len(w.tasks)))
+	feed(&hb, num[:])
 	for _, t := range w.tasks {
-		binary.LittleEndian.PutUint64(buf8[:], uint64(len(t.ID)))
-		h.Write(buf8[:])
-		io.WriteString(h, t.ID)
+		binary.LittleEndian.PutUint64(num[:], uint64(len(t.ID)))
+		feed(&hb, num[:])
+		feed(&hb, t.ID)
 	}
 	// Graph.Edges yields successors in insertion order, which is a
 	// serialization artifact (two JSON files listing the same edges in
 	// different orders must fingerprint identically), so sort the edge
 	// list into canonical (u, v) order before hashing.
-	edges := make([][2]int, 0, w.g.M())
-	w.g.Edges(func(u, v int) { edges = append(edges, [2]int{u, v}) })
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a][0] != edges[b][0] {
-			return edges[a][0] < edges[b][0]
+	edges := make([][2]int32, 0, w.g.M())
+	for u := 0; u < w.g.N(); u++ {
+		for _, v := range w.g.Succs(u) {
+			edges = append(edges, [2]int32{int32(u), v})
 		}
-		return edges[a][1] < edges[b][1]
-	})
-	for _, e := range edges {
-		binary.LittleEndian.PutUint32(buf8[:4], uint32(e[0]))
-		binary.LittleEndian.PutUint32(buf8[4:], uint32(e[1]))
-		h.Write(buf8[:])
 	}
-	w.fp = hex.EncodeToString(h.Sum(nil))
+	slices.SortFunc(edges, comparePairs)
+	for _, e := range edges {
+		binary.LittleEndian.PutUint32(num[:4], uint32(e[0]))
+		binary.LittleEndian.PutUint32(num[4:], uint32(e[1]))
+		feed(&hb, num[:])
+	}
+	hb.h.Write(hb.buf[:hb.n])
+	w.fp = hex.EncodeToString(hb.h.Sum(nil))
 	w.fpGen = w.gen
 	return w.fp
+}
+
+// hashBuf feeds a hash through a fixed buffer: one Write per buffer
+// filled instead of one per field.
+type hashBuf struct {
+	h   hash.Hash
+	n   int
+	buf [512]byte
+}
+
+// feed appends s to hb's buffer, writing the buffer out whenever it
+// fills.
+func feed[S ~string | ~[]byte](hb *hashBuf, s S) {
+	for len(s) > 0 {
+		if hb.n == len(hb.buf) {
+			hb.h.Write(hb.buf[:])
+			hb.n = 0
+		}
+		c := copy(hb.buf[hb.n:], s)
+		hb.n += c
+		s = s[c:]
+	}
+}
+
+// comparePairs orders edges by source, then target.
+func comparePairs(a, b [2]int32) int {
+	if a[0] != b[0] {
+		return int(a[0] - b[0])
+	}
+	return int(a[1] - b[1])
 }
 
 // StructureChanged invalidates cached structural derivatives (the

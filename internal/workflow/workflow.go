@@ -8,6 +8,7 @@ package workflow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -33,7 +34,7 @@ type Task struct {
 type Workflow struct {
 	name  string
 	tasks []Task
-	index map[string]int
+	index taskIndex
 	g     *dag.Graph
 
 	fpMu  sync.Mutex // guards fp, fpGen, gen
@@ -54,30 +55,20 @@ type Builder struct {
 	name  string
 	tasks []Task
 	edges [][2]string
-	errs  []error
-	seen  map[string]bool
 }
 
 // NewBuilder returns a Builder for a workflow with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, seen: map[string]bool{}}
+	return &Builder{name: name}
 }
 
 // AddTask registers an atomic task. Returns the builder for chaining.
+// An empty or repeated ID fails the Build.
 func (b *Builder) AddTask(id string, opts ...TaskOption) *Builder {
 	t := Task{ID: id, Name: id}
 	for _, o := range opts {
 		o(&t)
 	}
-	if id == "" {
-		b.errs = append(b.errs, errors.New("workflow: empty task id"))
-		return b
-	}
-	if b.seen[id] {
-		b.errs = append(b.errs, fmt.Errorf("%w: %q", ErrDuplicateTask, id))
-		return b
-	}
-	b.seen[id] = true
 	b.tasks = append(b.tasks, t)
 	return b
 }
@@ -105,40 +96,73 @@ func (b *Builder) Chain(ids ...string) *Builder {
 	return b
 }
 
-// Build validates and freezes the workflow.
+// Build validates and freezes the workflow. The first failure wins, in
+// this order: an empty or repeated task ID (in AddTask order), no tasks
+// at all, an edge naming an unknown task or depending on itself (in
+// AddEdge order), a cycle.
 func (b *Builder) Build() (*Workflow, error) {
-	if len(b.errs) > 0 {
-		return nil, b.errs[0]
+	w, err := newWorkflow(b.name, slices.Clone(b.tasks))
+	if err != nil {
+		return nil, err
 	}
-	if len(b.tasks) == 0 {
+	edges := make([]int32, 0, 2*len(b.edges))
+	for _, e := range b.edges {
+		u, uok := w.Index(e[0])
+		v, vok := w.Index(e[1])
+		if err := checkEdge(e[0], e[1], u, v, uok, vok); err != nil {
+			return nil, err
+		}
+		edges = append(edges, int32(u), int32(v))
+	}
+	return w.freeze(edges)
+}
+
+// newWorkflow is the first half of the one workflow constructor behind
+// Builder.Build and the JSON decoder: it takes ownership of tasks (in
+// index order, Name already defaulted) and indexes their IDs, failing
+// on the first empty or repeated ID, or on an empty task list. The
+// caller resolves its edges against the index (checkEdge) and hands
+// them to freeze.
+func newWorkflow(name string, tasks []Task) (*Workflow, error) {
+	w := &Workflow{name: name, tasks: tasks, index: newTaskIndex(len(tasks))}
+	for i, t := range tasks {
+		if t.ID == "" {
+			return nil, errors.New("workflow: empty task id")
+		}
+		if !w.index.add(tasks, i) {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateTask, t.ID)
+		}
+	}
+	if len(tasks) == 0 {
 		return nil, ErrEmpty
 	}
-	w := &Workflow{
-		name:  b.name,
-		tasks: append([]Task(nil), b.tasks...),
-		index: make(map[string]int, len(b.tasks)),
+	return w, nil
+}
+
+// checkEdge reports why the edge from → to, whose endpoints resolved to
+// u (found: uok) and v (vok), cannot be added — an unknown source, an
+// unknown target, a self-dependency, in that order — or nil. from and
+// to are strings or byte slices, so a decoder checks straight from its
+// buffer.
+func checkEdge[S ~string | ~[]byte](from, to S, u, v int, uok, vok bool) error {
+	switch {
+	case !uok:
+		return fmt.Errorf("%w: edge source %q", ErrUnknownTask, from)
+	case !vok:
+		return fmt.Errorf("%w: edge target %q", ErrUnknownTask, to)
+	case u == v:
+		return fmt.Errorf("workflow: edge %q→%q: self-dependency", from, to)
 	}
-	for i, t := range w.tasks {
-		w.index[t.ID] = i
+	return nil
+}
+
+// freeze completes newWorkflow: it builds the dependency graph in bulk
+// from edges, task-index pairs already resolved, and rejects cycles.
+func (w *Workflow) freeze(edges []int32) (*Workflow, error) {
+	w.g = dag.Build(len(w.tasks), edges)
+	if !w.g.IsAcyclic() {
+		return nil, fmt.Errorf("workflow %q: %w (cycle: %s)", w.name, dag.ErrCycle, describeCycle(w.g, w))
 	}
-	g := dag.New(len(w.tasks))
-	for _, e := range b.edges {
-		u, ok := w.index[e[0]]
-		if !ok {
-			return nil, fmt.Errorf("%w: edge source %q", ErrUnknownTask, e[0])
-		}
-		v, ok := w.index[e[1]]
-		if !ok {
-			return nil, fmt.Errorf("%w: edge target %q", ErrUnknownTask, e[1])
-		}
-		if _, err := g.AddEdge(u, v); err != nil {
-			return nil, fmt.Errorf("workflow: edge %q→%q: self-dependency", e[0], e[1])
-		}
-	}
-	if _, err := g.TopoOrder(); err != nil {
-		return nil, fmt.Errorf("workflow %q: %w (cycle: %s)", b.name, err, describeCycle(g, w))
-	}
-	w.g = g
 	return w, nil
 }
 
@@ -170,20 +194,18 @@ func (w *Workflow) Task(i int) Task { return w.tasks[i] }
 
 // Index returns the dense index of a task ID.
 func (w *Workflow) Index(id string) (int, bool) {
-	i, ok := w.index[id]
-	return i, ok
+	return w.index.lookup(w.tasks, id)
 }
 
 // IndexBytes is Index for an ID held as bytes; the lookup materializes
 // no string.
 func (w *Workflow) IndexBytes(id []byte) (int, bool) {
-	i, ok := w.index[string(id)]
-	return i, ok
+	return w.index.lookupBytes(w.tasks, id)
 }
 
 // MustIndex is Index for callers holding validated IDs.
 func (w *Workflow) MustIndex(id string) int {
-	i, ok := w.index[id]
+	i, ok := w.Index(id)
 	if !ok {
 		panic(fmt.Sprintf("workflow: unknown task %q", id))
 	}
@@ -287,16 +309,12 @@ func (w *Workflow) String() string {
 // snapshots of live workflows, so later mutations never reach published
 // state.
 func (w *Workflow) Clone() *Workflow {
-	c := &Workflow{
+	return &Workflow{
 		name:  w.name,
 		tasks: append([]Task(nil), w.tasks...),
-		index: make(map[string]int, len(w.index)),
+		index: taskIndex{slots: slices.Clone(w.index.slots)},
 		g:     w.g.Clone(),
 	}
-	for id, i := range w.index {
-		c.index[id] = i
-	}
-	return c
 }
 
 // ExtendTasks appends new atomic tasks to a live workflow and returns
@@ -312,7 +330,7 @@ func (w *Workflow) ExtendTasks(ts []Task) (int, error) {
 		if t.ID == "" {
 			return 0, errors.New("workflow: empty task id")
 		}
-		if _, dup := w.index[t.ID]; dup || seen[t.ID] {
+		if _, dup := w.Index(t.ID); dup || seen[t.ID] {
 			return 0, fmt.Errorf("%w: %q", ErrDuplicateTask, t.ID)
 		}
 		seen[t.ID] = true
@@ -322,8 +340,8 @@ func (w *Workflow) ExtendTasks(ts []Task) (int, error) {
 		if t.Name == "" {
 			t.Name = t.ID
 		}
-		w.index[t.ID] = len(w.tasks)
 		w.tasks = append(w.tasks, t)
+		w.index.add(w.tasks, len(w.tasks)-1)
 	}
 	w.StructureChanged()
 	return first, nil
@@ -333,8 +351,8 @@ func (w *Workflow) ExtendTasks(ts []Task) (int, error) {
 // counterpart of ExtendTasks for a failed mutation batch. The dependency
 // graph must already have been shrunk in step.
 func (w *Workflow) TruncateTasks(n int) {
-	for _, t := range w.tasks[n:] {
-		delete(w.index, t.ID)
+	for i := len(w.tasks) - 1; i >= n; i-- {
+		w.index.removeLast(w.tasks, i)
 	}
 	w.tasks = w.tasks[:n]
 	w.StructureChanged()

@@ -72,6 +72,66 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBuildErrorPrecedence pins which failure Build reports, and its
+// exact message, when a specification has several: an empty or repeated
+// task ID (first in AddTask order, wherever AddEdge calls fall), then
+// no tasks, then an unknown source, unknown target or self-dependency
+// (first in AddEdge order, source before target), then a cycle.
+func TestBuildErrorPrecedence(t *testing.T) {
+	for _, c := range []struct {
+		build func(*Builder) *Builder
+		want  string
+	}{
+		{func(b *Builder) *Builder { return b.AddTask("a").AddTask("") },
+			`workflow: empty task id`},
+		{func(b *Builder) *Builder { return b.AddTask("a").AddTask("b").AddTask("a") },
+			`workflow: duplicate task id: "a"`},
+		{func(b *Builder) *Builder { return b },
+			`workflow: no tasks`},
+		{func(b *Builder) *Builder { return b.AddEdge("x", "y") },
+			`workflow: no tasks`},
+		{func(b *Builder) *Builder { return b.AddTask("a").AddEdge("x", "y") },
+			`workflow: unknown task id: edge source "x"`},
+		{func(b *Builder) *Builder { return b.AddTask("a").AddEdge("a", "y") },
+			`workflow: unknown task id: edge target "y"`},
+		{func(b *Builder) *Builder { return b.AddTask("a").AddEdge("a", "a") },
+			`workflow: edge "a"→"a": self-dependency`},
+		{func(b *Builder) *Builder { return b.AddTask("a").AddTask("a").AddEdge("a", "ghost") },
+			`workflow: duplicate task id: "a"`},
+		{func(b *Builder) *Builder { return b.AddEdge("a", "ghost").AddTask("a").AddTask("a") },
+			`workflow: duplicate task id: "a"`},
+		{func(b *Builder) *Builder { return b.AddTask("a").AddTask("").AddTask("a") },
+			`workflow: empty task id`},
+		{func(b *Builder) *Builder { return b.AddTask("a").AddTask("a").AddTask("") },
+			`workflow: duplicate task id: "a"`},
+		{func(b *Builder) *Builder { return b.AddTask("", WithName("n")).AddEdge("x", "y") },
+			`workflow: empty task id`},
+		{func(b *Builder) *Builder { return b.AddTask("a").AddEdge("a", "a").AddEdge("x", "a") },
+			`workflow: edge "a"→"a": self-dependency`},
+		{func(b *Builder) *Builder { return b.AddTask("a").AddEdge("x", "a").AddEdge("a", "a") },
+			`workflow: unknown task id: edge source "x"`},
+		{func(b *Builder) *Builder {
+			return b.AddTask("a").AddTask("b").AddEdge("a", "b").AddEdge("b", "a").AddEdge("a", "a")
+		}, `workflow: edge "a"→"a": self-dependency`},
+		{func(b *Builder) *Builder {
+			return b.AddTask("a").AddTask("b").AddEdge("a", "b").AddEdge("b", "a").AddEdge("a", "ghost")
+		}, `workflow: unknown task id: edge target "ghost"`},
+		{func(b *Builder) *Builder {
+			return b.AddTask("x").AddTask("a").AddTask("b").AddTask("c").AddTask("d").
+				AddEdge("c", "a").AddEdge("x", "a").AddEdge("a", "b").AddEdge("b", "c").AddEdge("c", "d").AddEdge("a", "b")
+		}, `workflow "w": dag: graph contains a cycle (cycle: a→b→c)`},
+		{func(b *Builder) *Builder {
+			return b.AddTask("p").AddTask("q").AddTask("r").AddTask("s").
+				AddEdge("s", "r").AddEdge("r", "q").AddEdge("q", "s").AddEdge("p", "q")
+		}, `workflow "w": dag: graph contains a cycle (cycle: q→r→s)`},
+	} {
+		_, err := c.build(NewBuilder("w")).Build()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("got %v, want %s", err, c.want)
+		}
+	}
+}
+
 func TestBuilderCycleDiagnostic(t *testing.T) {
 	_, err := NewBuilder("cyc").
 		AddTask("a").AddTask("b").AddTask("c").

@@ -255,7 +255,10 @@ type WorkflowBuilder = workflow.Builder
 // NewWorkflowBuilder starts a workflow specification.
 func NewWorkflowBuilder(name string) *WorkflowBuilder { return workflow.NewBuilder(name) }
 
-// DecodeWorkflowJSON reads a workflow from its JSON format.
+// DecodeWorkflowJSON reads a workflow from its JSON format. It reads r
+// to its end before decoding (see workflow.DecodeJSON), so r must reach
+// EOF: a pipe or connection that stays open after the document blocks
+// it.
 func DecodeWorkflowJSON(r io.Reader) (*Workflow, error) { return workflow.DecodeJSON(r) }
 
 // --- view model ---------------------------------------------------------------
@@ -280,7 +283,8 @@ func ViewFromAssignments(wf *Workflow, name string, assign map[string][]string) 
 // AtomicView returns the identity view (one composite per task).
 func AtomicView(wf *Workflow) *View { return view.Atomic(wf) }
 
-// DecodeViewJSON reads a view over wf from its JSON format.
+// DecodeViewJSON reads a view over wf from its JSON format. Like
+// DecodeWorkflowJSON, it reads r to its end before decoding.
 func DecodeViewJSON(wf *Workflow, r io.Reader) (*View, error) { return view.DecodeJSON(wf, r) }
 
 // --- validation ---------------------------------------------------------------
