@@ -184,7 +184,7 @@ func cmdLineage(args []string) error {
 			ids = append(ids, wf.Task(t).ID)
 		}
 		fmt.Printf("  view answer : {%s}\n", strings.Join(ids, ", "))
-		audit := provenance.AuditView(e, v)
+		audit := provenance.Audit(v)
 		fmt.Printf("  view audit  : false pairs=%d precision=%.2f\n",
 			audit.FalsePairs, audit.Precision)
 	}

@@ -551,6 +551,14 @@ func (l *Labels) Marked(mark []uint64, v int) bool {
 	return mark[p>>6]&(1<<(uint(p)&63)) != 0
 }
 
+// PosNodes returns the position→node table that forEachReachable
+// walks, in CSR layout: the nodes at postorder position p — the bit
+// MarkRow sets for them — are nodes[start[p]:start[p+1]]. An acyclic
+// graph has one node per position; the members of a strongly connected
+// component share one. Both slices are shared with the index: do not
+// modify them.
+func (l *Labels) PosNodes() (start, nodes []int32) { return l.byPosStart, l.byPosNodes }
+
 // MarkWords returns the scratch length MarkRow needs for n nodes.
 func MarkWords(n int) int { return (n + 63) / 64 }
 

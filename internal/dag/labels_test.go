@@ -89,6 +89,23 @@ func checkLabelsMatchClosure(t *testing.T, g *Graph, l *Labels) {
 			}
 		}
 	}
+	// PosNodes lists every node once, at the position MarkRow sets for
+	// it.
+	start, nodes := l.PosNodes()
+	if len(nodes) != n || start[0] != 0 || int(start[len(start)-1]) != n {
+		t.Fatalf("PosNodes: %d nodes, offsets %d..%d, want %d nodes", len(nodes), start[0], start[len(start)-1], n)
+	}
+	seen := make([]bool, n)
+	for p := 0; p+1 < len(start); p++ {
+		for _, u := range nodes[start[p]:start[p+1]] {
+			clear(mark)
+			mark[p>>6] = 1 << (uint(p) & 63)
+			if seen[u] || !l.Marked(mark, int(u)) {
+				t.Fatalf("PosNodes puts node %d at position %d (listed before: %v)", u, p, seen[u])
+			}
+			seen[u] = true
+		}
+	}
 	var buf []int
 	for u := 0; u < n; u++ {
 		buf = buf[:0]

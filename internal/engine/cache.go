@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"wolves/internal/provenance"
 	"wolves/internal/soundness"
 	"wolves/internal/workflow"
 )
@@ -24,18 +23,15 @@ type CacheStats struct {
 	Capacity  int   `json:"capacity"`
 }
 
-// cacheEntry holds the per-workflow derived state. The oracle (and the
-// lineage engine, built on demand) are constructed under the entry's own
-// sync.Once, so concurrent requests for the same workflow build each at
-// most once without serializing the whole cache.
+// cacheEntry holds the per-workflow derived state. The oracle is
+// constructed under the entry's own sync.Once, so concurrent requests
+// for the same workflow build it at most once without serializing the
+// whole cache.
 type cacheEntry struct {
 	fp string
 
 	oracleOnce sync.Once
 	oracle     *soundness.Oracle
-
-	provOnce sync.Once
-	prov     *provenance.Engine
 
 	// wf is the workflow the entry was built from. Structurally identical
 	// workflows (equal fingerprints) share the entry.
@@ -98,14 +94,6 @@ func (c *oracleCache) oracleFor(e *cacheEntry) *soundness.Oracle {
 		e.oracle = soundness.NewOracle(e.wf)
 	})
 	return e.oracle
-}
-
-// provFor returns the (lazily built) lineage engine of the entry.
-func (c *oracleCache) provFor(e *cacheEntry) *provenance.Engine {
-	e.provOnce.Do(func() {
-		e.prov = provenance.NewEngine(e.wf)
-	})
-	return e.prov
 }
 
 func (c *oracleCache) stats() CacheStats {

@@ -226,7 +226,8 @@ func (e *Engine) SplitWithOracle(ctx context.Context, o *soundness.Oracle, membe
 }
 
 // Audit quantifies the provenance error v induces (false lineage pairs,
-// wrong queries, precision), reusing the cached lineage engine.
+// wrong queries, precision) from label indexes built for the call; it
+// leaves nothing in the oracle cache.
 func (e *Engine) Audit(ctx context.Context, wf *workflow.Workflow, v *view.View) (*provenance.ViewAudit, error) {
 	if err := checkView("audit", wf, v); err != nil {
 		return nil, err
@@ -234,6 +235,5 @@ func (e *Engine) Audit(ctx context.Context, wf *workflow.Workflow, v *view.View)
 	if err := ctx.Err(); err != nil {
 		return nil, wrapErr("audit", err)
 	}
-	entry := e.cache.get(wf)
-	return provenance.AuditView(e.cache.provFor(entry), v), nil
+	return provenance.Audit(v), nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync/atomic"
+	"time"
 
 	"wolves/internal/dag"
 	"wolves/internal/obs"
@@ -29,7 +30,9 @@ import (
 // from the workflow. The audited level's provenance audit is the one
 // lazily filled piece: the first audited query per (view, version)
 // derives it from the epoch's own labels (provenance.AuditLabels),
-// still without the workflow lock, and caches it on the epoch.
+// still without the workflow lock, and caches it on the epoch. A build
+// runs over flat bit matrices at a fixed number of allocations; its
+// wall time is the wolves_audit_build_seconds histogram.
 
 // ReadEpoch is an immutable snapshot of one live workflow version for
 // lock-free lineage reads. Obtain one with LiveWorkflow.Read.
@@ -114,7 +117,9 @@ func (lw *LiveWorkflow) Read(auditView string) (*ReadEpoch, *provenance.ViewAudi
 		return ep, a, nil
 	}
 	obs.MAuditCacheMisses.Inc()
+	start := time.Now()
 	a := provenance.AuditLabels(ev.v, ep.labels, ev.revLabels)
+	obs.MAuditBuild.ObserveDuration(time.Since(start))
 	if !ev.audit.CompareAndSwap(nil, a) {
 		a = ev.audit.Load()
 	}

@@ -12,6 +12,7 @@ import (
 	"wolves/internal/dag"
 	"wolves/internal/gen"
 	"wolves/internal/provenance"
+	"wolves/internal/provenance/provenancetest"
 	"wolves/internal/view"
 	"wolves/internal/workflow"
 )
@@ -177,8 +178,8 @@ func forwardEdges(rng *rand.Rand, order []string, k int) [][2]string {
 // TestReadAuditDoesNotWaitOnWriteLock pins that an audited Read never
 // takes the workflow lock: with the write lock held, an uncached audit
 // is still built (from the epoch) and returned, and concurrent first
-// readers all return the one audit that won the cache, equal to a
-// from-scratch AuditView.
+// readers all return the one audit that won the cache, equal to the
+// from-scratch reference audit.
 func TestReadAuditDoesNotWaitOnWriteLock(t *testing.T) {
 	reg := NewRegistry(New())
 	lw := figure1Registered(t, reg)
@@ -208,7 +209,7 @@ func TestReadAuditDoesNotWaitOnWriteLock(t *testing.T) {
 		lw.mu.Unlock()
 		t.Fatal("an audited Read waited on the workflow's write lock")
 	}
-	want := provenance.AuditView(provenance.NewEngine(lw.wf), lw.views["fig1b"].v)
+	want := provenancetest.Reference(lw.views["fig1b"].v)
 	lw.mu.Unlock()
 	close(audits)
 	var first *provenance.ViewAudit
@@ -220,8 +221,8 @@ func TestReadAuditDoesNotWaitOnWriteLock(t *testing.T) {
 			t.Fatal("concurrent first readers returned different audits")
 		}
 	}
-	if !reflect.DeepEqual(first, want) {
-		t.Fatalf("epoch audit %+v, want %+v", first, want)
+	if err := want.Diff(first); err != nil {
+		t.Fatalf("epoch audit: %v", err)
 	}
 	if _, again, _ := lw.Read("fig1b"); again != first {
 		t.Fatal("the audit was not cached on the epoch")

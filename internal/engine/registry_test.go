@@ -10,6 +10,8 @@ import (
 
 	"wolves/internal/core"
 	"wolves/internal/gen"
+	"wolves/internal/obs"
+	"wolves/internal/provenance/provenancetest"
 	"wolves/internal/repo"
 	"wolves/internal/soundness"
 	"wolves/internal/view"
@@ -451,17 +453,21 @@ func TestRegistryLineageFigure1(t *testing.T) {
 // TestReadPinsAuditToEpoch checks the one way readers get an epoch: the
 // audit is built once per (view, version), carried across a republish
 // that keeps the version and the view object, rebuilt after a
-// mutation; an unknown view yields no audit, and a closed workflow
-// reads as unknown.
+// mutation; only a build is observed in wolves_audit_build_seconds; an
+// unknown view yields no audit, and a closed workflow reads as unknown.
 func TestReadPinsAuditToEpoch(t *testing.T) {
 	reg := NewRegistry(New())
 	lw := figure1Registered(t, reg)
+	builds := obs.MAuditBuild.Count()
 	ep1, a1, err := lw.Read("fig1b")
 	if err != nil || a1 == nil {
 		t.Fatalf("Read = %v, %v", a1, err)
 	}
 	if _, again, _ := lw.Read("fig1b"); again != a1 {
 		t.Fatal("audit rebuilt within one epoch")
+	}
+	if got := obs.MAuditBuild.Count() - builds; got != 1 {
+		t.Fatalf("audit builds observed = %d, want 1: a cached read observed a build", got)
 	}
 	// Attaching another view republishes at the same version.
 	if _, _, err := lw.AttachView("solo", func(wf *workflow.Workflow) (*view.View, error) {
@@ -487,8 +493,17 @@ func TestReadPinsAuditToEpoch(t *testing.T) {
 	if err != nil || ep3.Version() != 2 || a3 == a1 {
 		t.Fatalf("Read after mutate: version %d, rebuilt %v, %v", ep3.Version(), a3 != a1, err)
 	}
+	if got := obs.MAuditBuild.Count() - builds; got != 2 {
+		t.Fatalf("audit builds observed = %d, want 2 after the mutation", got)
+	}
 	if a3.FalsePairs == 0 {
 		t.Fatal("completed Figure 1 must audit spurious composite pairs")
+	}
+	lw.mu.RLock()
+	want := provenancetest.Reference(lw.views["fig1b"].v)
+	lw.mu.RUnlock()
+	if err := want.Diff(a3); err != nil {
+		t.Fatalf("audit after mutate: %v", err)
 	}
 	if ep, a, err := lw.Read("nope"); err != nil || a != nil || ep.View("nope") != nil {
 		t.Fatalf("Read(unknown view) = %v, %v", a, err)

@@ -84,7 +84,6 @@ func E1Figure1() *Table {
 		viol := rep.Composites[rep.Unsound[0]].Violations[0]
 		add("witness", soundness.DescribeViolation(wf, viol))
 	}
-	e := provenance.NewEngine(wf)
 	ve := provenance.NewViewEngine(v)
 	t18, _ := v.CompIndex("18")
 	var anc []string
@@ -92,7 +91,7 @@ func E1Figure1() *Table {
 		anc = append(anc, v.Composite(c).ID)
 	}
 	add("view provenance of (18)", strings.Join(anc, ","))
-	audit := provenance.AuditView(e, v)
+	audit := provenance.Audit(v)
 	add("false provenance pairs", itoa(audit.FalsePairs))
 	add("provenance precision", f2(audit.Precision))
 
@@ -101,7 +100,7 @@ func E1Figure1() *Table {
 		panic(err)
 	}
 	add("corrected composites", fmt.Sprintf("%d → %d", vc.CompositesBefore, vc.CompositesAfter))
-	audit2 := provenance.AuditView(e, vc.Corrected)
+	audit2 := provenance.Audit(vc.Corrected)
 	add("false pairs after correction", itoa(audit2.FalsePairs))
 	ve2 := provenance.NewViewEngine(vc.Corrected)
 	c18, _ := vc.Corrected.CompIndex("18")

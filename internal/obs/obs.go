@@ -92,7 +92,11 @@ var (
 	MAuditCacheHits = Default.Counter("wolves_audit_cache_hits_total",
 		"Audited-lineage delta lookups served from the epoch's cached audit.")
 	MAuditCacheMisses = Default.Counter("wolves_audit_cache_misses_total",
-		"Audited-lineage delta lookups that built the audit under lock.")
+		"Audited-lineage delta lookups that found no cached audit and built one from the epoch's labels.")
+	// MAuditBuild observes the wall time of each audit build on a cache
+	// miss (concurrent first readers may each build one).
+	MAuditBuild = Default.Histogram("wolves_audit_build_seconds",
+		"Per-view provenance audit build time in seconds, on audit cache misses.", LatencyBuckets)
 )
 
 // WAL write path (internal/storage).

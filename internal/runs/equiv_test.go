@@ -13,6 +13,7 @@ import (
 	"wolves/internal/engine"
 	"wolves/internal/gen"
 	"wolves/internal/provenance"
+	"wolves/internal/provenance/provenancetest"
 	"wolves/internal/soundness"
 	"wolves/internal/view"
 	"wolves/internal/workflow"
@@ -21,9 +22,10 @@ import (
 // reference recomputes lineage answers from scratch under one
 // LiveWorkflow.State call: a fresh task closure (provenance.NewEngine),
 // a fresh quotient closure, audit and soundness validation per view
-// (NewViewEngine, AuditView, ValidateView). It shares no index with the
-// registry, so the label serve path is pinned to the paper's
-// closure-based semantics, not to the incremental structures it reads.
+// (NewViewEngine, provenancetest.Reference, ValidateView). It shares no
+// index and no audit kernel with the registry, so the label serve path
+// and the epoch's audits are pinned to the paper's closure-based
+// semantics, not to the incremental structures they read.
 type reference struct {
 	version uint64
 	wf      *workflow.Workflow
@@ -34,7 +36,7 @@ type reference struct {
 type refView struct {
 	v     *view.View
 	ve    *provenance.ViewEngine
-	audit *provenance.ViewAudit
+	audit *provenancetest.Audit
 	sound bool
 }
 
@@ -54,7 +56,7 @@ func withReference(t *testing.T, lw *engine.LiveWorkflow, fn func(ref *reference
 			ref.views[av.ID] = &refView{
 				v:     av.View,
 				ve:    provenance.NewViewEngine(av.View),
-				audit: provenance.AuditView(ref.prov, av.View),
+				audit: provenancetest.Reference(av.View),
 				sound: soundness.ValidateView(oracle, av.View).Sound,
 			}
 		}
@@ -195,6 +197,17 @@ func compareLineage(t *testing.T, s *Store, lw *engine.LiveWorkflow, runID strin
 	var want [][]byte
 	var wantViews []*engine.LineageResult
 	withReference(t, lw, func(ref *reference) {
+		// The epoch's audit of every view, the one audited answers
+		// attach, agrees with the reference in every count and pair.
+		for vid, rv := range ref.views {
+			ep, a, err := lw.Read(vid)
+			if err != nil || ep.Version() != ref.version {
+				t.Fatalf("Read(%s) at version %d: %v", vid, ref.version, err)
+			}
+			if err := rv.audit.Diff(a); err != nil {
+				t.Fatalf("view %s at version %d: epoch audit: %v", vid, ref.version, err)
+			}
+		}
 		for _, q := range qs {
 			want = append(want, ref.answer(t, lw.ID(), run, q).AppendJSON(nil))
 		}

@@ -294,22 +294,23 @@ func (s *Store) lineageLabels(lw *engine.LiveWorkflow, run *Run, q Query, ai int
 		releaseMark(mp)
 
 		if level == LevelAudited {
-			var spur, miss []int
+			var spur, miss []int32
 			if anc {
-				spur, miss = audit.SpuriousUpstream[home], audit.MissingUpstream[home]
+				spur, miss = audit.SpuriousUpstream(home), audit.MissingUpstream(home)
 			} else {
-				spur, miss = audit.SpuriousDownstream[home], audit.MissingDownstream[home]
+				spur, miss = audit.SpuriousDownstream(home), audit.MissingDownstream(home)
 			}
 			for _, ci := range spur {
-				ans.Spurious = append(ans.Spurious, v.Composite(ci).ID)
-				for _, m := range v.Composite(ci).Members() {
+				c := v.Composite(int(ci))
+				ans.Spurious = append(ans.Spurious, c.ID)
+				for _, m := range c.Members() {
 					if run.inRun(m) {
 						ans.SpuriousTasks = append(ans.SpuriousTasks, ep.TaskID(m))
 					}
 				}
 			}
 			for _, ci := range miss {
-				ans.Missing = append(ans.Missing, v.Composite(ci).ID)
+				ans.Missing = append(ans.Missing, v.Composite(int(ci)).ID)
 			}
 			ans.soundVal = len(spur) == 0 && len(miss) == 0
 			ans.Sound = &ans.soundVal
