@@ -9,6 +9,7 @@
 package wolves_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -17,25 +18,34 @@ import (
 	"wolves/internal/soundness"
 )
 
+// benchEng runs the benchmarks that hold their own oracle through the
+// Engine's oracle-level methods (ValidateWithOracle, CorrectWithOracle,
+// SplitWithOracle); benchCtx is their root context.
+var (
+	benchEng = wolves.NewEngine()
+	benchCtx = context.Background()
+)
+
 // --- E1: Figure 1 case study -------------------------------------------------
 
 func BenchmarkE1Figure1Validate(b *testing.B) {
 	wf, v := wolves.Figure1()
-	o := wolves.NewOracle(wf)
+	o := benchEng.Oracle(wf)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if wolves.Validate(o, v).Sound {
-			b.Fatal("fig1 view must be unsound")
+		rep, err := benchEng.ValidateWithOracle(benchCtx, o, v)
+		if err != nil || rep.Sound {
+			b.Fatal("fig1 view must be unsound", err)
 		}
 	}
 }
 
 func BenchmarkE1Figure1Correct(b *testing.B) {
 	wf, v := wolves.Figure1()
-	o := wolves.NewOracle(wf)
+	o := benchEng.Oracle(wf)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wolves.Correct(o, v, wolves.Strong, nil); err != nil {
+		if _, err := benchEng.CorrectWithOracle(benchCtx, o, v, wolves.Strong, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,11 +55,11 @@ func BenchmarkE1Figure1Correct(b *testing.B) {
 
 func BenchmarkE2Figure3(b *testing.B) {
 	f := wolves.Figure3()
-	o := wolves.NewOracle(f.Workflow)
+	o := benchEng.Oracle(f.Workflow)
 	for _, crit := range []wolves.Criterion{wolves.Weak, wolves.Strong, wolves.Optimal} {
 		b.Run(crit.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := wolves.SplitTask(o, f.T, crit, nil); err != nil {
+				if _, err := benchEng.SplitWithOracle(benchCtx, o, f.T, crit, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -62,11 +72,11 @@ func BenchmarkE2Figure3(b *testing.B) {
 func BenchmarkE4Corrector(b *testing.B) {
 	for _, n := range []int{8, 12, 16} {
 		wf, members := wolves.GenUnsoundTask(n, 1)
-		o := wolves.NewOracle(wf)
+		o := benchEng.Oracle(wf)
 		for _, crit := range []wolves.Criterion{wolves.Weak, wolves.Strong, wolves.Optimal} {
 			b.Run(fmt.Sprintf("%s/n=%d", crit, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := wolves.SplitTask(o, members, crit, nil); err != nil {
+					if _, err := benchEng.SplitWithOracle(benchCtx, o, members, crit, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -80,11 +90,11 @@ func BenchmarkE4Corrector(b *testing.B) {
 func BenchmarkE5CorrectorLarge(b *testing.B) {
 	for _, n := range []int{64, 128, 256} {
 		wf, members := wolves.GenUnsoundTask(n, 1)
-		o := wolves.NewOracle(wf)
+		o := benchEng.Oracle(wf)
 		for _, crit := range []wolves.Criterion{wolves.Weak, wolves.Strong} {
 			b.Run(fmt.Sprintf("%s/n=%d", crit, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := wolves.SplitTask(o, members, crit, nil); err != nil {
+					if _, err := benchEng.SplitWithOracle(benchCtx, o, members, crit, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -100,11 +110,13 @@ func BenchmarkE6Validator(b *testing.B) {
 		wf := wolves.GenLayered(wolves.LayeredConfig{
 			Name: "v", Tasks: n, Layers: n / 4, EdgeProb: 0.5, SkipProb: 0.1, Seed: 5,
 		})
-		o := wolves.NewOracle(wf)
+		o := benchEng.Oracle(wf)
 		v := wolves.GenIntervalView(wf, n/4, "bands")
 		b.Run(fmt.Sprintf("task-level/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				wolves.Validate(o, v)
+				if _, err := benchEng.ValidateWithOracle(benchCtx, o, v); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 		b.Run(fmt.Sprintf("def21-paths/n=%d", n), func(b *testing.B) {
@@ -152,9 +164,13 @@ func BenchmarkE8RepositoryAudit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		unsound := 0
 		for _, e := range wolves.Repository() {
-			o := wolves.NewOracle(e.Workflow)
+			o := soundness.NewOracle(e.Workflow)
 			for _, vs := range e.Views {
-				if !wolves.Validate(o, vs.View).Sound {
+				rep, err := benchEng.ValidateWithOracle(benchCtx, o, vs.View)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !rep.Sound {
 					unsound++
 				}
 			}
@@ -184,7 +200,7 @@ func BenchmarkE9EstimatorPredict(b *testing.B) {
 
 func BenchmarkA1StrongPhases(b *testing.B) {
 	wf, members := wolves.GenUnsoundTask(14, 1)
-	o := wolves.NewOracle(wf)
+	o := benchEng.Oracle(wf)
 	b.Run("pairs-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.SplitTaskPhases(o, members, false, false); err != nil {
@@ -216,7 +232,7 @@ func BenchmarkA2SplitVsMergeUp(b *testing.B) {
 		b.Fatal(err)
 	}
 	var unsound *wolves.View
-	o := wolves.NewOracle(entry.Workflow)
+	o := benchEng.Oracle(entry.Workflow)
 	for _, vs := range entry.Views {
 		if !vs.WantSound {
 			unsound = vs.View
@@ -224,7 +240,7 @@ func BenchmarkA2SplitVsMergeUp(b *testing.B) {
 	}
 	b.Run("split-strong", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := wolves.Correct(o, unsound, wolves.Strong, nil); err != nil {
+			if _, err := benchEng.CorrectWithOracle(benchCtx, o, unsound, wolves.Strong, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

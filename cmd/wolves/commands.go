@@ -293,7 +293,7 @@ func cmdSession(args []string) error {
 		defer f.Close()
 		src = f
 	}
-	return s.RunScript(src, os.Stdout)
+	return s.RunScript(context.Background(), src, os.Stdout)
 }
 
 func cmdEstimate(args []string) error {
@@ -314,17 +314,18 @@ func cmdEstimate(args []string) error {
 		}
 	}
 	if *train {
+		ctx := context.Background()
 		for _, size := range []int{6, 8, 10, 12, 14, 16} {
 			for seed := int64(0); seed < 4; seed++ {
 				wf, members := gen.UnsoundTask(size, seed)
 				o := soundness.NewOracle(wf)
 				inner := countInnerEdges(wf, members)
-				opt, err := core.SplitTask(o, members, core.Optimal, nil)
+				opt, err := core.SplitTaskCtx(ctx, o, members, core.Optimal, nil)
 				if err != nil {
 					return err
 				}
 				for _, c := range []core.Criterion{core.Weak, core.Strong, core.Optimal} {
-					res, err := core.SplitTask(o, members, c, nil)
+					res, err := core.SplitTaskCtx(ctx, o, members, c, nil)
 					if err != nil {
 						return err
 					}

@@ -39,7 +39,8 @@
 // process internals).
 //
 // Observability: GET /metrics serves Prometheus text-format counters,
-// gauges and histograms for the full serve/write/recovery path.
+// gauges and histograms for the full serve/write/recovery path; it is
+// the daemon's one stats surface.
 // -trace-sample N records one in N requests as an in-process trace,
 // tailed at GET /debug/traces (0, the default, disables tracing and
 // keeps the warm serve path allocation-free). -slow-query D logs any
@@ -52,8 +53,8 @@
 //	POST /v1/validate  {"workflow": …, "view": …}
 //	POST /v1/correct   {"workflow": …, "view": …, "criterion": "strong"}
 //	POST /v1/batch     {"jobs": [{"op": "validate", …}, …]}
-//	GET  /healthz      liveness: 200 while the process serves
-//	GET  /readyz       readiness: 503 while degraded or draining
+//	GET  /healthz      liveness: {"status":"ok"} while the process serves
+//	GET  /readyz       readiness and health: 503 while degraded or draining
 //
 // Live workflow resources:
 //
@@ -75,7 +76,6 @@
 //	GET  /v1/workflows/{id}/runs/{rid}             run metadata
 //	GET  /v1/workflows/{id}/runs/{rid}/lineage     ?artifact=…&level=exact|view|audited
 //	POST /v1/workflows/{id}/runs/query             batch lineage queries
-//	GET  /v1/stats                                 cache/registry/run-store counters
 //
 // Runs are journaled and snapshot-covered with the registry, so a
 // restarted daemon serves the same runs and lineage answers.
@@ -214,7 +214,6 @@ func run(args []string) error {
 	runStore := runs.New(reg, runs.WithWorkers(eng.Workers()))
 
 	var store *storage.Store
-	var recoveryInfo *server.RecoveryInfo
 	if *dataDir != "" {
 		mode, err := storage.ParseFsyncMode(*fsyncFlag)
 		if err != nil {
@@ -239,8 +238,8 @@ func run(args []string) error {
 		reg.SetJournal(store)
 		runStore.SetJournal(store)
 		// One stable summary line (the "component=wolvesd msg=recovery"
-		// pair is what restart smoke tests grep for), mirrored into
-		// /v1/stats below.
+		// pair is what restart smoke tests grep for); /metrics carries
+		// the replay totals.
 		mainLog.Info("recovery",
 			"segments", stats.Segments,
 			"snapshots", stats.Snapshots,
@@ -255,19 +254,6 @@ func run(args []string) error {
 			"wall_millis", stats.WallMillis,
 			"dir", *dataDir,
 			"fsync", mode)
-		recoveryInfo = &server.RecoveryInfo{
-			Workflows:        stats.Workflows,
-			Views:            stats.Views,
-			Snapshots:        stats.Snapshots,
-			SnapshotsDropped: stats.SnapshotsDropped,
-			Segments:         stats.Segments,
-			RecordsReplayed:  stats.Replayed,
-			RecordsSkipped:   stats.Skipped,
-			Runs:             stats.Runs,
-			TornBytes:        stats.TornBytes,
-			Workers:          stats.Workers,
-			WallMillis:       stats.WallMillis,
-		}
 	}
 
 	websrv := server.New(eng,
@@ -275,7 +261,6 @@ func run(args []string) error {
 		server.WithRunStore(runStore),
 		server.WithRequestTimeout(*requestTimeout),
 		server.WithIngestConcurrency(*ingestConcurrency),
-		server.WithRecoveryInfo(recoveryInfo),
 	)
 	srv := &http.Server{
 		Addr:              *addr,

@@ -298,9 +298,9 @@ func TestDurableRestartPreservesRuns(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("ingest after restart: %d %s", status, body)
 	}
-	status, body = httpDo(t, http.MethodGet, base2+"/v1/stats", "")
-	if status != http.StatusOK || !strings.Contains(body, `"runs":2`) {
-		t.Fatalf("stats after restart: %d %s", status, body)
+	status, body = httpDo(t, http.MethodGet, base2+"/metrics", "")
+	if status != http.StatusOK || !strings.Contains(body, "\nwolves_runs_resident 2\n") {
+		t.Fatalf("metrics after restart: %d %s", status, body)
 	}
 }
 

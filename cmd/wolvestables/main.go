@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -34,11 +35,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	ctx := context.Background()
 	var tables []*experiments.Table
 	if *exp == "all" {
-		tables = experiments.All(*fast)
+		tables = experiments.All(ctx, *fast)
 	} else {
-		t, err := experiments.ByID(*exp, *fast)
+		t, err := experiments.ByID(ctx, *exp, *fast)
 		if err != nil {
 			fmt.Fprintln(stderr, "wolvestables:", err)
 			return 1

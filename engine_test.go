@@ -3,7 +3,6 @@ package wolves_test
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
@@ -102,33 +101,5 @@ func TestEngineOptimalCancellationPublic(t *testing.T) {
 	}
 	if late > 100*time.Millisecond {
 		t.Fatalf("returned %v after the deadline, want < 100ms", late)
-	}
-}
-
-// TestDeprecatedShimMatchesEngine: the free-function layer must produce
-// the same results as the Engine it wraps.
-func TestDeprecatedShimMatchesEngine(t *testing.T) {
-	wf, v := wolves.Figure1()
-	o := wolves.NewOracle(wf)
-	shim := wolves.Validate(o, v)
-	eng := wolves.NewEngine()
-	direct, err := eng.Validate(context.Background(), wf, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(shim, direct) {
-		t.Fatal("free-function Validate differs from Engine.Validate")
-	}
-	fixedShim, err := wolves.Correct(o, v, wolves.Strong, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixedEng, err := eng.Correct(context.Background(), wf, v, wolves.Strong)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fixedShim.CompositesAfter != fixedEng.CompositesAfter {
-		t.Fatalf("shim corrected to %d composites, engine to %d",
-			fixedShim.CompositesAfter, fixedEng.CompositesAfter)
 	}
 }

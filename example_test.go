@@ -1,6 +1,7 @@
 package wolves_test
 
 import (
+	"context"
 	"fmt"
 
 	"wolves"
@@ -8,10 +9,10 @@ import (
 
 // The Figure 1 case study in four lines: load, validate, read the
 // witness, correct.
-func ExampleValidate() {
+func ExampleEngine_Validate() {
 	wf, v := wolves.Figure1()
-	oracle := wolves.NewOracle(wf)
-	report := wolves.Validate(oracle, v)
+	eng := wolves.NewEngine()
+	report, _ := eng.Validate(context.Background(), wf, v)
 	fmt.Println("sound:", report.Sound)
 	for _, ci := range report.Unsound {
 		cr := report.Composites[ci]
@@ -23,12 +24,14 @@ func ExampleValidate() {
 	// composite 16: 4 ∈ T.in cannot reach 7 ∈ T.out
 }
 
-func ExampleCorrect() {
+func ExampleEngine_Correct() {
 	wf, v := wolves.Figure1()
-	oracle := wolves.NewOracle(wf)
-	fixed, _ := wolves.Correct(oracle, v, wolves.Strong, nil)
+	eng := wolves.NewEngine()
+	ctx := context.Background()
+	fixed, _ := eng.Correct(ctx, wf, v, wolves.Strong)
 	fmt.Println("composites:", fixed.CompositesBefore, "→", fixed.CompositesAfter)
-	fmt.Println("sound now:", wolves.Validate(oracle, fixed.Corrected).Sound)
+	report, _ := eng.Validate(ctx, wf, fixed.Corrected)
+	fmt.Println("sound now:", report.Sound)
 	// Output:
 	// composites: 7 → 8
 	// sound now: true
@@ -36,11 +39,12 @@ func ExampleCorrect() {
 
 // The Figure 3 running example: the weak corrector stalls at 8 blocks,
 // the strong corrector reaches 5.
-func ExampleSplitTask() {
+func ExampleEngine_SplitTask() {
 	f := wolves.Figure3()
-	oracle := wolves.NewOracle(f.Workflow)
-	weak, _ := wolves.SplitTask(oracle, f.T, wolves.Weak, nil)
-	strong, _ := wolves.SplitTask(oracle, f.T, wolves.Strong, nil)
+	eng := wolves.NewEngine()
+	ctx := context.Background()
+	weak, _ := eng.SplitTask(ctx, f.Workflow, f.T, wolves.Weak)
+	strong, _ := eng.SplitTask(ctx, f.Workflow, f.T, wolves.Strong)
 	fmt.Println("weak blocks:", len(weak.Blocks))
 	fmt.Println("strong blocks:", len(strong.Blocks))
 	// Output:
@@ -64,8 +68,7 @@ func ExampleAuditProvenance() {
 // The design-time advisor: which tasks can safely join a draft composite?
 func ExampleAdvisor() {
 	wf, _ := wolves.Figure1()
-	oracle := wolves.NewOracle(wf)
-	advisor := wolves.NewAdvisor(oracle)
+	advisor := wolves.NewAdvisor(wolves.NewEngine().Oracle(wf))
 	draft := []int{wf.MustIndex("4")}
 	fmt.Println("can add 5:", advisor.CanAdd(draft, wf.MustIndex("5")))
 	fmt.Println("can add 7:", advisor.CanAdd(draft, wf.MustIndex("7")))

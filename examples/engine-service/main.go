@@ -35,7 +35,7 @@ func main() {
 		}
 	}
 	unsoundIdx := -1
-	for i, res := range eng.ValidateBatch(ctx, jobs) {
+	for i, res := range eng.ValidateBatch(ctx, jobs, 0) {
 		if res.Err != nil {
 			log.Fatalf("%s: %v", names[i], res.Err)
 		}

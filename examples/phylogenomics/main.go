@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -23,7 +24,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	wf, v := wolves.Figure1()
-	oracle := wolves.NewOracle(wf)
+	eng := wolves.NewEngine()
+	ctx := context.Background()
+	oracle := eng.Oracle(wf)
 
 	fmt.Println("=== Figure 1(b) view ===")
 	if err := wolves.Summary(os.Stdout, oracle, v); err != nil {
@@ -47,7 +50,7 @@ func main() {
 		audit.FalsePairs, audit.Precision)
 
 	// Correct with the strongly local optimal corrector.
-	fixed, err := wolves.Correct(oracle, v, wolves.Strong, nil)
+	fixed, err := eng.Correct(ctx, wf, v, wolves.Strong)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,19 +65,23 @@ func main() {
 
 	// Optional DOT outputs: phylogenomics <before.dot> <after.dot>.
 	if len(os.Args) >= 3 {
-		writeDOT(os.Args[1], wf, v, oracle)
-		writeDOT(os.Args[2], wf, fixed.Corrected, oracle)
+		writeDOT(ctx, eng, os.Args[1], wf, v)
+		writeDOT(ctx, eng, os.Args[2], wf, fixed.Corrected)
 		fmt.Printf("\nwrote %s and %s (render with graphviz)\n", os.Args[1], os.Args[2])
 	}
 }
 
-func writeDOT(path string, wf *wolves.Workflow, v *wolves.View, oracle *wolves.Oracle) {
+func writeDOT(ctx context.Context, eng *wolves.Engine, path string, wf *wolves.Workflow, v *wolves.View) {
+	rep, err := eng.Validate(ctx, wf, v)
+	if err != nil {
+		log.Fatal(err)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	opts := &wolves.DisplayOptions{Report: wolves.Validate(oracle, v)}
+	opts := &wolves.DisplayOptions{Report: rep}
 	if err := wolves.WorkflowDOT(f, wf, v, opts); err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -65,8 +66,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	oracle := wolves.NewOracle(wf)
-	report := wolves.Validate(oracle, v)
+	eng := wolves.NewEngine()
+	ctx := context.Background()
+	report, err := eng.Validate(ctx, wf, v)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nops view sound? %v (unsound composites: %d)\n",
 		report.Sound, len(report.Unsound))
 
@@ -89,7 +94,7 @@ func main() {
 		engine.ClosurePairs(), ve.ClosurePairs())
 
 	// Correct and re-audit: precision returns to 1.
-	fixed, err := wolves.Correct(oracle, v, wolves.Strong, nil)
+	fixed, err := eng.Correct(ctx, wf, v, wolves.Strong)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -45,9 +46,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	oracle := wolves.NewOracle(wf)
+	eng := wolves.NewEngine()
+	ctx := context.Background()
 	fmt.Println("--- validation ---")
-	if err := wolves.Summary(os.Stdout, oracle, v); err != nil {
+	if err := wolves.Summary(os.Stdout, eng.Oracle(wf), v); err != nil {
 		log.Fatal(err)
 	}
 
@@ -58,7 +60,7 @@ func main() {
 		audit.FalsePairs, audit.WrongQueries, audit.Composites, audit.Precision)
 
 	for _, crit := range []wolves.Criterion{wolves.Weak, wolves.Strong, wolves.Optimal} {
-		fixed, err := wolves.Correct(oracle, v, crit, nil)
+		fixed, err := eng.Correct(ctx, wf, v, crit)
 		if err != nil {
 			log.Fatal(err)
 		}

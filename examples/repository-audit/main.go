@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,19 +17,27 @@ func main() {
 	log.SetFlags(0)
 	fmt.Printf("%-22s %-26s %-9s %-28s\n", "WORKFLOW", "VIEW", "STATUS", "CORRECTION (strong | merge-up)")
 
+	eng := wolves.NewEngine()
+	ctx := context.Background()
 	totalViews, unsoundViews := 0, 0
 	for _, entry := range wolves.Repository() {
-		oracle := wolves.NewOracle(entry.Workflow)
+		oracle := eng.Oracle(entry.Workflow)
+		sound := func(v *wolves.View) bool {
+			report, err := eng.ValidateWithOracle(ctx, oracle, v)
+			if err != nil {
+				log.Fatal(err)
+			}
+			return report.Sound
+		}
 		for _, vs := range entry.Views {
 			totalViews++
-			report := wolves.Validate(oracle, vs.View)
-			if report.Sound {
+			if sound(vs.View) {
 				fmt.Printf("%-22s %-26s %-9s\n", entry.Key, vs.View.Name(), "sound")
 				continue
 			}
 			unsoundViews++
 
-			split, err := wolves.Correct(oracle, vs.View, wolves.Strong, nil)
+			split, err := eng.CorrectWithOracle(ctx, oracle, vs.View, wolves.Strong, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -42,10 +51,10 @@ func main() {
 				merged.CompositesBefore, merged.CompositesAfter)
 
 			// Both corrections must validate clean.
-			if !wolves.Validate(oracle, split.Corrected).Sound {
+			if !sound(split.Corrected) {
 				log.Fatalf("%s: split correction failed", vs.View.Name())
 			}
-			if !wolves.Validate(oracle, merged.Corrected).Sound {
+			if !sound(merged.Corrected) {
 				log.Fatalf("%s: merge-up correction failed", vs.View.Name())
 			}
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	entry, err := wolves.RepositoryGet("ml-training")
 	if err != nil {
 		log.Fatal(err)
@@ -39,7 +41,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	autoRep := wolves.Validate(wolves.NewOracle(wf), auto)
+	eng := wolves.NewEngine()
+	autoRep, err := eng.Validate(ctx, wf, auto)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Biton-style auto view: %d composites, sound=%v\n\n", auto.N(), autoRep.Sound)
 
 	session, err := wolves.NewSession(wf, start)
@@ -47,13 +53,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("starting view (%d composites):\n%s\n", start.N(), start.Describe())
-	fmt.Printf("validator: sound=%v\n\n", session.Validate().Sound)
+	fmt.Printf("validator: sound=%v\n\n", session.ValidateCtx(ctx).Sound)
 
 	// The user merges both arms "to declutter the display".
 	if err := session.MergeTasks("training", "model", "baseline"); err != nil {
 		log.Fatal(err)
 	}
-	report := session.Validate()
+	report := session.ValidateCtx(ctx)
 	fmt.Printf("after merging model+baseline: sound=%v\n", report.Sound)
 	for _, ci := range report.Unsound {
 		cr := report.Composites[ci]
@@ -63,7 +69,7 @@ func main() {
 
 	// Estimator advice before choosing a corrector.
 	est := wolves.NewEstimator()
-	trainEstimator(est)
+	trainEstimator(ctx, eng, est)
 	ci := report.Unsound[0]
 	comp := session.Current().Composite(ci)
 	inner := innerEdges(wf, comp.Members())
@@ -77,30 +83,29 @@ func main() {
 	}
 
 	// Split just that composite with the strong corrector, then accept.
-	res, err := session.SplitTask("training", wolves.Strong, nil)
+	res, err := session.SplitTaskCtx(ctx, "training", wolves.Strong, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsplit %q into %d sound blocks\n", comp.ID, len(res.Blocks))
-	final := session.Validate()
+	final := session.ValidateCtx(ctx)
 	session.Accept()
 	fmt.Printf("final: sound=%v, %d composites:\n%s",
 		final.Sound, session.Current().N(), session.Current().Describe())
 }
 
 // trainEstimator seeds the estimator with a small generated corpus.
-func trainEstimator(est *wolves.Estimator) {
+func trainEstimator(ctx context.Context, eng *wolves.Engine, est *wolves.Estimator) {
 	for _, n := range []int{4, 6, 8, 10} {
 		for seed := int64(0); seed < 3; seed++ {
 			wf, members := wolves.GenUnsoundTask(n, seed)
-			oracle := wolves.NewOracle(wf)
 			inner := innerEdges(wf, members)
-			opt, err := wolves.SplitTask(oracle, members, wolves.Optimal, nil)
+			opt, err := eng.SplitTask(ctx, wf, members, wolves.Optimal)
 			if err != nil {
 				log.Fatal(err)
 			}
 			for _, crit := range []wolves.Criterion{wolves.Weak, wolves.Strong, wolves.Optimal} {
-				res, err := wolves.SplitTask(oracle, members, crit, nil)
+				res, err := eng.SplitTask(ctx, wf, members, crit)
 				if err != nil {
 					log.Fatal(err)
 				}

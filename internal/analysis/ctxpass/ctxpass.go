@@ -5,9 +5,12 @@
 //
 //  1. context.Background() / context.TODO() inside library code is a
 //     broken thread: the DP and auditor loops poll ctx every few
-//     thousand states, but only if callers pass one down. Compat
-//     wrappers that intentionally anchor a fresh context carry the
-//     annotation with a rationale.
+//     thousand states, but only if callers pass one down. The few
+//     places that must anchor a fresh root carry the annotation with a
+//     rationale: the two recovery-replay roots (storage and the run
+//     store), feedback's root for bounded structural operations, and
+//     soundness.ValidateViewParallel, the one non-ctx twin kept for a
+//     caller outside this module.
 //  2. Calling F when FCtx exists (same package, or same method set)
 //     while a ctx is in scope silently drops cancellation on the floor.
 package ctxpass

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestCompactShrinksSoundViews(t *testing.T) {
 	wf, v := repo.Figure1()
 	o := soundness.NewOracle(wf)
 	// Correct first, then compact: the interaction the paper leaves open.
-	vc, err := CorrectView(o, v, Strong, nil)
+	vc, err := CorrectViewCtx(context.Background(), o, v, Strong, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

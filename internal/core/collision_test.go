@@ -39,7 +39,7 @@ func collisionCase(t *testing.T) (*workflow.Workflow, *view.View) {
 func TestStrongCorrectionNeverFoldsIntoExistingComposite(t *testing.T) {
 	wf, v := collisionCase(t)
 	o := soundness.NewOracle(wf)
-	vc, err := CorrectViewCtx(context.Background(), o, v, Strong, nil)
+	vc, err := CorrectViewCtx(context.Background(), o, v, Strong, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@
 //
 // Splitting one composite never affects the soundness of any other
 // composite (a block's soundness depends only on its member set and the
-// workflow), so CorrectView repairs a whole view by splitting each
+// workflow), so CorrectViewCtx repairs a whole view by splitting each
 // unsound composite independently.
 package core
 
@@ -135,11 +135,6 @@ type Result struct {
 // ErrOptimalLimit is returned when the composite exceeds OptimalLimit.
 var ErrOptimalLimit = errors.New("core: composite too large for the optimal corrector")
 
-// ErrOptimalTooLarge is the historical name of ErrOptimalLimit.
-//
-// Deprecated: test against ErrOptimalLimit.
-var ErrOptimalTooLarge = ErrOptimalLimit
-
 // ErrCanceled wraps a context cancellation observed inside a corrector;
 // errors.Is(err, context.Canceled) (or context.DeadlineExceeded) also
 // matches, since the context's own error is wrapped alongside.
@@ -150,18 +145,13 @@ func canceledErr(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx))
 }
 
-// SplitTask splits the given member set (the atomic tasks of one
+// SplitTaskCtx splits the given member set (the atomic tasks of one
 // composite) into sound blocks under the chosen criterion. A member set
 // that is already sound is returned as a single block under every
 // criterion.
-// Deprecated: use SplitTaskCtx so callers can cancel the exponential
-// optimal phase.
-func SplitTask(o *soundness.Oracle, members []int, crit Criterion, opts *Options) (*Result, error) {
-	return SplitTaskCtx(context.Background(), o, members, crit, opts) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// SplitTaskCtx is SplitTask with cooperative cancellation. The
-// polynomial phases poll ctx between merge passes; the exponential
+//
+// Cancellation is cooperative. The polynomial phases poll ctx between
+// merge passes; the exponential
 // phases (the Optimal subset DP and the StrongAudited exhaustive
 // auditor) poll it inside their enumeration loops every few thousand
 // states, so even a 2^20-state run aborts within milliseconds of ctx

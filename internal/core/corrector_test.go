@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -39,7 +40,7 @@ func TestFigure3TaskIsUnsound(t *testing.T) {
 func TestFigure3WeakSplit(t *testing.T) {
 	f := repo.Figure3()
 	o := soundness.NewOracle(f.Workflow)
-	res, err := SplitTask(o, f.T, Weak, nil)
+	res, err := SplitTaskCtx(context.Background(), o, f.T, Weak, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestFigure3WeakSplit(t *testing.T) {
 func TestFigure3StrongSplit(t *testing.T) {
 	f := repo.Figure3()
 	o := soundness.NewOracle(f.Workflow)
-	res, err := SplitTask(o, f.T, Strong, nil)
+	res, err := SplitTaskCtx(context.Background(), o, f.T, Strong, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestFigure3StrongSplit(t *testing.T) {
 func TestFigure3OptimalSplit(t *testing.T) {
 	f := repo.Figure3()
 	o := soundness.NewOracle(f.Workflow)
-	res, err := SplitTask(o, f.T, Optimal, nil)
+	res, err := SplitTaskCtx(context.Background(), o, f.T, Optimal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestFigure3PaperWitnesses(t *testing.T) {
 func TestFigure3StrongAudited(t *testing.T) {
 	f := repo.Figure3()
 	o := soundness.NewOracle(f.Workflow)
-	res, err := SplitTask(o, f.T, StrongAudited, nil)
+	res, err := SplitTaskCtx(context.Background(), o, f.T, StrongAudited, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestFigure1CorrectView(t *testing.T) {
 	}
 
 	for _, crit := range []Criterion{Weak, Strong, StrongAudited, Optimal} {
-		vc, err := CorrectView(o, v, crit, nil)
+		vc, err := CorrectViewCtx(context.Background(), o, v, crit, nil, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", crit, err)
 		}
@@ -192,7 +193,7 @@ func TestSplitSoundTaskIsIdentity(t *testing.T) {
 	// {1,2} is sound (single entry chain).
 	members := []int{wf.MustIndex("1"), wf.MustIndex("2")}
 	for _, crit := range []Criterion{Weak, Strong, StrongAudited, Optimal} {
-		res, err := SplitTask(o, members, crit, nil)
+		res, err := SplitTaskCtx(context.Background(), o, members, crit, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,15 +206,15 @@ func TestSplitSoundTaskIsIdentity(t *testing.T) {
 func TestSplitTaskErrors(t *testing.T) {
 	wf, _ := repo.Figure1()
 	o := soundness.NewOracle(wf)
-	if _, err := SplitTask(o, nil, Weak, nil); err == nil {
+	if _, err := SplitTaskCtx(context.Background(), o, nil, Weak, nil); err == nil {
 		t.Fatal("empty member set must error")
 	}
 	f := repo.Figure3()
 	o3 := soundness.NewOracle(f.Workflow)
-	if _, err := SplitTask(o3, f.T, Optimal, &Options{OptimalLimit: 4}); err == nil {
+	if _, err := SplitTaskCtx(context.Background(), o3, f.T, Optimal, &Options{OptimalLimit: 4}); err == nil {
 		t.Fatal("optimal beyond limit must error")
 	}
-	if _, err := SplitTask(o3, f.T, Criterion(99), nil); err == nil {
+	if _, err := SplitTaskCtx(context.Background(), o3, f.T, Criterion(99), nil); err == nil {
 		t.Fatal("unknown criterion must error")
 	}
 }
@@ -279,19 +280,19 @@ func TestRandomizedCorrectorAudit(t *testing.T) {
 		wf, members := randomCase(rng, 11)
 		o := soundness.NewOracle(wf)
 
-		weak, err := SplitTask(o, members, Weak, nil)
+		weak, err := SplitTaskCtx(context.Background(), o, members, Weak, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		strong, err := SplitTask(o, members, Strong, nil)
+		strong, err := SplitTaskCtx(context.Background(), o, members, Strong, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		audited, err := SplitTask(o, members, StrongAudited, nil)
+		audited, err := SplitTaskCtx(context.Background(), o, members, StrongAudited, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := SplitTask(o, members, Optimal, nil)
+		opt, err := SplitTaskCtx(context.Background(), o, members, Optimal, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,11 +336,11 @@ func TestBicliqueFamilyScalesFigure3(t *testing.T) {
 	for _, k := range ks {
 		wf, members := gen.BicliqueTask(k)
 		o := soundness.NewOracle(wf)
-		weak, err := SplitTask(o, members, Weak, nil)
+		weak, err := SplitTaskCtx(context.Background(), o, members, Weak, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		strong, err := SplitTask(o, members, Strong, nil)
+		strong, err := SplitTaskCtx(context.Background(), o, members, Strong, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +357,7 @@ func TestBicliqueFamilyScalesFigure3(t *testing.T) {
 			t.Fatalf("k=%d: weak output has combinable pair %v", k, pair)
 		}
 		if 2*k+8 <= 18 { // the 3^n DP gets slow beyond this
-			opt, err := SplitTask(o, members, Optimal, nil)
+			opt, err := SplitTaskCtx(context.Background(), o, members, Optimal, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -377,7 +378,7 @@ func TestOptimalMatchesBruteForceSmall(t *testing.T) {
 	for c := 0; c < 40; c++ {
 		wf, members := randomCase(rng, 7)
 		o := soundness.NewOracle(wf)
-		opt, err := SplitTask(o, members, Optimal, nil)
+		opt, err := SplitTaskCtx(context.Background(), o, members, Optimal, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

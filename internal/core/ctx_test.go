@@ -78,14 +78,14 @@ func TestCorrectViewCancellation(t *testing.T) {
 	v := unsoundView(t, wf, members)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CorrectViewCtx(ctx, o, v, Strong, nil); !errors.Is(err, ErrCanceled) {
+	if _, err := CorrectViewCtx(ctx, o, v, Strong, nil, 0); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if _, err := CorrectViewCtx(ctx, o, v, Strong, nil); !errors.Is(err, context.Canceled) {
+	if _, err := CorrectViewCtx(ctx, o, v, Strong, nil, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 	// A live context corrects normally.
-	vc, err := CorrectViewCtx(context.Background(), o, v, Strong, nil)
+	vc, err := CorrectViewCtx(context.Background(), o, v, Strong, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,21 +121,17 @@ func TestOptionsExplicitLimits(t *testing.T) {
 	wf, members := gen.UnsoundTask(6, 1)
 	o := soundness.NewOracle(wf)
 	// A small explicit limit must be honored, not reset to 20 …
-	_, err := SplitTask(o, members, Optimal, &Options{OptimalLimit: 3})
+	_, err := SplitTaskCtx(context.Background(), o, members, Optimal, &Options{OptimalLimit: 3})
 	if !errors.Is(err, ErrOptimalLimit) {
 		t.Fatalf("err = %v, want ErrOptimalLimit for limit 3 < 6 members", err)
 	}
 	// … and a negative limit rejects every composite.
-	_, err = SplitTask(o, members, Optimal, &Options{OptimalLimit: -1})
+	_, err = SplitTaskCtx(context.Background(), o, members, Optimal, &Options{OptimalLimit: -1})
 	if !errors.Is(err, ErrOptimalLimit) {
 		t.Fatalf("err = %v, want ErrOptimalLimit for negative limit", err)
 	}
-	// The deprecated alias still matches.
-	if !errors.Is(err, ErrOptimalTooLarge) {
-		t.Fatalf("err = %v, want ErrOptimalTooLarge alias to match", err)
-	}
 	// Within the limit the split succeeds.
-	res, err := SplitTask(o, members, Optimal, &Options{OptimalLimit: 6})
+	res, err := SplitTaskCtx(context.Background(), o, members, Optimal, &Options{OptimalLimit: 6})
 	if err != nil || len(res.Blocks) == 0 {
 		t.Fatalf("res = %+v, err = %v", res, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestSplitTaskPhasesDegenerateAndFull(t *testing.T) {
 	f := repo.Figure3()
 	o := soundness.NewOracle(f.Workflow)
 	// pairs-only equals the weak corrector.
-	weak, err := SplitTask(o, f.T, Weak, nil)
+	weak, err := SplitTaskCtx(context.Background(), o, f.T, Weak, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSplitTaskPhasesDegenerateAndFull(t *testing.T) {
 		t.Fatalf("pairs-only = %d blocks, weak = %d", len(p1.Blocks), len(weak.Blocks))
 	}
 	// full strong equals the strong corrector.
-	strong, err := SplitTask(o, f.T, Strong, nil)
+	strong, err := SplitTaskCtx(context.Background(), o, f.T, Strong, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

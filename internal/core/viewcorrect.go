@@ -31,29 +31,20 @@ type ViewCorrection struct {
 	Elapsed          time.Duration
 }
 
-// CorrectView splits every unsound composite of v under the chosen
+// CorrectViewCtx splits every unsound composite of v under the chosen
 // criterion and returns the repaired view. Because a block's soundness
 // depends only on its member set, repairing one composite never breaks
 // another, and the result is sound by construction (verified by the
 // caller-facing report).
-// Deprecated: use CorrectViewCtx so callers can cancel mid-repair.
-func CorrectView(o *soundness.Oracle, v *view.View, crit Criterion, opts *Options) (*ViewCorrection, error) {
-	return CorrectViewCtx(context.Background(), o, v, crit, opts) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// CorrectViewCtx is CorrectView with cooperative cancellation: the
-// initial validation and every per-composite split observe ctx, so a
-// fired context aborts the repair promptly — even mid-way through an
+//
+// The initial validation fans composites over workers goroutines (0 =
+// GOMAXPROCS, 1 = sequential); callers that already occupy a worker pool
+// — the Engine's batch entry points — pass 1 so a configured fan-out cap
+// is not multiplied per job. Cancellation is cooperative: the initial
+// validation and every per-composite split observe ctx, so a fired
+// context aborts the repair promptly — even mid-way through an
 // exponential Optimal split — returning an error that wraps ErrCanceled.
-func CorrectViewCtx(ctx context.Context, o *soundness.Oracle, v *view.View, crit Criterion, opts *Options) (*ViewCorrection, error) {
-	return CorrectViewWorkersCtx(ctx, o, v, crit, opts, 0)
-}
-
-// CorrectViewWorkersCtx is CorrectViewCtx with an explicit fan-out width
-// for the initial validation (0 = GOMAXPROCS, 1 = sequential). Callers
-// that already occupy a worker pool — the Engine's batch entry points —
-// pass 1 so a configured fan-out cap is not multiplied per job.
-func CorrectViewWorkersCtx(ctx context.Context, o *soundness.Oracle, v *view.View, crit Criterion, opts *Options, workers int) (*ViewCorrection, error) {
+func CorrectViewCtx(ctx context.Context, o *soundness.Oracle, v *view.View, crit Criterion, opts *Options, workers int) (*ViewCorrection, error) {
 	if !workflow.Same(v.Workflow(), o.Workflow()) {
 		return nil, fmt.Errorf("core: view %q belongs to a different workflow", v.Name())
 	}

@@ -41,10 +41,13 @@ type CorrectResult struct {
 	Err        *Error
 }
 
-// runBatch claims job indices with an atomic cursor and fans them over
-// min(workers, len(jobs)) goroutines. Once ctx fires, unclaimed jobs
-// complete immediately via onCanceled instead of running.
-func runBatch(ctx context.Context, workers, n int, run func(i int), onCanceled func(i int)) {
+// FanOut runs n independent jobs over min(workers, n) goroutines,
+// claiming job indices with an atomic cursor: run(i) executes each job,
+// and once ctx fires the unclaimed remainder completes immediately via
+// onCanceled(i) instead of running. It is the scheduling core behind
+// ValidateBatch/CorrectBatch, exported so sibling subsystems (the run
+// store's batch lineage endpoint) share one worker-pool behavior.
+func FanOut(ctx context.Context, workers, n int, run func(i int), onCanceled func(i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -73,34 +76,19 @@ func runBatch(ctx context.Context, workers, n int, run func(i int), onCanceled f
 	wg.Wait()
 }
 
-// FanOut runs n independent jobs over min(workers, n) goroutines with
-// the batch machinery's atomic claim cursor: run(i) executes each job,
-// and once ctx fires the unclaimed remainder completes immediately via
-// onCanceled(i) instead of running. It is the scheduling core behind
-// ValidateBatch/CorrectBatch, exported so sibling subsystems (the run
-// store's batch lineage endpoint) share one worker-pool behavior.
-func FanOut(ctx context.Context, workers, n int, run func(i int), onCanceled func(i int)) {
-	runBatch(ctx, workers, n, run, onCanceled)
-}
-
-// ValidateBatch validates every job over the engine's worker pool and
-// returns per-job results in input order. Jobs repeating a workflow
-// share its cached oracle; a canceled ctx marks the remaining jobs with
-// ErrCanceled instead of abandoning them silently.
-func (e *Engine) ValidateBatch(ctx context.Context, jobs []ValidateJob) []ValidateResult {
-	return e.ValidateBatchN(ctx, jobs, 0)
-}
-
-// ValidateBatchN is ValidateBatch with an explicit pool width (0 = the
-// engine's Workers()). Callers running several batches concurrently
-// split the engine width between them so the configured fan-out cap
-// holds across the whole request.
-func (e *Engine) ValidateBatchN(ctx context.Context, jobs []ValidateJob, workers int) []ValidateResult {
+// ValidateBatch validates every job over a pool of workers goroutines
+// (0 = the engine's Workers()) and returns per-job results in input
+// order. Jobs repeating a workflow share its cached oracle; a canceled
+// ctx marks the remaining jobs with ErrCanceled instead of abandoning
+// them silently. Callers running several batches concurrently split the
+// engine width between them so the configured fan-out cap holds across
+// the whole request.
+func (e *Engine) ValidateBatch(ctx context.Context, jobs []ValidateJob, workers int) []ValidateResult {
 	if workers <= 0 {
 		workers = e.Workers()
 	}
 	results := make([]ValidateResult, len(jobs))
-	runBatch(ctx, workers, len(jobs),
+	FanOut(ctx, workers, len(jobs),
 		func(i int) {
 			// Within a batch each job validates sequentially; the batch
 			// itself is the parallelism.
@@ -123,7 +111,7 @@ func (e *Engine) validateSequential(ctx context.Context, wf *workflow.Workflow, 
 	if err := checkView("validate", wf, v); err != nil {
 		return nil, err
 	}
-	return soundness.ValidateViewCtx(ctx, e.Oracle(wf), v)
+	return soundness.ValidateViewParallelCtx(ctx, e.Oracle(wf), v, 1)
 }
 
 // correctSequential is CorrectWithOracle with the inner validation
@@ -132,24 +120,19 @@ func (e *Engine) validateSequential(ctx context.Context, wf *workflow.Workflow, 
 func (e *Engine) correctSequential(ctx context.Context, j CorrectJob) (*core.ViewCorrection, error) {
 	ctx, cancel := e.optimalCtx(ctx, j.Criterion)
 	defer cancel()
-	return core.CorrectViewWorkersCtx(ctx, e.Oracle(j.Workflow), j.View, j.Criterion, e.corrOptions(j.Options), 1)
+	return core.CorrectViewCtx(ctx, e.Oracle(j.Workflow), j.View, j.Criterion, e.corrOptions(j.Options), 1)
 }
 
-// CorrectBatch corrects every job over the engine's worker pool and
-// returns per-job results in input order. Error handling is per job: one
-// composite exceeding the Optimal limit fails only its own job.
-func (e *Engine) CorrectBatch(ctx context.Context, jobs []CorrectJob) []CorrectResult {
-	return e.CorrectBatchN(ctx, jobs, 0)
-}
-
-// CorrectBatchN is CorrectBatch with an explicit pool width (0 = the
-// engine's Workers()); see ValidateBatchN.
-func (e *Engine) CorrectBatchN(ctx context.Context, jobs []CorrectJob, workers int) []CorrectResult {
+// CorrectBatch corrects every job over a pool of workers goroutines
+// (0 = the engine's Workers(); see ValidateBatch) and returns per-job
+// results in input order. Error handling is per job: one composite
+// exceeding the Optimal limit fails only its own job.
+func (e *Engine) CorrectBatch(ctx context.Context, jobs []CorrectJob, workers int) []CorrectResult {
 	if workers <= 0 {
 		workers = e.Workers()
 	}
 	results := make([]CorrectResult, len(jobs))
-	runBatch(ctx, workers, len(jobs),
+	FanOut(ctx, workers, len(jobs),
 		func(i int) {
 			j := jobs[i]
 			if err := checkView("correct", j.Workflow, j.View); err != nil {

@@ -136,8 +136,9 @@ func (e *Engine) Validate(ctx context.Context, wf *workflow.Workflow, v *view.Vi
 	return e.ValidateWithOracle(ctx, e.Oracle(wf), v)
 }
 
-// ValidateWithOracle is Validate against a caller-held oracle (the
-// compatibility path of the deprecated free functions).
+// ValidateWithOracle is Validate against a caller-held oracle: a live
+// workflow's incrementally maintained one, or one from Oracle reused
+// across many views of the same workflow.
 func (e *Engine) ValidateWithOracle(ctx context.Context, o *soundness.Oracle, v *view.View) (*soundness.Report, error) {
 	if o == nil || v == nil {
 		return nil, errf(ErrBadInput, "validate", "nil oracle or view")
@@ -189,7 +190,7 @@ func (e *Engine) CorrectWithOracle(ctx context.Context, o *soundness.Oracle, v *
 	}
 	ctx, cancel := e.optimalCtx(ctx, crit)
 	defer cancel()
-	vc, err := core.CorrectViewWorkersCtx(ctx, o, v, crit, e.corrOptions(opts), e.workers)
+	vc, err := core.CorrectViewCtx(ctx, o, v, crit, e.corrOptions(opts), e.workers)
 	if err != nil {
 		return nil, wrapErr("correct", err)
 	}
@@ -197,7 +198,7 @@ func (e *Engine) CorrectWithOracle(ctx context.Context, o *soundness.Oracle, v *
 }
 
 // SplitTask splits one composite's member set into sound blocks under
-// crit. Members are workflow task indices, as in core.SplitTask.
+// crit. Members are workflow task indices, as in core.SplitTaskCtx.
 func (e *Engine) SplitTask(ctx context.Context, wf *workflow.Workflow, members []int, crit core.Criterion) (*core.Result, error) {
 	if wf == nil {
 		return nil, errf(ErrBadInput, "split", "nil workflow")

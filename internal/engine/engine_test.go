@@ -195,7 +195,7 @@ func TestBatchAPIs(t *testing.T) {
 		{Workflow: wf1, View: f3.View}, // mismatched on purpose
 		{Workflow: wf1, View: v1},
 	}
-	vres := e.ValidateBatch(ctx, vjobs)
+	vres := e.ValidateBatch(ctx, vjobs, 0)
 	if len(vres) != 4 {
 		t.Fatalf("got %d results", len(vres))
 	}
@@ -220,7 +220,7 @@ func TestBatchAPIs(t *testing.T) {
 		{Workflow: bigWF, View: bigView, Criterion: core.Optimal},
 		{Workflow: f3.Workflow, View: f3.View, Criterion: core.Weak},
 	}
-	cres := e.CorrectBatch(ctx, cjobs)
+	cres := e.CorrectBatch(ctx, cjobs, 0)
 	if cres[0].Err != nil || cres[0].Correction == nil {
 		t.Fatalf("job 0: %+v", cres[0])
 	}
@@ -239,7 +239,7 @@ func TestBatchAPIs(t *testing.T) {
 	// silence.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	for i, r := range e.ValidateBatch(canceled, vjobs) {
+	for i, r := range e.ValidateBatch(canceled, vjobs, 0) {
 		if r.Err == nil || r.Err.Code != ErrCanceled {
 			t.Fatalf("canceled batch job %d: %+v", i, r)
 		}
@@ -263,7 +263,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 			want = append(want, rep)
 		}
 	}
-	got := e.ValidateBatch(ctx, jobs)
+	got := e.ValidateBatch(ctx, jobs, 0)
 	for i := range jobs {
 		if got[i].Err != nil {
 			t.Fatalf("job %d: %v", i, got[i].Err)

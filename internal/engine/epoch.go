@@ -127,7 +127,7 @@ func (lw *LiveWorkflow) Read(auditView string) (*ReadEpoch, *provenance.ViewAudi
 }
 
 // publishEpochLocked assembles and atomically publishes the read epoch,
-// carrying every view's labels over unless Mutate dropped them.
+// carrying every view's labels over unless MutateCtx dropped them.
 // Callers hold the write lock (or own lw exclusively, pre-publication).
 func (lw *LiveWorkflow) publishEpochLocked() {
 	if lw.reg.restoring.Load() {
@@ -174,28 +174,24 @@ func (lw *LiveWorkflow) publishEpochLocked() {
 	obs.MEpochPublishes.Inc()
 }
 
-// LabelStats aggregates label-index counters for /v1/stats: lifetime
+// LabelStats aggregates label-index counters for /metrics: lifetime
 // build/rebuild/patch counts summed over resident workflows, plus the
-// resident interval count and memory footprint of every live index
-// (task-level and per-view).
+// resident memory footprint of every live index (task-level and
+// per-view).
 type LabelStats struct {
-	// Workflows counts resident workflows serving from a published
-	// epoch.
-	Workflows int `json:"workflows"`
 	// Builds / Rebuilds / Patches are task-level index counters summed
 	// over resident workflows: full builds, rebuilds forced once patching
 	// doubled an index pair's size, and incremental edge patches.
-	Builds   int64 `json:"builds"`
-	Rebuilds int64 `json:"rebuilds"`
-	Patches  int64 `json:"patches"`
+	Builds   int64
+	Rebuilds int64
+	Patches  int64
 	// ViewBuilds is the lifetime count of view-level (quotient) label
 	// pair builds: one per attach, plus one per publication after a
 	// batch that changed the quotient's reachability.
-	ViewBuilds int64 `json:"view_builds"`
-	// Intervals / MemoryBytes cover every resident index, task-level
-	// and view-level.
-	Intervals   int64 `json:"intervals"`
-	MemoryBytes int64 `json:"memory_bytes"`
+	ViewBuilds int64
+	// MemoryBytes covers every resident index, task-level and
+	// view-level.
+	MemoryBytes int64
 }
 
 // LabelStats sweeps the resident workflows and aggregates their
@@ -223,11 +219,8 @@ func (r *Registry) LabelStats() LabelStats {
 		if ep == nil {
 			continue
 		}
-		st.Workflows++
-		st.Intervals += int64(ep.labels.Intervals()) + int64(ep.rev.Intervals())
 		st.MemoryBytes += ep.labels.MemoryBytes() + ep.rev.MemoryBytes()
 		for _, ev := range ep.views {
-			st.Intervals += int64(ev.labels.Intervals()) + int64(ev.revLabels.Intervals())
 			st.MemoryBytes += ev.labels.MemoryBytes() + ev.revLabels.MemoryBytes()
 		}
 	}

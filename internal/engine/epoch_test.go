@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -45,7 +46,7 @@ func TestViewLabelsFollowMaintainedQuotient(t *testing.T) {
 	wf := gen.Layered(gen.LayeredConfig{Name: "q", Tasks: n, Layers: 12, EdgeProb: 0.08, Seed: 21})
 	order := wf.TopoIDs()
 	reg := NewRegistry(New())
-	lw, err := reg.Register("q", wf)
+	lw, err := reg.RegisterCtx(context.Background(), "q", wf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestViewLabelsFollowMaintainedQuotient(t *testing.T) {
 	vids := []string{"iv", "uv"}
 	for _, vid := range vids {
 		build := views[vid]
-		if _, _, err := lw.AttachView(vid, func(wf *workflow.Workflow) (*view.View, error) {
+		if _, _, err := lw.AttachViewCtx(context.Background(), vid, func(wf *workflow.Workflow) (*view.View, error) {
 			return build(wf), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -116,7 +117,7 @@ func TestViewLabelsFollowMaintainedQuotient(t *testing.T) {
 				m.Edges = append(m.Edges, [2]string{order[rng.Intn(p)], id}, [2]string{id, order[p+rng.Intn(len(order)-p)]})
 			}
 		}
-		res, err := lw.Mutate(m)
+		res, err := lw.MutateCtx(context.Background(), m)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -183,7 +184,7 @@ func forwardEdges(rng *rand.Rand, order []string, k int) [][2]string {
 func TestReadAuditDoesNotWaitOnWriteLock(t *testing.T) {
 	reg := NewRegistry(New())
 	lw := figure1Registered(t, reg)
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}, {"4", "5"}}}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}, {"4", "5"}}}); err != nil {
 		t.Fatal(err)
 	}
 	const readers = 4

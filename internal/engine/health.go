@@ -36,7 +36,7 @@ type RecoverableJournal interface {
 	Resync(*Registry) error
 }
 
-// Health status strings, as served by /readyz and /v1/stats.
+// Health status strings, as served by /readyz.
 const (
 	HealthHealthy  = "healthy"
 	HealthDegraded = "degraded"

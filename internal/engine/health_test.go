@@ -82,7 +82,7 @@ func TestRegistryDegradesAndRecovers(t *testing.T) {
 	// Break the journal: the next mutation applies in memory but comes
 	// back as a typed degraded error, and the registry flips.
 	j.setBroken(true)
-	_, err = lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}}})
+	_, err = lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}}})
 	if !IsCode(err, ErrDegraded) {
 		t.Fatalf("mutate on broken journal: want degraded, got %v", err)
 	}
@@ -101,16 +101,16 @@ func TestRegistryDegradesAndRecovers(t *testing.T) {
 	}
 	_ = rep
 	_ = preRep
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"4", "5"}}}); !IsCode(err, ErrDegraded) {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"4", "5"}}}); !IsCode(err, ErrDegraded) {
 		t.Fatalf("gated mutate: want degraded, got %v", err)
 	}
 	if v := lw.Version(); v != preVer+1 {
 		t.Fatalf("gated mutate must not apply: version %d, want %d", v, preVer+1)
 	}
-	if err := lw.DetachView("fig1b"); !IsCode(err, ErrDegraded) {
+	if err := lw.DetachViewCtx(context.Background(), "fig1b"); !IsCode(err, ErrDegraded) {
 		t.Fatalf("gated detach: want degraded, got %v", err)
 	}
-	if err := reg.Delete("phylo"); !IsCode(err, ErrDegraded) {
+	if err := reg.DeleteCtx(context.Background(), "phylo"); !IsCode(err, ErrDegraded) {
 		t.Fatalf("gated delete: want degraded, got %v", err)
 	}
 	if _, err := reg.Get("phylo"); err != nil {
@@ -143,7 +143,7 @@ func TestRegistryDegradesAndRecovers(t *testing.T) {
 	if h.Status != HealthHealthy || h.Recoveries != 1 || h.Probes < int64(probes) {
 		t.Fatalf("health after recovery: %+v", h)
 	}
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"4", "5"}}}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"4", "5"}}}); err != nil {
 		t.Fatalf("mutate after recovery: %v", err)
 	}
 }

@@ -57,7 +57,7 @@ type LiveState struct {
 // AppliedBatch is the committed portion of a mutation batch: the tasks
 // appended and the edges actually inserted (requested duplicates are
 // dropped), as ID pairs in application order. Replaying an AppliedBatch
-// through LiveWorkflow.Mutate from the same pre-state is deterministic
+// through LiveWorkflow.MutateCtx from the same pre-state is deterministic
 // and reproduces the same post-state, version bump and reports.
 type AppliedBatch struct {
 	Tasks []workflow.Task
@@ -105,14 +105,13 @@ type RestoredView struct {
 
 // Restore registers a recovered workflow at an explicit version with its
 // views, bypassing the journal (the state being restored is already
-// durable). It is the replayer's counterpart of Register + AttachView
+// durable). It is the replayer's counterpart of RegisterCtx + AttachViewCtx
 // and is not meant for general use: call it only before the registry
 // serves traffic.
-func (r *Registry) Restore(id string, version uint64, wf *workflow.Workflow, views []RestoredView) (*LiveWorkflow, error) {
+func (r *Registry) Restore(ctx context.Context, id string, version uint64, wf *workflow.Workflow, views []RestoredView) (*LiveWorkflow, error) {
 	if version == 0 {
 		version = 1
 	}
-	ctx := context.Background() //lint:allow ctxpass replay of durable state: journaling is off, nothing downstream to trace or cancel
 	lw, err := r.register(ctx, id, wf, version, false)
 	if err != nil {
 		return nil, err

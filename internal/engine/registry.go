@@ -55,7 +55,7 @@ import (
 // The registry holds at most WithRegistryCapacity live workflows
 // (DefaultRegistryCapacity when unset). Registering beyond capacity
 // evicts the least-recently-used workflow — recency is bumped by
-// Register, Get and every operation reached through Get. Evicted (and
+// RegisterCtx, Get and every operation reached through Get. Evicted (and
 // deleted, and replaced) workflows are closed: operations through stale
 // handles fail with ErrUnknownWorkflow rather than touching dead state.
 //
@@ -92,6 +92,8 @@ type Registry struct {
 	mu     sync.Mutex
 	lws    map[string]*LiveWorkflow
 	useSeq uint64 // LRU clock: bumped on every touch
+	// onClose are the hooks every dying workflow runs (OnClose).
+	onClose []func(*LiveWorkflow)
 
 	// viewLabelBuilds counts lifetime view-level (quotient) label-index
 	// builds across epoch publications (see epoch.go).
@@ -141,7 +143,7 @@ func NewRegistry(eng *Engine, opts ...RegistryOption) *Registry {
 
 // LiveWorkflow is one named, versioned, mutable workflow owned by a
 // Registry, together with its incrementally maintained closure, oracle,
-// label indexes and attached views. Obtain one with Registry.Register
+// label indexes and attached views. Obtain one with Registry.RegisterCtx
 // or Registry.Get; all methods are safe for concurrent use.
 type LiveWorkflow struct {
 	reg *Registry
@@ -171,10 +173,10 @@ type LiveWorkflow struct {
 type liveView struct {
 	v      *view.View
 	report *soundness.Report
-	// q is v's quotient graph, built once at attach; Mutate appends the
+	// q is v's quotient graph, built once at attach; MutateCtx appends the
 	// new singleton composites and the applied inter-composite edges.
 	q *dag.Graph
-	// labels/revLabels index q. Mutate drops them (nil) when a batch
+	// labels/revLabels index q. MutateCtx drops them (nil) when a batch
 	// adds a composite or a quotient edge not already reachable; the
 	// next publication rebuilds them from q, every other one carries
 	// them over unchanged.
@@ -259,23 +261,18 @@ type LineageResult struct {
 	FalsePositives []string `json:"false_positives,omitempty"`
 }
 
-// Register creates (or replaces) the live workflow named id, taking
+// RegisterCtx creates (or replaces) the live workflow named id, taking
 // ownership of wf: the caller must not retain, mutate or concurrently
 // read wf after registration. Views are attached separately
-// (AttachView) so they can be decoded against the live object. The new
-// workflow starts at version 1.
-func (r *Registry) Register(id string, wf *workflow.Workflow) (*LiveWorkflow, error) {
-	return r.RegisterCtx(context.Background(), id, wf) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// RegisterCtx is Register with the request context threaded through to
-// the journal (trace propagation; registration is never abandoned on
+// (AttachViewCtx) so they can be decoded against the live object. The
+// new workflow starts at version 1. ctx is threaded through to the
+// journal (trace propagation; registration is never abandoned on
 // cancellation).
 func (r *Registry) RegisterCtx(ctx context.Context, id string, wf *workflow.Workflow) (*LiveWorkflow, error) {
 	return r.register(ctx, id, wf, 1, true)
 }
 
-// register is Register with an explicit starting version and journal
+// register is RegisterCtx with an explicit starting version and journal
 // switch; Restore re-enters here with journaling off. The new workflow's
 // write lock is held from before publication until after the journal
 // call, so a concurrent Get+Mutate cannot journal ahead of the
@@ -429,15 +426,10 @@ func (r *Registry) Peek(id string) (*LiveWorkflow, error) {
 // Capacity returns the registry's live-workflow capacity.
 func (r *Registry) Capacity() int { return r.capacity }
 
-// Delete unregisters and closes the live workflow named id, removing
+// DeleteCtx unregisters and closes the live workflow named id, removing
 // its durable state when a journal is installed (see retire for the
-// ordering guarantees against a racing re-registration).
-func (r *Registry) Delete(id string) error {
-	return r.DeleteCtx(context.Background(), id) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// DeleteCtx is Delete with the request context threaded through to the
-// journal.
+// ordering guarantees against a racing re-registration). ctx is
+// threaded through to the journal.
 func (r *Registry) DeleteCtx(ctx context.Context, id string) error {
 	if r.journal != nil {
 		if ee := r.checkWritable("delete"); ee != nil {
@@ -496,8 +488,21 @@ func (r *Registry) Infos() []WorkflowInfo {
 	return infos
 }
 
-// close marks lw dead; subsequent operations fail with
-// ErrUnknownWorkflow.
+// OnClose registers fn to run each time a live workflow of r dies:
+// deleted, replaced, evicted, or unpublished after a failed
+// registration. fn runs once the workflow is marked closed under its
+// write lock, so every operation that ran under that lock (State
+// callbacks included) has finished and every later one finds the
+// workflow closed. The run store frees the dead registration's runs
+// here.
+func (r *Registry) OnClose(fn func(lw *LiveWorkflow)) {
+	r.mu.Lock()
+	r.onClose = append(r.onClose, fn)
+	r.mu.Unlock()
+}
+
+// close marks lw dead and runs the OnClose hooks; subsequent operations
+// fail with ErrUnknownWorkflow.
 func (lw *LiveWorkflow) close() {
 	lw.mu.Lock()
 	lw.closed = true
@@ -505,6 +510,12 @@ func (lw *LiveWorkflow) close() {
 	// epoch cleared, Read takes the lock and sees closed.
 	lw.epoch.Store(nil)
 	lw.mu.Unlock()
+	lw.reg.mu.Lock()
+	hooks := lw.reg.onClose
+	lw.reg.mu.Unlock()
+	for _, fn := range hooks {
+		fn(lw)
+	}
 }
 
 // repoint rebuilds the oracle over the current closure objects. Called
@@ -576,26 +587,21 @@ func (lw *LiveWorkflow) Resource() (WorkflowInfo, *workflow.Workflow, error) {
 	return lw.infoLocked(), lw.wf.Clone(), nil
 }
 
-// AttachView decodes/builds a view against the live workflow under its
-// write lock and attaches it as vid, replacing any previous view with
-// that ID. The build callback must construct the view over exactly the
-// workflow it is handed (a view built elsewhere cannot be attached: its
-// graph pointers would go stale on the first mutation). The view is
+// AttachViewCtx decodes/builds a view against the live workflow under
+// its write lock and attaches it as vid, replacing any previous view
+// with that ID. The build callback must construct the view over exactly
+// the workflow it is handed (a view built elsewhere cannot be attached:
+// its graph pointers would go stale on the first mutation). The view is
 // fully validated on attach — composites fan out over the Engine's
 // worker pool — and its report is then maintained incrementally by every
-// subsequent Mutate. The returned version is the one the report was
-// validated under, read within the same critical section.
-func (lw *LiveWorkflow) AttachView(vid string, build func(wf *workflow.Workflow) (*view.View, error)) (*soundness.Report, uint64, error) {
-	return lw.AttachViewCtx(context.Background(), vid, build) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// AttachViewCtx is AttachView with the request context threaded through
-// to the journal.
+// subsequent MutateCtx. The returned version is the one the report was
+// validated under, read within the same critical section. ctx is
+// threaded through to the journal.
 func (lw *LiveWorkflow) AttachViewCtx(ctx context.Context, vid string, build func(wf *workflow.Workflow) (*view.View, error)) (*soundness.Report, uint64, error) {
 	return lw.attachView(ctx, vid, build, true)
 }
 
-// attachView is AttachView with a journal switch; Restore re-enters here
+// attachView is AttachViewCtx with a journal switch; Restore re-enters here
 // with journaling off.
 func (lw *LiveWorkflow) attachView(ctx context.Context, vid string, build func(wf *workflow.Workflow) (*view.View, error), journal bool) (*soundness.Report, uint64, error) {
 	if vid == "" {
@@ -646,13 +652,8 @@ func (lw *LiveWorkflow) attachView(ctx context.Context, vid string, build func(w
 	return rep, lw.version, nil
 }
 
-// DetachView removes the view vid.
-func (lw *LiveWorkflow) DetachView(vid string) error {
-	return lw.DetachViewCtx(context.Background(), vid) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// DetachViewCtx is DetachView with the request context threaded through
-// to the journal.
+// DetachViewCtx removes the view vid, threading ctx through to the
+// journal.
 func (lw *LiveWorkflow) DetachViewCtx(ctx context.Context, vid string) error {
 	lw.mu.Lock()
 	defer lw.mu.Unlock()
@@ -780,7 +781,7 @@ func (lw *LiveWorkflow) Lineage(vid, taskID string) (*LineageResult, error) {
 	return res, nil
 }
 
-// Mutate applies a batch of task and edge additions atomically: the
+// MutateCtx applies a batch of task and edge additions atomically: the
 // whole batch is validated up front (IDs, duplicates, composite-ID
 // collisions), edges are inserted one at a time with an O(1) cycle check
 // against the live closure, and a mid-batch cycle rolls every prior
@@ -790,15 +791,11 @@ func (lw *LiveWorkflow) Lineage(vid, taskID string) (*LineageResult, error) {
 // exactly its dirty composites, and the version has been bumped — unless
 // the batch turned out to be a structural no-op (only duplicate edges),
 // which leaves the version unchanged.
-func (lw *LiveWorkflow) Mutate(m Mutation) (*MutationResult, error) {
-	return lw.MutateCtx(context.Background(), m) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// MutateCtx is Mutate with the request context threaded through: the
-// trace span it may carry covers the apply/revalidate/publish work, and
-// a child span times the journal commit (the seam where group-commit
-// stalls surface). Cancellation is observability-only — a batch that
-// entered apply always commits or rolls back as one unit.
+//
+// The trace span ctx may carry covers the apply/revalidate/publish
+// work, and a child span times the journal commit (the seam where
+// group-commit stalls surface). Cancellation is observability-only — a
+// batch that entered apply always commits or rolls back as one unit.
 func (lw *LiveWorkflow) MutateCtx(ctx context.Context, m Mutation) (*MutationResult, error) {
 	ctx, span := obs.StartSpan(ctx, "engine", "mutate")
 	defer span.End()

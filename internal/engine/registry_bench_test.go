@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -70,11 +71,11 @@ func (w *benchWorkload) batch(i, size int) [][2]string {
 // register registers the workload's workflow with its view attached.
 func (w *benchWorkload) register(b *testing.B) *LiveWorkflow {
 	b.Helper()
-	lw, err := NewRegistry(New()).Register("bench", w.wf)
+	lw, err := NewRegistry(New()).RegisterCtx(context.Background(), "bench", w.wf)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := lw.AttachView("v", func(wf *workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "v", func(wf *workflow.Workflow) (*view.View, error) {
 		return w.v, nil
 	}); err != nil {
 		b.Fatal(err)
@@ -95,7 +96,7 @@ func BenchmarkRegister(b *testing.B) {
 				b.StopTimer()
 				wf := w.wf.Clone()
 				b.StartTimer()
-				if _, err := reg.Register("bench", wf); err != nil {
+				if _, err := reg.RegisterCtx(context.Background(), "bench", wf); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -115,7 +116,7 @@ func BenchmarkMutateIncremental(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := lw.Mutate(Mutation{Edges: w.batch(i, batch)}); err != nil {
+					if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: w.batch(i, batch)}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -142,7 +143,7 @@ func BenchmarkMutateRejected(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, err := lw.Mutate(Mutation{Edges: [][2]string{back[i%len(back)]}})
+				_, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{back[i%len(back)]}})
 				if !hasCode(err, ErrCycleRejected) {
 					b.Fatalf("back edge %v: error = %v, want a cycle rejection", back[i%len(back)], err)
 				}

@@ -36,11 +36,11 @@ func figure1Registered(t *testing.T, reg *Registry) *LiveWorkflow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lw, err := reg.Register("phylo", wf)
+	lw, err := reg.RegisterCtx(context.Background(), "phylo", wf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := lw.AttachView("fig1b", func(wf *workflow.Workflow) (*view.View, error) {
+	rep, _, err := lw.AttachViewCtx(context.Background(), "fig1b", func(wf *workflow.Workflow) (*view.View, error) {
 		return view.NewBuilder(wf, "fig1b").
 			Assign("13", "1", "2").
 			Assign("14", "3").
@@ -84,7 +84,7 @@ func TestRegistryFigure1Walkthrough(t *testing.T) {
 	// Adding 3→4 gives composite 16 an in-node (4) that cannot reach its
 	// out-node (7): the view flips unsound, caught by revalidating only
 	// the dirty composites.
-	res, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}}})
+	res, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRegistryFigure1Walkthrough(t *testing.T) {
 
 	// Completing Figure 1 (edge 4→5) keeps 16 unsound; the final state
 	// must report exactly like the canonical Figure 1 instance.
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"4", "5"}}}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"4", "5"}}}); err != nil {
 		t.Fatal(err)
 	}
 	rep, version, err := lw.Report("fig1b")
@@ -130,16 +130,16 @@ func TestRegistryRandomMutationEquivalence(t *testing.T) {
 			EdgeProb: 0.3, SkipProb: 0.1, Seed: int64(round),
 		})
 		ids := wf.IDs()
-		lw, err := reg.Register(fmt.Sprintf("wf-%d", round), wf)
+		lw, err := reg.RegisterCtx(context.Background(), fmt.Sprintf("wf-%d", round), wf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := lw.AttachView("interval", func(wf *workflow.Workflow) (*view.View, error) {
+		if _, _, err := lw.AttachViewCtx(context.Background(), "interval", func(wf *workflow.Workflow) (*view.View, error) {
 			return gen.IntervalView(wf, 2+n/8, "interval"), nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := lw.AttachView("random", func(wf *workflow.Workflow) (*view.View, error) {
+		if _, _, err := lw.AttachViewCtx(context.Background(), "random", func(wf *workflow.Workflow) (*view.View, error) {
 			return gen.RandomView(wf, 2+n/5, int64(round), "random"), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -156,7 +156,7 @@ func TestRegistryRandomMutationEquivalence(t *testing.T) {
 			for e := 0; e < 1+rng.Intn(3); e++ {
 				m.Edges = append(m.Edges, [2]string{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]})
 			}
-			_, err := lw.Mutate(m)
+			_, err := lw.MutateCtx(context.Background(), m)
 			if err != nil {
 				var ee *Error
 				if !errors.As(err, &ee) || (ee.Code != ErrCycleRejected && ee.Code != ErrBadInput) {
@@ -183,7 +183,7 @@ func TestRegistryCycleRollbackIsAtomic(t *testing.T) {
 
 	// Batch: one new task, one good edge, then an edge closing a cycle
 	// through the good edge. Everything must unwind.
-	_, err = lw.Mutate(Mutation{
+	_, err = lw.MutateCtx(context.Background(), Mutation{
 		Tasks: []workflow.Task{{ID: "99"}},
 		Edges: [][2]string{{"3", "4"}, {"12", "99"}, {"4", "2"}},
 	})
@@ -205,7 +205,7 @@ func TestRegistryCycleRollbackIsAtomic(t *testing.T) {
 	assertLiveReportsFresh(t, lw)
 
 	// The rolled-back state must still accept valid mutations.
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}}}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}}}); err != nil {
 		t.Fatalf("mutation after rollback failed: %v", err)
 	}
 	assertLiveReportsFresh(t, lw)
@@ -225,7 +225,7 @@ func TestRegistryFirstEdgeRejectionChangesNothing(t *testing.T) {
 	} {
 		fwd, labels, rev := lw.ic.Fwd(), lw.ic.Labels(), lw.ic.RevLabels()
 		ep, builds, version := lw.epoch.Load(), lw.ic.LabelBuilds(), lw.Version()
-		_, err := lw.Mutate(Mutation{Edges: edges})
+		_, err := lw.MutateCtx(context.Background(), Mutation{Edges: edges})
 		if !hasCode(err, ErrCycleRejected) {
 			t.Fatalf("batch %v: error = %v, want code %s", edges, err, ErrCycleRejected)
 		}
@@ -246,7 +246,7 @@ func TestRegistryFirstEdgeRejectionChangesNothing(t *testing.T) {
 func TestRegistryTaskAdditionExtendsViews(t *testing.T) {
 	reg := NewRegistry(New())
 	lw := figure1Registered(t, reg)
-	res, err := lw.Mutate(Mutation{
+	res, err := lw.MutateCtx(context.Background(), Mutation{
 		Tasks: []workflow.Task{{ID: "13b", Name: "Archive tree"}},
 		Edges: [][2]string{{"12", "13b"}},
 	})
@@ -270,13 +270,13 @@ func TestRegistryTaskAdditionExtendsViews(t *testing.T) {
 func TestRegistryVersionConflict(t *testing.T) {
 	reg := NewRegistry(New())
 	lw := figure1Registered(t, reg)
-	_, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}}, IfVersion: 7})
+	_, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}}, IfVersion: 7})
 	var ee *Error
 	if !errors.As(err, &ee) || ee.Code != ErrVersionConflict {
 		t.Fatalf("stale IfVersion error = %v, want %s", err, ErrVersionConflict)
 	}
 	// The matching version succeeds.
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}}, IfVersion: 1}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}}, IfVersion: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -286,7 +286,7 @@ func TestRegistryTypedLookupErrors(t *testing.T) {
 	if _, err := reg.Get("nope"); !hasCode(err, ErrUnknownWorkflow) {
 		t.Fatalf("Get(nope) = %v", err)
 	}
-	if err := reg.Delete("nope"); !hasCode(err, ErrUnknownWorkflow) {
+	if err := reg.DeleteCtx(context.Background(), "nope"); !hasCode(err, ErrUnknownWorkflow) {
 		t.Fatalf("Delete(nope) = %v", err)
 	}
 	lw := figure1Registered(t, reg)
@@ -296,14 +296,14 @@ func TestRegistryTypedLookupErrors(t *testing.T) {
 	if _, err := lw.Lineage("fig1b", "nope"); !hasCode(err, ErrUnknownTask) {
 		t.Fatalf("Lineage(bad task) = %v", err)
 	}
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"1", "nope"}}}); !hasCode(err, ErrUnknownTask) {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"1", "nope"}}}); !hasCode(err, ErrUnknownTask) {
 		t.Fatalf("Mutate(bad edge) = %v", err)
 	}
-	if err := reg.Delete("phylo"); err != nil {
+	if err := reg.DeleteCtx(context.Background(), "phylo"); err != nil {
 		t.Fatal(err)
 	}
 	// Operations through the stale handle fail cleanly.
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}}}); !hasCode(err, ErrUnknownWorkflow) {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}}}); !hasCode(err, ErrUnknownWorkflow) {
 		t.Fatalf("Mutate on deleted = %v", err)
 	}
 	if _, _, err := lw.Report("fig1b"); !hasCode(err, ErrUnknownWorkflow) {
@@ -323,7 +323,7 @@ func TestRegistryEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lw, err := reg.Register(name, wf)
+		lw, err := reg.RegisterCtx(context.Background(), name, wf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +351,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	eng := New()
 	reg := NewRegistry(eng)
 	lw := figure1Registered(t, reg)
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}, {"4", "5"}}}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}, {"4", "5"}}}); err != nil {
 		t.Fatal(err)
 	}
 	size0 := eng.CacheStats().Size
@@ -391,7 +391,7 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 
 	// Snapshots are insulated from later mutations.
-	if _, err := lw.Mutate(Mutation{Tasks: []workflow.Task{{ID: "zz"}}}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Tasks: []workflow.Task{{ID: "zz"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if snap.N() != 12 {
@@ -405,14 +405,14 @@ func TestRegistryInfos(t *testing.T) {
 		t.Fatalf("empty registry Infos = %+v", infos)
 	}
 	lw := figure1Registered(t, reg)
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}}}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}}}); err != nil {
 		t.Fatal(err)
 	}
 	wf, err := workflow.NewBuilder("aaa").AddTask("x").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Register("aaa", wf); err != nil {
+	if _, err := reg.RegisterCtx(context.Background(), "aaa", wf); err != nil {
 		t.Fatal(err)
 	}
 	infos := reg.Infos()
@@ -430,7 +430,7 @@ func TestRegistryInfos(t *testing.T) {
 func TestRegistryLineageFigure1(t *testing.T) {
 	reg := NewRegistry(New())
 	lw := figure1Registered(t, reg)
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}, {"4", "5"}}}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}, {"4", "5"}}}); err != nil {
 		t.Fatal(err)
 	}
 	// The paper's running example: through the unsound Figure 1(b) view,
@@ -470,7 +470,7 @@ func TestReadPinsAuditToEpoch(t *testing.T) {
 		t.Fatalf("audit builds observed = %d, want 1: a cached read observed a build", got)
 	}
 	// Attaching another view republishes at the same version.
-	if _, _, err := lw.AttachView("solo", func(wf *workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "solo", func(wf *workflow.Workflow) (*view.View, error) {
 		b := view.NewBuilder(wf, "solo")
 		for i := 0; i < wf.N(); i++ {
 			b.Assign("c"+wf.Task(i).ID, wf.Task(i).ID)
@@ -486,7 +486,7 @@ func TestReadPinsAuditToEpoch(t *testing.T) {
 	if a2 != a1 {
 		t.Fatal("audit not carried across a same-version republish")
 	}
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}, {"4", "5"}}}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}, {"4", "5"}}}); err != nil {
 		t.Fatal(err)
 	}
 	ep3, a3, err := lw.Read("fig1b")
@@ -508,7 +508,7 @@ func TestReadPinsAuditToEpoch(t *testing.T) {
 	if ep, a, err := lw.Read("nope"); err != nil || a != nil || ep.View("nope") != nil {
 		t.Fatalf("Read(unknown view) = %v, %v", a, err)
 	}
-	if err := reg.Delete("phylo"); err != nil {
+	if err := reg.DeleteCtx(context.Background(), "phylo"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := lw.Read(""); !hasCode(err, ErrUnknownWorkflow) {
@@ -519,7 +519,7 @@ func TestReadPinsAuditToEpoch(t *testing.T) {
 func TestRegistryCorrectLiveView(t *testing.T) {
 	reg := NewRegistry(New())
 	lw := figure1Registered(t, reg)
-	if _, err := lw.Mutate(Mutation{Edges: [][2]string{{"3", "4"}, {"4", "5"}}}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), Mutation{Edges: [][2]string{{"3", "4"}, {"4", "5"}}}); err != nil {
 		t.Fatal(err)
 	}
 	vc, rep, version, err := lw.Correct(context.Background(), "fig1b", core.Strong, nil)
@@ -533,7 +533,7 @@ func TestRegistryCorrectLiveView(t *testing.T) {
 		t.Fatalf("correction %+v at version %d", vc, version)
 	}
 	// Applying the proposal: re-attach the corrected view.
-	if _, _, err := lw.AttachView("fig1b", func(wf *workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "fig1b", func(wf *workflow.Workflow) (*view.View, error) {
 		if vc.Corrected.Workflow() != wf {
 			return nil, fmt.Errorf("corrected view bound to a stale workflow")
 		}

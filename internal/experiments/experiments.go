@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -14,36 +15,37 @@ import (
 )
 
 // All runs every experiment in order. fast trims the sweeps (used by the
-// test suite); the full harness takes a couple of minutes.
-func All(fast bool) []*Table {
+// test suite); the full harness takes a couple of minutes. The
+// correctors observe ctx.
+func All(ctx context.Context, fast bool) []*Table {
 	return []*Table{
-		E1Figure1(),
-		E2Figure3(),
-		E3Quality(fast),
-		E4Runtime(fast),
-		E5StrongVsWeak(fast),
+		E1Figure1(ctx),
+		E2Figure3(ctx),
+		E3Quality(ctx, fast),
+		E4Runtime(ctx, fast),
+		E5StrongVsWeak(ctx, fast),
 		E6Validator(fast),
 		E7Provenance(fast),
 		E8Survey(),
-		E9Estimator(fast),
-		A1Phases(fast),
-		A2MergeVsSplit(),
+		E9Estimator(ctx, fast),
+		A1Phases(ctx, fast),
+		A2MergeVsSplit(ctx),
 	}
 }
 
 // ByID returns the experiment with the given id (case-insensitive).
-func ByID(id string, fast bool) (*Table, error) {
+func ByID(ctx context.Context, id string, fast bool) (*Table, error) {
 	switch strings.ToLower(id) {
 	case "e1":
-		return E1Figure1(), nil
+		return E1Figure1(ctx), nil
 	case "e2":
-		return E2Figure3(), nil
+		return E2Figure3(ctx), nil
 	case "e3":
-		return E3Quality(fast), nil
+		return E3Quality(ctx, fast), nil
 	case "e4":
-		return E4Runtime(fast), nil
+		return E4Runtime(ctx, fast), nil
 	case "e5":
-		return E5StrongVsWeak(fast), nil
+		return E5StrongVsWeak(ctx, fast), nil
 	case "e6":
 		return E6Validator(fast), nil
 	case "e7":
@@ -51,18 +53,18 @@ func ByID(id string, fast bool) (*Table, error) {
 	case "e8":
 		return E8Survey(), nil
 	case "e9":
-		return E9Estimator(fast), nil
+		return E9Estimator(ctx, fast), nil
 	case "a1":
-		return A1Phases(fast), nil
+		return A1Phases(ctx, fast), nil
 	case "a2":
-		return A2MergeVsSplit(), nil
+		return A2MergeVsSplit(ctx), nil
 	}
 	return nil, fmt.Errorf("experiments: unknown id %q (e1..e9, a1, a2)", id)
 }
 
 // E1Figure1 reproduces the Figure 1 case study: detection, witness,
 // spurious provenance, correction.
-func E1Figure1() *Table {
+func E1Figure1(ctx context.Context) *Table {
 	wf, v := repo.Figure1()
 	o := soundness.NewOracle(wf)
 	rep := soundness.ValidateView(o, v)
@@ -95,7 +97,7 @@ func E1Figure1() *Table {
 	add("false provenance pairs", itoa(audit.FalsePairs))
 	add("provenance precision", f2(audit.Precision))
 
-	vc, err := core.CorrectView(o, v, core.Strong, nil)
+	vc, err := core.CorrectViewCtx(ctx, o, v, core.Strong, nil, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -113,7 +115,7 @@ func E1Figure1() *Table {
 }
 
 // E2Figure3 reproduces the running example: weak = 8 blocks, strong = 5.
-func E2Figure3() *Table {
+func E2Figure3(ctx context.Context) *Table {
 	f := repo.Figure3()
 	o := soundness.NewOracle(f.Workflow)
 	t := &Table{
@@ -134,7 +136,7 @@ func E2Figure3() *Table {
 		return strings.Join(parts, " ")
 	}
 	for _, crit := range []core.Criterion{core.Weak, core.Strong, core.Optimal} {
-		res, err := core.SplitTask(o, f.T, crit, nil)
+		res, err := core.SplitTaskCtx(ctx, o, f.T, crit, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -155,7 +157,7 @@ func E2Figure3() *Table {
 
 // E3Quality measures the paper's quality ratio (optimal blocks / blocks)
 // for the weak and strong correctors across workload suites.
-func E3Quality(fast bool) *Table {
+func E3Quality(ctx context.Context, fast bool) *Table {
 	t := &Table{
 		ID:      "E3",
 		Title:   "Correction quality vs the optimal corrector",
@@ -173,9 +175,9 @@ func E3Quality(fast bool) *Table {
 		for _, seed := range seeds {
 			wf, members := gen.UnsoundTask(n, seed)
 			o := soundness.NewOracle(wf)
-			w, _ := core.SplitTask(o, members, core.Weak, nil)
-			s, _ := core.SplitTask(o, members, core.Strong, nil)
-			opt, err := core.SplitTask(o, members, core.Optimal, nil)
+			w, _ := core.SplitTaskCtx(ctx, o, members, core.Weak, nil)
+			s, _ := core.SplitTaskCtx(ctx, o, members, core.Strong, nil)
+			opt, err := core.SplitTaskCtx(ctx, o, members, core.Optimal, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -201,11 +203,11 @@ func E3Quality(fast bool) *Table {
 	for _, k := range bics {
 		wf, members := gen.BicliqueTask(k)
 		o := soundness.NewOracle(wf)
-		w, _ := core.SplitTask(o, members, core.Weak, nil)
-		s, _ := core.SplitTask(o, members, core.Strong, nil)
+		w, _ := core.SplitTaskCtx(ctx, o, members, core.Weak, nil)
+		s, _ := core.SplitTaskCtx(ctx, o, members, core.Strong, nil)
 		optBlocks := 5 // proven by the family's construction; DP confirms up to n=18
 		if len(members) <= 18 {
-			opt, err := core.SplitTask(o, members, core.Optimal, nil)
+			opt, err := core.SplitTaskCtx(ctx, o, members, core.Optimal, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -231,9 +233,9 @@ func E3Quality(fast bool) *Table {
 				if len(members) > 18 {
 					continue
 				}
-				w, _ := core.SplitTask(o, members, core.Weak, nil)
-				s, _ := core.SplitTask(o, members, core.Strong, nil)
-				opt, _ := core.SplitTask(o, members, core.Optimal, nil)
+				w, _ := core.SplitTaskCtx(ctx, o, members, core.Weak, nil)
+				s, _ := core.SplitTaskCtx(ctx, o, members, core.Strong, nil)
+				opt, _ := core.SplitTaskCtx(ctx, o, members, core.Optimal, nil)
 				t.Rows = append(t.Rows, []string{
 					e.Key + "/" + vs.View.Composite(ci).ID, itoa(len(members)),
 					itoa(len(w.Blocks)), itoa(len(s.Blocks)), itoa(len(opt.Blocks)),
@@ -248,7 +250,7 @@ func E3Quality(fast bool) *Table {
 }
 
 // E4Runtime sweeps the unsound-task size and times all three correctors.
-func E4Runtime(fast bool) *Table {
+func E4Runtime(ctx context.Context, fast bool) *Table {
 	t := &Table{
 		ID:      "E4",
 		Title:   "Corrector runtime vs composite size (with optimal)",
@@ -265,10 +267,10 @@ func E4Runtime(fast bool) *Table {
 		wf, members := gen.UnsoundTask(n, 1)
 		o := soundness.NewOracle(wf)
 		var tw, ts, topt time.Duration
-		tw = medianDuration(reps, func() { core.SplitTask(o, members, core.Weak, nil) })
-		ts = medianDuration(reps, func() { core.SplitTask(o, members, core.Strong, nil) })
+		tw = medianDuration(reps, func() { core.SplitTaskCtx(ctx, o, members, core.Weak, nil) })
+		ts = medianDuration(reps, func() { core.SplitTaskCtx(ctx, o, members, core.Strong, nil) })
 		topt = medianDuration(reps, func() {
-			if _, err := core.SplitTask(o, members, core.Optimal, nil); err != nil {
+			if _, err := core.SplitTaskCtx(ctx, o, members, core.Optimal, nil); err != nil {
 				panic(err)
 			}
 		})
@@ -281,7 +283,7 @@ func E4Runtime(fast bool) *Table {
 }
 
 // E5StrongVsWeak extends the sweep beyond optimal's reach.
-func E5StrongVsWeak(fast bool) *Table {
+func E5StrongVsWeak(ctx context.Context, fast bool) *Table {
 	t := &Table{
 		ID:      "E5",
 		Title:   "Strong vs weak corrector at scale",
@@ -299,11 +301,11 @@ func E5StrongVsWeak(fast bool) *Table {
 		o := soundness.NewOracle(wf)
 		var bw, bs int
 		tw := medianDuration(reps, func() {
-			r, _ := core.SplitTask(o, members, core.Weak, nil)
+			r, _ := core.SplitTaskCtx(ctx, o, members, core.Weak, nil)
 			bw = len(r.Blocks)
 		})
 		ts := medianDuration(reps, func() {
-			r, _ := core.SplitTask(o, members, core.Strong, nil)
+			r, _ := core.SplitTaskCtx(ctx, o, members, core.Strong, nil)
 			bs = len(r.Blocks)
 		})
 		t.Rows = append(t.Rows, []string{
@@ -425,7 +427,7 @@ func E8Survey() *Table {
 
 // E9Estimator trains the §3.2 estimator on part of a corpus and checks
 // its predictions on held-out instances.
-func E9Estimator(fast bool) *Table {
+func E9Estimator(ctx context.Context, fast bool) *Table {
 	t := &Table{
 		ID:      "E9",
 		Title:   "Correction-time/quality estimator accuracy",
@@ -460,13 +462,13 @@ func E9Estimator(fast bool) *Table {
 				inner++
 			}
 		})
-		opt, err := core.SplitTask(o, members, core.Optimal, nil)
+		opt, err := core.SplitTaskCtx(ctx, o, members, core.Optimal, nil)
 		if err != nil {
 			panic(err)
 		}
 		var out []obs
 		for _, crit := range []core.Criterion{core.Weak, core.Strong} {
-			res, _ := core.SplitTask(o, members, crit, nil)
+			res, _ := core.SplitTaskCtx(ctx, o, members, crit, nil)
 			out = append(out, obs{
 				crit: crit.String(), n: n, edge: inner,
 				dur:     res.Stats.Elapsed,
@@ -533,7 +535,7 @@ func abs(x float64) float64 {
 }
 
 // A1Phases ablates the strong corrector's phases.
-func A1Phases(fast bool) *Table {
+func A1Phases(ctx context.Context, fast bool) *Table {
 	t := &Table{
 		ID:      "A1",
 		Title:   "Ablation: strong corrector phases",
@@ -552,7 +554,7 @@ func A1Phases(fast bool) *Table {
 	p1, _ := core.SplitTaskPhases(o, f.T, false, false)
 	p2, _ := core.SplitTaskPhases(o, f.T, true, false)
 	p3, _ := core.SplitTaskPhases(o, f.T, true, true)
-	opt, _ := core.SplitTask(o, f.T, core.Optimal, nil)
+	opt, _ := core.SplitTaskCtx(ctx, o, f.T, core.Optimal, nil)
 	t.Rows = append(t.Rows, []string{"fig3", "-",
 		itoa(len(p1.Blocks)), itoa(len(p2.Blocks)), itoa(len(p3.Blocks)), itoa(len(opt.Blocks))})
 	// Scaled biclique instances: the gap grows linearly with k.
@@ -564,7 +566,7 @@ func A1Phases(fast bool) *Table {
 		b3, _ := core.SplitTaskPhases(ob, members, true, true)
 		optB := "5"
 		if len(members) <= 18 {
-			ores, err := core.SplitTask(ob, members, core.Optimal, nil)
+			ores, err := core.SplitTaskCtx(ctx, ob, members, core.Optimal, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -580,7 +582,7 @@ func A1Phases(fast bool) *Table {
 			p1, _ := core.SplitTaskPhases(o, members, false, false)
 			p2, _ := core.SplitTaskPhases(o, members, true, false)
 			p3, _ := core.SplitTaskPhases(o, members, true, true)
-			opt, err := core.SplitTask(o, members, core.Optimal, nil)
+			opt, err := core.SplitTaskCtx(ctx, o, members, core.Optimal, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -593,7 +595,7 @@ func A1Phases(fast bool) *Table {
 
 // A2MergeVsSplit compares split-based correction with the merge-based
 // extension on every unsound repository view.
-func A2MergeVsSplit() *Table {
+func A2MergeVsSplit(ctx context.Context) *Table {
 	t := &Table{
 		ID:    "A2",
 		Title: "Ablation: split-based vs merge-based correction",
@@ -607,7 +609,7 @@ func A2MergeVsSplit() *Table {
 			if vs.WantSound {
 				continue
 			}
-			split, err := core.CorrectView(o, vs.View, core.Strong, nil)
+			split, err := core.CorrectViewCtx(ctx, o, vs.View, core.Strong, nil, 0)
 			if err != nil {
 				panic(err)
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestE1PinsThePaperNarrative(t *testing.T) {
-	tab := E1Figure1()
+	tab := E1Figure1(context.Background())
 	got := map[string]string{}
 	for _, row := range tab.Rows {
 		got[row[0]] = row[1]
@@ -36,7 +37,7 @@ func TestE1PinsThePaperNarrative(t *testing.T) {
 }
 
 func TestE2PinsFigure3(t *testing.T) {
-	tab := E2Figure3()
+	tab := E2Figure3(context.Background())
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %v", tab.Rows)
 	}
@@ -50,7 +51,7 @@ func TestE2PinsFigure3(t *testing.T) {
 }
 
 func TestE3QualityOrdering(t *testing.T) {
-	tab := E3Quality(true)
+	tab := E3Quality(context.Background(), true)
 	for _, row := range tab.Rows {
 		qw, err1 := strconv.ParseFloat(row[5], 64)
 		qs, err2 := strconv.ParseFloat(row[6], 64)
@@ -86,7 +87,7 @@ func TestAllFastRunsAndRenders(t *testing.T) {
 		t.Skip("full harness in short mode")
 	}
 	start := time.Now()
-	tabs := All(true)
+	tabs := All(context.Background(), true)
 	if len(tabs) != 11 {
 		t.Fatalf("tables = %d", len(tabs))
 	}
@@ -112,12 +113,12 @@ func TestAllFastRunsAndRenders(t *testing.T) {
 
 func TestByID(t *testing.T) {
 	for _, id := range []string{"e1", "E2", "e8", "a2"} {
-		tab, err := ByID(id, true)
+		tab, err := ByID(context.Background(), id, true)
 		if err != nil || tab == nil {
-			t.Fatalf("ByID(%s) = %v", id, err)
+			t.Fatalf("ByID(context.Background(), %s) = %v", id, err)
 		}
 	}
-	if _, err := ByID("zz", true); err == nil {
+	if _, err := ByID(context.Background(), "zz", true); err == nil {
 		t.Fatal("unknown id must error")
 	}
 }

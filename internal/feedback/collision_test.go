@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestSplitNeverFoldsIntoExistingComposite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.SplitTask("a", core.Strong, nil)
+	res, err := s.SplitTaskCtx(context.Background(), "a", core.Strong, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestSplitNeverFoldsIntoExistingComposite(t *testing.T) {
 	if want := v.N() - 1 + len(res.Blocks); cur.N() != want {
 		t.Fatalf("split view has %d composites, want %d:\n%s", cur.N(), want, cur.Describe())
 	}
-	if !s.Validate().Sound {
+	if !s.ValidateCtx(context.Background()).Sound {
 		t.Fatalf("split view is unsound:\n%s", cur.Describe())
 	}
 	a1, ok := cur.CompositeByID("a.1")

@@ -80,9 +80,9 @@ func (s *Session) Log() []Event { return append([]Event(nil), s.log...) }
 
 // bg anchors the root context for the session's structural operations
 // (merge, undo, accept, open): their validation is a lookup against the
-// cached oracle closure, bounded and never worth canceling. The engine
-// calls that do search (Validate, Correct, SplitTask) thread a caller
-// ctx via their ...Ctx variants instead.
+// cached oracle closure, bounded and never worth canceling. The
+// operations that do search (ValidateCtx, CorrectCtx, SplitTaskCtx)
+// take the caller's ctx instead.
 func bg() context.Context {
 	return context.Background() //lint:allow ctxpass structural ops validate against the cached oracle; bounded work, nothing to cancel
 }
@@ -106,14 +106,8 @@ func (s *Session) record(ctx context.Context, op, detail string) {
 	})
 }
 
-// Validate runs the validator on the current view.
-//
-// Deprecated: use ValidateCtx so an interactive caller can cancel.
-func (s *Session) Validate() *soundness.Report {
-	return s.ValidateCtx(context.Background()) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// ValidateCtx is Validate with cooperative cancellation.
+// ValidateCtx runs the validator on the current view, with cooperative
+// cancellation.
 func (s *Session) ValidateCtx(ctx context.Context) *soundness.Report {
 	rep := s.validate(ctx)
 	s.log = append(s.log, Event{
@@ -129,15 +123,9 @@ func (s *Session) push(ctx context.Context, v *view.View, op, detail string) {
 	s.record(ctx, op, detail)
 }
 
-// Correct repairs the whole view under the chosen criterion.
-//
-// Deprecated: use CorrectCtx so an interactive caller can cancel.
-func (s *Session) Correct(crit core.Criterion, opts *core.Options) (*core.ViewCorrection, error) {
-	return s.CorrectCtx(context.Background(), crit, opts) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// CorrectCtx is Correct with cooperative cancellation (an interactive
-// UI's cancel button maps straight onto ctx).
+// CorrectCtx repairs the whole view under the chosen criterion, with
+// cooperative cancellation (an interactive UI's cancel button maps
+// straight onto ctx).
 func (s *Session) CorrectCtx(ctx context.Context, crit core.Criterion, opts *core.Options) (*core.ViewCorrection, error) {
 	if s.accepted {
 		return nil, ErrAccepted
@@ -150,14 +138,8 @@ func (s *Session) CorrectCtx(ctx context.Context, crit core.Criterion, opts *cor
 	return vc, nil
 }
 
-// SplitTask corrects a single composite (the demo's "Split Task" popup).
-//
-// Deprecated: use SplitTaskCtx so an interactive caller can cancel.
-func (s *Session) SplitTask(compID string, crit core.Criterion, opts *core.Options) (*core.Result, error) {
-	return s.SplitTaskCtx(context.Background(), compID, crit, opts) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// SplitTaskCtx is SplitTask with cooperative cancellation.
+// SplitTaskCtx corrects a single composite (the demo's "Split Task"
+// popup), with cooperative cancellation.
 func (s *Session) SplitTaskCtx(ctx context.Context, compID string, crit core.Criterion, opts *core.Options) (*core.Result, error) {
 	if s.accepted {
 		return nil, ErrAccepted
@@ -195,8 +177,8 @@ func (s *Session) Compact(maxMerges int) (int, error) {
 }
 
 // MergeTasks is the user's "Create Composite Task" feedback operation.
-// The result may be unsound; the next Validate (or the corrector) will
-// say so — exactly the demo's loop.
+// The result may be unsound; the next ValidateCtx (or the corrector)
+// will say so — exactly the demo's loop.
 func (s *Session) MergeTasks(newID string, compIDs ...string) error {
 	if s.accepted {
 		return ErrAccepted
@@ -243,8 +225,9 @@ func (s *Session) Accept() {
 //	undo
 //	accept
 //
-// Output lines describing each step are written to out.
-func (s *Session) RunScript(r io.Reader, out io.Writer) error {
+// Output lines describing each step are written to out. The validate,
+// correct and split commands observe ctx.
+func (s *Session) RunScript(ctx context.Context, r io.Reader, out io.Writer) error {
 	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
@@ -254,17 +237,17 @@ func (s *Session) RunScript(r io.Reader, out io.Writer) error {
 			continue
 		}
 		fields := strings.Fields(text)
-		if err := s.runCommand(fields, out); err != nil {
+		if err := s.runCommand(ctx, fields, out); err != nil {
 			return fmt.Errorf("feedback: line %d (%q): %w", line, text, err)
 		}
 	}
 	return sc.Err()
 }
 
-func (s *Session) runCommand(fields []string, out io.Writer) error {
+func (s *Session) runCommand(ctx context.Context, fields []string, out io.Writer) error {
 	switch fields[0] {
 	case "validate":
-		rep := s.Validate()
+		rep := s.ValidateCtx(ctx)
 		fmt.Fprintf(out, "validate: sound=%v composites=%d unsound=%d\n",
 			rep.Sound, s.current.N(), len(rep.Unsound))
 	case "correct":
@@ -275,7 +258,7 @@ func (s *Session) runCommand(fields []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		vc, err := s.Correct(crit, nil)
+		vc, err := s.CorrectCtx(ctx, crit, nil)
 		if err != nil {
 			return err
 		}
@@ -289,7 +272,7 @@ func (s *Session) runCommand(fields []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := s.SplitTask(fields[1], crit, nil)
+		res, err := s.SplitTaskCtx(ctx, fields[1], crit, nil)
 		if err != nil {
 			return err
 		}

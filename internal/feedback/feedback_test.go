@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -22,39 +23,39 @@ func newFig1Session(t *testing.T) *Session {
 
 func TestSessionLifecycle(t *testing.T) {
 	s := newFig1Session(t)
-	rep := s.Validate()
+	rep := s.ValidateCtx(context.Background())
 	if rep.Sound {
 		t.Fatal("fig1 view starts unsound")
 	}
-	vc, err := s.Correct(core.Strong, nil)
+	vc, err := s.CorrectCtx(context.Background(), core.Strong, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vc.CompositesAfter != 8 {
 		t.Fatalf("composites = %d", vc.CompositesAfter)
 	}
-	if !s.Validate().Sound {
+	if !s.ValidateCtx(context.Background()).Sound {
 		t.Fatal("view must be sound after correction")
 	}
 	// User feedback: re-merge the split halves — recreates unsoundness.
 	if err := s.MergeTasks("16", "16.1", "16.2"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Validate().Sound {
+	if s.ValidateCtx(context.Background()).Sound {
 		t.Fatal("merged view must be unsound again (demo loop)")
 	}
 	// Undo the merge.
 	if err := s.Undo(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Validate().Sound {
+	if !s.ValidateCtx(context.Background()).Sound {
 		t.Fatal("undo must restore the sound view")
 	}
 	s.Accept()
 	if !s.Accepted() {
 		t.Fatal("not accepted")
 	}
-	if _, err := s.Correct(core.Weak, nil); !errors.Is(err, ErrAccepted) {
+	if _, err := s.CorrectCtx(context.Background(), core.Weak, nil); !errors.Is(err, ErrAccepted) {
 		t.Fatalf("mutating accepted session: %v", err)
 	}
 	if err := s.MergeTasks("x", "13", "14"); !errors.Is(err, ErrAccepted) {
@@ -71,17 +72,17 @@ func TestSessionLifecycle(t *testing.T) {
 
 func TestSplitSingleTask(t *testing.T) {
 	s := newFig1Session(t)
-	res, err := s.SplitTask("16", core.Optimal, nil)
+	res, err := s.SplitTaskCtx(context.Background(), "16", core.Optimal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Blocks) != 2 {
 		t.Fatalf("blocks = %v", res.Blocks)
 	}
-	if !s.Validate().Sound {
+	if !s.ValidateCtx(context.Background()).Sound {
 		t.Fatal("splitting the only unsound composite must make the view sound")
 	}
-	if _, err := s.SplitTask("ghost", core.Weak, nil); err == nil {
+	if _, err := s.SplitTaskCtx(context.Background(), "ghost", core.Weak, nil); err == nil {
 		t.Fatal("unknown composite must error")
 	}
 }
@@ -113,7 +114,7 @@ undo
 accept
 `
 	var out bytes.Buffer
-	if err := s.RunScript(strings.NewReader(script), &out); err != nil {
+	if err := s.RunScript(context.Background(), strings.NewReader(script), &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -133,7 +134,7 @@ accept
 
 func TestSessionCompact(t *testing.T) {
 	s := newFig1Session(t)
-	if _, err := s.Correct(core.Strong, nil); err != nil {
+	if _, err := s.CorrectCtx(context.Background(), core.Strong, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := s.Current().N()
@@ -144,7 +145,7 @@ func TestSessionCompact(t *testing.T) {
 	if s.Current().N() != before-merges {
 		t.Fatalf("merges=%d but composites %d → %d", merges, before, s.Current().N())
 	}
-	if !s.Validate().Sound {
+	if !s.ValidateCtx(context.Background()).Sound {
 		t.Fatal("compacted view must stay sound")
 	}
 	s.Accept()
@@ -156,13 +157,13 @@ func TestSessionCompact(t *testing.T) {
 func TestRunScriptCompact(t *testing.T) {
 	s := newFig1Session(t)
 	var out bytes.Buffer
-	if err := s.RunScript(strings.NewReader("correct strong\ncompact 1\n"), &out); err != nil {
+	if err := s.RunScript(context.Background(), strings.NewReader("correct strong\ncompact 1\n"), &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "compact: 1 merges") {
 		t.Fatalf("output = %s", out.String())
 	}
-	if err := s.RunScript(strings.NewReader("compact zz\n"), &out); err == nil {
+	if err := s.RunScript(context.Background(), strings.NewReader("compact zz\n"), &out); err == nil {
 		t.Fatal("bad compact arg must error")
 	}
 }
@@ -180,14 +181,14 @@ func TestRunScriptErrors(t *testing.T) {
 	for _, c := range cases {
 		s := newFig1Session(t)
 		var out bytes.Buffer
-		if err := s.RunScript(strings.NewReader(c), &out); err == nil {
+		if err := s.RunScript(context.Background(), strings.NewReader(c), &out); err == nil {
 			t.Errorf("script %q must fail", c)
 		}
 	}
 	// Errors carry the line number.
 	s := newFig1Session(t)
 	var out bytes.Buffer
-	err := s.RunScript(strings.NewReader("validate\nbogus\n"), &out)
+	err := s.RunScript(context.Background(), strings.NewReader("validate\nbogus\n"), &out)
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v", err)
 	}

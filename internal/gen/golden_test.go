@@ -45,7 +45,7 @@ func TestViewsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		unsound := gen.InjectUnsound(gen.IntervalView(wf, k, "u"), max(1, k/8), 21)
-		vc, err := core.CorrectViewCtx(context.Background(), soundness.NewOracle(wf), unsound, core.Strong, nil)
+		vc, err := core.CorrectViewCtx(context.Background(), soundness.NewOracle(wf), unsound, core.Strong, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -78,7 +79,7 @@ func TestFigure1ProvenanceStory(t *testing.T) {
 
 	// Correct the view and re-audit: errors disappear.
 	o := soundness.NewOracle(wf)
-	vc, err := core.CorrectView(o, v, core.Strong, nil)
+	vc, err := core.CorrectViewCtx(context.Background(), o, v, core.Strong, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

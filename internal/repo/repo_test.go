@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestCatalogViewsAreCorrectable(t *testing.T) {
 			if vs.WantSound {
 				continue
 			}
-			vc, err := core.CorrectView(o, vs.View, core.Strong, nil)
+			vc, err := core.CorrectViewCtx(context.Background(), o, vs.View, core.Strong, nil, 0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", e.Key, vs.View.Name(), err)
 			}

@@ -2,6 +2,7 @@ package runs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -25,11 +26,11 @@ func aliasWorkflowStore(t *testing.T) (*engine.Registry, *workflow.Workflow) {
 	t.Helper()
 	wf := gen.Layered(gen.LayeredConfig{Name: "alias", Tasks: 96, Layers: 8, EdgeProb: 0.1, Seed: 15})
 	reg := engine.NewRegistry(engine.New())
-	lw, err := reg.Register("wf", wf)
+	lw, err := reg.RegisterCtx(context.Background(), "wf", wf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lw.AttachView("iv", func(wf *workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "iv", func(wf *workflow.Workflow) (*view.View, error) {
 		return gen.IntervalView(wf, 8, "iv"), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -110,7 +111,7 @@ func runFingerprint(t *testing.T, s *Store, runID string) string {
 	fmt.Fprintf(&b, "%+v %q %q %x\n", *info, run.procID, run.artID, run.Doc())
 	for i := 0; i < len(run.artID); i += 7 {
 		for _, q := range levelQueries(runID, run.artID[i], []string{"iv"}) {
-			ans, err := s.Lineage("wf", q)
+			ans, err := s.LineageCtx(context.Background(), "wf", q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +137,7 @@ func TestIngestRetainsNoRequestBuffer(t *testing.T) {
 	for _, id := range ids {
 		s := New(reg)
 		doc, _ := aliasRunDoc(wf, id)
-		if _, err := s.Ingest("wf", doc); err != nil {
+		if _, err := s.IngestCtx(context.Background(), "wf", doc); err != nil {
 			t.Fatal(err)
 		}
 		want[id] = runFingerprint(t, s, id)
@@ -150,7 +151,7 @@ func TestIngestRetainsNoRequestBuffer(t *testing.T) {
 	single := New(reg)
 	for _, id := range ids {
 		doc, _ := aliasRunDoc(wf, id)
-		if _, err := single.Ingest("wf", doc); err != nil {
+		if _, err := single.IngestCtx(context.Background(), "wf", doc); err != nil {
 			t.Fatal(err)
 		}
 		scribble(doc)
@@ -167,7 +168,7 @@ func TestIngestRetainsNoRequestBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := batch.IngestBatch("wf", framed); err != nil {
+	if _, err := batch.IngestBatchCtx(context.Background(), "wf", framed); err != nil {
 		t.Fatal(err)
 	}
 	scribble(body)
@@ -176,7 +177,7 @@ func TestIngestRetainsNoRequestBuffer(t *testing.T) {
 	for _, id := range ids {
 		_, nd := aliasRunDoc(wf, id)
 		r := &scribbleReader{data: nd}
-		if _, err := stream.IngestNDJSON("wf", r); err != nil {
+		if _, err := stream.IngestNDJSONCtx(context.Background(), "wf", r); err != nil {
 			t.Fatal(err)
 		}
 		if r.scribbled < len(nd) {
@@ -226,13 +227,13 @@ func TestScratchPoolCapsArena(t *testing.T) {
 	if len(doc) <= scratchKeep {
 		t.Fatalf("document of %d bytes does not exceed the %d-byte cap", len(doc), scratchKeep)
 	}
-	if _, err := s.Ingest("phylo", doc); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "phylo", doc); err != nil {
 		t.Fatal(err)
 	}
 	// One NDJSON line past the cap grows the spill buffer and the arena.
 	stream := `{"run":"big2"}` + "\n" +
 		`{"artifact":{"id":"` + strings.Repeat("y", 3*scratchKeep/2) + `","generated_by":"1"}}` + "\n"
-	if _, err := s.IngestNDJSON("phylo", strings.NewReader(stream)); err != nil {
+	if _, err := s.IngestNDJSONCtx(context.Background(), "phylo", strings.NewReader(stream)); err != nil {
 		t.Fatal(err)
 	}
 	// A batch framed out of one body, whose second document carries an
@@ -245,7 +246,7 @@ func TestScratchPoolCapsArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.IngestBatch("phylo", docs); err != nil {
+	if _, err := s.IngestBatchCtx(context.Background(), "phylo", docs); err != nil {
 		t.Fatal(err)
 	}
 	var drained []*ingestScratch
@@ -283,7 +284,7 @@ func TestConcurrentIngestKeepsRunsIntact(t *testing.T) {
 		for k := 0; k < perWorker; k++ {
 			s := New(reg)
 			doc, _ := aliasRunDoc(wf, runID(w, k))
-			if _, err := s.Ingest("wf", doc); err != nil {
+			if _, err := s.IngestCtx(context.Background(), "wf", doc); err != nil {
 				t.Fatal(err)
 			}
 			want[runID(w, k)] = runFingerprint(t, s, runID(w, k))
@@ -302,11 +303,11 @@ func TestConcurrentIngestKeepsRunsIntact(t *testing.T) {
 				var err error
 				switch (w + k) % 3 {
 				case 0:
-					_, err = s.Ingest("wf", doc)
+					_, err = s.IngestCtx(context.Background(), "wf", doc)
 				case 1:
-					_, err = s.IngestNDJSON("wf", &scribbleReader{data: nd})
+					_, err = s.IngestNDJSONCtx(context.Background(), "wf", &scribbleReader{data: nd})
 				default:
-					_, err = s.IngestBatch("wf", [][]byte{doc})
+					_, err = s.IngestBatchCtx(context.Background(), "wf", [][]byte{doc})
 				}
 				for i := range doc {
 					doc[i] = '#'

@@ -2,7 +2,10 @@
 
 package runs
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestLineageAllocationCeiling is the CI allocation-regression guard
 // for the serve path: a warm view-level (and audited, and exact)
@@ -20,7 +23,7 @@ func TestLineageAllocationCeiling(t *testing.T) {
 		q := tc.q
 		// Warm: fill pools, the audit cache and slice capacities.
 		for i := 0; i < 4; i++ {
-			ans, qerr := s.Lineage("wf", q)
+			ans, qerr := s.LineageCtx(context.Background(), "wf", q)
 			if qerr != nil {
 				t.Fatal(qerr)
 			}
@@ -28,7 +31,7 @@ func TestLineageAllocationCeiling(t *testing.T) {
 			ans.Release()
 		}
 		got := testing.AllocsPerRun(100, func() {
-			ans, qerr := s.Lineage("wf", q)
+			ans, qerr := s.LineageCtx(context.Background(), "wf", q)
 			if qerr != nil {
 				t.Fatal(qerr)
 			}

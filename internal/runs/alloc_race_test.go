@@ -4,6 +4,7 @@ package runs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func TestLineageAllocationCeiling(t *testing.T) {
 		q := tc.q
 		first = first[:0]
 		for i := 0; i < 32; i++ {
-			ans, qerr := s.Lineage("wf", q)
+			ans, qerr := s.LineageCtx(context.Background(), "wf", q)
 			if qerr != nil {
 				t.Fatal(qerr)
 			}

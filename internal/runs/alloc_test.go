@@ -2,6 +2,7 @@ package runs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -37,11 +38,11 @@ func lineageAllocStore(t *testing.T) (*Store, []lineageAllocCase) {
 		Name: "alloc", Tasks: n, Layers: 16, EdgeProb: 0.05, Seed: int64(n),
 	})
 	reg := engine.NewRegistry(engine.New())
-	lw, err := reg.Register("wf", wf)
+	lw, err := reg.RegisterCtx(context.Background(), "wf", wf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lw.AttachView("iv", func(wf *workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "iv", func(wf *workflow.Workflow) (*view.View, error) {
 		return gen.IntervalView(wf, 2+n/16, "iv"), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -64,7 +65,7 @@ func lineageAllocStore(t *testing.T) (*Store, []lineageAllocCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest("wf", raw); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "wf", raw); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +114,7 @@ func ingestAllocCases(t *testing.T, size int) []ingestAllocCase {
 		id := fmt.Sprintf("r%d", i)
 		docs[i] = windowRunDoc(wf, id, i*37, size)
 		streams[i] = windowRunNDJSON(wf, id, i*37, size)
-		if _, err := s.Ingest("wf", docs[i]); err != nil {
+		if _, err := s.IngestCtx(context.Background(), "wf", docs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,13 +126,13 @@ func ingestAllocCases(t *testing.T, size int) []ingestAllocCase {
 		return []RunInfo{*info}, nil
 	}
 	return []ingestAllocCase{
-		{"json", 1, s, func(i int) ([]RunInfo, error) { return one(s.Ingest("wf", docs[i%pool])) }},
+		{"json", 1, s, func(i int) ([]RunInfo, error) { return one(s.IngestCtx(context.Background(), "wf", docs[i%pool])) }},
 		{"ndjson", 1, s, func(i int) ([]RunInfo, error) {
-			return one(s.IngestNDJSON("wf", bytes.NewReader(streams[i%pool])))
+			return one(s.IngestNDJSONCtx(context.Background(), "wf", bytes.NewReader(streams[i%pool])))
 		}},
 		{"batch=8", 8, s, func(i int) ([]RunInfo, error) {
 			j := 8 * i % pool
-			return s.IngestBatch("wf", docs[j:j+8])
+			return s.IngestBatchCtx(context.Background(), "wf", docs[j:j+8])
 		}},
 		{"restore", 1, s, func(i int) ([]RunInfo, error) {
 			if err := s.RestoreRun("wf", "", canonical[i%pool]); err != nil {

@@ -2,6 +2,7 @@ package runs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -22,11 +23,11 @@ func benchStore(b testing.TB, n int) (*Store, *workflow.Workflow) {
 		EdgeProb: 0.05, SkipProb: 0.01, Seed: int64(n),
 	})
 	reg := engine.NewRegistry(engine.New())
-	lw, err := reg.Register("wf", wf)
+	lw, err := reg.RegisterCtx(context.Background(), "wf", wf)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := lw.AttachView("iv", func(wf *workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "iv", func(wf *workflow.Workflow) (*view.View, error) {
 		return gen.IntervalView(wf, 2+n/16, "iv"), nil
 	}); err != nil {
 		b.Fatal(err)
@@ -158,21 +159,21 @@ func BenchmarkIngest(b *testing.B) {
 		}
 	}
 	bench("", 1, windowRunDoc, nil, func(s *Store, in [][]byte, i int) error {
-		_, err := s.Ingest("wf", in[i%pool])
+		_, err := s.IngestCtx(context.Background(), "wf", in[i%pool])
 		return err
 	})
 	bench("ndjson/", 1, windowRunNDJSON, nil, func(s *Store, in [][]byte, i int) error {
-		_, err := s.IngestNDJSON("wf", bytes.NewReader(in[i%pool]))
+		_, err := s.IngestNDJSONCtx(context.Background(), "wf", bytes.NewReader(in[i%pool]))
 		return err
 	})
 	bench("batch=8/", 8, windowRunDoc, nil, func(s *Store, in [][]byte, i int) error {
 		j := 8 * i % pool
-		_, err := s.IngestBatch("wf", in[j:j+8])
+		_, err := s.IngestBatchCtx(context.Background(), "wf", in[j:j+8])
 		return err
 	})
 	bench("restore/", 1, windowRunDoc, func(s *Store, in [][]byte) [][]byte {
 		for _, doc := range in {
-			if _, err := s.Ingest("wf", doc); err != nil {
+			if _, err := s.IngestCtx(context.Background(), "wf", doc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -190,7 +191,7 @@ func BenchmarkIngest(b *testing.B) {
 func BenchmarkLineageQuery(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		s, wf := benchStore(b, n)
-		if _, err := s.Ingest("wf", fullRunDoc(wf, "full")); err != nil {
+		if _, err := s.IngestCtx(context.Background(), "wf", fullRunDoc(wf, "full")); err != nil {
 			b.Fatal(err)
 		}
 		sink := "a" + wf.Task(n-1).ID
@@ -202,12 +203,12 @@ func BenchmarkLineageQuery(b *testing.B) {
 		for _, level := range []string{"exact", "view", "audited"} {
 			q := queries[level]
 			// Warm the cached view engine / audit outside the timer.
-			if _, err := s.Lineage("wf", q); err != nil {
+			if _, err := s.LineageCtx(context.Background(), "wf", q); err != nil {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("level=%s/n=%d", level, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					ans, err := s.Lineage("wf", q)
+					ans, err := s.LineageCtx(context.Background(), "wf", q)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -224,7 +225,7 @@ func BenchmarkLineageQuery(b *testing.B) {
 func BenchmarkLineageServe(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		s, wf := benchStore(b, n)
-		if _, err := s.Ingest("wf", fullRunDoc(wf, "full")); err != nil {
+		if _, err := s.IngestCtx(context.Background(), "wf", fullRunDoc(wf, "full")); err != nil {
 			b.Fatal(err)
 		}
 		sink := "a" + wf.Task(n-1).ID
@@ -233,13 +234,13 @@ func BenchmarkLineageServe(b *testing.B) {
 			if level != "exact" {
 				q.Level, q.View = level, "iv"
 			}
-			if _, err := s.Lineage("wf", q); err != nil {
+			if _, err := s.LineageCtx(context.Background(), "wf", q); err != nil {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("level=%s/n=%d", level, n), func(b *testing.B) {
 				var buf []byte
 				for i := 0; i < b.N; i++ {
-					ans, err := s.Lineage("wf", q)
+					ans, err := s.LineageCtx(context.Background(), "wf", q)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -291,7 +292,7 @@ func BenchmarkLineageCold(b *testing.B) {
 // mixed-level queries per operation.
 func BenchmarkLineageBatch(b *testing.B) {
 	s, wf := benchStore(b, 1024)
-	if _, err := s.Ingest("wf", fullRunDoc(wf, "full")); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "wf", fullRunDoc(wf, "full")); err != nil {
 		b.Fatal(err)
 	}
 	var qs []Query

@@ -1,6 +1,7 @@
 package runs
 
 import (
+	"context"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ import (
 // legacy-docs store keeps emitting JSON from the same input.
 func TestBinaryDocRoundTrip(t *testing.T) {
 	s, reg := figure1Store(t)
-	if _, err := s.Ingest("phylo", figure1RunDoc("r1")); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1")); err != nil {
 		t.Fatal(err)
 	}
 	ids, docs := s.SnapshotRuns("phylo")
@@ -58,11 +59,11 @@ func TestBinaryDocRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{Run: "r1", Artifact: "a8", Witness: true}
-	want, err := s.Lineage("phylo", q)
+	want, err := s.LineageCtx(context.Background(), "phylo", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.Lineage("phylo", q)
+	got, err := s2.LineageCtx(context.Background(), "phylo", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestBinaryDocRoundTrip(t *testing.T) {
 
 	// A legacy-docs store canonicalizes the same ingest as JSON.
 	legacy := New(reg, WithLegacyJSONDocs())
-	if _, err := legacy.Ingest("phylo", figure1RunDoc("r1")); err != nil {
+	if _, err := legacy.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1")); err != nil {
 		t.Fatal(err)
 	}
 	_, ldocs := legacy.SnapshotRuns("phylo")

@@ -281,7 +281,7 @@ func TestLabelAnswersMatchClosureRows(t *testing.T) {
 		Name: "equiv", Tasks: tasks, Layers: 9, EdgeProb: 0.08, SkipProb: 0.02, Seed: 7,
 	})
 	reg := engine.NewRegistry(engine.New())
-	lw, err := reg.Register("wf", wf)
+	lw, err := reg.RegisterCtx(context.Background(), "wf", wf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestLabelAnswersMatchClosureRows(t *testing.T) {
 		vid := fmt.Sprintf("v%d", viewSeq)
 		seed := int64(viewSeq)
 		viewSeq++
-		if _, _, err := lw.AttachView(vid, func(wf *workflow.Workflow) (*view.View, error) {
+		if _, _, err := lw.AttachViewCtx(context.Background(), vid, func(wf *workflow.Workflow) (*view.View, error) {
 			v := gen.RandomView(wf, 8+int(seed)%5, seed, vid)
 			if unsound {
 				v = gen.InjectUnsound(v, 3, seed)
@@ -352,7 +352,7 @@ func TestLabelAnswersMatchClosureRows(t *testing.T) {
 		if merr != nil {
 			t.Fatal(merr)
 		}
-		if _, ierr := s.Ingest("wf", raw); ierr != nil {
+		if _, ierr := s.IngestCtx(context.Background(), "wf", raw); ierr != nil {
 			t.Fatal(ierr)
 		}
 		return runID, arts
@@ -377,7 +377,7 @@ func TestLabelAnswersMatchClosureRows(t *testing.T) {
 		switch op := rng.Intn(100); {
 		case op < 55: // random edge; cycle rejections roll back (also covered)
 			u, v := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
-			if _, merr := lw.Mutate(engine.Mutation{Edges: [][2]string{{u, v}}}); merr != nil {
+			if _, merr := lw.MutateCtx(context.Background(), engine.Mutation{Edges: [][2]string{{u, v}}}); merr != nil {
 				var ee *engine.Error
 				if !errors.As(merr, &ee) || (ee.Code != engine.ErrCycleRejected && ee.Code != engine.ErrBadInput) {
 					t.Fatalf("step %d: mutate(%s->%s): %v", step, u, v, merr)
@@ -390,12 +390,12 @@ func TestLabelAnswersMatchClosureRows(t *testing.T) {
 			if rng.Intn(4) > 0 {
 				m.Edges = [][2]string{{ids[rng.Intn(len(ids))], id}}
 			}
-			if _, merr := lw.Mutate(m); merr != nil {
+			if _, merr := lw.MutateCtx(context.Background(), m); merr != nil {
 				t.Fatalf("step %d: grow %s: %v", step, id, merr)
 			}
 			ids = append(ids, id)
 		case op < 88: // churn a view: detach the oldest, attach a fresh one
-			if derr := lw.DetachView(views[0]); derr != nil {
+			if derr := lw.DetachViewCtx(context.Background(), views[0]); derr != nil {
 				t.Fatalf("step %d: detach %s: %v", step, views[0], derr)
 			}
 			views = append(views[1:], attach(rng.Intn(2) == 0))
@@ -429,11 +429,11 @@ func TestOverBudgetLineageMatchesReference(t *testing.T) {
 		}
 	}
 	reg := engine.NewRegistry(engine.New())
-	lw, err := reg.Register("dense", wf)
+	lw, err := reg.RegisterCtx(context.Background(), "dense", wf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lw.AttachView("iv", func(wf *workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "iv", func(wf *workflow.Workflow) (*view.View, error) {
 		return gen.IntervalView(wf, 24, "iv"), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -457,7 +457,7 @@ func TestOverBudgetLineageMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest("dense", raw); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "dense", raw); err != nil {
 		t.Fatal(err)
 	}
 
@@ -492,11 +492,11 @@ func TestEpochReadsUnderMutation(t *testing.T) {
 		Name: "epoch", Tasks: 64, Layers: 8, EdgeProb: 0.1, Seed: 11,
 	})
 	reg := engine.NewRegistry(engine.New())
-	lw, err := reg.Register("wf", wf)
+	lw, err := reg.RegisterCtx(context.Background(), "wf", wf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lw.AttachView("iv", func(wf *workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "iv", func(wf *workflow.Workflow) (*view.View, error) {
 		return gen.IntervalView(wf, 8, "iv"), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -512,7 +512,7 @@ func TestEpochReadsUnderMutation(t *testing.T) {
 			"id": "a" + wf.Task(i).ID, "generated_by": wf.Task(i).ID})
 	}
 	raw, _ := json.Marshal(doc)
-	if _, err := s.Ingest("wf", raw); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "wf", raw); err != nil {
 		t.Fatal(err)
 	}
 
@@ -560,7 +560,7 @@ func TestEpochReadsUnderMutation(t *testing.T) {
 				case 2:
 					q.Level, q.View = LevelAudited, "iv"
 				}
-				ans, qerr := s.Lineage("wf", q)
+				ans, qerr := s.LineageCtx(context.Background(), "wf", q)
 				if qerr != nil {
 					var ee *engine.Error
 					if errors.As(qerr, &ee) && ee.Code == engine.ErrUnknownView {
@@ -581,21 +581,21 @@ func TestEpochReadsUnderMutation(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		switch rng.Intn(10) {
 		case 0:
-			_ = lw.DetachView("iv")
-			if _, _, err := lw.AttachView("iv", func(wf *workflow.Workflow) (*view.View, error) {
+			_ = lw.DetachViewCtx(context.Background(), "iv")
+			if _, _, err := lw.AttachViewCtx(context.Background(), "iv", func(wf *workflow.Workflow) (*view.View, error) {
 				return gen.IntervalView(wf, 8, "iv"), nil
 			}); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
 			id := fmt.Sprintf("m%d", step)
-			if _, err := lw.Mutate(engine.Mutation{Tasks: []workflow.Task{{ID: id}}}); err != nil {
+			if _, err := lw.MutateCtx(context.Background(), engine.Mutation{Tasks: []workflow.Task{{ID: id}}}); err != nil {
 				t.Fatal(err)
 			}
 		default:
 			u := taskIDs[rng.Intn(len(taskIDs))]
 			v := taskIDs[rng.Intn(len(taskIDs))]
-			_, _ = lw.Mutate(engine.Mutation{Edges: [][2]string{{u, v}}}) // cycles roll back
+			_, _ = lw.MutateCtx(context.Background(), engine.Mutation{Edges: [][2]string{{u, v}}}) // cycles roll back
 		}
 	}
 	close(stop)

@@ -2,6 +2,7 @@ package runs
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -16,7 +17,7 @@ func fuzzRegistry(f *testing.F) *engine.Registry {
 	f.Helper()
 	wf, _ := repo.Figure1()
 	reg := engine.NewRegistry(engine.New())
-	if _, err := reg.Register("phylo", wf); err != nil {
+	if _, err := reg.RegisterCtx(context.Background(), "phylo", wf); err != nil {
 		f.Fatal(err)
 	}
 	return reg
@@ -56,7 +57,7 @@ func FuzzIngestDoc(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		checkIngestAgainstRef(t, reg, "phylo", doc, nil)
 		s := New(reg)
-		info, err := s.Ingest("phylo", doc)
+		info, err := s.IngestCtx(context.Background(), "phylo", doc)
 		if err != nil {
 			checkIngestErr(t, err)
 			return
@@ -68,7 +69,7 @@ func FuzzIngestDoc(f *testing.F) {
 		if lerr != nil {
 			t.Fatalf("accepted run %q not queryable: %v", info.Run, lerr)
 		}
-		if _, rerr := New(reg).Ingest("phylo", run.doc); rerr != nil {
+		if _, rerr := New(reg).IngestCtx(context.Background(), "phylo", run.doc); rerr != nil {
 			t.Fatalf("canonical document of accepted run %q rejected on re-ingest: %v", info.Run, rerr)
 		}
 	})
@@ -93,7 +94,7 @@ func FuzzIngestNDJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		checkNDJSONAgainstRef(t, reg, "phylo", stream)
 		s := New(reg)
-		info, err := s.IngestNDJSON("phylo", bytes.NewReader(stream))
+		info, err := s.IngestNDJSONCtx(context.Background(), "phylo", bytes.NewReader(stream))
 		if err != nil {
 			checkIngestErr(t, err)
 			return

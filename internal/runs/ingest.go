@@ -213,17 +213,12 @@ func (sc *ingestScratch) decodeDoc(w *wireRun, doc []byte) error {
 	return decodeRunDocJSON(&sc.jd, w, doc)
 }
 
-// Ingest validates and stores one run document for workflowID,
+// IngestCtx validates and stores one run document for workflowID,
 // journaling it when a journal is installed. Re-ingesting an existing
 // run ID replaces the run (idempotent, which is also what makes WAL
 // replay safe). The returned info carries the workflow version the run
-// was validated against.
-func (s *Store) Ingest(workflowID string, doc []byte) (*RunInfo, error) {
-	return s.IngestCtx(context.Background(), workflowID, doc) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// IngestCtx is Ingest with the request context: ctx carries the trace
-// span into the journal append and is observability-only.
+// was validated against. ctx carries the trace span into the journal
+// append and is observability-only.
 func (s *Store) IngestCtx(ctx context.Context, workflowID string, doc []byte) (*RunInfo, error) {
 	sc := scratchPool.Get().(*ingestScratch)
 	defer func() { scratchPool.Put(sc.trim()) }()
@@ -244,18 +239,12 @@ type wireLine struct {
 	Used       *wireUsed
 }
 
-// IngestNDJSON streams one run from r: each line is a JSON record
+// IngestNDJSONCtx streams one run from r: each line is a JSON record
 // declaring the run ID, an invocation, an artifact or a used edge.
 // A final line torn mid-record (a client crash or truncated upload)
 // rejects the whole run with ErrInvalidTrace — runs are atomic, never
 // partially ingested. A single line longer than MaxNDJSONLineBytes
-// rejects the run with ErrBadInput.
-func (s *Store) IngestNDJSON(workflowID string, r io.Reader) (*RunInfo, error) {
-	return s.IngestNDJSONCtx(context.Background(), workflowID, r) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// IngestNDJSONCtx is IngestNDJSON with the request context (see
-// IngestCtx).
+// rejects the run with ErrBadInput. ctx is used as in IngestCtx.
 func (s *Store) IngestNDJSONCtx(ctx context.Context, workflowID string, r io.Reader) (*RunInfo, error) {
 	sc := scratchPool.Get().(*ingestScratch)
 	sc.br.Reset(r)
@@ -412,13 +401,11 @@ func (s *Store) ingestWire(ctx context.Context, workflowID string, w *wireRun, j
 				return s.reg.JournalFault("ingest", jerr)
 			}
 			wantSnap = ws
-			s.journaledBytes.Add(int64(len(run.doc)))
 		}
 		return nil
 	}); err != nil {
 		return nil, wrapErr("ingest", err)
 	}
-	s.ingested.Add(1)
 	if journal {
 		obs.MIngestRuns.Inc()
 		obs.MIngestLatency.Observe(time.Since(start).Seconds())
@@ -440,18 +427,13 @@ func (s *Store) ingestWire(ctx context.Context, workflowID string, w *wireRun, j
 	return info, nil
 }
 
-// IngestBatch validates and stores a batch of run documents for
+// IngestBatchCtx validates and stores a batch of run documents for
 // workflowID in one journaled operation: all documents are validated
 // and interned first (any rejection rejects the whole batch before any
 // state is touched), then inserted and journaled together — through the
 // journal's batch append, so one group-commit fsync covers the burst.
-// The returned infos are in document order.
-func (s *Store) IngestBatch(workflowID string, docs [][]byte) ([]RunInfo, error) {
-	return s.IngestBatchCtx(context.Background(), workflowID, docs) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// IngestBatchCtx is IngestBatch with the request context (see
-// IngestCtx).
+// The returned infos are in document order. ctx is used as in
+// IngestCtx.
 func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]byte) ([]RunInfo, error) {
 	infos := make([]RunInfo, 0, len(docs))
 	if len(docs) == 0 {
@@ -497,10 +479,8 @@ func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]
 		}
 		ids := make([]string, len(built))
 		runDocs := make([][]byte, len(built))
-		var docBytes int64
 		for i, r := range built {
 			ids[i], runDocs[i] = r.id, r.doc
-			docBytes += int64(len(r.doc))
 		}
 		sh := s.shardFor(lw)
 		sh.mu.Lock()
@@ -522,13 +502,11 @@ func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]
 				return s.reg.JournalFault("ingest", jerr)
 			}
 			wantSnap = ws
-			s.journaledBytes.Add(docBytes)
 		}
 		return nil
 	}); err != nil {
 		return nil, wrapErr("ingest", err)
 	}
-	s.ingested.Add(int64(len(docs)))
 	obs.MIngestRuns.Add(uint64(len(docs)))
 	obs.MIngestLatency.Observe(time.Since(start).Seconds())
 

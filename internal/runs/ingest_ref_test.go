@@ -2,6 +2,7 @@ package runs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -458,7 +459,7 @@ func checkIngestAgainstRef(t *testing.T, reg *engine.Registry, workflowID string
 	wf, version := refState(t, reg, workflowID)
 
 	s := New(reg)
-	info, gerr := s.Ingest(workflowID, doc)
+	info, gerr := s.IngestCtx(context.Background(), workflowID, doc)
 	compareOutcome(t, "json", s, workflowID, gerr, infoList(info), refIngestDoc(wf, version, doc))
 	restores := [][]byte{doc}
 	if gerr == nil {
@@ -487,7 +488,7 @@ func checkNDJSONAgainstRef(t *testing.T, reg *engine.Registry, workflowID string
 	t.Helper()
 	wf, version := refState(t, reg, workflowID)
 	s := New(reg)
-	info, gerr := s.IngestNDJSON(workflowID, bytes.NewReader(stream))
+	info, gerr := s.IngestNDJSONCtx(context.Background(), workflowID, bytes.NewReader(stream))
 	var want refOutcome
 	if w, rerr, decodeErr := refNDJSON(stream); rerr != nil {
 		want.err, want.decodeErr = rerr, decodeErr
@@ -688,7 +689,7 @@ func TestIngestMatchesStringReference(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		doc, nd := g.doc()
 		checkIngestAgainstRef(t, reg, "phylo", doc, nd)
-		if _, err := New(reg).Ingest("phylo", doc); err == nil {
+		if _, err := New(reg).IngestCtx(context.Background(), "phylo", doc); err == nil {
 			accepted++
 		}
 	}
@@ -712,7 +713,7 @@ func TestIngestMatchesStringReference(t *testing.T) {
 			}
 		}
 		s := New(reg)
-		infos, err := s.IngestBatch("phylo", docs)
+		infos, err := s.IngestBatchCtx(context.Background(), "phylo", docs)
 		compareOutcome(t, "batch", s, "phylo", err, infos, refIngestBatch(wf, version, docs))
 	}
 }

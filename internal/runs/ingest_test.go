@@ -1,6 +1,7 @@
 package runs
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func TestIngestEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := s.Ingest("phylo", []byte(tc.doc))
+			_, err := s.IngestCtx(context.Background(), "phylo", []byte(tc.doc))
 			if err == nil {
 				t.Fatal("ingestion must fail")
 			}
@@ -48,13 +49,13 @@ func TestIngestEdgeCases(t *testing.T) {
 	}
 
 	// Unknown-task causes keep the workflow sentinel reachable.
-	_, err := s.Ingest("phylo", []byte(`{"run":"r","artifacts":[{"id":"a","generated_by":"ghost"}]}`))
+	_, err := s.IngestCtx(context.Background(), "phylo", []byte(`{"run":"r","artifacts":[{"id":"a","generated_by":"ghost"}]}`))
 	if !errors.Is(err, workflow.ErrUnknownTask) {
 		t.Fatalf("unknown-task ingestion must wrap workflow.ErrUnknownTask: %v", err)
 	}
 
 	// Unknown workflow is a 404-class error, not invalid_trace.
-	if _, err := s.Ingest("ghost", figure1RunDoc("r")); !engine.IsCode(err, engine.ErrUnknownWorkflow) {
+	if _, err := s.IngestCtx(context.Background(), "ghost", figure1RunDoc("r")); !engine.IsCode(err, engine.ErrUnknownWorkflow) {
 		t.Fatalf("unknown workflow: %v", err)
 	}
 
@@ -89,7 +90,7 @@ func TestNDJSONEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := s.IngestNDJSON("phylo", strings.NewReader(tc.stream))
+			_, err := s.IngestNDJSONCtx(context.Background(), "phylo", strings.NewReader(tc.stream))
 			if err == nil {
 				t.Fatal("ingestion must fail")
 			}
@@ -105,7 +106,7 @@ func TestNDJSONEdgeCases(t *testing.T) {
 
 	// A final line terminated by EOF (no trailing newline) but carrying
 	// complete JSON is fine — only genuinely torn records reject.
-	info, err := s.IngestNDJSON("phylo", strings.NewReader(
+	info, err := s.IngestNDJSONCtx(context.Background(), "phylo", strings.NewReader(
 		"{\"run\":\"ok\"}\n{\"artifact\":{\"id\":\"a\",\"generated_by\":\"1\"}}"))
 	if err != nil || info.Artifacts != 1 {
 		t.Fatalf("unterminated-but-complete final line: %+v, %v", info, err)
@@ -123,7 +124,7 @@ func TestNDJSONLineCap(t *testing.T) {
 	// One line of MaxNDJSONLineBytes+2 bytes, never newline-terminated.
 	// The cap must fire while buffering, long before JSON parsing.
 	over := strings.NewReader(strings.Repeat("a", MaxNDJSONLineBytes+2))
-	_, err := s.IngestNDJSON("phylo", over)
+	_, err := s.IngestNDJSONCtx(context.Background(), "phylo", over)
 	if err == nil {
 		t.Fatal("over-long line must reject the stream")
 	}
@@ -142,7 +143,7 @@ func TestNDJSONLineCap(t *testing.T) {
 	// under the cap: the spill path must reassemble it losslessly.
 	longID := strings.Repeat("r", 128<<10)
 	stream := "{\"run\":\"" + longID + "\"}\n{\"artifact\":{\"id\":\"a\",\"generated_by\":\"1\"}}\n"
-	info, err := s.IngestNDJSON("phylo", strings.NewReader(stream))
+	info, err := s.IngestNDJSONCtx(context.Background(), "phylo", strings.NewReader(stream))
 	if err != nil {
 		t.Fatalf("long-but-legal line: %v", err)
 	}
@@ -154,7 +155,7 @@ func TestNDJSONLineCap(t *testing.T) {
 // TestQueryErrorCodes pins the 404/400-class codes of the query surface.
 func TestQueryErrorCodes(t *testing.T) {
 	s, _ := figure1Store(t)
-	if _, err := s.Ingest("phylo", figure1RunDoc("r1")); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1")); err != nil {
 		t.Fatal(err)
 	}
 	for name, tc := range map[string]struct {
@@ -173,7 +174,7 @@ func TestQueryErrorCodes(t *testing.T) {
 		"witness needs ancestors": {
 			Query{Run: "r1", Artifact: "a8", Direction: DirDescendants, Witness: true}, engine.ErrBadInput},
 	} {
-		if _, err := s.Lineage("phylo", tc.q); !engine.IsCode(err, tc.code) {
+		if _, err := s.LineageCtx(context.Background(), "phylo", tc.q); !engine.IsCode(err, tc.code) {
 			t.Fatalf("%s: want %s, got %v", name, tc.code, err)
 		}
 	}

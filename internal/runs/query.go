@@ -133,7 +133,7 @@ func (a *Answer) Release() {
 	answerPool.Put(a)
 }
 
-// Lineage answers one query against an ingested run.
+// LineageCtx answers one query against an ingested run.
 //
 // The serve path is label-indexed and lock-free: the answer is
 // assembled from the workflow's published ReadEpoch — reachability
@@ -141,14 +141,8 @@ func (a *Answer) Release() {
 // without taking the workflow lock (the first audited query per view
 // and version takes it once to build the audit). Answers are
 // byte-identical to a from-scratch closure computation (see
-// TestLabelAnswersMatchClosureRows).
-func (s *Store) Lineage(workflowID string, q Query) (*Answer, error) {
-	return s.LineageCtx(context.Background(), workflowID, q) //lint:allow ctxpass compat wrapper anchors its own root
-}
-
-// LineageCtx is Lineage with the request context: ctx carries the
-// request's trace span so the serve shows up in the trace tail. The
-// instrumentation is allocation-free — two clock reads, a pooled span
+// TestLabelAnswersMatchClosureRows). ctx carries the request's trace
+// span so the serve shows up in the trace tail. The instrumentation is allocation-free — two clock reads, a pooled span
 // when sampled, atomic counter/histogram updates — so the warm serve
 // path stays 0 allocs/op (TestLineageAllocationCeiling guards it).
 func (s *Store) LineageCtx(ctx context.Context, workflowID string, q Query) (*Answer, error) {
@@ -191,7 +185,6 @@ func (s *Store) LineageCtx(ctx context.Context, workflowID string, q Query) (*An
 		return nil, errf(engine.ErrUnknownArtifact, "lineage",
 			"run %q has no artifact %q", q.Run, q.Artifact)
 	}
-	s.queries.Add(1)
 	start := time.Now()
 	_, span := obs.StartSpan(ctx, "runs", "lineage")
 	span.SetAttr("workflow", workflowID)

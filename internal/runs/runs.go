@@ -21,7 +21,8 @@
 // another; individual runs are immutable after ingestion, so queries
 // hold no shard lock while computing. Shards are anchored to the
 // registry's live-workflow handle — when a workflow is deleted, replaced
-// or evicted, its runs die with it (lazily, on the next touch).
+// or evicted, the registry's OnClose hook drops its shard, and its runs
+// die with it.
 //
 // Durability: with a Journal installed (internal/storage implements it),
 // every ingested run is appended to the registry's WAL and folded into
@@ -34,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"wolves/internal/bitset"
 	"wolves/internal/engine"
@@ -54,7 +54,7 @@ type Journal interface {
 	RunIngested(ctx context.Context, workflowID, runID string, doc []byte) (wantSnapshot bool, err error)
 	// RunsIngested journals a batch of run documents for one workflow as
 	// contiguous records with a single durability wait, so one
-	// group-commit fsync covers the whole burst (IngestBatch).
+	// group-commit fsync covers the whole burst (IngestBatchCtx).
 	RunsIngested(ctx context.Context, workflowID string, runIDs []string, docs [][]byte) (wantSnapshot bool, err error)
 	// SnapshotWorkflow folds the workflow into a fresh snapshot covering
 	// everything journaled so far (runs included, via the run provider).
@@ -79,10 +79,6 @@ type Store struct {
 
 	mu     sync.Mutex // guards shards map only
 	shards map[string]*shard
-
-	ingested       atomic.Int64
-	queries        atomic.Int64
-	journaledBytes atomic.Int64
 }
 
 // Option configures a Store at construction time.
@@ -116,6 +112,7 @@ func New(reg *engine.Registry, opts ...Option) *Store {
 	for _, o := range opts {
 		o(s)
 	}
+	reg.OnClose(s.release)
 	return s
 }
 
@@ -124,10 +121,10 @@ func New(reg *engine.Registry, opts ...Option) *Store {
 func (s *Store) SetJournal(j Journal) { s.journal = j }
 
 // shard holds every run of one workflow registration. The anchor lw
-// pins the registration the runs belong to: when the registry hands out
-// a different handle for the same ID (delete + re-register, replace,
-// eviction), the stale shard is discarded on the next touch — runs never
-// outlive the workflow they were validated against.
+// pins the registration the runs belong to: release drops the shard when
+// that registration dies, and an ingest into a newer handle for the same
+// ID replaces a shard it finds still anchored to an older one — runs
+// never outlive the workflow they were validated against.
 type shard struct {
 	lw *engine.LiveWorkflow
 
@@ -147,6 +144,20 @@ func (s *Store) shardFor(lw *engine.LiveWorkflow) *shard {
 		s.shards[lw.ID()] = sh
 	}
 	return sh
+}
+
+// release drops the shard of a registration that died (the registry's
+// OnClose hook), so its runs are garbage from that moment on.
+// Ingestion inserts into a shard only inside the workflow's State call,
+// under its read lock, and the hook runs after close() marked the
+// workflow closed under the write lock — so no run can land in a shard
+// after its release.
+func (s *Store) release(lw *engine.LiveWorkflow) {
+	s.mu.Lock()
+	if sh := s.shards[lw.ID()]; sh != nil && sh.lw == lw {
+		delete(s.shards, lw.ID())
+	}
+	s.mu.Unlock()
 }
 
 // shardRead returns the shard anchored to exactly this registration, or
@@ -275,56 +286,29 @@ func (s *Store) lookup(workflowID, runID string) (*engine.LiveWorkflow, *Run, er
 	return lw, run, nil
 }
 
-// Stats is a snapshot of the store's counters for the /v1/stats
-// endpoint. Resident numbers (Workflows … DocBytes) count what the
-// store currently holds; Ingested/Queries/JournaledBytes are lifetime
-// totals since boot.
+// Stats is a snapshot of what the store holds: runs and their canonical
+// document bytes, summed over every live registration. /metrics serves
+// it as wolves_runs_resident and wolves_run_doc_bytes.
 type Stats struct {
-	Workflows      int   `json:"workflows"`
-	Runs           int   `json:"runs"`
-	Invocations    int64 `json:"invocations"`
-	Artifacts      int64 `json:"artifacts"`
-	UsedEdges      int64 `json:"used_edges"`
-	DocBytes       int64 `json:"doc_bytes"`
-	JournaledBytes int64 `json:"journaled_bytes"`
-	Ingested       int64 `json:"ingested_total"`
-	Queries        int64 `json:"queries_total"`
+	Runs     int
+	DocBytes int64
 }
 
-// Stats sweeps the shards (pruning those whose registration died) and
-// returns aggregate counters. The sweep uses Peek, not Get, so
-// observability never reorders the registry's LRU eviction queue.
+// Stats sums the resident shards. Shards of dead registrations are
+// already gone (release), so it only reads.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	shards := make(map[string]*shard, len(s.shards))
-	for id, sh := range s.shards {
-		shards[id] = sh
+	shards := make([]*shard, 0, len(s.shards))
+	for _, sh := range s.shards {
+		shards = append(shards, sh)
 	}
 	s.mu.Unlock()
 
-	st := Stats{
-		Ingested:       s.ingested.Load(),
-		Queries:        s.queries.Load(),
-		JournaledBytes: s.journaledBytes.Load(),
-	}
-	for id, sh := range shards {
-		if lw, err := s.reg.Peek(id); err != nil || lw != sh.lw {
-			s.mu.Lock()
-			if s.shards[id] == sh {
-				delete(s.shards, id)
-			}
-			s.mu.Unlock()
-			continue
-		}
+	var st Stats
+	for _, sh := range shards {
 		sh.mu.RLock()
-		if len(sh.runs) > 0 {
-			st.Workflows++
-		}
+		st.Runs += len(sh.runs)
 		for _, r := range sh.runs {
-			st.Runs++
-			st.Invocations += int64(len(r.procID))
-			st.Artifacts += int64(len(r.artID))
-			st.UsedEdges += int64(len(r.used))
 			st.DocBytes += int64(len(r.doc))
 		}
 		sh.mu.RUnlock()

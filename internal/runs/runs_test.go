@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"wolves/internal/engine"
+	"wolves/internal/obs"
 	"wolves/internal/repo"
 	"wolves/internal/view"
 	"wolves/internal/workflow"
@@ -20,11 +23,11 @@ func figure1Store(t *testing.T) (*Store, *engine.Registry) {
 	t.Helper()
 	wf, v := repo.Figure1()
 	reg := engine.NewRegistry(engine.New())
-	lw, err := reg.Register("phylo", wf)
+	lw, err := reg.RegisterCtx(context.Background(), "phylo", wf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lw.AttachView("fig1b", func(*workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "fig1b", func(*workflow.Workflow) (*view.View, error) {
 		return v, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -59,7 +62,7 @@ func figure1RunDoc(runID string) []byte {
 
 func TestIngestAndLineageLevels(t *testing.T) {
 	s, _ := figure1Store(t)
-	info, err := s.Ingest("phylo", figure1RunDoc("r1"))
+	info, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,7 @@ func TestIngestAndLineageLevels(t *testing.T) {
 
 	// Exact: the provenance of a8 is the outputs of tasks 1,2,6,7 — and
 	// NOT a3, the paper's point.
-	ans, err := s.Lineage("phylo", Query{Run: "r1", Artifact: "a8"})
+	ans, err := s.LineageCtx(context.Background(), "phylo", Query{Run: "r1", Artifact: "a8"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestIngestAndLineageLevels(t *testing.T) {
 	}
 
 	// View level: the fig1b user wrongly sees a3 upstream of a8.
-	ans, err = s.Lineage("phylo", Query{Run: "r1", Artifact: "a8", Level: LevelView, View: "fig1b"})
+	ans, err = s.LineageCtx(context.Background(), "phylo", Query{Run: "r1", Artifact: "a8", Level: LevelView, View: "fig1b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +106,7 @@ func TestIngestAndLineageLevels(t *testing.T) {
 	}
 
 	// Audited: the same answer now names composite 14 as spurious.
-	ans, err = s.Lineage("phylo", Query{Run: "r1", Artifact: "a8", Level: LevelAudited, View: "fig1b"})
+	ans, err = s.LineageCtx(context.Background(), "phylo", Query{Run: "r1", Artifact: "a8", Level: LevelAudited, View: "fig1b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func TestIngestAndLineageLevels(t *testing.T) {
 
 	// Audited on a composite with no spurious upstream answers sound:
 	// every composite truly feeds 19 (task 12 is the global sink).
-	ans, err = s.Lineage("phylo", Query{Run: "r1", Artifact: "a12", Level: LevelAudited, View: "fig1b"})
+	ans, err = s.LineageCtx(context.Background(), "phylo", Query{Run: "r1", Artifact: "a12", Level: LevelAudited, View: "fig1b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +136,10 @@ func TestIngestAndLineageLevels(t *testing.T) {
 
 func TestLineageDescendantsAndWitness(t *testing.T) {
 	s, _ := figure1Store(t)
-	if _, err := s.Ingest("phylo", figure1RunDoc("r1")); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1")); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := s.Lineage("phylo", Query{Run: "r1", Artifact: "a9", Direction: DirDescendants})
+	ans, err := s.LineageCtx(context.Background(), "phylo", Query{Run: "r1", Artifact: "a9", Direction: DirDescendants})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +147,7 @@ func TestLineageDescendantsAndWitness(t *testing.T) {
 		t.Fatalf("descendants of a9 = %v", ans.Tasks)
 	}
 
-	ans, err = s.Lineage("phylo", Query{Run: "r1", Artifact: "a8", Witness: true})
+	ans, err = s.LineageCtx(context.Background(), "phylo", Query{Run: "r1", Artifact: "a8", Witness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +168,7 @@ func TestLineageDescendantsAndWitness(t *testing.T) {
 	}
 
 	// View-level descendants: composite impact of a2's home (13).
-	ans, err = s.Lineage("phylo", Query{Run: "r1", Artifact: "a2", Level: LevelView, View: "fig1b", Direction: DirDescendants})
+	ans, err = s.LineageCtx(context.Background(), "phylo", Query{Run: "r1", Artifact: "a2", Level: LevelView, View: "fig1b", Direction: DirDescendants})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +181,10 @@ func TestExternalInputArtifact(t *testing.T) {
 	s, _ := figure1Store(t)
 	doc := []byte(`{"run":"r2","artifacts":[{"id":"input"},{"id":"out","generated_by":"1"}],
 		"used":[{"process":"1","artifact":"input"}]}`)
-	if _, err := s.Ingest("phylo", doc); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "phylo", doc); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := s.Lineage("phylo", Query{Run: "r2", Artifact: "input", Level: LevelAudited, View: "fig1b"})
+	ans, err := s.LineageCtx(context.Background(), "phylo", Query{Run: "r2", Artifact: "input", Level: LevelAudited, View: "fig1b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +195,7 @@ func TestExternalInputArtifact(t *testing.T) {
 		t.Fatalf("external input audited flags: %+v", ans)
 	}
 	// The produced artifact's witness reaches back to the external input.
-	ans, err = s.Lineage("phylo", Query{Run: "r2", Artifact: "out", Witness: true})
+	ans, err = s.LineageCtx(context.Background(), "phylo", Query{Run: "r2", Artifact: "out", Witness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,17 +212,18 @@ func TestExternalInputArtifact(t *testing.T) {
 
 func TestReplaceAndList(t *testing.T) {
 	s, _ := figure1Store(t)
-	if _, err := s.Ingest("phylo", figure1RunDoc("r1")); err != nil {
+	ingested0 := obs.MIngestRuns.Value()
+	if _, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1")); err != nil {
 		t.Fatal(err)
 	}
-	info, err := s.Ingest("phylo", figure1RunDoc("r1"))
+	info, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !info.Replaced {
 		t.Fatal("second ingestion of r1 must report Replaced")
 	}
-	if _, err := s.Ingest("phylo", figure1RunDoc("r2")); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("r2")); err != nil {
 		t.Fatal(err)
 	}
 	infos, err := s.Runs("phylo")
@@ -230,33 +234,40 @@ func TestReplaceAndList(t *testing.T) {
 		t.Fatalf("runs = %+v", infos)
 	}
 	st := s.Stats()
-	if st.Workflows != 1 || st.Runs != 2 || st.Ingested != 3 || st.Artifacts != 24 {
-		t.Fatalf("stats = %+v", st)
+	if st.Runs != 2 || st.DocBytes != infos[0].Bytes+infos[1].Bytes {
+		t.Fatalf("stats = %+v, runs = %+v", st, infos)
+	}
+	if infos[0].Artifacts+infos[1].Artifacts != 24 {
+		t.Fatalf("artifacts = %d, want 24", infos[0].Artifacts+infos[1].Artifacts)
+	}
+	// Lifetime ingests, the replacement included, count on /metrics.
+	if got := obs.MIngestRuns.Value() - ingested0; got != 3 {
+		t.Fatalf("wolves_ingest_runs_total grew by %d, want 3", got)
 	}
 }
 
 func TestRunsDieWithRegistration(t *testing.T) {
 	s, reg := figure1Store(t)
-	if _, err := s.Ingest("phylo", figure1RunDoc("r1")); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1")); err != nil {
 		t.Fatal(err)
 	}
 	// Re-register the same ID: the old registration's runs must not
 	// survive onto the new one.
 	wf2, _ := repo.Figure1()
-	if _, err := reg.Register("phylo", wf2); err != nil {
+	if _, err := reg.RegisterCtx(context.Background(), "phylo", wf2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Lineage("phylo", Query{Run: "r1", Artifact: "a8"}); !engine.IsCode(err, engine.ErrUnknownRun) {
+	if _, err := s.LineageCtx(context.Background(), "phylo", Query{Run: "r1", Artifact: "a8"}); !engine.IsCode(err, engine.ErrUnknownRun) {
 		t.Fatalf("stale run must be unknown after re-registration, got %v", err)
 	}
 	if infos, err := s.Runs("phylo"); err != nil || len(infos) != 0 {
 		t.Fatalf("runs after re-registration = %v, %v", infos, err)
 	}
-	if st := s.Stats(); st.Runs != 0 || st.Workflows != 0 {
-		t.Fatalf("stats must prune dead shards: %+v", st)
+	if st := s.Stats(); st.Runs != 0 || st.DocBytes != 0 {
+		t.Fatalf("a replaced registration's runs must be gone: %+v", st)
 	}
 	// Deleting the workflow makes even the list 404.
-	if err := reg.Delete("phylo"); err != nil {
+	if err := reg.DeleteCtx(context.Background(), "phylo"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Runs("phylo"); !engine.IsCode(err, engine.ErrUnknownWorkflow) {
@@ -264,9 +275,80 @@ func TestRunsDieWithRegistration(t *testing.T) {
 	}
 }
 
+// residentRun returns a weak pointer to run id in workflowID's shard.
+func residentRun(t *testing.T, s *Store, workflowID, id string) weak.Pointer[Run] {
+	t.Helper()
+	s.mu.Lock()
+	sh := s.shards[workflowID]
+	s.mu.Unlock()
+	if sh == nil {
+		t.Fatalf("no shard for %q", workflowID)
+	}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	r := sh.runs[id]
+	if r == nil {
+		t.Fatalf("no run %q on %q", id, workflowID)
+	}
+	return weak.Make(r)
+}
+
+// TestDeadRegistrationFreesRuns: a registration that dies — deleted,
+// evicted or replaced — drops its runs at once, without a Stats call or
+// a later touch of its ID, so a daemon nobody scrapes does not keep
+// them.
+func TestDeadRegistrationFreesRuns(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name string
+		kill func(t *testing.T, reg *engine.Registry)
+	}{
+		{"delete", func(t *testing.T, reg *engine.Registry) {
+			if err := reg.DeleteCtx(ctx, "phylo"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"evict", func(t *testing.T, reg *engine.Registry) {
+			wf, _ := repo.Figure1()
+			if _, err := reg.RegisterCtx(ctx, "other", wf); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"replace", func(t *testing.T, reg *engine.Registry) {
+			wf, _ := repo.Figure1()
+			if _, err := reg.RegisterCtx(ctx, "phylo", wf); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reg := engine.NewRegistry(engine.New(), engine.WithRegistryCapacity(1))
+			wf, _ := repo.Figure1()
+			if _, err := reg.RegisterCtx(ctx, "phylo", wf); err != nil {
+				t.Fatal(err)
+			}
+			s := New(reg)
+			if _, err := s.IngestCtx(ctx, "phylo", figure1RunDoc("r1")); err != nil {
+				t.Fatal(err)
+			}
+			run := residentRun(t, s, "phylo", "r1")
+			c.kill(t, reg)
+			runtime.GC()
+			runtime.GC()
+			if run.Value() != nil {
+				t.Fatal("the dead registration's run is still reachable")
+			}
+			// The store and registry stay live: only the shard may go.
+			runtime.KeepAlive(s)
+			runtime.KeepAlive(reg)
+		})
+	}
+}
+
 func TestLineageBatch(t *testing.T) {
 	s, _ := figure1Store(t)
-	if _, err := s.Ingest("phylo", figure1RunDoc("r1")); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1")); err != nil {
 		t.Fatal(err)
 	}
 	qs := []Query{
@@ -318,7 +400,7 @@ func TestLineageBatch(t *testing.T) {
 
 func TestNDJSONEquivalence(t *testing.T) {
 	s, _ := figure1Store(t)
-	if _, err := s.Ingest("phylo", figure1RunDoc("doc")); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("doc")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -332,7 +414,7 @@ func TestNDJSONEquivalence(t *testing.T) {
 	for _, e := range wf.Edges() {
 		fmt.Fprintf(&sb, `{"used":{"process":"%s","artifact":"a%s"}}`+"\n", e[1], e[0])
 	}
-	info, err := s.IngestNDJSON("phylo", strings.NewReader(sb.String()))
+	info, err := s.IngestNDJSONCtx(context.Background(), "phylo", strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +423,11 @@ func TestNDJSONEquivalence(t *testing.T) {
 	}
 
 	// Answers over both ingestion paths must be identical (modulo run ID).
-	a1, err := s.Lineage("phylo", Query{Run: "doc", Artifact: "a8", Level: LevelAudited, View: "fig1b"})
+	a1, err := s.LineageCtx(context.Background(), "phylo", Query{Run: "doc", Artifact: "a8", Level: LevelAudited, View: "fig1b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := s.Lineage("phylo", Query{Run: "nd", Artifact: "a8", Level: LevelAudited, View: "fig1b"})
+	a2, err := s.LineageCtx(context.Background(), "phylo", Query{Run: "nd", Artifact: "a8", Level: LevelAudited, View: "fig1b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,25 +443,25 @@ func TestNDJSONEquivalence(t *testing.T) {
 func TestLineageTracksMutation(t *testing.T) {
 	wf, _ := repo.Figure1()
 	reg := engine.NewRegistry(engine.New())
-	lw, err := reg.Register("phylo", wf)
+	lw, err := reg.RegisterCtx(context.Background(), "phylo", wf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(reg)
-	if _, err := s.Ingest("phylo", figure1RunDoc("r1")); err != nil {
+	if _, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1")); err != nil {
 		t.Fatal(err)
 	}
-	ans, err := s.Lineage("phylo", Query{Run: "r1", Artifact: "a8"})
+	ans, err := s.LineageCtx(context.Background(), "phylo", Query{Run: "r1", Artifact: "a8"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if contains(ans.Tasks, "3") {
 		t.Fatal("3 must not reach 8 before the mutation")
 	}
-	if _, err := lw.Mutate(engine.Mutation{Edges: [][2]string{{"3", "7"}}}); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), engine.Mutation{Edges: [][2]string{{"3", "7"}}}); err != nil {
 		t.Fatal(err)
 	}
-	ans, err = s.Lineage("phylo", Query{Run: "r1", Artifact: "a8"})
+	ans, err = s.LineageCtx(context.Background(), "phylo", Query{Run: "r1", Artifact: "a8"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func bootDurableServer(t *testing.T) (*httptest.Server, *Server, *vfs.FaultFS) {
 // healthy /readyz → snapshot rename faults → mutation comes back 503
 // degraded with Retry-After → queries serve byte-identical reports and
 // ingests are rejected atomically → faults clear → /readyz flips back
-// healthy and writes flow, with the transition counted in /v1/stats.
+// healthy and writes flow, with the transition counted in /readyz.
 func TestDegradedModeOverHTTP(t *testing.T) {
 	ts, _, ffs := bootDurableServer(t)
 	base := ts.URL + "/v1/workflows/phylo"
@@ -157,7 +157,7 @@ func TestDegradedModeOverHTTP(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Writes flow again and the outage is visible in /v1/stats.
+	// Writes flow again and the outage is visible in /readyz.
 	resp = doJSON(t, http.MethodPost, base+"/mutate",
 		MutateRequest{Edges: [][2]string{{"4", "5"}}}, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -168,13 +168,13 @@ func TestDegradedModeOverHTTP(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("ingest after recovery: %d %s", status, body)
 	}
-	var stats StatsResponse
-	if resp = doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &stats); resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: %d", resp.StatusCode)
+	var after ReadyResponse
+	if resp = doJSON(t, http.MethodGet, ts.URL+"/readyz", nil, &after); resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after the outage: %d", resp.StatusCode)
 	}
-	if stats.Health.Status != engine.HealthHealthy || stats.Health.Degradations != 1 ||
-		stats.Health.Recoveries != 1 || stats.Health.Probes == 0 || stats.Health.LastError == "" {
-		t.Fatalf("stats health after the outage: %+v", stats.Health)
+	if after.Status != engine.HealthHealthy || after.Health.Degradations != 1 ||
+		after.Health.Recoveries != 1 || after.Health.Probes == 0 || after.Health.LastError == "" {
+		t.Fatalf("readyz health after the outage: %+v", after)
 	}
 }
 

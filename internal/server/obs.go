@@ -164,7 +164,8 @@ func (s *Server) bindCollectors() {
 	d.GaugeFunc("wolves_build_info", "Build metadata carried in labels; the value is always 1.",
 		func() float64 { return 1 },
 		obs.Label{Name: "version", Value: version},
-		obs.Label{Name: "commit", Value: commit})
+		obs.Label{Name: "commit", Value: commit},
+		obs.Label{Name: "goversion", Value: runtime.Version()})
 
 	// Oracle / audit cache: the engine keeps the counters, /metrics reads
 	// them at scrape time.
@@ -190,8 +191,6 @@ func (s *Server) bindCollectors() {
 		func() uint64 { return uint64(s.reg.LabelStats().ViewBuilds) })
 	d.GaugeFunc("wolves_label_index_memory_bytes", "Resident label index footprint, task and view level.",
 		func() float64 { return float64(s.reg.LabelStats().MemoryBytes) })
-	d.GaugeFunc("wolves_label_index_workflows", "Workflows serving lock-free from a label index.",
-		func() float64 { return float64(s.reg.LabelStats().Workflows) })
 
 	// Registry population and degraded-mode health.
 	d.GaugeFunc("wolves_live_workflows", "Workflows resident in the live registry.",
@@ -205,8 +204,6 @@ func (s *Server) bindCollectors() {
 		})
 	d.GaugeFunc("wolves_degraded_seconds", "Seconds the current degradation has lasted; 0 when healthy.",
 		func() float64 { return s.reg.Health().DegradedSeconds })
-	d.CounterFunc("wolves_journal_probes_total", "Journal reopen probes while degraded.",
-		func() uint64 { return uint64(s.reg.Health().Probes) })
 
 	// Run store residency (lifetime ingest counters live in obs.MIngest*).
 	d.GaugeFunc("wolves_runs_resident", "Run documents resident across all workflows.",

@@ -3,6 +3,9 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,40 +21,54 @@ func setSampleN(t *testing.T, n int64) func() {
 	return func() { obs.DefaultTracer.SetSampleN(prev) }
 }
 
-// TestStatsBuildInfo pins the PR 10 additions to /v1/stats: the build
-// section (version/commit from the embedded build info, the toolchain,
-// a live goroutine count) and the deprecation note pointing time-series
-// consumers at /metrics — without disturbing the existing fields.
+// scrape fetches /metrics and returns every sample's value keyed by its
+// series: the family name plus its rendered labels.
+func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	status, body := do(t, ts, http.MethodGet, "/metrics", "", "")
+	if status != http.StatusOK {
+		t.Fatalf("/metrics: %d %s", status, body)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics sample %q: %v", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	return samples
+}
+
+// TestStatsBuildInfo pins the build identity and runtime state on
+// /metrics: version and commit from the embedded build info, the
+// toolchain, a live goroutine count. /metrics is the only stats surface:
+// the old GET /v1/stats answers 404.
 func TestStatsBuildInfo(t *testing.T) {
 	ts, _ := bootRunServer(t)
-	status, body := do(t, ts, http.MethodGet, "/v1/stats", "", "")
-	if status != http.StatusOK {
-		t.Fatalf("stats: %d %s", status, body)
-	}
-	var st StatsResponse
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	// Test binaries carry no module version or VCS stamp; the fields
-	// must still be present and non-empty ("unknown" fallbacks).
-	if st.Build.Version == "" || st.Build.Commit == "" {
-		t.Fatalf("build identity missing: %+v", st.Build)
-	}
-	if !strings.HasPrefix(st.Build.GoVersion, "go") {
-		t.Fatalf("go_version = %q", st.Build.GoVersion)
-	}
-	if st.Build.Goroutines < 1 {
-		t.Fatalf("goroutines = %d", st.Build.Goroutines)
-	}
-	if !strings.Contains(st.MetricsNote, "/metrics") {
-		t.Fatalf("metrics_note must point at /metrics: %q", st.MetricsNote)
-	}
-	// Byte-level compat: the raw body still carries every pre-PR-10 key.
-	for _, key := range []string{`"status"`, `"uptime_seconds"`, `"requests"`, `"workers"`,
-		`"cache"`, `"health"`, `"registry"`, `"runs"`, `"labels"`, `"build"`, `"metrics_note"`} {
-		if !strings.Contains(body, key) {
-			t.Fatalf("stats body lost %s: %s", key, body)
+	m := scrape(t, ts)
+	var build string
+	for series, v := range m {
+		if strings.HasPrefix(series, "wolves_build_info{") && v == 1 {
+			build = series
 		}
+	}
+	// Test binaries carry no module version or VCS stamp; the labels
+	// must still be present and non-empty ("unknown" fallbacks).
+	for _, want := range []string{`commit="`, `goversion="go`, `version="`} {
+		if !strings.Contains(build, want) || strings.Contains(build, want+`"`) {
+			t.Fatalf("wolves_build_info lacks %s…: %q", want, build)
+		}
+	}
+	if g := m["wolves_goroutines"]; g < 1 {
+		t.Fatalf("wolves_goroutines = %v", g)
+	}
+	if status, body := do(t, ts, http.MethodGet, "/v1/stats", "", ""); status != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats: %d %s, want 404", status, body)
 	}
 }
 
@@ -61,7 +78,7 @@ func TestStatsBuildInfo(t *testing.T) {
 // live.
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := bootRunServer(t)
-	if status, body := do(t, ts, http.MethodGet, "/v1/stats", "", ""); status != http.StatusOK {
+	if status, body := do(t, ts, http.MethodGet, "/v1/workflows", "", ""); status != http.StatusOK {
 		t.Fatalf("warm request: %d %s", status, body)
 	}
 	status, body := do(t, ts, http.MethodGet, "/metrics", "", "")
@@ -70,7 +87,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE wolves_http_requests_total counter",
-		`wolves_http_requests_total{code="2xx",route="GET /v1/stats"}`,
+		`wolves_http_requests_total{code="2xx",route="GET /v1/workflows"}`,
 		"# TYPE wolves_http_request_seconds histogram",
 		`wolves_http_request_seconds_bucket{le="+Inf"}`,
 		"wolves_http_request_seconds_count",
@@ -119,5 +136,55 @@ func TestTraceTailEndpoint(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("traced request not in tail: %s", body)
+	}
+}
+
+// TestReadmeMetricsCatalogue holds the README's metrics table to what
+// /metrics serves: every family the scrape declares with # TYPE must
+// have a row, named in full, and every row must name a served family.
+func TestReadmeMetricsCatalogue(t *testing.T) {
+	ts, _ := bootRunServer(t)
+	status, body := do(t, ts, http.MethodGet, "/metrics", "", "")
+	if status != http.StatusOK {
+		t.Fatalf("/metrics: %d", status)
+	}
+	served := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			served[f[2]] = true
+		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const header = "| Metric | Kind | What it counts |"
+	_, table, ok := strings.Cut(string(readme), header)
+	if !ok {
+		t.Fatalf("README has no %q table", header)
+	}
+	listed := map[string]bool{}
+	for _, row := range strings.Split(table, "\n")[2:] {
+		if !strings.HasPrefix(row, "|") {
+			break
+		}
+		cell := strings.Split(row, "|")[1]
+		for _, quoted := range strings.Split(cell, "`")[1:] {
+			name, _, _ := strings.Cut(quoted, "{")
+			if strings.HasPrefix(name, "wolves_") {
+				listed[name] = true
+			}
+		}
+	}
+	for name := range served {
+		if !listed[name] {
+			t.Errorf("/metrics serves %s; the README table lacks it", name)
+		}
+	}
+	for name := range listed {
+		if !served[name] {
+			t.Errorf("the README table lists %s; /metrics does not serve it", name)
+		}
 	}
 }

@@ -126,7 +126,6 @@ func attachDecoded(ctx context.Context, lw *engine.LiveWorkflow, vid string, raw
 }
 
 func (s *Server) handleWorkflowPut(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	var req RegisterRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
@@ -195,7 +194,6 @@ func (s *Server) handleWorkflowPut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkflowList(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	infos := s.reg.Infos()
 	if infos == nil {
 		infos = []engine.WorkflowInfo{} // an empty registry lists as [], not null
@@ -204,7 +202,6 @@ func (s *Server) handleWorkflowList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkflowGet(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	lw, err := s.reg.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
@@ -224,7 +221,6 @@ func (s *Server) handleWorkflowGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkflowDelete(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	if err := s.reg.DeleteCtx(r.Context(), r.PathValue("id")); err != nil {
 		writeError(w, err)
 		return
@@ -233,7 +229,6 @@ func (s *Server) handleWorkflowDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkflowMutate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	lw, err := s.reg.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
@@ -257,7 +252,6 @@ func (s *Server) handleWorkflowMutate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleViewPut(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	lw, err := s.reg.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
@@ -278,7 +272,6 @@ func (s *Server) handleViewPut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleViewDelete(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	lw, err := s.reg.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
@@ -292,7 +285,6 @@ func (s *Server) handleViewDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleViewValidate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	lw, err := s.reg.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
@@ -307,7 +299,6 @@ func (s *Server) handleViewValidate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleViewCorrect(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	lw, err := s.reg.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
@@ -340,7 +331,6 @@ func (s *Server) handleViewCorrect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleViewLineage(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	lw, err := s.reg.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)

@@ -6,10 +6,8 @@ import (
 	"io"
 	"mime"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"wolves/internal/engine"
 	"wolves/internal/runs"
@@ -17,8 +15,7 @@ import (
 
 // This file implements the provenance service endpoints: ingest real
 // execution traces against registered workflows and query lineage over
-// them at three levels (exact / view / audited), plus the daemon's
-// observability endpoint.
+// them at three levels (exact / view / audited).
 //
 //	POST /v1/workflows/{id}/runs                   ingest a run (JSON or NDJSON)
 //	GET  /v1/workflows/{id}/runs                   list ingested runs
@@ -26,7 +23,6 @@ import (
 //	GET  /v1/workflows/{id}/runs/{rid}/lineage     ?artifact=…&level=exact|view|audited
 //	                                               [&view=vid][&direction=ancestors|descendants][&witness=1]
 //	POST /v1/workflows/{id}/runs/query             {"queries": [{…}, …]} (worker-pool batch)
-//	GET  /v1/stats                                 cache / registry / run-store counters
 
 // RunListResponse is the body of GET /v1/workflows/{id}/runs, and of a
 // batch ingest (POST with a JSON array of run documents).
@@ -55,69 +51,6 @@ type RunQueryResponse struct {
 	Results []runs.BatchResult `json:"results"`
 }
 
-// RegistryStats summarizes the live workflow registry for /v1/stats.
-type RegistryStats struct {
-	Workflows int               `json:"workflows"`
-	Capacity  int               `json:"capacity"`
-	Views     int               `json:"views"`
-	Versions  map[string]uint64 `json:"versions"`
-}
-
-// RecoveryInfo is the boot-time recovery summary wolvesd hands the
-// server (WithRecoveryInfo): what the store rebuilt, how, and how long
-// it took. Surfaced under "recovery" in /v1/stats so operators can read
-// it after the boot log has scrolled away; absent when the daemon runs
-// without a data dir.
-type RecoveryInfo struct {
-	Workflows        int   `json:"workflows"`
-	Views            int   `json:"views"`
-	Snapshots        int   `json:"snapshots"`
-	SnapshotsDropped int   `json:"snapshots_dropped"`
-	Segments         int   `json:"segments"`
-	RecordsReplayed  int64 `json:"records_replayed"`
-	RecordsSkipped   int64 `json:"records_skipped"`
-	Runs             int64 `json:"runs"`
-	TornBytes        int64 `json:"torn_bytes"`
-	Workers          int   `json:"workers"`
-	WallMillis       int64 `json:"wall_millis"`
-}
-
-// BuildStats identifies the running binary and its runtime state for
-// /v1/stats: the module version and VCS commit from the embedded build
-// info, the Go toolchain, and the live goroutine count.
-type BuildStats struct {
-	Version    string `json:"version"`
-	Commit     string `json:"commit"`
-	GoVersion  string `json:"go_version"`
-	Goroutines int    `json:"goroutines"`
-}
-
-// StatsResponse is the body of GET /v1/stats: the oracle cache's
-// hit/miss/build/eviction counters, the registry population with
-// per-workflow versions, the run store's resident and lifetime counters
-// (runs, artifacts, bytes journaled), the reachability label index's
-// build/patch/memory counters, the build identity, and the boot-time
-// recovery summary.
-//
-// Deprecation note: /v1/stats is a point-in-time JSON snapshot kept for
-// humans and existing tooling. Time-series monitoring should scrape
-// GET /metrics (Prometheus text exposition) instead; MetricsNote says
-// so on the wire.
-type StatsResponse struct {
-	Status        string            `json:"status"`
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Requests      int64             `json:"requests"`
-	Workers       int               `json:"workers"`
-	Cache         engine.CacheStats `json:"cache"`
-	Health        engine.HealthInfo `json:"health"`
-	Registry      RegistryStats     `json:"registry"`
-	Runs          runs.Stats        `json:"runs"`
-	Labels        engine.LabelStats `json:"labels"`
-	Recovery      *RecoveryInfo     `json:"recovery,omitempty"`
-	Build         BuildStats        `json:"build"`
-	MetricsNote   string            `json:"metrics_note"`
-}
-
 // isNDJSON reports whether the request body is an NDJSON stream.
 func isNDJSON(r *http.Request) bool {
 	ct := r.Header.Get("Content-Type")
@@ -133,7 +66,6 @@ func isNDJSON(r *http.Request) bool {
 }
 
 func (s *Server) handleRunIngest(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	id := r.PathValue("id")
 	// Admission control: ingests journal and index whole traces, so they
 	// are the expensive writes. Shed immediately when the configured
@@ -186,7 +118,6 @@ func (s *Server) handleRunIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRunList(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	id := r.PathValue("id")
 	infos, err := s.runs.Runs(id)
 	if err != nil {
@@ -197,7 +128,6 @@ func (s *Server) handleRunList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRunGet(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	info, err := s.runs.Info(r.PathValue("id"), r.PathValue("rid"))
 	if err != nil {
 		writeError(w, err)
@@ -207,7 +137,6 @@ func (s *Server) handleRunGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRunLineage(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	qs := r.URL.Query()
 	q := runs.Query{
 		Run:       r.PathValue("rid"),
@@ -248,7 +177,6 @@ var encodeBufPool = sync.Pool{New: func() any {
 }}
 
 func (s *Server) handleRunQuery(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	var req RunQueryRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
@@ -291,38 +219,4 @@ func (s *Server) handleRunQuery(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b) // the status line is already out; nothing to salvage
 	*buf = b
 	encodeBufPool.Put(buf)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	infos := s.reg.Infos()
-	rs := RegistryStats{
-		Workflows: len(infos),
-		Capacity:  s.reg.Capacity(),
-		Versions:  make(map[string]uint64, len(infos)),
-	}
-	for _, info := range infos {
-		rs.Versions[info.ID] = info.Version
-		rs.Views += len(info.Views)
-	}
-	version, commit := buildInfo()
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Status:        "ok",
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      s.requests.Load(),
-		Workers:       s.eng.Workers(),
-		Cache:         s.eng.CacheStats(),
-		Health:        s.reg.Health(),
-		Registry:      rs,
-		Runs:          s.runs.Stats(),
-		Labels:        s.reg.LabelStats(),
-		Recovery:      s.recovery,
-		Build: BuildStats{
-			Version:    version,
-			Commit:     commit,
-			GoVersion:  runtime.Version(),
-			Goroutines: runtime.NumGoroutine(),
-		},
-		MetricsNote: "point-in-time snapshot; scrape GET /metrics for time series",
-	})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wolves/internal/engine"
+	"wolves/internal/obs"
 	"wolves/internal/repo"
 	"wolves/internal/runs"
 )
@@ -157,6 +158,7 @@ func TestRunLineageLevelsHTTP(t *testing.T) {
 
 func TestRunEndpointsHTTP(t *testing.T) {
 	ts, _ := bootRunServer(t)
+	ingested0 := obs.MIngestRuns.Value()
 	if status, body := do(t, ts, http.MethodPost, "/v1/workflows/phylo/runs", figure1HTTPRun("r1"), ""); status != http.StatusOK {
 		t.Fatalf("ingest: %d %s", status, body)
 	}
@@ -197,19 +199,23 @@ func TestRunEndpointsHTTP(t *testing.T) {
 		t.Fatalf("batch results: %s", body)
 	}
 
-	// Stats endpoint: cache, registry and run-store counters.
-	status, body = do(t, ts, http.MethodGet, "/v1/stats", "", "")
-	if status != http.StatusOK {
-		t.Fatalf("stats: %d %s", status, body)
+	// Registry population and run residency on /metrics, versions and
+	// views on the workflow listing.
+	m := scrape(t, ts)
+	if m["wolves_live_workflows"] != 1 || m["wolves_runs_resident"] != 2 {
+		t.Fatalf("metrics: live_workflows=%v runs_resident=%v",
+			m["wolves_live_workflows"], m["wolves_runs_resident"])
 	}
-	var stats StatsResponse
-	if err := json.Unmarshal([]byte(body), &stats); err != nil {
-		t.Fatal(err)
+	if got := obs.MIngestRuns.Value() - ingested0; got != 2 {
+		t.Fatalf("wolves_ingest_runs_total grew by %d, want 2", got)
 	}
-	if stats.Registry.Workflows != 1 || stats.Registry.Versions["phylo"] != 1 ||
-		stats.Registry.Views != 1 || stats.Runs.Runs != 2 || stats.Runs.Ingested != 2 ||
-		stats.Cache.Capacity == 0 {
-		t.Fatalf("stats: %s", body)
+	status, body = do(t, ts, http.MethodGet, "/v1/workflows", "", "")
+	var list WorkflowListResponse
+	if err := json.Unmarshal([]byte(body), &list); status != http.StatusOK || err != nil {
+		t.Fatalf("list: %d %s %v", status, body, err)
+	}
+	if len(list.Workflows) != 1 || list.Workflows[0].Version != 1 || len(list.Workflows[0].Views) != 1 {
+		t.Fatalf("list: %s", body)
 	}
 }
 
@@ -322,31 +328,22 @@ func TestLineageStreamingBytes(t *testing.T) {
 	}
 }
 
-// TestStatsLabelCounters checks /v1/stats exposes the label-index
-// section: the registered workflow serves from a label index, the
-// attached view got its quotient labels built, and the footprint
-// counters are live.
+// TestStatsLabelCounters checks /metrics exposes the label-index
+// counters: the registered workflow's label pair was built, the attached
+// view got its quotient labels built, and the footprint gauge is live.
 func TestStatsLabelCounters(t *testing.T) {
 	ts, _ := bootRunServer(t)
-	status, body := do(t, ts, http.MethodGet, "/v1/stats", "", "")
-	if status != http.StatusOK {
-		t.Fatalf("stats: %d %s", status, body)
+	m := scrape(t, ts)
+	if m["wolves_label_index_builds_total"] < 1 || m["wolves_label_index_view_builds_total"] < 1 {
+		t.Fatalf("label builds: %v / %v",
+			m["wolves_label_index_builds_total"], m["wolves_label_index_view_builds_total"])
 	}
-	var st StatsResponse
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
+	if m["wolves_label_index_memory_bytes"] <= 0 {
+		t.Fatalf("label footprint = %v", m["wolves_label_index_memory_bytes"])
 	}
-	if st.Labels.Workflows != 1 {
-		t.Fatalf("label workflows = %+v", st.Labels)
-	}
-	if st.Labels.Builds < 1 || st.Labels.ViewBuilds < 1 {
-		t.Fatalf("label builds = %+v", st.Labels)
-	}
-	if st.Labels.Intervals <= 0 || st.Labels.MemoryBytes <= 0 {
-		t.Fatalf("label footprint = %+v", st.Labels)
-	}
-	if st.Labels.Patches != 0 || st.Labels.Rebuilds != 0 {
-		t.Fatalf("fresh registry must have no patches/rebuilds: %+v", st.Labels)
+	if m["wolves_label_index_patches_total"] != 0 || m["wolves_label_index_rebuilds_total"] != 0 {
+		t.Fatalf("fresh registry must have no patches/rebuilds: %v / %v",
+			m["wolves_label_index_patches_total"], m["wolves_label_index_rebuilds_total"])
 	}
 }
 

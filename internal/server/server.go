@@ -16,7 +16,8 @@
 //	POST /v1/validate  {"workflow": …, "view": …}
 //	POST /v1/correct   {"workflow": …, "view": …, "criterion": "strong"}
 //	POST /v1/batch     {"jobs": [{"op": "validate"|"correct", …}, …]}
-//	GET  /healthz
+//	GET  /healthz      liveness: {"status":"ok"}
+//	GET  /readyz       readiness and degraded-mode health
 //
 // Live workflow resources (upload once, pay only deltas; see registry.go):
 //
@@ -38,9 +39,9 @@
 //	GET  /v1/workflows/{id}/runs/{rid}             run metadata
 //	GET  /v1/workflows/{id}/runs/{rid}/lineage     ?artifact=…&level=exact|view|audited
 //	POST /v1/workflows/{id}/runs/query             batch lineage queries
-//	GET  /v1/stats                                 observability counters
 //
-// Observability (see internal/obs and obs.go):
+// Observability (see internal/obs and obs.go) — /metrics is the one
+// stats surface:
 //
 //	GET  /metrics                                  Prometheus text exposition
 //	GET  /debug/traces                             recent trace spans (JSON tail)
@@ -81,11 +82,10 @@ const retryAfterSeconds = "1"
 // Server wires an Engine, a live workflow Registry and a run store to
 // the HTTP endpoints.
 type Server struct {
-	eng      *engine.Engine
-	reg      *engine.Registry
-	runs     *runs.Store
-	start    time.Time
-	requests atomic.Int64
+	eng   *engine.Engine
+	reg   *engine.Registry
+	runs  *runs.Store
+	start time.Time
 
 	// Load-shedding knobs (see the With* options) and the draining flag
 	// flipped by StartDraining during graceful shutdown.
@@ -93,10 +93,6 @@ type Server struct {
 	reqTimeout time.Duration
 	ingestSem  chan struct{}
 	draining   atomic.Bool
-
-	// recovery is the boot-time recovery summary (WithRecoveryInfo);
-	// nil when the daemon runs without a data dir.
-	recovery *RecoveryInfo
 }
 
 // Option configures a Server at construction time.
@@ -132,13 +128,6 @@ func WithMaxBodyBytes(n int64) Option {
 			s.maxBody = n
 		}
 	}
-}
-
-// WithRecoveryInfo surfaces the boot-time recovery summary under
-// "recovery" in /v1/stats. wolvesd passes the stats of the RecoverWithRuns
-// call it booted from; nil (the default) omits the field.
-func WithRecoveryInfo(info *RecoveryInfo) Option {
-	return func(s *Server) { s.recovery = info }
 }
 
 // WithIngestConcurrency caps how many run-ingest requests may be in
@@ -215,7 +204,6 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/workflows/{id}/runs/{rid}", s.handleRunGet)
 	handle("GET /v1/workflows/{id}/runs/{rid}/lineage", s.handleRunLineage)
 	handle("POST /v1/workflows/{id}/runs/query", s.handleRunQuery)
-	handle("GET /v1/stats", s.handleStats)
 	mux.Handle("GET /metrics", instrument("GET /metrics", obs.Default.Handler()))
 	mux.Handle("GET /debug/traces", instrument("GET /debug/traces", obs.DefaultTracer.Handler()))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -296,16 +284,6 @@ type BatchResult struct {
 // BatchResponse is the body of POST /v1/batch.
 type BatchResponse struct {
 	Results []BatchResult `json:"results"`
-}
-
-// HealthResponse is the body of GET /healthz.
-type HealthResponse struct {
-	Status        string            `json:"status"`
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Requests      int64             `json:"requests"`
-	Workers       int               `json:"workers"`
-	Cache         engine.CacheStats `json:"cache"`
-	LiveWorkflows int               `json:"live_workflows"`
 }
 
 // errorResponse is the body of every non-2xx response.
@@ -395,7 +373,6 @@ func decodePair(wfRaw, vRaw json.RawMessage) (*workflow.Workflow, *view.View, er
 }
 
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	var req ValidateRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
@@ -435,7 +412,6 @@ func (s *Server) correctResponse(r *http.Request, wfRaw, vRaw json.RawMessage, c
 }
 
 func (s *Server) handleCorrect(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	var req CorrectRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
@@ -450,7 +426,6 @@ func (s *Server) handleCorrect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	var req BatchRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, err)
@@ -510,7 +485,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// single-worker engine, or a single-op batch, runs the groups in
 	// sequence at full width instead.
 	drainValidate := func(workers int) {
-		for k, res := range s.eng.ValidateBatchN(r.Context(), vjobs, workers) {
+		for k, res := range s.eng.ValidateBatch(r.Context(), vjobs, workers) {
 			i := vIdx[k]
 			if res.Err != nil {
 				results[i] = BatchResult{Error: res.Err}
@@ -520,7 +495,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	drainCorrect := func(workers int) {
-		for k, res := range s.eng.CorrectBatchN(r.Context(), cjobs, workers) {
+		for k, res := range s.eng.CorrectBatch(r.Context(), cjobs, workers) {
 			i := cIdx[k]
 			if res.Err != nil {
 				results[i] = BatchResult{Error: res.Err}
@@ -598,15 +573,10 @@ func asEngineError(err error) *engine.Error {
 	return &engine.Error{Code: engine.ErrInternal, Message: err.Error(), Err: err}
 }
 
+// handleHealthz is the liveness probe: {"status":"ok"} while the
+// process serves. Counters live on /metrics, health on /readyz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
-		Status:        "ok",
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      s.requests.Load(),
-		Workers:       s.eng.Workers(),
-		Cache:         s.eng.CacheStats(),
-		LiveWorkflows: s.reg.Len(),
-	})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // ReadyResponse is the body of GET /readyz. Status is "healthy" (200),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -215,11 +216,11 @@ func TestHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var h HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Workers < 1 || h.Cache.Capacity < 1 {
-		t.Fatalf("health = %+v", h)
+	if string(body) != "{\"status\":\"ok\"}\n" {
+		t.Fatalf("healthz body = %q", body)
 	}
 }

@@ -282,10 +282,10 @@ func ValidateView(o *Oracle, v *view.View) *Report {
 	return assembleReport(v, composites)
 }
 
-// ValidateViewCtx is ValidateView with cooperative cancellation: ctx is
+// validateViewCtx is ValidateView with cooperative cancellation: ctx is
 // polled between composites, and a canceled context aborts the scan with
-// ctx's error.
-func ValidateViewCtx(ctx context.Context, o *Oracle, v *view.View) (*Report, error) {
+// ctx's error. It is ValidateViewParallelCtx's sequential path.
+func validateViewCtx(ctx context.Context, o *Oracle, v *view.View) (*Report, error) {
 	o.checkSameWorkflow(v)
 	n := o.g.N()
 	sc := &validatorScratch{members: bitset.New(n), outMask: bitset.New(n)}
@@ -309,7 +309,8 @@ const parallelValidateThreshold = 8
 // identical to the sequential one: composites are validated
 // independently and reassembled in index order.
 //
-// Deprecated: use ValidateViewParallelCtx so callers can cancel.
+// Deprecated: use ValidateViewParallelCtx so callers can cancel. It
+// stays only for cmd/wolvesbench, which calls it.
 func ValidateViewParallel(o *Oracle, v *view.View, workers int) *Report {
 	rep, err := ValidateViewParallelCtx(context.Background(), o, v, workers) //lint:allow ctxpass compat wrapper anchors its own root
 	if err != nil {
@@ -322,7 +323,8 @@ func ValidateViewParallel(o *Oracle, v *view.View, workers int) *Report {
 // ValidateViewParallelCtx is ValidateViewParallel with cooperative
 // cancellation: every worker polls ctx before claiming the next
 // composite, so a canceled context drains the pool early and the call
-// returns ctx's error instead of a partial report.
+// returns ctx's error instead of a partial report. workers == 1 is the
+// sequential scan, polling ctx between composites.
 func ValidateViewParallelCtx(ctx context.Context, o *Oracle, v *view.View, workers int) (*Report, error) {
 	o.checkSameWorkflow(v)
 	if workers <= 0 {
@@ -333,7 +335,7 @@ func ValidateViewParallelCtx(ctx context.Context, o *Oracle, v *view.View, worke
 		workers = k
 	}
 	if workers < 2 || k < parallelValidateThreshold {
-		return ValidateViewCtx(ctx, o, v)
+		return validateViewCtx(ctx, o, v)
 	}
 	n := o.g.N()
 	composites := make([]CompositeReport, k)

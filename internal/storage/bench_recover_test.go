@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"testing"
 
 	"wolves/internal/engine"
@@ -34,14 +35,14 @@ func benchRecoverDir(b *testing.B, legacy bool) (string, int64) {
 		wl := newMutationWorkload(b, 128, 1024, int64(300+k))
 		lw := wl.register(b, reg, id)
 		for i := 0; i < 64; i++ {
-			if _, err := lw.Mutate(wl.mutation(i)); err != nil {
+			if _, err := lw.MutateCtx(context.Background(), wl.mutation(i)); err != nil {
 				b.Fatal(err)
 			}
 			records++
 		}
 		for i := 0; i < 512; i++ {
 			_, doc := wl.runDoc(i)
-			if _, err := rs.Ingest(id, doc); err != nil {
+			if _, err := rs.IngestCtx(context.Background(), id, doc); err != nil {
 				b.Fatal(err)
 			}
 			records++

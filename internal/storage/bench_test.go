@@ -32,11 +32,11 @@ func setupBenchRegistry(b *testing.B, wf *workflow.Workflow, v *view.View, j eng
 	} else {
 		reg = engine.NewRegistry(engine.New())
 	}
-	lw, err := reg.Register("bench", wf)
+	lw, err := reg.RegisterCtx(context.Background(), "bench", wf)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := lw.AttachView("v", func(*workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "v", func(*workflow.Workflow) (*view.View, error) {
 		return v, nil
 	}); err != nil {
 		b.Fatal(err)
@@ -51,7 +51,7 @@ func runMutateBench(b *testing.B, lw *engine.LiveWorkflow, cands [][2]string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lw.Mutate(engine.Mutation{Edges: [][2]string{cands[i%len(cands)]}}); err != nil {
+		if _, err := lw.MutateCtx(context.Background(), engine.Mutation{Edges: [][2]string{cands[i%len(cands)]}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -132,17 +132,17 @@ func BenchmarkReplay(b *testing.B) {
 	}
 	wl := newMutationWorkload(b, 256, records, 5)
 	reg := engine.NewRegistry(engine.New(), engine.WithJournal(st))
-	lw, err := reg.Register("bench", wl.wf.Clone())
+	lw, err := reg.RegisterCtx(context.Background(), "bench", wl.wf.Clone())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := lw.AttachView("v", func(wf *workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "v", func(wf *workflow.Workflow) (*view.View, error) {
 		return gen.IntervalView(wf, 16, "v"), nil
 	}); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < records; i++ {
-		if _, err := lw.Mutate(engine.Mutation{Edges: [][2]string{wl.candidates[i]}}); err != nil {
+		if _, err := lw.MutateCtx(context.Background(), engine.Mutation{Edges: [][2]string{wl.candidates[i]}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func BenchmarkReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 		fresh := engine.NewRegistry(engine.New())
-		stats, err := st.Recover(fresh)
+		stats, err := st.RecoverWithRuns(fresh, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

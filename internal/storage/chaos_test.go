@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -139,7 +140,7 @@ func chaosSeedRun(t *testing.T, seed int64) {
 		switch {
 		case i%7 == 3:
 			_, doc := wl.runDoc(i)
-			_, opErr = rRuns.Ingest("wf", doc)
+			_, opErr = rRuns.IngestCtx(context.Background(), "wf", doc)
 			ids, _ := rRuns.SnapshotRuns("wf")
 			if len(ids) != runCount {
 				runCount = len(ids)
@@ -153,9 +154,9 @@ func chaosSeedRun(t *testing.T, seed int64) {
 				}
 			}
 			if hasRandom {
-				opErr = lw.DetachView("random")
+				opErr = lw.DetachViewCtx(context.Background(), "random")
 			} else {
-				_, _, opErr = lw.AttachView("random", func(wf *workflow.Workflow) (*view.View, error) {
+				_, _, opErr = lw.AttachViewCtx(context.Background(), "random", func(wf *workflow.Workflow) (*view.View, error) {
 					return gen.RandomView(wf, 2+wf.N()/5, 7, "random"), nil
 				})
 			}
@@ -165,7 +166,7 @@ func chaosSeedRun(t *testing.T, seed int64) {
 			}
 			applied = len(post.Views) != preViews
 		default:
-			_, opErr = lw.Mutate(wl.mutation(i))
+			_, opErr = lw.MutateCtx(context.Background(), wl.mutation(i))
 			applied = lw.Version() != preVer
 			maybeNoop = true
 		}

@@ -36,10 +36,10 @@ func TestRecoverCleansDebris(t *testing.T) {
 	rlw := wl.register(t, reference, "phylo")
 	for i := 0; i < 40; i++ {
 		m := wl.mutation(i)
-		if _, err := dlw.Mutate(m); err != nil {
+		if _, err := dlw.MutateCtx(context.Background(), m); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rlw.Mutate(m); err != nil {
+		if _, err := rlw.MutateCtx(context.Background(), m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestRecoverCleansDebris(t *testing.T) {
 	}
 	defer st2.Close()
 	recovered := engine.NewRegistry(engine.New())
-	if _, err := st2.Recover(recovered); err != nil {
+	if _, err := st2.RecoverWithRuns(recovered, nil); err != nil {
 		t.Fatalf("recover over debris: %v", err)
 	}
 	assertRegistriesEqual(t, recovered, reference)
@@ -90,7 +90,7 @@ func TestRecoverCleansDebris(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lw.Mutate(wl.mutation(40)); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), wl.mutation(40)); err != nil {
 		t.Fatalf("mutate after debris recovery: %v", err)
 	}
 }
@@ -137,7 +137,7 @@ func TestSnapshotRenameRetries(t *testing.T) {
 	lw := wl.register(t, reg, "phylo")
 
 	ffs.FailNth(vfs.OpRename, 1, vfs.Fault{})
-	if _, err := lw.Mutate(wl.mutation(0)); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), wl.mutation(0)); err != nil {
 		t.Fatalf("mutation must survive one transient rename fault: %v", err)
 	}
 	if ffs.Injected() != 1 {
@@ -146,7 +146,7 @@ func TestSnapshotRenameRetries(t *testing.T) {
 	if reg.Degraded() {
 		t.Fatal("a retried transient fault degraded the registry")
 	}
-	if _, err := lw.Mutate(wl.mutation(1)); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), wl.mutation(1)); err != nil {
 		t.Fatalf("follow-up mutation: %v", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestAppendENOSPCCompactsAndRetries(t *testing.T) {
 	lw := wl.register(t, reg, "phylo")
 
 	ffs.FailNth(vfs.OpWrite, 1, vfs.Fault{Err: syscall.ENOSPC})
-	if _, err := lw.Mutate(wl.mutation(0)); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), wl.mutation(0)); err != nil {
 		t.Fatalf("mutation must survive a clean ENOSPC (compact + retry): %v", err)
 	}
 	if ffs.Injected() != 1 {
@@ -197,7 +197,7 @@ func TestFsyncFailurePoisonsThenProbeRecovers(t *testing.T) {
 	preVer := lw.Version()
 
 	ffs.Deny(vfs.OpSync, vfs.Fault{})
-	_, err = lw.Mutate(wl.mutation(0))
+	_, err = lw.MutateCtx(context.Background(), wl.mutation(0))
 	if !engine.IsCode(err, engine.ErrDegraded) {
 		t.Fatalf("mutation over failed fsync: want degraded, got %v", err)
 	}
@@ -230,7 +230,7 @@ func TestFsyncFailurePoisonsThenProbeRecovers(t *testing.T) {
 			t.Fatal("suspect segment was not rotated away")
 		}
 	}
-	if _, err := lw.Mutate(wl.mutation(1)); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), wl.mutation(1)); err != nil {
 		t.Fatalf("mutate after probe recovery: %v", err)
 	}
 
@@ -243,7 +243,7 @@ func TestFsyncFailurePoisonsThenProbeRecovers(t *testing.T) {
 	}
 	defer st2.Close()
 	recovered := engine.NewRegistry(engine.New())
-	if _, err := st2.Recover(recovered); err != nil {
+	if _, err := st2.RecoverWithRuns(recovered, nil); err != nil {
 		t.Fatal(err)
 	}
 	assertRegistriesEqual(t, recovered, reg)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -14,7 +15,7 @@ import (
 	"wolves/internal/workflow"
 )
 
-// RecoveryStats summarizes what Recover rebuilt.
+// RecoveryStats summarizes what RecoverWithRuns rebuilt.
 type RecoveryStats struct {
 	// Workflows and Views count what the recovered registry holds.
 	Workflows int `json:"workflows"`
@@ -51,13 +52,6 @@ type RunRestorer interface {
 	RestoreRun(workflowID, runID string, doc []byte) error
 }
 
-// Recover is RecoverWithRuns without a run restorer: run records and
-// snapshot-embedded runs are skipped (counted, not applied). Registries
-// that never ingested runs lose nothing.
-func (s *Store) Recover(reg *engine.Registry) (*RecoveryStats, error) {
-	return s.RecoverWithRuns(reg, nil)
-}
-
 // RecoverWithRuns rebuilds reg (and, when rr is non-nil, the run store
 // behind it) from the store: snapshots first (each workflow's snapshot
 // is independent, so they load and decode on a worker pool), then every
@@ -67,7 +61,9 @@ func (s *Store) Recover(reg *engine.Registry) (*RecoveryStats, error) {
 // through the ordinary validation path, so their lineage answers are
 // byte-identical too. Call it exactly once, on a registry that is not
 // yet serving traffic and has no journal installed; install the store
-// with reg.SetJournal (and the run store's SetJournal) afterwards.
+// with reg.SetJournal (and the run store's SetJournal) afterwards. With
+// a nil rr, run records and snapshot-embedded runs are skipped (counted,
+// not applied); registries that never ingested runs lose nothing.
 //
 // Replay parallelism (Options.RecoveryWorkers) is a pipeline: one
 // reader scans the segments in order, a pool of workers decodes and
@@ -82,7 +78,7 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 	s.mu.Lock()
 	if s.recovered {
 		s.mu.Unlock()
-		return nil, errors.New("storage: Recover called twice")
+		return nil, errors.New("storage: RecoverWithRuns called twice")
 	}
 	if s.failed != nil {
 		s.mu.Unlock()
@@ -96,6 +92,7 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	ctx := context.Background() //lint:allow ctxpass replay of durable state: journaling is off, nothing downstream to trace or cancel
 
 	// Replay mode: defer per-record epoch publication (and the per-view
 	// label rebuilds inside it) until the registry is fully restored —
@@ -131,7 +128,7 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 		s.fs.Remove(path)
 		stats.SnapshotsDropped++
 	}
-	if err := s.restoreSnapshots(reg, rr, snaps, snapLSN, snapSize, stats, workers); err != nil {
+	if err := s.restoreSnapshots(ctx, reg, rr, snaps, snapLSN, snapSize, stats, workers); err != nil {
 		return stats, err
 	}
 
@@ -149,9 +146,9 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 	}
 	stats.Workers = replayWorkers
 	if replayWorkers > 1 {
-		err = s.replayParallel(reg, rr, paths, snapLSN, deleted, stats, replayWorkers)
+		err = s.replayParallel(ctx, reg, rr, paths, snapLSN, deleted, stats, replayWorkers)
 	} else {
-		err = s.replaySequential(reg, rr, paths, snapLSN, deleted, stats)
+		err = s.replaySequential(ctx, reg, rr, paths, snapLSN, deleted, stats)
 	}
 	if err != nil {
 		return stats, err
@@ -252,19 +249,19 @@ func (e *decodeError) Unwrap() error { return e.err }
 // run restorer are safe for distinct workflow IDs. Corrupt documents
 // are dropped under mu (file removed, coverage cleared so the WAL's
 // history for that workflow replays in full); real errors abort.
-func (s *Store) restoreSnapshots(reg *engine.Registry, rr RunRestorer, snaps []loadedSnapshot,
+func (s *Store) restoreSnapshots(ctx context.Context, reg *engine.Registry, rr RunRestorer, snaps []loadedSnapshot,
 	snapLSN map[string]uint64, snapSize map[string]int64, stats *RecoveryStats, workers int) error {
 	if workers > len(snaps) {
 		workers = len(snaps)
 	}
 	if workers <= 1 {
 		for _, ls := range snaps {
-			if err := restoreSnapshot(reg, rr, &ls.doc, stats); err != nil {
+			if err := restoreSnapshot(ctx, reg, rr, &ls.doc, stats); err != nil {
 				if _, ok := err.(*decodeError); ok {
 					// A snapshot that does not decode is a half-written file
 					// from an unsynced crash: drop it (and its record
 					// coverage) and fall back to whatever the log still says.
-					reg.Delete(ls.doc.ID) // drop any partially restored state
+					reg.DeleteCtx(ctx, ls.doc.ID) // drop any partially restored state
 					s.fs.Remove(ls.path)
 					delete(snapLSN, ls.doc.ID)
 					delete(snapSize, ls.doc.ID)
@@ -294,7 +291,7 @@ func (s *Store) restoreSnapshots(reg *engine.Registry, rr RunRestorer, snaps []l
 				}
 				ls := snaps[i]
 				var local RecoveryStats
-				err := restoreSnapshot(reg, rr, &ls.doc, &local)
+				err := restoreSnapshot(ctx, reg, rr, &ls.doc, &local)
 				func() {
 					mu.Lock()
 					defer mu.Unlock()
@@ -304,7 +301,7 @@ func (s *Store) restoreSnapshots(reg *engine.Registry, rr RunRestorer, snaps []l
 						stats.Runs += local.Runs
 					default:
 						if _, ok := err.(*decodeError); ok {
-							reg.Delete(ls.doc.ID)
+							reg.DeleteCtx(ctx, ls.doc.ID)
 							s.fs.Remove(ls.path)
 							delete(snapLSN, ls.doc.ID)
 							delete(snapSize, ls.doc.ID)
@@ -328,7 +325,7 @@ func (s *Store) restoreSnapshots(reg *engine.Registry, rr RunRestorer, snaps []l
 
 // restoreSnapshot registers one snapshot document into reg and
 // re-ingests its embedded runs.
-func restoreSnapshot(reg *engine.Registry, rr RunRestorer, doc *snapshotDoc, stats *RecoveryStats) error {
+func restoreSnapshot(ctx context.Context, reg *engine.Registry, rr RunRestorer, doc *snapshotDoc, stats *RecoveryStats) error {
 	wf, err := workflow.DecodeBytes(doc.Workflow)
 	if err != nil {
 		return &decodeError{fmt.Errorf("snapshot %q: %w", doc.ID, err)}
@@ -340,7 +337,7 @@ func restoreSnapshot(reg *engine.Registry, rr RunRestorer, doc *snapshotDoc, sta
 			return view.DecodeBytes(wf, raw)
 		}})
 	}
-	if _, err := reg.Restore(doc.ID, doc.Version, wf, views); err != nil {
+	if _, err := reg.Restore(ctx, doc.ID, doc.Version, wf, views); err != nil {
 		return &decodeError{fmt.Errorf("snapshot %q: %w", doc.ID, err)}
 	}
 	if rr == nil {
@@ -450,7 +447,7 @@ func decodeRecord(rec record, snapLSN map[string]uint64) (*decodedRec, error) {
 // parallel replay each partition owns a disjoint set of workflow IDs,
 // so distinct appliers never touch the same registry entry, run shard,
 // or deleted-map key.
-func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted map[string]bool, stats *RecoveryStats) error {
+func applyDecoded(ctx context.Context, reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted map[string]bool, stats *RecoveryStats) error {
 	fail := func(err error) error {
 		return fmt.Errorf("storage: replay lsn %d: %w", d.lsn, err)
 	}
@@ -460,7 +457,7 @@ func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted m
 	}
 	switch d.typ {
 	case recRegister:
-		if _, err := reg.Restore(d.reg.ID, d.reg.Version, d.wf, nil); err != nil {
+		if _, err := reg.Restore(ctx, d.reg.ID, d.reg.Version, d.wf, nil); err != nil {
 			return fail(err)
 		}
 		delete(deleted, d.reg.ID)
@@ -473,7 +470,7 @@ func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted m
 			}
 			return fail(err)
 		}
-		res, err := lw.Mutate(d.mut.mutation())
+		res, err := lw.MutateCtx(ctx, d.mut.mutation())
 		if err != nil {
 			return fail(err)
 		}
@@ -490,7 +487,7 @@ func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted m
 			}
 			return fail(err)
 		}
-		_, _, err = lw.AttachView(d.att.VID, func(wf *workflow.Workflow) (*view.View, error) {
+		_, _, err = lw.AttachViewCtx(ctx, d.att.VID, func(wf *workflow.Workflow) (*view.View, error) {
 			return view.DecodeBytes(wf, d.att.View)
 		})
 		if err != nil {
@@ -509,12 +506,12 @@ func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted m
 			}
 			return fail(err)
 		}
-		if err := lw.DetachView(d.det.VID); err != nil &&
+		if err := lw.DetachViewCtx(ctx, d.det.VID); err != nil &&
 			!engine.IsCode(err, engine.ErrUnknownView) && !engine.IsCode(err, engine.ErrUnknownWorkflow) {
 			return fail(err)
 		}
 	case recDelete:
-		if err := reg.Delete(d.del.ID); err != nil && !engine.IsCode(err, engine.ErrUnknownWorkflow) {
+		if err := reg.DeleteCtx(ctx, d.del.ID); err != nil && !engine.IsCode(err, engine.ErrUnknownWorkflow) {
 			return fail(err)
 		}
 		deleted[d.del.ID] = true
@@ -535,7 +532,7 @@ func applyDecoded(reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted m
 // replaySequential is the reference replay: decode and apply each
 // record inline, in log order. The parallel path is pinned against it
 // by TestParallelRecoveryEquivalence.
-func (s *Store) replaySequential(reg *engine.Registry, rr RunRestorer, paths []string,
+func (s *Store) replaySequential(ctx context.Context, reg *engine.Registry, rr RunRestorer, paths []string,
 	snapLSN map[string]uint64, deleted map[string]bool, stats *RecoveryStats) error {
 	for i, path := range paths {
 		_, _, err := scanSegment(s.fs, path, i == len(paths)-1, func(rec record) error {
@@ -543,7 +540,7 @@ func (s *Store) replaySequential(reg *engine.Registry, rr RunRestorer, paths []s
 			if derr != nil {
 				return derr
 			}
-			return applyDecoded(reg, rr, d, deleted, stats)
+			return applyDecoded(ctx, reg, rr, d, deleted, stats)
 		})
 		if err != nil {
 			return err
@@ -576,7 +573,7 @@ func partitionOf(id string, n int) int {
 // replay's; distinct workflows apply concurrently. The caller has
 // already ruled out LRU eviction (capacity upper bound), which is the
 // one cross-workflow coupling replay has.
-func (s *Store) replayParallel(reg *engine.Registry, rr RunRestorer, paths []string,
+func (s *Store) replayParallel(ctx context.Context, reg *engine.Registry, rr RunRestorer, paths []string,
 	snapLSN map[string]uint64, deleted map[string]bool, stats *RecoveryStats, workers int) error {
 	type rawRec struct {
 		seq uint64
@@ -662,7 +659,7 @@ func (s *Store) replayParallel(reg *engine.Registry, rr RunRestorer, paths []str
 		go func(p int) {
 			defer pwg.Done()
 			for d := range partc[p] {
-				if err := applyDecoded(reg, rr, d, partDel[p], &partStats[p]); err != nil {
+				if err := applyDecoded(ctx, reg, rr, d, partDel[p], &partStats[p]); err != nil {
 					abort(err)
 					for range partc[p] { // drain so the dispatcher never blocks
 					}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -38,12 +39,12 @@ func buildMixedDir(t *testing.T, dir string, opts Options) ([]string, map[string
 	}
 	for i := 0; i < 240; i++ {
 		id := ids[i%len(ids)]
-		if _, err := lws[id].Mutate(wls[id].mutation(i)); err != nil {
+		if _, err := lws[id].MutateCtx(context.Background(), wls[id].mutation(i)); err != nil {
 			t.Fatalf("mutation %d (%s): %v", i, id, err)
 		}
 		if i%4 == 0 {
 			_, doc := wls[id].runDoc(i)
-			if _, err := rs.Ingest(id, doc); err != nil {
+			if _, err := rs.IngestCtx(context.Background(), id, doc); err != nil {
 				t.Fatalf("ingest %d (%s): %v", i, id, err)
 			}
 		}
@@ -51,7 +52,7 @@ func buildMixedDir(t *testing.T, dir string, opts Options) ([]string, map[string
 			// A delete and a re-registration mid-stream: replay must apply
 			// them in per-workflow order even when records of the other
 			// workflows interleave on other partitions.
-			if err := reg.Delete("wf-b"); err != nil {
+			if err := reg.DeleteCtx(context.Background(), "wf-b"); err != nil {
 				t.Fatal(err)
 			}
 			lws["wf-b"] = wls["wf-b"].register(t, reg, "wf-b")
@@ -191,12 +192,12 @@ func TestRecoverJSONEraDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := lw.Mutate(wls["wf-a"].mutation(1000 + i)); err != nil {
+		if _, err := lw.MutateCtx(context.Background(), wls["wf-a"].mutation(1000+i)); err != nil {
 			t.Fatalf("post-recovery mutation %d: %v", i, err)
 		}
 		if i%4 == 0 {
 			_, doc := wls["wf-a"].runDoc(1000 + i)
-			if _, err := rs.Ingest("wf-a", doc); err != nil {
+			if _, err := rs.IngestCtx(context.Background(), "wf-a", doc); err != nil {
 				t.Fatalf("post-recovery ingest %d: %v", i, err)
 			}
 		}
@@ -242,11 +243,11 @@ func TestRunsIngestedBatch(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		_, doc := wl.runDoc(i)
 		docs = append(docs, doc)
-		if _, err := refRuns.Ingest("wf", doc); err != nil {
+		if _, err := refRuns.IngestCtx(context.Background(), "wf", doc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	infos, err := rs.IngestBatch("wf", docs)
+	infos, err := rs.IngestBatchCtx(context.Background(), "wf", docs)
 	if err != nil {
 		t.Fatal(err)
 	}

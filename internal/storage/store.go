@@ -55,7 +55,7 @@ type Options struct {
 	// that write an old-format directory on purpose; production has no
 	// reason to set it.
 	LegacyJSONBodies bool
-	// RecoveryWorkers bounds the parallelism of Recover: snapshot
+	// RecoveryWorkers bounds the parallelism of RecoverWithRuns: snapshot
 	// loading and WAL body decoding fan out across this many workers,
 	// and record application fans out per workflow. 0 (the default)
 	// means GOMAXPROCS; 1 pins the sequential reference path that the
@@ -104,8 +104,8 @@ func (ws *wfState) wantSnapshot(opts Options) bool {
 }
 
 // errNeedsRecovery guards a dirty directory: journaling into it before
-// Recover would interleave a live stream with an unread history.
-var errNeedsRecovery = errors.New("storage: directory holds state; call Recover before journaling")
+// RecoverWithRuns would interleave a live stream with an unread history.
+var errNeedsRecovery = errors.New("storage: directory holds state; call RecoverWithRuns before journaling")
 
 // Snapshot write retry policy: capped exponential backoff over a few
 // attempts. Kept short — the caller holds the workflow's lock, so a
@@ -120,8 +120,9 @@ const (
 // Store is the durable registry backend: an engine.Journal whose appends
 // go to a checksummed, segment-rotated WAL and whose snapshots bound
 // both recovery time and disk growth. Open one with Open, restore a
-// registry with Recover, install it with Registry.SetJournal, checkpoint
-// it on graceful shutdown with Checkpoint, and Close it last.
+// registry with RecoverWithRuns, install it with Registry.SetJournal,
+// checkpoint it on graceful shutdown with Checkpoint, and Close it
+// last.
 //
 // Failure handling is sticky: the first append or snapshot error poisons
 // the store and every later operation returns it, so a registry backed
@@ -151,8 +152,8 @@ type Store struct {
 	enc       []byte // reusable body-encode scratch, used under mu
 	wal       *wal
 	wfs       map[string]*wfState
-	snaps     []loadedSnapshot // loaded at Open, consumed by Recover
-	corrupt   []string         // corrupt snapshot paths, removed by Recover
+	snaps     []loadedSnapshot // loaded at Open, consumed by RecoverWithRuns
+	corrupt   []string         // corrupt snapshot paths, removed by RecoverWithRuns
 	tornBytes int64
 }
 
@@ -171,7 +172,7 @@ func lockDir(fsys vfs.FS, dir string) (vfs.File, error) {
 // Open prepares dir as a store: creates it if missing, validates every
 // WAL segment (truncating a torn tail in the last one — the crash
 // point), loads snapshot documents, and positions the WAL for appends.
-// If dir already holds state, Recover must run before journaling.
+// If dir already holds state, RecoverWithRuns must run before journaling.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	fsys := opts.FS

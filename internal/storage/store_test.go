@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -70,16 +71,16 @@ func newMutationWorkload(t testing.TB, n, pool int, seed int64) *mutationWorkloa
 // (each registry takes ownership) with two attached views.
 func (w *mutationWorkload) register(t testing.TB, reg *engine.Registry, id string) *engine.LiveWorkflow {
 	t.Helper()
-	lw, err := reg.Register(id, w.wf.Clone())
+	lw, err := reg.RegisterCtx(context.Background(), id, w.wf.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lw.AttachView("interval", func(wf *workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "interval", func(wf *workflow.Workflow) (*view.View, error) {
 		return gen.IntervalView(wf, 2+wf.N()/8, "interval"), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := lw.AttachView("random", func(wf *workflow.Workflow) (*view.View, error) {
+	if _, _, err := lw.AttachViewCtx(context.Background(), "random", func(wf *workflow.Workflow) (*view.View, error) {
 		return gen.RandomView(wf, 2+wf.N()/5, 7, "random"), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -197,18 +198,18 @@ func TestRecoverAfterHardKill(t *testing.T) {
 
 	for i := 0; i < 1000; i++ {
 		m := wl.mutation(i)
-		if _, err := dlw.Mutate(m); err != nil {
+		if _, err := dlw.MutateCtx(context.Background(), m); err != nil {
 			t.Fatalf("mutation %d (durable): %v", i, err)
 		}
-		if _, err := rlw.Mutate(m); err != nil {
+		if _, err := rlw.MutateCtx(context.Background(), m); err != nil {
 			t.Fatalf("mutation %d (reference): %v", i, err)
 		}
 	}
 	// Detach one view late so the detach record replays too.
-	if err := dlw.DetachView("random"); err != nil {
+	if err := dlw.DetachViewCtx(context.Background(), "random"); err != nil {
 		t.Fatal(err)
 	}
-	if err := rlw.DetachView("random"); err != nil {
+	if err := rlw.DetachViewCtx(context.Background(), "random"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,7 +223,7 @@ func TestRecoverAfterHardKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := engine.NewRegistry(engine.New())
-	stats, err := st2.Recover(recovered)
+	stats, err := st2.RecoverWithRuns(recovered, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +238,10 @@ func TestRecoverAfterHardKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered.SetJournal(st2)
-	if _, err := recoveredLW.Mutate(wl.mutation(1000)); err != nil {
+	if _, err := recoveredLW.MutateCtx(context.Background(), wl.mutation(1000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rlw.Mutate(wl.mutation(1000)); err != nil {
+	if _, err := rlw.MutateCtx(context.Background(), wl.mutation(1000)); err != nil {
 		t.Fatal(err)
 	}
 	assertRegistriesEqual(t, recovered, reference)
@@ -264,10 +265,10 @@ func TestCheckpointThenRecover(t *testing.T) {
 	dlw := wl.register(t, durable, "wf")
 	rlw := wl.register(t, reference, "wf")
 	for i := 0; i < 300; i++ {
-		if _, err := dlw.Mutate(wl.mutation(i)); err != nil {
+		if _, err := dlw.MutateCtx(context.Background(), wl.mutation(i)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rlw.Mutate(wl.mutation(i)); err != nil {
+		if _, err := rlw.MutateCtx(context.Background(), wl.mutation(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +284,7 @@ func TestCheckpointThenRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := engine.NewRegistry(engine.New())
-	stats, err := st2.Recover(recovered)
+	stats, err := st2.RecoverWithRuns(recovered, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,10 +316,10 @@ func TestDeleteAndReregisterSurviveRestart(t *testing.T) {
 	reg := engine.NewRegistry(engine.New(), engine.WithJournal(st))
 	wl := newMutationWorkload(t, 32, 256, 3)
 	lw := wl.register(t, reg, "a")
-	if _, err := lw.Mutate(wl.mutation(0)); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), wl.mutation(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Delete("a"); err != nil {
+	if err := reg.DeleteCtx(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
 	// Re-register under the same ID with a different workflow shape.
@@ -326,12 +327,12 @@ func TestDeleteAndReregisterSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Register("a", wf2); err != nil {
+	if _, err := reg.RegisterCtx(context.Background(), "a", wf2); err != nil {
 		t.Fatal(err)
 	}
 	// Also delete a second workflow entirely.
 	wl.register(t, reg, "b")
-	if err := reg.Delete("b"); err != nil {
+	if err := reg.DeleteCtx(context.Background(), "b"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -341,7 +342,7 @@ func TestDeleteAndReregisterSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := engine.NewRegistry(engine.New())
-	if _, err := st2.Recover(recovered); err != nil {
+	if _, err := st2.RecoverWithRuns(recovered, nil); err != nil {
 		t.Fatal(err)
 	}
 	if ids := recovered.IDs(); !reflect.DeepEqual(ids, []string{"a"}) {
@@ -390,7 +391,7 @@ func TestConcurrentJournaledMutations(t *testing.T) {
 				return
 			}
 			for i := 0; i < muts; i++ {
-				if _, err := lw.Mutate(workloads[w].mutation(i)); err != nil {
+				if _, err := lw.MutateCtx(context.Background(), workloads[w].mutation(i)); err != nil {
 					errs[w] = fmt.Errorf("mutation %d: %w", i, err)
 					return
 				}
@@ -410,7 +411,7 @@ func TestConcurrentJournaledMutations(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < muts; i++ {
-			if _, err := lw.Mutate(workloads[w].mutation(i)); err != nil {
+			if _, err := lw.MutateCtx(context.Background(), workloads[w].mutation(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -421,7 +422,7 @@ func TestConcurrentJournaledMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := engine.NewRegistry(engine.New())
-	if _, err := st2.Recover(recovered); err != nil {
+	if _, err := st2.RecoverWithRuns(recovered, nil); err != nil {
 		t.Fatal(err)
 	}
 	assertRegistriesEqual(t, recovered, reference)
@@ -450,7 +451,7 @@ func TestDirtyDirRequiresRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg2.Register("x", wf); err == nil || !strings.Contains(err.Error(), "Recover") {
+	if _, err := reg2.RegisterCtx(context.Background(), "x", wf); err == nil || !strings.Contains(err.Error(), "Recover") {
 		t.Fatalf("journaling before Recover = %v, want recovery guard", err)
 	}
 }
@@ -474,7 +475,7 @@ func TestDeleteRegisterRaceDurability(t *testing.T) {
 		}
 		return wf
 	}
-	if _, err := reg.Register("x", mkwf()); err != nil {
+	if _, err := reg.RegisterCtx(context.Background(), "x", mkwf()); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -484,8 +485,8 @@ func TestDeleteRegisterRaceDurability(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 50; k++ {
 				if del {
-					reg.Delete("x") // unknown-workflow errors expected mid-race
-				} else if _, err := reg.Register("x", mkwf()); err != nil {
+					reg.DeleteCtx(context.Background(), "x") // unknown-workflow errors expected mid-race
+				} else if _, err := reg.RegisterCtx(context.Background(), "x", mkwf()); err != nil {
 					t.Errorf("register: %v", err)
 					return
 				}
@@ -494,7 +495,7 @@ func TestDeleteRegisterRaceDurability(t *testing.T) {
 	}
 	wg.Wait()
 	// Settle on a known final state, then recover cold and compare.
-	if _, err := reg.Register("x", mkwf()); err != nil {
+	if _, err := reg.RegisterCtx(context.Background(), "x", mkwf()); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -503,7 +504,7 @@ func TestDeleteRegisterRaceDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := engine.NewRegistry(engine.New())
-	if _, err := st2.Recover(recovered); err != nil {
+	if _, err := st2.RecoverWithRuns(recovered, nil); err != nil {
 		t.Fatal(err)
 	}
 	assertRegistriesEqual(t, recovered, reg)
@@ -546,7 +547,7 @@ func TestViewChurnTriggersSnapshot(t *testing.T) {
 	lw := wl.register(t, reg, "w")
 	const churn = 200
 	for i := 0; i < churn; i++ {
-		if _, _, err := lw.AttachView("interval", func(wf *workflow.Workflow) (*view.View, error) {
+		if _, _, err := lw.AttachViewCtx(context.Background(), "interval", func(wf *workflow.Workflow) (*view.View, error) {
 			return gen.IntervalView(wf, 2+wf.N()/8, "interval"), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -559,7 +560,7 @@ func TestViewChurnTriggersSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := engine.NewRegistry(engine.New())
-	stats, err := st2.Recover(recovered)
+	stats, err := st2.RecoverWithRuns(recovered, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +592,7 @@ func TestRecoverRefusesUndersizedCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := engine.NewRegistry(engine.New(), engine.WithRegistryCapacity(2))
-	if _, err := st2.Recover(small); err == nil || !strings.Contains(err.Error(), "live-workflows") {
+	if _, err := st2.RecoverWithRuns(small, nil); err == nil || !strings.Contains(err.Error(), "live-workflows") {
 		t.Fatalf("recover into capacity 2 = %v, want refusal", err)
 	}
 	// No snapshot was deleted by the refused recovery.
@@ -601,7 +602,7 @@ func TestRecoverRefusesUndersizedCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := engine.NewRegistry(engine.New())
-	stats, err := st3.Recover(big)
+	stats, err := st3.RecoverWithRuns(big, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +646,7 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 	reg := engine.NewRegistry(engine.New(), engine.WithJournal(st))
 	wl := newMutationWorkload(t, 24, 128, 11)
 	lw := wl.register(t, reg, "w")
-	if _, err := lw.Mutate(wl.mutation(0)); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), wl.mutation(0)); err != nil {
 		t.Fatal(err)
 	}
 	segPath := filepath.Join(dir, segName(1))
@@ -662,7 +663,7 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 		Tasks: []workflow.Task{{ID: "torn-task"}},
 		Edges: [][2]string{{wl.candidates[0][0], "torn-task"}, wl.candidates[40]},
 	}
-	if _, err := lw.Mutate(final); err != nil {
+	if _, err := lw.MutateCtx(context.Background(), final); err != nil {
 		t.Fatal(err)
 	}
 	postStat, err := os.Stat(segPath)
@@ -687,7 +688,7 @@ func TestTornTailEveryByteOffset(t *testing.T) {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		reg2 := engine.NewRegistry(engine.New())
-		if _, err := st2.Recover(reg2); err != nil {
+		if _, err := st2.RecoverWithRuns(reg2, nil); err != nil {
 			t.Fatalf("cut %d: recover: %v", cut, err)
 		}
 		lw2, err := reg2.Get("w")
@@ -807,11 +808,11 @@ func assertRunsEqual(t *testing.T, id string, got, want *runs.Store) {
 			{Run: info.Run, Artifact: info.Run + "/a3", Witness: true},
 			{Run: info.Run, Artifact: info.Run + "/a3", Level: runs.LevelAudited, View: "interval"},
 		} {
-			wantAns, err := want.Lineage(id, q)
+			wantAns, err := want.LineageCtx(context.Background(), id, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotAns, err := got.Lineage(id, q)
+			gotAns, err := got.LineageCtx(context.Background(), id, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -847,28 +848,28 @@ func TestRecoverRunsAfterHardKill(t *testing.T) {
 
 	for i := 0; i < 300; i++ {
 		m := wl.mutation(i)
-		if _, err := dlw.Mutate(m); err != nil {
+		if _, err := dlw.MutateCtx(context.Background(), m); err != nil {
 			t.Fatalf("mutation %d (durable): %v", i, err)
 		}
-		if _, err := rlw.Mutate(m); err != nil {
+		if _, err := rlw.MutateCtx(context.Background(), m); err != nil {
 			t.Fatalf("mutation %d (reference): %v", i, err)
 		}
 		if i%3 == 0 {
 			_, doc := wl.runDoc(i)
-			if _, err := dRuns.Ingest("phylo", doc); err != nil {
+			if _, err := dRuns.IngestCtx(context.Background(), "phylo", doc); err != nil {
 				t.Fatalf("ingest %d (durable): %v", i, err)
 			}
-			if _, err := rRuns.Ingest("phylo", doc); err != nil {
+			if _, err := rRuns.IngestCtx(context.Background(), "phylo", doc); err != nil {
 				t.Fatalf("ingest %d (reference): %v", i, err)
 			}
 		}
 	}
 	// Replace one run late, so a replacement record replays too.
 	_, doc := wl.runDoc(0)
-	if _, err := dRuns.Ingest("phylo", doc); err != nil {
+	if _, err := dRuns.IngestCtx(context.Background(), "phylo", doc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rRuns.Ingest("phylo", doc); err != nil {
+	if _, err := rRuns.IngestCtx(context.Background(), "phylo", doc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -895,7 +896,7 @@ func TestRecoverRunsAfterHardKill(t *testing.T) {
 	recRuns.SetJournal(st2)
 	recovered.SetJournal(st2)
 	_, doc = wl.runDoc(9999)
-	if _, err := recRuns.Ingest("phylo", doc); err != nil {
+	if _, err := recRuns.IngestCtx(context.Background(), "phylo", doc); err != nil {
 		t.Fatal(err)
 	}
 	st2.Close()
@@ -917,7 +918,7 @@ func TestRecoverWithoutRestorerSkipsRuns(t *testing.T) {
 	st.SetRunProvider(rs)
 	for i := 0; i < 8; i++ {
 		_, doc := wl.runDoc(i)
-		if _, err := rs.Ingest("wf", doc); err != nil {
+		if _, err := rs.IngestCtx(context.Background(), "wf", doc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -929,7 +930,7 @@ func TestRecoverWithoutRestorerSkipsRuns(t *testing.T) {
 	}
 	defer st2.Close()
 	recovered := engine.NewRegistry(engine.New())
-	stats, err := st2.Recover(recovered)
+	stats, err := st2.RecoverWithRuns(recovered, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -967,7 +968,7 @@ func TestIngestVsReRegisterRecovers(t *testing.T) {
 		}
 		return wf
 	}
-	if _, err := reg.Register("wf", mkWF(0)); err != nil {
+	if _, err := reg.RegisterCtx(context.Background(), "wf", mkWF(0)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -976,7 +977,7 @@ func TestIngestVsReRegisterRecovers(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for gen := 1; gen <= 40; gen++ {
-			if _, err := reg.Register("wf", mkWF(gen)); err != nil {
+			if _, err := reg.RegisterCtx(context.Background(), "wf", mkWF(gen)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -990,7 +991,7 @@ func TestIngestVsReRegisterRecovers(t *testing.T) {
 			// unknown workflow), never corrupt the log.
 			gen := i % 41
 			doc := fmt.Sprintf(`{"run":"r%d","artifacts":[{"id":"a%d","generated_by":"g%d-t0"}]}`, i, i, gen)
-			if _, err := rs.Ingest("wf", []byte(doc)); err != nil &&
+			if _, err := rs.IngestCtx(context.Background(), "wf", []byte(doc)); err != nil &&
 				!engine.IsCode(err, engine.ErrInvalidTrace) && !engine.IsCode(err, engine.ErrUnknownWorkflow) {
 				t.Errorf("ingest %d: %v", i, err)
 				return
@@ -1140,7 +1141,7 @@ func TestSnapshotDocBytesMatchLegacyEncoding(t *testing.T) {
 	w.register(t, reg, "wf")
 	for i := 0; i < 12; i++ {
 		id, d := w.runDoc(i)
-		if _, err := rs.Ingest("wf", d); err != nil {
+		if _, err := rs.IngestCtx(context.Background(), "wf", d); err != nil {
 			t.Fatalf("ingest %s: %v", id, err)
 		}
 	}

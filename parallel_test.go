@@ -1,6 +1,7 @@
 package wolves_test
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"runtime"
@@ -27,21 +28,32 @@ func reportsIdentical(t *testing.T, name string, seq, par *wolves.Report) {
 	}
 }
 
-// TestValidateParallelRepositoryCatalog pins ValidateParallel to
-// Validate across every view of the full repository catalog.
+// validateWith validates v against o on an engine of the given width
+// (0 = GOMAXPROCS, 1 = sequential).
+func validateWith(t *testing.T, workers int, o *wolves.Oracle, v *wolves.View) *wolves.Report {
+	t.Helper()
+	rep, err := wolves.NewEngine(wolves.WithWorkers(workers)).ValidateWithOracle(context.Background(), o, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestValidateParallelRepositoryCatalog pins parallel validation to the
+// sequential one across every view of the full repository catalog.
 func TestValidateParallelRepositoryCatalog(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	for _, e := range wolves.Repository() {
-		o := wolves.NewOracle(e.Workflow)
+		o := wolves.NewEngine().Oracle(e.Workflow)
 		for _, vs := range e.Views {
-			seq := wolves.Validate(o, vs.View)
+			seq := validateWith(t, 1, o, vs.View)
 			if seq.Sound != vs.WantSound {
 				t.Fatalf("%s/%s: catalog expectation drifted", e.Workflow.Name(), vs.View.Name())
 			}
 			for _, workers := range []int{0, 2, 5} {
 				reportsIdentical(t, e.Workflow.Name()+"/"+vs.View.Name(),
-					seq, wolves.ValidateParallel(o, vs.View, workers))
+					seq, validateWith(t, workers, o, vs.View))
 			}
 		}
 	}
@@ -57,16 +69,16 @@ func TestValidateParallelRandomizedLayered(t *testing.T) {
 			Name: "rand", Tasks: 80 + 16*int(seed), Layers: 8,
 			EdgeProb: 0.3, SkipProb: 0.05, Seed: seed,
 		})
-		o := wolves.NewOracle(wf)
+		o := wolves.NewEngine().Oracle(wf)
 		views := []*wolves.View{
 			wolves.GenIntervalView(wf, 10, "bands"),
 			wolves.GenRandomView(wf, 9, seed, "rand"),
 			wolves.AtomicView(wf),
 		}
 		for _, v := range views {
-			seq := wolves.Validate(o, v)
+			seq := validateWith(t, 1, o, v)
 			for _, workers := range []int{0, 3, 16} {
-				reportsIdentical(t, v.Name(), seq, wolves.ValidateParallel(o, v, workers))
+				reportsIdentical(t, v.Name(), seq, validateWith(t, workers, o, v))
 			}
 		}
 	}

@@ -27,7 +27,7 @@ func BenchmarkClosureLarge(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				wolves.NewOracle(wf)
+				soundness.NewOracle(wf)
 			}
 		})
 	}
@@ -39,12 +39,14 @@ func BenchmarkClosureLarge(b *testing.B) {
 func BenchmarkValidateLarge(b *testing.B) {
 	for _, n := range []int{512, 2048} {
 		wf := largeWorkflow(n)
-		o := wolves.NewOracle(wf)
+		o := benchEng.Oracle(wf)
 		v := wolves.GenIntervalView(wf, n/16, "bands")
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				wolves.Validate(o, v)
+				if _, err := benchEng.ValidateWithOracle(benchCtx, o, v); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -57,12 +59,14 @@ func BenchmarkValidateLarge(b *testing.B) {
 func BenchmarkValidateLargeParallel(b *testing.B) {
 	for _, n := range []int{512, 2048} {
 		wf := largeWorkflow(n)
-		o := wolves.NewOracle(wf)
+		o := benchEng.Oracle(wf)
 		v := wolves.GenIntervalView(wf, n/16, "bands")
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				wolves.ValidateParallel(o, v, 0)
+				if _, err := soundness.ValidateViewParallelCtx(benchCtx, o, v, 0); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -36,6 +36,9 @@
 // WithOracleCache (LRU capacity), WithCorrectorOptions, and
 // WithOptimalTimeout — and expose batch entry points (ValidateBatch,
 // CorrectBatch) that spread independent jobs over the worker pool.
+// eng.Oracle(wf) hands out the cached oracle that the oracle-level
+// helpers (MergeUp, NewAdvisor, Compact, Summary, …) take, and the
+// ...WithOracle methods reuse one oracle across many views.
 // cmd/wolvesd serves the same Engine over HTTP.
 //
 // # Errors and cancellation
@@ -50,12 +53,6 @@
 // error and no partial result. WithOptimalTimeout imposes such a bound
 // engine-wide; polynomial criteria (Weak, Strong) are unaffected.
 //
-// # Compatibility shim
-//
-// The original free functions (NewOracle, Validate, Correct, SplitTask,
-// …) remain as thin deprecated wrappers over a shared default Engine so
-// existing callers keep working; new code should construct an Engine.
-//
 // The deeper machinery (bit-level soundness oracle, correction phases,
 // MOML codec, workload generators, the simulated repository, the
 // estimator and the feedback loop) lives in internal packages and is
@@ -63,9 +60,7 @@
 package wolves
 
 import (
-	"context"
 	"io"
-	"sync"
 
 	"wolves/internal/core"
 	"wolves/internal/display"
@@ -212,7 +207,7 @@ type (
 	RunLineage = runs.Answer
 	// RunBatchResult is the per-query outcome of batched lineage.
 	RunBatchResult = runs.BatchResult
-	// RunStoreStats is the run store's counter snapshot (/v1/stats).
+	// RunStoreStats is the run store's residency snapshot.
 	RunStoreStats = runs.Stats
 	// RunJournal persists ingested runs; internal/storage implements it
 	// next to the registry Journal.
@@ -227,19 +222,6 @@ func NewRunStore(reg *Registry, opts ...RunStoreOption) *RunStore {
 // WithRunJournal installs the durability journal on a run store at
 // construction.
 var WithRunJournal = runs.WithJournal
-
-// defaultEngine backs the deprecated free-function layer.
-var (
-	defaultEngineOnce sync.Once
-	defaultEngineVal  *Engine
-)
-
-// DefaultEngine returns the process-wide Engine behind the deprecated
-// free functions. Prefer constructing your own with NewEngine.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngineVal = engine.New() })
-	return defaultEngineVal
-}
 
 // --- workflow model ---------------------------------------------------------
 
@@ -290,7 +272,7 @@ func DecodeViewJSON(wf *Workflow, r io.Reader) (*View, error) { return view.Deco
 // --- validation ---------------------------------------------------------------
 
 // Oracle answers soundness queries for one workflow (it owns the
-// reachability closure). Build one per workflow and reuse it.
+// reachability closure). Engine.Oracle hands out cached ones.
 type Oracle = soundness.Oracle
 
 // Report is a full view validation result with per-composite witnesses.
@@ -301,34 +283,6 @@ type Violation = soundness.Violation
 
 // PathReport is the direct Definition-2.1 diagnosis.
 type PathReport = soundness.PathReport
-
-// NewOracle builds the soundness oracle for wf.
-//
-// Deprecated: Engine.Oracle caches oracles by workflow fingerprint;
-// building one directly bypasses the cache.
-func NewOracle(wf *Workflow) *Oracle { return soundness.NewOracle(wf) }
-
-// Validate checks every composite of v (Proposition 2.1) with witnesses.
-//
-// Deprecated: use Engine.Validate, which is context-aware and reuses
-// cached oracles. This wrapper routes through the default Engine.
-func Validate(o *Oracle, v *View) *Report {
-	rep, err := DefaultEngine().ValidateWithOracle(context.Background(), o, v) //lint:allow ctxpass deprecated compat wrapper anchors its own root
-	if err != nil {
-		// Matches the historical contract: a foreign view panics.
-		panic(err)
-	}
-	return rep
-}
-
-// ValidateParallel is Validate with composites fanned out over a worker
-// pool (runtime.GOMAXPROCS workers when workers <= 0). The report is
-// identical to the sequential one.
-//
-// Deprecated: use Engine.Validate with WithWorkers.
-func ValidateParallel(o *Oracle, v *View, workers int) *Report {
-	return soundness.ValidateViewParallel(o, v, workers)
-}
 
 // ValidatePaths applies Definition 2.1 literally at the view level.
 func ValidatePaths(o *Oracle, v *View) *PathReport { return soundness.ValidateViewPaths(o, v) }
@@ -365,23 +319,6 @@ type MergeUpResult = core.MergeUpResult
 
 // ParseCriterion maps CLI names (weak|strong|strong-audited|optimal).
 func ParseCriterion(s string) (Criterion, error) { return core.ParseCriterion(s) }
-
-// SplitTask splits one composite's member set into sound blocks.
-//
-// Deprecated: use Engine.SplitTask, which is context-aware. This
-// wrapper routes through the default Engine.
-func SplitTask(o *Oracle, members []int, crit Criterion, opts *CorrectorOptions) (*SplitResult, error) {
-	return DefaultEngine().SplitWithOracle(context.Background(), o, members, crit, opts) //lint:allow ctxpass deprecated compat wrapper anchors its own root
-}
-
-// Correct repairs every unsound composite of v; the result is sound.
-//
-// Deprecated: use Engine.Correct, which is context-aware (under
-// wolves.Optimal a canceled ctx aborts the exponential DP promptly) and
-// reuses cached oracles. This wrapper routes through the default Engine.
-func Correct(o *Oracle, v *View, crit Criterion, opts *CorrectorOptions) (*ViewCorrection, error) {
-	return DefaultEngine().CorrectWithOracle(context.Background(), o, v, crit, opts) //lint:allow ctxpass deprecated compat wrapper anchors its own root
-}
 
 // MergeUp repairs an unsound view by merging composites instead of
 // splitting them — the paper's stated open problem, as an extension.

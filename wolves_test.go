@@ -2,6 +2,7 @@ package wolves_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -25,17 +26,18 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := wolves.NewOracle(wf)
-	report := wolves.Validate(oracle, v)
-	if report.Sound {
-		t.Fatal("the clean composite must be unsound")
+	eng := wolves.NewEngine()
+	ctx := context.Background()
+	report, err := eng.Validate(ctx, wf, v)
+	if err != nil || report.Sound {
+		t.Fatalf("the clean composite must be unsound: %v", err)
 	}
-	fixed, err := wolves.Correct(oracle, v, wolves.Strong, nil)
+	fixed, err := eng.Correct(ctx, wf, v, wolves.Strong)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wolves.Validate(oracle, fixed.Corrected).Sound {
-		t.Fatal("corrected view must be sound")
+	if report, err := eng.Validate(ctx, wf, fixed.Corrected); err != nil || !report.Sound {
+		t.Fatalf("corrected view must be sound: %v", err)
 	}
 	if fixed.Corrected.N() != 4 {
 		t.Fatalf("composites = %d, want 4", fixed.Corrected.N())
@@ -73,8 +75,11 @@ func TestFacadeMOMLAndDisplay(t *testing.T) {
 		t.Fatal("view lost in MOML round trip")
 	}
 	var dot bytes.Buffer
-	o := wolves.NewOracle(wf)
-	if err := wolves.WorkflowDOT(&dot, wf, v, &wolves.DisplayOptions{Report: wolves.Validate(o, v)}); err != nil {
+	report, err := wolves.NewEngine().Validate(context.Background(), wf, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wolves.WorkflowDOT(&dot, wf, v, &wolves.DisplayOptions{Report: report}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(dot.String(), "cluster_16") {
@@ -93,10 +98,10 @@ func TestFacadeLineageAndSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Correct(wolves.Optimal, nil); err != nil {
+	if _, err := s.CorrectCtx(context.Background(), wolves.Optimal, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Validate().Sound {
+	if !s.ValidateCtx(context.Background()).Sound {
 		t.Fatal("session correction failed")
 	}
 	tr := wolves.Execute(wf, "r1")
@@ -107,8 +112,7 @@ func TestFacadeLineageAndSession(t *testing.T) {
 
 func TestFacadeValidatePathsAndCodecs(t *testing.T) {
 	wf, v := wolves.Figure1()
-	o := wolves.NewOracle(wf)
-	prep := wolves.ValidatePaths(o, v)
+	prep := wolves.ValidatePaths(wolves.NewEngine().Oracle(wf), v)
 	if prep.Sound || len(prep.FalsePaths) == 0 {
 		t.Fatalf("path report = %+v", prep)
 	}
@@ -138,12 +142,18 @@ func TestFacadeValidatePathsAndCodecs(t *testing.T) {
 
 func TestFacadeCorrectionExtensions(t *testing.T) {
 	wf, v := wolves.Figure1()
-	o := wolves.NewOracle(wf)
+	eng := wolves.NewEngine()
+	ctx := context.Background()
+	sound := func(v *wolves.View) bool {
+		rep, err := eng.Validate(ctx, wf, v)
+		return err == nil && rep.Sound
+	}
+	o := eng.Oracle(wf)
 	mu, err := wolves.MergeUp(o, v)
-	if err != nil || !wolves.Validate(o, mu.Corrected).Sound {
+	if err != nil || !sound(mu.Corrected) {
 		t.Fatalf("merge-up: %v", err)
 	}
-	fixed, err := wolves.Correct(o, v, wolves.StrongAudited, nil)
+	fixed, err := eng.CorrectWithOracle(ctx, o, v, wolves.StrongAudited, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +161,13 @@ func TestFacadeCorrectionExtensions(t *testing.T) {
 	if err != nil || merges > 2 {
 		t.Fatalf("compact: %v merges=%d", err, merges)
 	}
-	if !wolves.Validate(o, compacted).Sound {
+	if !sound(compacted) {
 		t.Fatal("compacted view unsound")
 	}
 	// Auditors on a known split.
 	f3 := wolves.Figure3()
-	o3 := wolves.NewOracle(f3.Workflow)
-	strong, err := wolves.SplitTask(o3, f3.T, wolves.Strong, nil)
+	o3 := eng.Oracle(f3.Workflow)
+	strong, err := eng.SplitWithOracle(ctx, o3, f3.T, wolves.Strong, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +205,7 @@ func TestFacadeMoreGenerators(t *testing.T) {
 		t.Fatal(err)
 	}
 	wfB, members := wolves.GenBicliqueTask(3)
-	oB := wolves.NewOracle(wfB)
+	oB := wolves.NewEngine().Oracle(wfB)
 	if ok, _ := oB.SoundSlice(members); ok {
 		t.Fatal("biclique composite must be unsound")
 	}
@@ -213,8 +223,7 @@ func TestFacadeGenerators(t *testing.T) {
 		t.Fatal("empty module view")
 	}
 	w2, members := wolves.GenUnsoundTask(12, 1)
-	o := wolves.NewOracle(w2)
-	res, err := wolves.SplitTask(o, members, wolves.Weak, nil)
+	res, err := wolves.NewEngine().SplitTask(context.Background(), w2, members, wolves.Weak)
 	if err != nil {
 		t.Fatal(err)
 	}
