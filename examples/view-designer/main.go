@@ -53,13 +53,19 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("starting view (%d composites):\n%s\n", start.N(), start.Describe())
-	fmt.Printf("validator: sound=%v\n\n", session.ValidateCtx(ctx).Sound)
+	report, err := session.ValidateCtx(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("validator: sound=%v\n\n", report.Sound)
 
 	// The user merges both arms "to declutter the display".
 	if err := session.MergeTasks("training", "model", "baseline"); err != nil {
 		log.Fatal(err)
 	}
-	report := session.ValidateCtx(ctx)
+	if report, err = session.ValidateCtx(ctx); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("after merging model+baseline: sound=%v\n", report.Sound)
 	for _, ci := range report.Unsound {
 		cr := report.Composites[ci]
@@ -88,7 +94,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsplit %q into %d sound blocks\n", comp.ID, len(res.Blocks))
-	final := session.ValidateCtx(ctx)
+	final, err := session.ValidateCtx(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
 	session.Accept()
 	fmt.Printf("final: sound=%v, %d composites:\n%s",
 		final.Sound, session.Current().N(), session.Current().Describe())

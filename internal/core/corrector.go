@@ -219,7 +219,11 @@ func SplitTaskCtx(ctx context.Context, o *soundness.Oracle, members []int, crit 
 
 // partitioner maintains a partition of one composite's members into
 // blocks (bitsets over workflow task indices) and implements the merge
-// phases shared by the weak and strong correctors.
+// phases shared by the weak and strong correctors. Its per-split state
+// is flat: the block sets are rows of one matrix, the work buffers are
+// carved from one slab, and the lazily computed doom sets are rows of
+// another matrix, so a split makes a fixed number of allocations
+// whatever the composite's size.
 type partitioner struct {
 	o *soundness.Oracle
 	// ctx carries cooperative cancellation into the merge phases; nil
@@ -230,14 +234,19 @@ type partitioner struct {
 	n         int // workflow size
 	memberSet *bitset.Set
 	members   []int // ascending
-	blockSets []*bitset.Set
+	// blockSets[id] is block id's member set, a RowView of blockRows.
+	// The block-id space is fixed at len(members): block id starts as
+	// the singleton of members[id], and merges only retire ids.
+	blockRows *bitset.Matrix
+	blockSets []bitset.Set
 	blockOf   []int // workflow task index → block id (members only)
 	alive     []bool
 	aliveN    int
 	stats     Stats
 	scratch   *bitset.Set
-	// Reusable scratch state for the merge phases (see strong.go). The
-	// block-id space is fixed at len(members): merges only retire ids.
+	// Reusable scratch state for the merge phases (see strong.go), each
+	// buffer carved from one slab with len(members) capacity: none
+	// holds more than one entry per member or block.
 	idMark     *bitset.Set // block-id marks: closedPhase union, growSeed union ids
 	idSeen     *bitset.Set // block-id marks: blockClosure visited set
 	unionSet   *bitset.Set // growSeed candidate union over task indices
@@ -250,47 +259,66 @@ type partitioner struct {
 	insBuf     []int // interfaceNodes buffers
 	outsBuf    []int
 	selBuf     []int // exhaustivePhase subset buffer
-	// doomIn[t] marks members whose forced close-in cascade towards the
-	// committed out-node t provably escapes the composite; doomOut[s] is
-	// the successor-side dual. Both depend only on the member set, so
-	// they are cached for the whole split (slice-indexed by task, lazily
-	// filled). See strong.go.
-	doomIn  []*bitset.Set
-	doomOut []*bitset.Set
-	topo    []int // members in workflow topological order
+	// A doom row marks the members whose forced close-in cascade
+	// towards a committed out-node t provably escapes the composite
+	// (doomedIn), or the successor-side dual for a committed in-node s
+	// (doomedOut). Both depend only on the member set, so they are
+	// cached for the whole split, as rows of doomRows: doomCap rows, a
+	// bound the first seeded scan sets. doomAt[t] names the row
+	// (1-based; 0 = not yet computed) of the close-in side of task t,
+	// doomAt[n+t] that of its dual side; doomSets holds the filled
+	// rows' RowViews. See strong.go.
+	doomCap  int
+	doomRows *bitset.Matrix
+	doomSets []bitset.Set
+	doomAt   []int32
+	topo     []int // members in workflow topological order
 }
 
+// partitionerBuffers is the number of work buffers carved from the
+// partitioner's slab.
+const partitionerBuffers = 10
+
 func newPartitioner(o *soundness.Oracle, members []int) *partitioner {
-	n := o.Workflow().N()
+	n, m := o.Workflow().N(), len(members)
+	slab := make([]int, (partitionerBuffers+1)*m)
+	buf := func(i int) []int { return slab[i*m : i*m : (i+1)*m] }
 	p := &partitioner{
-		o:         o,
-		n:         n,
-		memberSet: bitset.New(n),
-		blockOf:   make([]int, n),
-		scratch:   bitset.New(n),
-		unionSet:  bitset.New(n),
-		idMark:    bitset.New(len(members)),
-		idSeen:    bitset.New(len(members)),
-		doomIn:    make([]*bitset.Set, n),
-		doomOut:   make([]*bitset.Set, n),
+		o:          o,
+		n:          n,
+		memberSet:  bitset.New(n),
+		members:    append(buf(0), members...),
+		blockRows:  bitset.NewMatrix(m, n),
+		blockSets:  make([]bitset.Set, m),
+		blockOf:    make([]int, n),
+		alive:      make([]bool, m),
+		aliveN:     m,
+		scratch:    bitset.New(n),
+		unionSet:   bitset.New(n),
+		idMark:     bitset.New(m),
+		idSeen:     bitset.New(m),
+		nodeQueue:  buf(1),
+		closureIDs: buf(2),
+		phaseIDs:   buf(3),
+		growIDs:    buf(4),
+		inBuf:      buf(5),
+		outBuf:     buf(6),
+		insBuf:     buf(7),
+		outsBuf:    buf(8),
+		selBuf:     buf(9),
+		topo:       slab[partitionerBuffers*m : partitionerBuffers*m : (partitionerBuffers+1)*m],
 	}
 	for i := range p.blockOf {
 		p.blockOf[i] = -1
 	}
-	p.members = append(p.members, members...)
 	sort.Ints(p.members)
-	for _, t := range p.members {
+	for id, t := range p.members {
 		p.memberSet.Set(t)
-	}
-	for _, t := range p.members {
-		id := len(p.blockSets)
-		s := bitset.New(n)
-		s.Set(t)
-		p.blockSets = append(p.blockSets, s)
+		p.blockRows.SetBit(id, t)
+		p.blockSets[id] = p.blockRows.RowView(id)
 		p.blockOf[t] = id
-		p.alive = append(p.alive, true)
+		p.alive[id] = true
 	}
-	p.aliveN = len(p.blockSets)
 	order, err := o.Workflow().Graph().TopoOrder()
 	if err != nil {
 		panic("core: built workflows are acyclic")
@@ -303,11 +331,14 @@ func newPartitioner(o *soundness.Oracle, members []int) *partitioner {
 	return p
 }
 
+// block returns block id's member set.
+func (p *partitioner) block(id int) *bitset.Set { return &p.blockSets[id] }
+
 // unionSound tests whether the union of the listed blocks is sound.
 func (p *partitioner) unionSound(ids ...int) bool {
 	p.scratch.Reset()
 	for _, id := range ids {
-		p.scratch.Or(p.blockSets[id])
+		p.scratch.Or(p.block(id))
 	}
 	return p.o.SetSoundQuick(p.scratch)
 }
@@ -315,8 +346,8 @@ func (p *partitioner) unionSound(ids ...int) bool {
 // pairSound is unionSound for exactly two blocks without the variadic
 // slice allocation (the weak corrector probes O(k²) pairs).
 func (p *partitioner) pairSound(i, j int) bool {
-	p.scratch.CopyFrom(p.blockSets[i])
-	p.scratch.Or(p.blockSets[j])
+	p.scratch.CopyFrom(p.block(i))
+	p.scratch.Or(p.block(j))
 	return p.o.SetSoundQuick(p.scratch)
 }
 
@@ -332,11 +363,11 @@ func (p *partitioner) mergeBlocks(ids []int) int {
 		if id == target || !p.alive[id] {
 			continue
 		}
-		p.blockSets[id].ForEach(func(t int) bool {
+		p.block(id).ForEach(func(t int) bool {
 			p.blockOf[t] = target
 			return true
 		})
-		p.blockSets[target].Or(p.blockSets[id])
+		p.block(target).Or(p.block(id))
 		p.alive[id] = false
 		p.aliveN--
 		p.stats.Merges++
@@ -397,16 +428,26 @@ func (p *partitioner) weakPass() bool {
 }
 
 // blocks returns the partition as sorted member slices, ordered by
-// smallest member.
+// smallest member, carved from one array. Scanning the members in
+// ascending order meets every block first at its smallest member.
 func (p *partitioner) blocks() [][]int {
-	var out [][]int
-	for id, s := range p.blockSets {
-		if !p.alive[id] {
+	flat := make([]int, 0, len(p.members))
+	out := make([][]int, 0, p.aliveN)
+	seen := p.idSeen
+	seen.Reset()
+	for _, t := range p.members {
+		id := p.blockOf[t]
+		if seen.Test(id) {
 			continue
 		}
-		out = append(out, s.Members())
+		seen.Set(id)
+		lo := len(flat)
+		blk := p.block(id)
+		for x := blk.NextSet(t); x != -1; x = blk.NextSet(x + 1) {
+			flat = append(flat, x)
+		}
+		out = append(out, flat[lo:len(flat):len(flat)])
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
 	return out
 }
 

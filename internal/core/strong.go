@@ -139,7 +139,7 @@ func (p *partitioner) blockClosure(b int, ancestors bool, g graphNeighbors) ([]i
 	seen.Reset()
 	seen.Set(b)
 	queue := p.nodeQueue[:0]
-	p.blockSets[b].ForEach(func(t int) bool {
+	p.block(b).ForEach(func(t int) bool {
 		queue = append(queue, t)
 		return true
 	})
@@ -165,7 +165,7 @@ func (p *partitioner) blockClosure(b int, ancestors bool, g graphNeighbors) ([]i
 			if !seen.Test(xb) {
 				seen.Set(xb)
 				ids = append(ids, xb)
-				p.blockSets[xb].ForEach(func(m int) bool {
+				p.block(xb).ForEach(func(m int) bool {
 					queue = append(queue, m)
 					return true
 				})
@@ -198,6 +198,12 @@ const (
 func (p *partitioner) seededPhase() bool {
 	changed := false
 	ins, outs := p.interfaceNodes()
+	if p.doomCap == 0 {
+		// Doom rows are keyed by the seeds' interface nodes, and merges
+		// only shrink the interface sets (nodes in one block stay in
+		// one block), so the first scan's nodes bound every later key.
+		p.doomCap = len(ins) + len(outs)
+	}
 	// growSeed shares no buffers with ins/outs (insBuf/outsBuf), so the
 	// seed scan stays valid across merges inside the loop.
 	for _, s := range ins {
@@ -253,12 +259,12 @@ func (p *partitioner) interfaceNodes() (ins, outs []int) {
 // node (absorbing it forces the same dead end). Computed once per t in
 // topological order and cached; it depends only on the member set.
 func (p *partitioner) doomedIn(t int) *bitset.Set {
-	if s := p.doomIn[t]; s != nil {
-		return s
+	doom, done := p.doomRow(t, false)
+	if done {
+		return doom
 	}
 	g := p.o.Workflow().Graph()
 	reach := p.o.Reach()
-	doom := bitset.New(p.n)
 	for _, w := range p.topo {
 		if reach.Reaches(w, t) {
 			continue
@@ -270,18 +276,17 @@ func (p *partitioner) doomedIn(t int) *bitset.Set {
 			}
 		}
 	}
-	p.doomIn[t] = doom
 	return doom
 }
 
 // doomedOut is the successor-side dual for the committed in-node s.
 func (p *partitioner) doomedOut(s int) *bitset.Set {
-	if d := p.doomOut[s]; d != nil {
-		return d
+	doom, done := p.doomRow(s, true)
+	if done {
+		return doom
 	}
 	g := p.o.Workflow().Graph()
 	reach := p.o.Reach()
-	doom := bitset.New(p.n)
 	for i := len(p.topo) - 1; i >= 0; i-- {
 		w := p.topo[i]
 		if reach.Reaches(s, w) {
@@ -294,8 +299,31 @@ func (p *partitioner) doomedOut(s int) *bitset.Set {
 			}
 		}
 	}
-	p.doomOut[s] = doom
 	return doom
+}
+
+// doomRow returns member t's doom row of the given side (see
+// partitioner.doomRows) and whether it was filled before; an unfilled
+// row is returned empty and counts as filled from now on. The rows are
+// allocated at the first call.
+func (p *partitioner) doomRow(t int, out bool) (row *bitset.Set, done bool) {
+	if p.doomRows == nil {
+		p.doomRows = bitset.NewMatrix(p.doomCap, p.n)
+		p.doomSets = make([]bitset.Set, 0, p.doomCap)
+		p.doomAt = make([]int32, 2*p.n)
+	}
+	r := t
+	if out {
+		r += p.n
+	}
+	if at := p.doomAt[r]; at > 0 {
+		return &p.doomSets[at-1], true
+	}
+	// doomSets never outgrows doomCap (see seededPhase), so the
+	// pointers handed out stay valid.
+	p.doomSets = append(p.doomSets, p.doomRows.RowView(len(p.doomSets)))
+	p.doomAt[r] = int32(len(p.doomSets))
+	return &p.doomSets[len(p.doomSets)-1], false
 }
 
 // growSeed grows a candidate union from blocks of s and t under the
@@ -308,8 +336,8 @@ func (p *partitioner) growSeed(s, t int, bias closureBias) ([]int, bool) {
 	doomIn := p.doomedIn(t)
 	doomOut := p.doomedOut(s)
 	u := p.unionSet
-	u.CopyFrom(p.blockSets[p.blockOf[s]])
-	u.Or(p.blockSets[p.blockOf[t]])
+	u.CopyFrom(p.block(p.blockOf[s]))
+	u.Or(p.block(p.blockOf[t]))
 	ids := append(p.growIDs[:0], p.blockOf[s], p.blockOf[t])
 	defer func() { p.growIDs = ids[:0] }()
 	inIDs := p.idMark
@@ -334,7 +362,7 @@ func (p *partitioner) growSeed(s, t int, bias closureBias) ([]int, bool) {
 			if !inIDs.Test(qb) {
 				inIDs.Set(qb)
 				ids = append(ids, qb)
-				u.Or(p.blockSets[qb])
+				u.Or(p.block(qb))
 				progress = true
 			}
 		}
@@ -357,7 +385,7 @@ func (p *partitioner) growSeed(s, t int, bias closureBias) ([]int, bool) {
 			if !inIDs.Test(qb) {
 				inIDs.Set(qb)
 				ids = append(ids, qb)
-				u.Or(p.blockSets[qb])
+				u.Or(p.block(qb))
 				progress = true
 			}
 		}

@@ -86,31 +86,47 @@ func (g *Graph) reachabilityDP(order []int) *Closure {
 			maxLevel = lv
 		}
 	}
-	buckets := make([][]int32, maxLevel+1)
-	for u := 0; u < g.n; u++ {
-		buckets[level[u]] = append(buckets[level[u]], int32(u))
+	// Bucket the nodes by level with one counting sort. bound[lv] first
+	// counts level lv's nodes, then (prefix sums) marks its end, then
+	// (filling from the back) its start, so that level lv ends up as
+	// byLevel[bound[lv]:bound[lv+1]], nodes ascending.
+	bound := make([]int32, maxLevel+2)
+	for _, lv := range level {
+		bound[lv]++
+	}
+	for lv := 1; lv < len(bound); lv++ {
+		bound[lv] += bound[lv-1]
+	}
+	byLevel := make([]int32, g.n)
+	for u := g.n - 1; u >= 0; u-- {
+		bound[level[u]]--
+		byLevel[bound[level[u]]] = int32(u)
+	}
+	closeRows := func(part []int32) {
+		for _, u := range part {
+			c.m.CloseRow(int(u), g.succs[u])
+		}
 	}
 	var wg sync.WaitGroup
 	for lv := int32(0); lv <= maxLevel; lv++ {
-		nodes := buckets[lv]
-		chunk := (len(nodes) + workers - 1) / workers
-		if chunk == 0 {
+		nodes := byLevel[bound[lv]:bound[lv+1]]
+		if len(nodes) < workers {
+			// Too small to split: goroutines would cost more than the
+			// rows.
+			closeRows(nodes)
 			continue
 		}
-		for lo := 0; lo < len(nodes); lo += chunk {
-			hi := lo + chunk
-			if hi > len(nodes) {
-				hi = len(nodes)
-			}
+		// The caller takes the first chunk itself, workers-1 goroutines
+		// the rest.
+		chunk := (len(nodes) + workers - 1) / workers
+		for lo := chunk; lo < len(nodes); lo += chunk {
 			wg.Add(1)
 			go func(part []int32) {
 				defer wg.Done()
-				for _, u32 := range part {
-					u := int(u32)
-					c.m.CloseRow(u, g.succs[u])
-				}
-			}(nodes[lo:hi])
+				closeRows(part)
+			}(nodes[lo:min(lo+chunk, len(nodes))])
 		}
+		closeRows(nodes[:chunk])
 		wg.Wait()
 	}
 	return c

@@ -443,17 +443,41 @@ func (g *Graph) IsAcyclic() bool {
 // each sorted ascending, components ordered by smallest member. Trivial
 // single-node components are included.
 func (g *Graph) SCC() [][]int {
+	comp, k := g.sccIndex()
+	size := make([]int, k+1)
+	for _, c := range comp {
+		size[c+1]++
+	}
+	for c := 1; c <= k; c++ {
+		size[c] += size[c-1]
+	}
+	flat := make([]int, g.n)
+	comps := make([][]int, k)
+	for c := range comps {
+		comps[c] = flat[size[c]:size[c]:size[c+1]]
+	}
+	for u, c := range comp {
+		comps[c] = append(comps[c], u)
+	}
+	return comps
+}
+
+// sccIndex numbers the strongly connected components of g (Tarjan,
+// iterative) and returns each node's component and the component count.
+// Components are numbered by smallest member, as SCC orders them, and
+// the whole computation makes a fixed number of allocations.
+func (g *Graph) sccIndex() (comp []int32, k int) {
 	const unvisited = -1
-	index := make([]int, g.n)
-	low := make([]int, g.n)
-	onStack := make([]bool, g.n)
+	index := make([]int32, g.n)
+	low := make([]int32, g.n)
+	comp = make([]int32, g.n) // Tarjan's completion order, renumbered below
 	for i := range index {
 		index[i] = unvisited
+		comp[i] = unvisited
 	}
 	var (
-		stack  []int
-		comps  [][]int
-		idx    int
+		stack  []int32
+		idx    int32
 		frames []frame
 	)
 	for root := 0; root < g.n; root++ {
@@ -468,19 +492,19 @@ func (g *Graph) SCC() [][]int {
 				index[u] = idx
 				low[u] = idx
 				idx++
-				stack = append(stack, u)
-				onStack[u] = true
+				stack = append(stack, int32(u))
 			}
 			advanced := false
 			for f.i < len(g.succs[u]) {
-				v := int(g.succs[u][f.i])
+				v := g.succs[u][f.i]
 				f.i++
 				if index[v] == unvisited {
-					frames = append(frames, frame{u: v})
+					frames = append(frames, frame{u: int(v)})
 					advanced = true
 					break
 				}
-				if onStack[v] && index[v] < low[u] {
+				// On the stack: visited and not yet assigned a component.
+				if comp[v] == unvisited && index[v] < low[u] {
 					low[u] = index[v]
 				}
 			}
@@ -488,18 +512,15 @@ func (g *Graph) SCC() [][]int {
 				continue
 			}
 			if low[u] == index[u] {
-				var comp []int
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == u {
+					comp[w] = int32(k)
+					if int(w) == u {
 						break
 					}
 				}
-				slices.Sort(comp)
-				comps = append(comps, comp)
+				k++
 			}
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
@@ -510,9 +531,22 @@ func (g *Graph) SCC() [][]int {
 			}
 		}
 	}
-	// Order components by smallest member for determinism.
-	slices.SortFunc(comps, func(a, b []int) int { return a[0] - b[0] })
-	return comps
+	// Renumber by smallest member: scanning nodes in ascending order
+	// meets each component first at its smallest member. index is free
+	// scratch now, reused as the old→new component map.
+	rename := index[:k]
+	for i := range rename {
+		rename[i] = unvisited
+	}
+	next := int32(0)
+	for u, c := range comp {
+		if rename[c] == unvisited {
+			rename[c] = next
+			next++
+		}
+		comp[u] = rename[c]
+	}
+	return comp, k
 }
 
 type frame struct {

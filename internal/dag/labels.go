@@ -3,6 +3,7 @@ package dag
 import (
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // This file implements the interval / tree-cover reachability label
@@ -24,12 +25,19 @@ import (
 // position, which reproduces the reflexive closure semantics of
 // Reachability exactly.
 //
-// After the build, rows are only ever patched: Patch merges two sorted
-// covers in one linear pass into a fresh row of exactly the merged
-// length, and the owning IncrementalClosure rebuilds the pair only when
-// patching has doubled its size (incremental.go). Every row is its own
-// allocation, so a patched-away row is freed on its own rather than
-// pinning a shared build arena.
+// A build makes a fixed number of allocations, however many rows it
+// produces: it appends every row's runs to pooled scratch and copies
+// them once into one exact-length backing array (bitmap rows: one word
+// array), of which each row is a capacity-limited slice. After the
+// build, rows are only ever patched: Patch merges two sorted covers in
+// one linear pass into a fresh row of exactly the merged length, and
+// the owning IncrementalClosure rebuilds the pair only when patching
+// has doubled its size (incremental.go). A patched index must not pin
+// its build array through the rows it patched away, so the first Patch
+// moves every row into an exact allocation of its own; from then on a
+// patched-away row is freed on its own. Forks taken before that keep
+// reading the immutable build array, and an index that is never patched
+// — a view's quotient labels — keeps it for life.
 //
 // Worst-case label size is O(n) intervals per node. A graph whose
 // cover exceeds the interval budget gets bitmap rows instead: each row
@@ -66,6 +74,10 @@ type Labels struct {
 	// mutates one in place, so forked snapshots stay immutable.
 	rows    [][]Interval
 	bitRows [][]uint64
+	// shared reports that the built rows are still capacity-limited
+	// slices of the build's one backing array; the first Patch moves
+	// them out (copyOut).
+	shared bool
 
 	intervals int // current total interval count across rows
 	words     int // current total word count across bitRows
@@ -118,28 +130,82 @@ type condensation struct {
 
 func condense(g *Graph) *condensation {
 	n := g.n
-	cd := &condensation{
-		sccOf:   make([]int32, n),
-		start:   make([]int32, 0, n+1),
-		members: make([]int32, 0, n),
-	}
 	if g.IsAcyclic() {
-		for u := int32(0); u < int32(n); u++ {
-			cd.sccOf[u] = u
-			cd.start = append(cd.start, u)
-			cd.members = append(cd.members, u)
+		// Every node is its own component: sccOf, start and members are
+		// all the identity, slices of one array.
+		ident := make([]int32, n+1)
+		for u := range ident {
+			ident[u] = int32(u)
 		}
-	} else {
-		for ci, comp := range g.SCC() {
-			cd.start = append(cd.start, int32(len(cd.members)))
-			for _, u := range comp {
-				cd.sccOf[u] = int32(ci)
-				cd.members = append(cd.members, int32(u))
-			}
-		}
+		return &condensation{sccOf: ident[:n:n], start: ident, members: ident[:n:n]}
 	}
-	cd.start = append(cd.start, int32(n))
+	// Group nodes by component with one counting sort: nodes are placed
+	// in ascending order, so each component's members come out ascending.
+	comp, k := g.sccIndex()
+	cd := &condensation{sccOf: comp}
+	flat := make([]int32, k+1+n)
+	cd.start, cd.members = flat[:k+1], flat[k+1:]
+	for _, c := range comp {
+		cd.start[c+1]++
+	}
+	for c := 1; c <= k; c++ {
+		cd.start[c] += cd.start[c-1]
+	}
+	fill := make([]int32, k)
+	copy(fill, cd.start[:k])
+	for u, c := range comp {
+		cd.members[fill[c]] = int32(u)
+		fill[c]++
+	}
 	return cd
+}
+
+// labelScratch is the transient state of one direction's label build,
+// pooled across builds. Rows are appended to ivs one component after
+// another in postorder — the component at position q owns
+// ivs[off[q]:off[q+1]] — and copied out once, into the index's one
+// backing array, when the build completes.
+type labelScratch struct {
+	post  []int32
+	order []int32
+	stack []dfsFrame
+	mark  []uint64
+	ivs   []Interval
+	off   []int32
+	// The condensation adjacency of a cyclic graph: csuccs[c] is
+	// cadj[cend[c-1]:cend[c]]; stamp deduplicates while it is derived.
+	csuccs [][]int32
+	cadj   []int32
+	cend   []int32
+	stamp  []int32
+}
+
+type dfsFrame struct {
+	c int32
+	i int
+}
+
+var labelScratchPool = sync.Pool{New: func() any { return new(labelScratch) }}
+
+// grow returns s resliced to length n, reallocated only when its
+// capacity is short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reserve returns ivs with room for k more intervals, at least doubling
+// its capacity when it must grow: append's gentler growth on large
+// slices would reallocate the scratch a dozen times in one big build.
+func reserve(ivs []Interval, k int) []Interval {
+	if len(ivs)+k <= cap(ivs) {
+		return ivs
+	}
+	grown := make([]Interval, len(ivs), max(2*cap(ivs), len(ivs)+k))
+	copy(grown, ivs)
+	return grown
 }
 
 // labels builds the label index over one direction of the graph: adj is
@@ -156,48 +222,31 @@ func (cd *condensation) labels(adj [][]int32, budget int) *Labels {
 		l.rows = [][]Interval{}
 		return l
 	}
+	sc := labelScratchPool.Get().(*labelScratch)
+	defer labelScratchPool.Put(sc)
 
 	// Condensation adjacency. Every component of an acyclic graph is
 	// its own node, and a Graph has neither parallel edges nor
 	// self-loops, so adj is already the condensation's adjacency;
-	// otherwise it is derived, deduplicated with a stamp array.
+	// otherwise it is derived into pooled scratch.
 	csuccs := adj
 	if p < n {
-		csuccs = make([][]int32, p)
-		stamp := make([]int32, p)
-		for i := range stamp {
-			stamp[i] = -1
-		}
-		for ci := int32(0); ci < int32(p); ci++ {
-			for _, u := range cd.members[cd.start[ci]:cd.start[ci+1]] {
-				for _, v := range adj[u] {
-					cv := cd.sccOf[v]
-					if cv == ci || stamp[cv] == ci {
-						continue
-					}
-					stamp[cv] = ci
-					csuccs[ci] = append(csuccs[ci], cv)
-				}
-			}
-		}
+		csuccs = sc.condenseAdj(cd, adj)
 	}
 
 	// Spanning forest + postorder numbering over the condensation:
 	// post[c] is the counter value assigned when c is exited, so c's
 	// spanning subtree owns a contiguous range of positions ending at
-	// post[c].
+	// post[c]. order lists components in finish order, so order[q] is
+	// the component at position q.
 	const unvisited = -1
-	post := make([]int32, p)
+	post := grow(sc.post, p)
 	for i := range post {
 		post[i] = unvisited
 	}
 	var counter int32
-	type dfsFrame struct {
-		c int32
-		i int
-	}
-	var stack []dfsFrame
-	order := make([]int32, 0, p) // DFS finish order = reverse topo prefix order
+	stack := sc.stack[:0]
+	order := grow(sc.order, p)[:0] // DFS finish order = reverse topo prefix order
 	for root := int32(0); root < int32(p); root++ {
 		if post[root] != unvisited {
 			continue
@@ -226,15 +275,11 @@ func (cd *condensation) labels(adj [][]int32, budget int) *Labels {
 			stack = stack[:len(stack)-1]
 		}
 	}
+	sc.post, sc.order, sc.stack = post, order, stack
 
-	// pos + position→nodes (positions 0..p-1; position of component c is
-	// post[c], so group component members by post).
-	compAtPos := make([]int32, p)
-	for c := int32(0); c < int32(p); c++ {
-		compAtPos[post[c]] = c
-	}
-	for q := 0; q < p; q++ {
-		c := compAtPos[q]
+	// pos + position→nodes: position q holds the members of component
+	// order[q].
+	for q, c := range order {
 		for _, u := range cd.members[cd.start[c]:cd.start[c+1]] {
 			l.pos[u] = int32(q)
 			l.byPosNodes = append(l.byPosNodes, u)
@@ -254,67 +299,117 @@ func (cd *condensation) labels(adj [][]int32, budget int) *Labels {
 	// already set is skipped: some successor unioned before it reaches
 	// it, so its row is already contained. Past the interval budget the
 	// build switches to bitmap rows over the same order.
-	crows := make([][]Interval, p)
-	mark := make([]uint64, MarkWords(p))
-	var scratch []Interval
-	for _, c := range order {
-		lw, hw := post[c]>>6, post[c]>>6
+	mark := grow(sc.mark, MarkWords(p))
+	clear(mark)
+	ivs, off := sc.ivs[:0], grow(sc.off, p+1)
+	if cap(ivs) < 4*p {
+		ivs = make([]Interval, 0, 4*p) // a few intervals per row to start
+	}
+	off[0] = 0
+	for q, c := range order {
+		lw, hw := int32(q)>>6, int32(q)>>6
 		for _, s := range csuccs[c] {
-			if mark[post[s]>>6]&(1<<(uint(post[s])&63)) != 0 {
+			ps := post[s]
+			if mark[ps>>6]&(1<<(uint(ps)&63)) != 0 {
 				continue
 			}
-			row := crows[s]
+			row := ivs[off[ps]:off[ps+1]]
 			for _, iv := range row {
 				markRun(mark, iv.Lo, iv.Hi)
 			}
 			lw, hw = min(lw, row[0].Lo>>6), max(hw, row[len(row)-1].Hi>>6)
 		}
-		mark[post[c]>>6] |= 1 << (uint(post[c]) & 63)
-		scratch = appendRuns(scratch[:0], mark[lw:hw+1], lw<<6)
+		mark[q>>6] |= 1 << (uint(q) & 63)
+		ivs = appendRuns(reserve(ivs, int(hw-lw+1)*32), mark[lw:hw+1], lw<<6)
 		clear(mark[lw : hw+1])
-		crows[c] = append(make([]Interval, 0, len(scratch)), scratch...)
-		l.intervals += len(scratch)
-		if l.intervals > budget {
-			l.intervals = 0
+		off[q+1] = int32(len(ivs))
+		if len(ivs) > budget {
+			sc.mark, sc.ivs, sc.off = mark, ivs, off
 			l.buildBitRows(order, csuccs, post, cd.sccOf)
 			return l
 		}
 	}
-	// Rows are shared across SCC members (and counted once: the shared
-	// slice is resident once). Patch only ever runs on acyclic graphs,
-	// where every component is a singleton, so its per-row accounting
-	// agrees with this count.
+	sc.mark, sc.ivs, sc.off = mark, ivs, off
+	// Copy the rows into the index's one backing array. Rows are
+	// shared across SCC members (and counted once: the shared slice is
+	// resident once); each is capacity-limited, so no row can grow into
+	// its neighbour. Patch only ever runs on acyclic graphs, where
+	// every component is a singleton, so its per-row accounting agrees
+	// with this count.
+	arena := make([]Interval, len(ivs))
+	copy(arena, ivs)
 	l.rows = make([][]Interval, n)
 	for u, c := range cd.sccOf {
-		l.rows[u] = crows[c]
+		q := post[c]
+		l.rows[u] = arena[off[q]:off[q+1]:off[q+1]]
 	}
+	l.intervals = len(arena)
+	l.shared = true
 	return l
+}
+
+// condenseAdj derives the condensation adjacency of a cyclic graph into
+// the scratch: for each component, the distinct components its members'
+// adj lists reach, in first-seen order (members ascending, each
+// member's list in order), self excluded. The rows are slices of one
+// array.
+func (sc *labelScratch) condenseAdj(cd *condensation, adj [][]int32) [][]int32 {
+	p := len(cd.start) - 1
+	stamp := grow(sc.stamp, p)
+	end := grow(sc.cend, p)
+	cadj := sc.cadj[:0]
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	for ci := int32(0); ci < int32(p); ci++ {
+		for _, u := range cd.members[cd.start[ci]:cd.start[ci+1]] {
+			for _, v := range adj[u] {
+				cv := cd.sccOf[v]
+				if cv == ci || stamp[cv] == ci {
+					continue
+				}
+				stamp[cv] = ci
+				cadj = append(cadj, cv)
+			}
+		}
+		end[ci] = int32(len(cadj))
+	}
+	csuccs := grow(sc.csuccs, p)
+	lo := int32(0)
+	for ci, hi := range end {
+		csuccs[ci] = cadj[lo:hi:hi]
+		lo = hi
+	}
+	sc.stamp, sc.cend, sc.cadj, sc.csuccs = stamp, end, cadj, csuccs
+	return csuccs
 }
 
 // buildBitRows fills l with bitmap rows of MarkWords(n) words, merged
 // over the condensation in the same reverse topological order as the
-// interval rows, each component's row shared by its members.
+// interval rows, each component's row shared by its members. The rows
+// are consecutive slices of one backing array, in position order.
 func (l *Labels) buildBitRows(order []int32, csuccs [][]int32, post, sccOf []int32) {
 	w := MarkWords(len(sccOf))
-	crows := make([][]uint64, len(order))
-	for _, c := range order {
-		row := make([]uint64, w)
+	slab := make([]uint64, len(order)*w)
+	row := func(q int32) []uint64 { return slab[int(q)*w : int(q+1)*w : int(q+1)*w] }
+	for q, c := range order {
+		dst := row(int32(q))
 		for _, s := range csuccs[c] {
-			if row[post[s]>>6]&(1<<(uint(post[s])&63)) != 0 {
+			if dst[post[s]>>6]&(1<<(uint(post[s])&63)) != 0 {
 				continue // contained in a row unioned before
 			}
-			for i, x := range crows[s] {
-				row[i] |= x
+			for i, x := range row(post[s]) {
+				dst[i] |= x
 			}
 		}
-		row[post[c]>>6] |= 1 << (uint(post[c]) & 63)
-		crows[c] = row
+		dst[q>>6] |= 1 << (uint(q) & 63)
 	}
-	l.words = len(order) * w
+	l.words = len(slab)
 	l.bitRows = make([][]uint64, len(sccOf))
 	for u, c := range sccOf {
-		l.bitRows[u] = crows[c]
+		l.bitRows[u] = row(post[c])
 	}
+	l.shared = true
 }
 
 // markRun sets positions lo..hi (inclusive) in mark, word-wise.
@@ -463,7 +558,16 @@ func (l *Labels) forEachReachable(u int, fn func(v int)) {
 // are never written, and no spare capacity escapes MemoryBytes. Patch
 // is only meaningful on indexes built over acyclic graphs (the
 // IncrementalClosure's case); SCC-shared rows are never patched.
+//
+// The first Patch on a freshly built index first moves every row out of
+// the build's backing array into an exact allocation of its own
+// (copyOut), so that no patched index pins that array: once the forks
+// taken before it are dropped, the array is freed, and from then on a
+// patched-away row is freed on its own.
 func (l *Labels) Patch(w, v int) {
+	if l.shared {
+		l.copyOut()
+	}
 	if l.bitRows != nil {
 		old, src := l.bitRows[w], l.bitRows[v]
 		row := make([]uint64, max(len(old), len(src)))
@@ -480,6 +584,29 @@ func (l *Labels) Patch(w, v int) {
 	unionCovers(row, old, src)
 	l.rows[w] = row
 	l.intervals += len(row) - len(old)
+}
+
+// copyOut gives every row an exact allocation of its own, one per
+// postorder position, so the members of a component keep sharing their
+// row. Forks taken before it keep reading the build array.
+func (l *Labels) copyOut() {
+	for q := 0; q+1 < len(l.byPosStart); q++ {
+		nodes := l.byPosNodes[l.byPosStart[q]:l.byPosStart[q+1]]
+		if l.bitRows != nil {
+			src := l.bitRows[nodes[0]]
+			row := append(make([]uint64, 0, len(src)), src...)
+			for _, u := range nodes {
+				l.bitRows[u] = row
+			}
+			continue
+		}
+		src := l.rows[nodes[0]]
+		row := append(make([]Interval, 0, len(src)), src...)
+		for _, u := range nodes {
+			l.rows[u] = row
+		}
+	}
+	l.shared = false
 }
 
 // Grow appends k new isolated nodes, each its own postorder position
@@ -519,6 +646,7 @@ func (l *Labels) Fork() *Labels {
 		byPosNodes: l.byPosNodes,
 		rows:       slices.Clone(l.rows),
 		bitRows:    slices.Clone(l.bitRows),
+		shared:     l.shared,
 		intervals:  l.intervals,
 		words:      l.words,
 	}

@@ -3,8 +3,10 @@ package dag
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"weak"
 )
 
 // randDAG builds a random DAG on n nodes: edges only from lower to
@@ -481,5 +483,107 @@ func TestLabelsStats(t *testing.T) {
 	}
 	if want := int64(30*MarkWords(30)) * 8; b.MemoryBytes() < want || b.MemoryBytes() > want+64*30 {
 		t.Fatalf("bitmap index MemoryBytes = %d, want %d + O(n)", b.MemoryBytes(), want)
+	}
+}
+
+// rowArrayProbe reports, when called, whether the backing array of l's
+// row u is still reachable.
+func rowArrayProbe(l *Labels, u int) func() bool {
+	if l.bitRows != nil {
+		p := weak.Make(&l.bitRows[u][0])
+		return func() bool { return p.Value() != nil }
+	}
+	p := weak.Make(&l.rows[u][0])
+	return func() bool { return p.Value() != nil }
+}
+
+// newIdleEdge returns an edge u→v of ic's graph between two nodes that
+// do not reach each other, so inserting it patches both label
+// directions.
+func newIdleEdge(t *testing.T, ic *IncrementalClosure) (int, int) {
+	t.Helper()
+	for u := 0; u < ic.N(); u++ {
+		for v := 0; v < ic.N(); v++ {
+			if u != v && !ic.Labels().Reaches(u, v) && !ic.Labels().Reaches(v, u) {
+				return u, v
+			}
+		}
+	}
+	t.Fatal("every pair of nodes is connected")
+	return 0, 0
+}
+
+// TestFirstPatchFreesBuildArray: a build stores its rows in one backing
+// array, and the first Patch moves every row out of it, so once the
+// forks taken before that patch are dropped, the array is collected.
+func TestFirstPatchFreesBuildArray(t *testing.T) {
+	for _, lb := range labelBudgets {
+		t.Run(lb.name, func(t *testing.T) {
+			ic, err := newIncrementalClosure(randDAG(rand.New(rand.NewSource(5)), 200, 0.02), lb.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fwdAlive, revAlive := rowArrayProbe(ic.Labels(), 0), rowArrayProbe(ic.RevLabels(), 0)
+			fwd, rev := ic.Labels().Fork(), ic.RevLabels().Fork()
+			builds := ic.LabelBuilds()
+			u, v := newIdleEdge(t, ic)
+			if _, err := ic.AddEdge(u, v, nil); err != nil {
+				t.Fatal(err)
+			}
+			if ic.LabelBuilds() != builds || ic.Labels().shared || ic.RevLabels().shared {
+				t.Fatal("the edge did not patch both directions of the built pair")
+			}
+			runtime.GC()
+			runtime.GC()
+			if !fwdAlive() || !revAlive() {
+				t.Fatal("a build array was freed while a fork still reads it")
+			}
+			runtime.KeepAlive(fwd)
+			runtime.KeepAlive(rev)
+			runtime.GC()
+			runtime.GC()
+			if fwdAlive() || revAlive() {
+				t.Fatalf("the patched index pins its build array (forward %v, reverse %v)", fwdAlive(), revAlive())
+			}
+			checkLabelsMatchClosure(t, ic.Graph(), ic.Labels())
+		})
+	}
+}
+
+// TestForkBeforeFirstPatchKeepsBuild: a fork taken before the first
+// Patch keeps answering for the graph it was taken at, exactly like a
+// from-scratch build of that graph, while the patched index answers for
+// the new one.
+func TestForkBeforeFirstPatchKeepsBuild(t *testing.T) {
+	for _, lb := range labelBudgets {
+		t.Run(lb.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			g := randDAG(rng, 120, 0.03)
+			before := g.Clone()
+			ic, err := newIncrementalClosure(g, lb.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fwd, rev := ic.Labels().Fork(), ic.RevLabels().Fork()
+			for i := 0; i < 40; i++ {
+				u, v := rng.Intn(120), rng.Intn(120)
+				if u > v {
+					u, v = v, u // randDAG's edges run low → high
+				}
+				if u != v {
+					if _, err := ic.AddEdge(u, v, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if ic.LabelPatches() == 0 {
+				t.Fatal("no edge patched the labels")
+			}
+			checkRowKind(t, fwd, lb.name)
+			checkLabelsMatchClosure(t, before, fwd)
+			checkLabelsMatchClosure(t, before.Reversed(), rev)
+			checkLabelsMatchClosure(t, ic.Graph(), ic.Labels())
+			checkLabelsMatchClosure(t, ic.Graph().Reversed(), ic.RevLabels())
+		})
 	}
 }

@@ -41,7 +41,7 @@ func TestSplitNeverFoldsIntoExistingComposite(t *testing.T) {
 	if want := v.N() - 1 + len(res.Blocks); cur.N() != want {
 		t.Fatalf("split view has %d composites, want %d:\n%s", cur.N(), want, cur.Describe())
 	}
-	if !s.ValidateCtx(context.Background()).Sound {
+	if !mustValidate(t, s).Sound {
 		t.Fatalf("split view is unsound:\n%s", cur.Describe())
 	}
 	a1, ok := cur.CompositeByID("a.1")

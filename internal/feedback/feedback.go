@@ -38,9 +38,12 @@ type Event struct {
 // sharing an Engine share its oracle cache — there is exactly one way to
 // run the pipeline.
 type Session struct {
-	eng      *engine.Engine
-	wf       *workflow.Workflow
-	current  *view.View
+	eng     *engine.Engine
+	wf      *workflow.Workflow
+	current *view.View
+	// report is current's validation report: a view becomes current
+	// only once it has been validated.
+	report   *soundness.Report
 	history  []*view.View
 	log      []Event
 	accepted bool
@@ -61,8 +64,12 @@ func NewSessionWith(eng *engine.Engine, wf *workflow.Workflow, v *view.View) (*S
 	if !workflow.Same(v.Workflow(), wf) {
 		return nil, errors.New("feedback: view belongs to a different workflow")
 	}
-	s := &Session{eng: eng, wf: wf, current: v}
-	s.record(bg(), "open", v.Name())
+	rep, err := eng.Validate(bg(), wf, v)
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{eng: eng, wf: wf, current: v, report: rep}
+	s.record("open", v.Name())
 	return s, nil
 }
 
@@ -79,7 +86,7 @@ func (s *Session) Accepted() bool { return s.accepted }
 func (s *Session) Log() []Event { return append([]Event(nil), s.log...) }
 
 // bg anchors the root context for the session's structural operations
-// (merge, undo, accept, open): their validation is a lookup against the
+// (open, merge, compact, undo): their validation is a lookup against the
 // cached oracle closure, bounded and never worth canceling. The
 // operations that do search (ValidateCtx, CorrectCtx, SplitTaskCtx)
 // take the caller's ctx instead.
@@ -87,40 +94,38 @@ func bg() context.Context {
 	return context.Background() //lint:allow ctxpass structural ops validate against the cached oracle; bounded work, nothing to cancel
 }
 
-// validate runs the engine validator on the current view. The session
-// holds a validated (wf, view) pair, so the engine can only fail here
-// by cancellation — which the panic message calls out.
-func (s *Session) validate(ctx context.Context) *soundness.Report {
-	rep, err := s.eng.Validate(ctx, s.wf, s.current)
-	if err != nil {
-		panic("feedback: validating a session view must not fail: " + err.Error())
-	}
-	return rep
-}
-
-func (s *Session) record(ctx context.Context, op, detail string) {
-	rep := s.validate(ctx)
+// record appends an event for the current view and its report.
+func (s *Session) record(op, detail string) {
 	s.log = append(s.log, Event{
 		At: time.Now(), Op: op, Detail: detail,
-		Sound: rep.Sound, Composites: s.current.N(),
+		Sound: s.report.Sound, Composites: s.current.N(),
 	})
 }
 
 // ValidateCtx runs the validator on the current view, with cooperative
-// cancellation.
-func (s *Session) ValidateCtx(ctx context.Context) *soundness.Report {
-	rep := s.validate(ctx)
-	s.log = append(s.log, Event{
-		At: time.Now(), Op: "validate", Detail: s.current.Name(),
-		Sound: rep.Sound, Composites: s.current.N(),
-	})
-	return rep
+// cancellation. A canceled ctx returns its error, and the session is
+// left as it was.
+func (s *Session) ValidateCtx(ctx context.Context) (*soundness.Report, error) {
+	rep, err := s.eng.Validate(ctx, s.wf, s.current)
+	if err != nil {
+		return nil, err
+	}
+	s.report = rep
+	s.record("validate", s.current.Name())
+	return rep, nil
 }
 
-func (s *Session) push(ctx context.Context, v *view.View, op, detail string) {
+// push validates v and, only once that has succeeded, makes it the
+// current view: a failed validation leaves the session as it was.
+func (s *Session) push(ctx context.Context, v *view.View, op, detail string) error {
+	rep, err := s.eng.Validate(ctx, s.wf, v)
+	if err != nil {
+		return err
+	}
 	s.history = append(s.history, s.current)
-	s.current = v
-	s.record(ctx, op, detail)
+	s.current, s.report = v, rep
+	s.record(op, detail)
+	return nil
 }
 
 // CorrectCtx repairs the whole view under the chosen criterion, with
@@ -134,7 +139,9 @@ func (s *Session) CorrectCtx(ctx context.Context, crit core.Criterion, opts *cor
 	if err != nil {
 		return nil, err
 	}
-	s.push(ctx, vc.Corrected, "correct", crit.String())
+	if err := s.push(ctx, vc.Corrected, "correct", crit.String()); err != nil {
+		return nil, err
+	}
 	return vc, nil
 }
 
@@ -156,7 +163,9 @@ func (s *Session) SplitTaskCtx(ctx context.Context, compID string, crit core.Cri
 	if err != nil {
 		return nil, err
 	}
-	s.push(ctx, next, "split", fmt.Sprintf("%s via %s → %d blocks", compID, crit, len(res.Blocks)))
+	if err := s.push(ctx, next, "split", fmt.Sprintf("%s via %s → %d blocks", compID, crit, len(res.Blocks))); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -171,7 +180,9 @@ func (s *Session) Compact(maxMerges int) (int, error) {
 		return 0, err
 	}
 	if merges > 0 {
-		s.push(bg(), compacted, "compact", fmt.Sprintf("%d merges", merges))
+		if err := s.push(bg(), compacted, "compact", fmt.Sprintf("%d merges", merges)); err != nil {
+			return 0, err
+		}
 	}
 	return merges, nil
 }
@@ -187,8 +198,7 @@ func (s *Session) MergeTasks(newID string, compIDs ...string) error {
 	if err != nil {
 		return err
 	}
-	s.push(bg(), next, "merge", fmt.Sprintf("%s = %s", newID, strings.Join(compIDs, "+")))
-	return nil
+	return s.push(bg(), next, "merge", fmt.Sprintf("%s = %s", newID, strings.Join(compIDs, "+")))
 }
 
 // Undo restores the previous view.
@@ -199,18 +209,24 @@ func (s *Session) Undo() error {
 	if len(s.history) == 0 {
 		return errors.New("feedback: nothing to undo")
 	}
-	s.current = s.history[len(s.history)-1]
+	prev := s.history[len(s.history)-1]
+	rep, err := s.eng.Validate(bg(), s.wf, prev)
+	if err != nil {
+		return err
+	}
+	s.current, s.report = prev, rep
 	s.history = s.history[:len(s.history)-1]
-	s.record(bg(), "undo", s.current.Name())
+	s.record("undo", s.current.Name())
 	return nil
 }
 
 // Accept finalizes the session. Accepting an unsound view is allowed —
-// the user owns the decision — but the event log records the verdict.
+// the user owns the decision — but the event log records the verdict
+// of the current view's report.
 func (s *Session) Accept() {
 	if !s.accepted {
 		s.accepted = true
-		s.record(bg(), "accept", s.current.Name())
+		s.record("accept", s.current.Name())
 	}
 }
 
@@ -247,7 +263,10 @@ func (s *Session) RunScript(ctx context.Context, r io.Reader, out io.Writer) err
 func (s *Session) runCommand(ctx context.Context, fields []string, out io.Writer) error {
 	switch fields[0] {
 	case "validate":
-		rep := s.ValidateCtx(ctx)
+		rep, err := s.ValidateCtx(ctx)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "validate: sound=%v composites=%d unsound=%d\n",
 			rep.Sound, s.current.N(), len(rep.Unsound))
 	case "correct":
@@ -304,8 +323,7 @@ func (s *Session) runCommand(ctx context.Context, fields []string, out io.Writer
 		fmt.Fprintf(out, "undo: %d composites\n", s.current.N())
 	case "accept":
 		s.Accept()
-		rep := s.validate(bg())
-		fmt.Fprintf(out, "accept: sound=%v composites=%d\n", rep.Sound, s.current.N())
+		fmt.Fprintf(out, "accept: sound=%v composites=%d\n", s.report.Sound, s.current.N())
 	default:
 		return fmt.Errorf("unknown command %q", fields[0])
 	}

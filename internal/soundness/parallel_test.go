@@ -1,6 +1,7 @@
 package soundness
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"runtime"
@@ -132,5 +133,60 @@ func TestValidateViewParallelConcurrentOracle(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		requireSameReport(t, "concurrent", seq, <-done)
+	}
+}
+
+// TestReportSlicesAreCapacityLimited: a full report carves every
+// composite's In and Out from one array and its violations from
+// another, so appending to one composite's slices — past their
+// capacity — must never overwrite a neighbour's.
+func TestReportSlicesAreCapacityLimited(t *testing.T) {
+	wf := gen.Layered(gen.LayeredConfig{Name: "caps", Tasks: 400, Layers: 10, EdgeProb: 0.08, Seed: 3})
+	v := gen.InjectUnsound(gen.IntervalView(wf, 40, "caps"), 8, 3)
+	o := NewOracle(wf)
+	for _, workers := range []int{1, 4} {
+		rep, err := ValidateViewParallelCtx(context.Background(), o, v, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Sound {
+			t.Fatal("the injected view must be unsound")
+		}
+		want := mustJSON(t, rep)
+		lens := make([][3]int, len(rep.Composites))
+		for ci := range rep.Composites {
+			cr := &rep.Composites[ci]
+			lens[ci] = [3]int{len(cr.In), len(cr.Out), len(cr.Violations)}
+			for c := cap(cr.In); len(cr.In) <= c; {
+				cr.In = append(cr.In, -1)
+			}
+			for c := cap(cr.Out); len(cr.Out) <= c; {
+				cr.Out = append(cr.Out, -1)
+			}
+			for c := cap(cr.Violations); len(cr.Violations) <= c; {
+				cr.Violations = append(cr.Violations, Violation{From: -1, To: -1})
+			}
+		}
+		for ci := range rep.Composites {
+			cr := &rep.Composites[ci]
+			if lens[ci][0] == 0 {
+				cr.In = nil
+			} else {
+				cr.In = cr.In[:lens[ci][0]]
+			}
+			if lens[ci][1] == 0 {
+				cr.Out = nil
+			} else {
+				cr.Out = cr.Out[:lens[ci][1]]
+			}
+			if lens[ci][2] == 0 {
+				cr.Violations = nil
+			} else {
+				cr.Violations = cr.Violations[:lens[ci][2]]
+			}
+		}
+		if got := mustJSON(t, rep); string(got) != string(want) {
+			t.Fatalf("workers=%d: appending to one composite's slices changed another's\nwant %s\ngot  %s", workers, want, got)
+		}
 	}
 }

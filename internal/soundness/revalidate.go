@@ -34,13 +34,29 @@ type Delta struct {
 // mapping — and must include every composite whose members' adjacency or
 // reachability changed, plus any composite index new since the previous
 // report; composites outside the set are assumed unchanged.
+//
+// Every recomputed report owns its slices — In and Out carved from one
+// exact array, Violations from another — unlike a full report's, which
+// share one array per kind: a merged report then pins at most one full
+// report's arrays, never a chain of deltas'.
 func Revalidate(o *Oracle, v *view.View, dirty []int) *Delta {
 	o.checkSameWorkflow(v)
-	n := o.g.N()
-	sc := &validatorScratch{members: bitset.New(n), outMask: bitset.New(n)}
+	sc := o.validators.Get().(*validatorScratch)
+	defer o.validators.Put(sc)
+	sc.reset()
 	d := &Delta{View: v.Name(), Composites: make([]CompositeReport, 0, len(dirty))}
 	for _, ci := range dirty {
-		d.Composites = append(d.Composites, validateComposite(o, v, ci, sc))
+		cr := validateComposite(o, v, ci, sc)
+		var ints []int
+		if n := len(cr.In) + len(cr.Out); n > 0 {
+			ints = make([]int, n)
+		}
+		var viols []Violation
+		if len(cr.Violations) > 0 {
+			viols = make([]Violation, len(cr.Violations))
+		}
+		cr.own(ints, viols)
+		d.Composites = append(d.Composites, cr)
 	}
 	return d
 }

@@ -41,6 +41,9 @@ type Oracle struct {
 	// scratch pools the per-call buffers of SetSound/InOut so the steady
 	// state allocates nothing per query.
 	scratch sync.Pool
+	// validators pools the per-worker state of view validation
+	// (*validatorScratch). A taker empties its buffers first (reset).
+	validators sync.Pool
 }
 
 // oracleScratch is the reusable per-call state of a soundness query.
@@ -67,6 +70,11 @@ func NewOracleWithClosure(wf *workflow.Workflow, g *dag.Graph, reach *dag.Closur
 	n := g.N()
 	o.scratch.New = func() any {
 		return &oracleScratch{outMask: bitset.New(n)}
+	}
+	o.validators.New = func() any {
+		// A full validation gathers at most n in-nodes and n out-nodes.
+		return &validatorScratch{members: bitset.New(n), outMask: bitset.New(n),
+			in: make([]int, 0, n), out: make([]int, 0, n)}
 	}
 	return o
 }
@@ -204,26 +212,32 @@ type Report struct {
 type validatorScratch struct {
 	members *bitset.Set
 	outMask *bitset.Set
+	// in, out and viol gather the worker's interface sets and
+	// violations. A composite report's slices alias them until the
+	// caller moves them out (own).
+	in, out []int
+	viol    []Violation
+}
+
+// reset empties the gathering buffers for a new validation.
+func (sc *validatorScratch) reset() {
+	sc.in, sc.out, sc.viol = sc.in[:0], sc.out[:0], sc.viol[:0]
 }
 
 // validateComposite builds the report for composite ci using sc for all
-// intermediate sets. Only the report payload (In, Out, Violations) is
-// allocated.
+// intermediate state. In, Out and Violations are appended to the
+// worker's buffers and returned as slices of them, so the caller must
+// move them into memory of their own (own) before sc is reused or
+// dropped; own also turns empty sets into nil, so reports keep matching
+// the historical shape (and NaiveValidator's, which still appends from
+// nil).
 func validateComposite(o *Oracle, v *view.View, ci int, sc *validatorScratch) CompositeReport {
 	comp := v.Composite(ci)
 	cr := CompositeReport{ID: comp.ID, Index: ci, Sound: true}
 	memberSetInto(sc.members, v, ci)
-	// One exact-fit allocation each: |In|, |Out| ≤ composite size. Empty
-	// interface sets stay nil so reports keep matching the historical
-	// shape (and NaiveValidator's, which still appends from nil).
-	size := comp.Size()
-	cr.In, cr.Out = o.InOutAppend(sc.members, make([]int, 0, size), make([]int, 0, size))
-	if len(cr.In) == 0 {
-		cr.In = nil
-	}
-	if len(cr.Out) == 0 {
-		cr.Out = nil
-	}
+	firstIn, firstOut, firstViol := len(sc.in), len(sc.out), len(sc.viol)
+	sc.in, sc.out = o.InOutAppend(sc.members, sc.in, sc.out)
+	cr.In, cr.Out = sc.in[firstIn:], sc.out[firstOut:]
 	outMask := sc.outMask
 	outMask.Reset()
 	for _, t := range cr.Out {
@@ -232,27 +246,71 @@ func validateComposite(o *Oracle, v *view.View, ci int, sc *validatorScratch) Co
 	for _, u := range cr.In {
 		full := false
 		outMask.ForEachNotIn(o.reach.Row(u), func(to int) bool {
-			cr.Sound = false
-			if cr.Violations == nil {
-				cr.Violations = make([]Violation, 0, MaxViolations)
-			}
-			cr.Violations = append(cr.Violations, Violation{From: u, To: to})
-			full = len(cr.Violations) >= MaxViolations
+			sc.viol = append(sc.viol, Violation{From: u, To: to})
+			full = len(sc.viol)-firstViol >= MaxViolations
 			return !full
 		})
 		if full {
 			break
 		}
 	}
+	cr.Violations = sc.viol[firstViol:]
+	cr.Sound = len(cr.Violations) == 0
 	return cr
+}
+
+// own moves cr's slices — which alias a worker's scratch — into ints
+// and viols, each at its exact length and capacity-limited, so appending
+// to one can never overwrite its neighbour's, and returns what is left
+// of both.
+func (cr *CompositeReport) own(ints []int, viols []Violation) ([]int, []Violation) {
+	cr.In, ints = carve(ints, cr.In)
+	cr.Out, ints = carve(ints, cr.Out)
+	cr.Violations, viols = carve(viols, cr.Violations)
+	return ints, viols
+}
+
+// carve copies src to the front of dst and returns that part and the
+// rest of dst; an empty src stays nil.
+func carve[T any](dst, src []T) (part, rest []T) {
+	if len(src) == 0 {
+		return nil, dst
+	}
+	n := copy(dst, src)
+	return dst[:n:n], dst[n:]
+}
+
+// ownAll moves every composite's slices into one exact []int and one
+// exact []Violation: a full report costs those two allocations whatever
+// its number of composites.
+func ownAll(composites []CompositeReport) {
+	ni, nv := 0, 0
+	for ci := range composites {
+		ni += len(composites[ci].In) + len(composites[ci].Out)
+		nv += len(composites[ci].Violations)
+	}
+	ints, viols := make([]int, ni), make([]Violation, nv)
+	for ci := range composites {
+		ints, viols = composites[ci].own(ints, viols)
+	}
 }
 
 // assembleReport folds per-composite results into the view report.
 func assembleReport(v *view.View, composites []CompositeReport) *Report {
 	rep := &Report{View: v.Name(), Sound: true, Composites: composites}
+	unsound := 0
 	for ci := range composites {
 		if !composites[ci].Sound {
-			rep.Sound = false
+			unsound++
+		}
+	}
+	if unsound == 0 {
+		return rep
+	}
+	rep.Sound = false
+	rep.Unsound = make([]int, 0, unsound)
+	for ci := range composites {
+		if !composites[ci].Sound {
 			rep.Unsound = append(rep.Unsound, ci)
 		}
 	}
@@ -273,12 +331,14 @@ func (o *Oracle) checkSameWorkflow(v *view.View) {
 // a full diagnosis with witnesses.
 func ValidateView(o *Oracle, v *view.View) *Report {
 	o.checkSameWorkflow(v)
-	n := o.g.N()
-	sc := &validatorScratch{members: bitset.New(n), outMask: bitset.New(n)}
+	sc := o.validators.Get().(*validatorScratch)
+	defer o.validators.Put(sc)
+	sc.reset()
 	composites := make([]CompositeReport, v.N())
-	for ci := 0; ci < v.N(); ci++ {
+	for ci := range composites {
 		composites[ci] = validateComposite(o, v, ci, sc)
 	}
+	ownAll(composites)
 	return assembleReport(v, composites)
 }
 
@@ -287,15 +347,17 @@ func ValidateView(o *Oracle, v *view.View) *Report {
 // ctx's error. It is ValidateViewParallelCtx's sequential path.
 func validateViewCtx(ctx context.Context, o *Oracle, v *view.View) (*Report, error) {
 	o.checkSameWorkflow(v)
-	n := o.g.N()
-	sc := &validatorScratch{members: bitset.New(n), outMask: bitset.New(n)}
+	sc := o.validators.Get().(*validatorScratch)
+	defer o.validators.Put(sc)
+	sc.reset()
 	composites := make([]CompositeReport, v.N())
-	for ci := 0; ci < v.N(); ci++ {
+	for ci := range composites {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		composites[ci] = validateComposite(o, v, ci, sc)
 	}
+	ownAll(composites)
 	return assembleReport(v, composites), nil
 }
 
@@ -337,15 +399,25 @@ func ValidateViewParallelCtx(ctx context.Context, o *Oracle, v *view.View, worke
 	if workers < 2 || k < parallelValidateThreshold {
 		return validateViewCtx(ctx, o, v)
 	}
-	n := o.g.N()
 	composites := make([]CompositeReport, k)
+	// Each worker's scratch goes back to the pool only once ownAll has
+	// moved the reports' slices out of it.
+	scs := make([]*validatorScratch, workers)
+	for w := range scs {
+		scs[w] = o.validators.Get().(*validatorScratch)
+		scs[w].reset()
+	}
+	defer func() {
+		for _, sc := range scs {
+			o.validators.Put(sc)
+		}
+	}()
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, sc := range scs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := &validatorScratch{members: bitset.New(n), outMask: bitset.New(n)}
 			for ctx.Err() == nil {
 				ci := int(next.Add(1)) - 1
 				if ci >= k {
@@ -359,6 +431,7 @@ func ValidateViewParallelCtx(ctx context.Context, o *Oracle, v *view.View, worke
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	ownAll(composites)
 	return assembleReport(v, composites), nil
 }
 

@@ -101,8 +101,8 @@ func TestFacadeLineageAndSession(t *testing.T) {
 	if _, err := s.CorrectCtx(context.Background(), wolves.Optimal, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !s.ValidateCtx(context.Background()).Sound {
-		t.Fatal("session correction failed")
+	if rep, err := s.ValidateCtx(context.Background()); err != nil || !rep.Sound {
+		t.Fatalf("session correction failed: %v", err)
 	}
 	tr := wolves.Execute(wf, "r1")
 	if len(tr.Artifacts()) != wf.N() {
