@@ -33,67 +33,6 @@ func checkAgainstScratch(t *testing.T, ic *IncrementalClosure) {
 	}
 }
 
-// TestIncrementalClosureRandomEquivalence is the satellite property test:
-// after each of 1k random edge insertions on random DAGs (sizes 8–128),
-// the incrementally maintained rows are byte-identical to a from-scratch
-// Reachability() rebuild, and both label indexes answer like it. Cycle
-// rejections are cross-checked against the scratch closure, and
-// occasional Grow calls exercise the node-addition path mid-stream. The
-// bitmap subtest forces bitmap label rows, so AddEdge's ancestor walk
-// runs over both row kinds.
-func TestIncrementalClosureRandomEquivalence(t *testing.T) {
-	for _, lb := range labelBudgets {
-		t.Run(lb.name, func(t *testing.T) { checkRandomEquivalence(t, lb.budget) })
-	}
-}
-
-func checkRandomEquivalence(t *testing.T, budget func(int) int) {
-	rng := rand.New(rand.NewSource(42))
-	insertions := 0
-	for insertions < 1000 {
-		n := 8 + rng.Intn(121) // 8..128
-		g := New(n)
-		ic, err := newIncrementalClosure(g, budget)
-		if err != nil {
-			t.Fatalf("empty graph rejected: %v", err)
-		}
-		steps := n * 3
-		for s := 0; s < steps && insertions < 1000; s++ {
-			if rng.Intn(50) == 0 {
-				k := 1 + rng.Intn(3)
-				ic.Grow(k)
-				n = ic.N()
-				checkAgainstScratch(t, ic)
-				continue
-			}
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			wouldCycle := ic.Fwd().Reaches(v, u)
-			dirty := bitset.New(n)
-			added, err := ic.AddEdge(u, v, dirty)
-			if wouldCycle {
-				if !errors.Is(err, ErrCycle) {
-					t.Fatalf("edge %d→%d closes a cycle but AddEdge returned %v", u, v, err)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("AddEdge(%d,%d): %v", u, v, err)
-			}
-			insertions++
-			if added {
-				// Dirty must cover both endpoints.
-				if !dirty.Test(u) || !dirty.Test(v) {
-					t.Fatalf("dirty set %v misses an endpoint of %d→%d", dirty, u, v)
-				}
-			}
-			checkAgainstScratch(t, ic)
-		}
-	}
-}
-
 // TestIncrementalClosureDirtySet pins that the dirty set is exactly the
 // changed-row nodes plus the edge endpoints: rows of nodes outside it
 // are unchanged, rows of non-endpoint nodes inside it changed.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"wolves/internal/view"
+	"wolves/internal/workflow"
 )
 
 // flakyJournal is a scriptable RecoverableJournal: while broken, every
@@ -159,5 +160,36 @@ func TestJournalFaultWithoutMarkerStaysInternal(t *testing.T) {
 	}
 	if !IsCode(err, ErrInternal) {
 		t.Fatalf("want internal, got %v", err)
+	}
+}
+
+// TestFailedReplaceStaysApplied breaks the journal under a replacing
+// registration. Like a mutation, the replacement comes back as a typed
+// degraded error yet stays applied in memory: the ID names the new
+// workflow, not nothing.
+func TestFailedReplaceStaysApplied(t *testing.T) {
+	j := &flakyJournal{}
+	reg := NewRegistry(New(), WithJournal(j), WithProbeBackoff(2*time.Millisecond, 20*time.Millisecond))
+	figure1Registered(t, reg)
+	wf, err := workflow.NewBuilder("replacement").AddTask("a").AddTask("b").AddEdge("a", "b").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.setBroken(true)
+	if _, err := reg.RegisterCtx(context.Background(), "phylo", wf); !IsCode(err, ErrDegraded) {
+		t.Fatalf("replace on a broken journal: want degraded, got %v", err)
+	}
+	lw, err := reg.Get("phylo")
+	if err != nil {
+		t.Fatalf("a failed replace left no workflow: %v", err)
+	}
+	if info, err := lw.Info(); err != nil || info.Fingerprint != wf.Fingerprint() || len(info.Views) != 0 {
+		t.Fatalf("after a failed replace: %+v (%v), want the replacement", info, err)
+	}
+	j.setBroken(false)
+	for deadline := time.Now().Add(5 * time.Second); reg.Degraded(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("registry never recovered; health %+v", reg.Health())
+		}
 	}
 }

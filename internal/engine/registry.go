@@ -341,9 +341,10 @@ func (r *Registry) register(ctx context.Context, id string, wf *workflow.Workflo
 	}
 	if journal && r.journal != nil {
 		if err := r.journal.Registered(ctx, lw.stateLocked()); err != nil {
+			// Like every journaled operation, the registration stays
+			// applied in memory: the workflow it replaced is already
+			// closed, and the probe's resync brings the store up to date.
 			lw.mu.Unlock()
-			r.unpublish(lw)
-			lw.close()
 			return nil, r.JournalFault("register", err)
 		}
 	}

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"wolves/internal/core"
-	"wolves/internal/gen"
 	"wolves/internal/obs"
 	"wolves/internal/provenance/provenancetest"
 	"wolves/internal/repo"
@@ -118,58 +116,6 @@ func TestRegistryFigure1Walkthrough(t *testing.T) {
 		t.Fatalf("post-mutation report diverges from canonical Figure 1:\ngot:  %+v\nwant: %+v", rep, want)
 	}
 	assertLiveReportsFresh(t, lw)
-}
-
-func TestRegistryRandomMutationEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	reg := NewRegistry(New(WithWorkers(4)))
-	for round := 0; round < 4; round++ {
-		n := 24 + rng.Intn(60)
-		wf := gen.Layered(gen.LayeredConfig{
-			Name: fmt.Sprintf("wf-%d", round), Tasks: n, Layers: 5,
-			EdgeProb: 0.3, SkipProb: 0.1, Seed: int64(round),
-		})
-		ids := wf.IDs()
-		lw, err := reg.RegisterCtx(context.Background(), fmt.Sprintf("wf-%d", round), wf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := lw.AttachViewCtx(context.Background(), "interval", func(wf *workflow.Workflow) (*view.View, error) {
-			return gen.IntervalView(wf, 2+n/8, "interval"), nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := lw.AttachViewCtx(context.Background(), "random", func(wf *workflow.Workflow) (*view.View, error) {
-			return gen.RandomView(wf, 2+n/5, int64(round), "random"), nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-
-		for step := 0; step < 40; step++ {
-			var m Mutation
-			pendingID := ""
-			if rng.Intn(8) == 0 {
-				pendingID = fmt.Sprintf("x-%d-%d", round, step)
-				m.Tasks = []workflow.Task{{ID: pendingID}}
-				m.Edges = append(m.Edges, [2]string{ids[rng.Intn(len(ids))], pendingID})
-			}
-			for e := 0; e < 1+rng.Intn(3); e++ {
-				m.Edges = append(m.Edges, [2]string{ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]})
-			}
-			_, err := lw.MutateCtx(context.Background(), m)
-			if err != nil {
-				var ee *Error
-				if !errors.As(err, &ee) || (ee.Code != ErrCycleRejected && ee.Code != ErrBadInput) {
-					t.Fatalf("round %d step %d: unexpected mutation error %v", round, step, err)
-				}
-				// Rejected batches must leave no trace (the equivalence
-				// check below still runs against the rolled-back state).
-			} else if pendingID != "" {
-				ids = append(ids, pendingID)
-			}
-			assertLiveReportsFresh(t, lw)
-		}
-	}
 }
 
 func TestRegistryCycleRollbackIsAtomic(t *testing.T) {

@@ -65,14 +65,6 @@ func (e *Engine) Lineage(t int) []int {
 	return anc.Members()
 }
 
-// LineageSet returns the ancestor set of t including t itself. The set
-// is shared with the engine; do not mutate.
-func (e *Engine) LineageSet(t int) *bitset.Set { return e.ancestors()[t] }
-
-// DescendantSet returns the closure row of t — every task reachable
-// from t, including t itself. Shared with the engine; do not mutate.
-func (e *Engine) DescendantSet(t int) *bitset.Set { return e.fwd.Row(t) }
-
 // Descendants returns every task reachable from t, excluding t.
 func (e *Engine) Descendants(t int) []int {
 	d := e.fwd.Row(t).Clone()

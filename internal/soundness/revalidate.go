@@ -35,10 +35,8 @@ type Delta struct {
 // reachability changed, plus any composite index new since the previous
 // report; composites outside the set are assumed unchanged.
 //
-// Every recomputed report owns its slices — In and Out carved from one
-// exact array, Violations from another — unlike a full report's, which
-// share one array per kind: a merged report then pins at most one full
-// report's arrays, never a chain of deltas'.
+// The delta owns its slices like a full report: In and Out carved from
+// one exact array, Violations from another.
 func Revalidate(o *Oracle, v *view.View, dirty []int) *Delta {
 	o.checkSameWorkflow(v)
 	sc := o.validators.Get().(*validatorScratch)
@@ -46,27 +44,22 @@ func Revalidate(o *Oracle, v *view.View, dirty []int) *Delta {
 	sc.reset()
 	d := &Delta{View: v.Name(), Composites: make([]CompositeReport, 0, len(dirty))}
 	for _, ci := range dirty {
-		cr := validateComposite(o, v, ci, sc)
-		var ints []int
-		if n := len(cr.In) + len(cr.Out); n > 0 {
-			ints = make([]int, n)
-		}
-		var viols []Violation
-		if len(cr.Violations) > 0 {
-			viols = make([]Violation, len(cr.Violations))
-		}
-		cr.own(ints, viols)
-		d.Composites = append(d.Composites, cr)
+		d.Composites = append(d.Composites, validateComposite(o, v, ci, sc))
 	}
+	ownAll(d.Composites)
 	return d
 }
 
 // Merge folds a delta into the previous full report of v, returning a
 // new report (prev is never mutated; holders of it keep a consistent
-// snapshot). When v gained composites since prev — tasks appended to a
-// live workflow become singleton composites — every new index must be
-// covered by the delta; Merge panics otherwise, because the resulting
-// report would silently contain zero-valued composites.
+// snapshot). The composites carried over from prev move into one exact
+// []int and one exact []Violation of the merged report's own; the
+// delta's keep the delta's arrays, which the merged report uses whole.
+// So a merged report pins no array it only partly uses. When v gained
+// composites since prev — tasks appended to a live workflow become
+// singleton composites — every new index must be covered by the delta;
+// Merge panics otherwise, because the resulting report would silently
+// contain zero-valued composites.
 func Merge(prev *Report, d *Delta, v *view.View) *Report {
 	k := v.N()
 	composites := make([]CompositeReport, k)
@@ -76,7 +69,11 @@ func Merge(prev *Report, d *Delta, v *view.View) *Report {
 		if ci < 0 || ci >= k {
 			panic(fmt.Sprintf("soundness: merge: delta composite index %d out of range [0,%d)", ci, k))
 		}
-		composites[ci] = d.Composites[i]
+		composites[ci] = CompositeReport{}
+	}
+	ownAll(composites)
+	for i := range d.Composites {
+		composites[d.Composites[i].Index] = d.Composites[i]
 	}
 	for ci := covered; ci < k; ci++ {
 		if composites[ci].ID == "" {

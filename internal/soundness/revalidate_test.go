@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"wolves/internal/bitset"
 	"wolves/internal/dag"
@@ -121,4 +123,49 @@ func TestDirtyComposites(t *testing.T) {
 	if !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("DirtyComposites with minNew=1 = %v, want [1 2]", got)
 	}
+}
+
+// TestMergeFreesFullReport: a merged report copies the composites it
+// carries over, so once every composite but one was revalidated, the
+// full report it replaced — with its shared interface array — can be
+// collected while the merged report lives.
+func TestMergeFreesFullReport(t *testing.T) {
+	wf := gen.Layered(gen.LayeredConfig{Name: "merge", Tasks: 300, Layers: 10, EdgeProb: 0.08, Seed: 5})
+	v := gen.IntervalView(wf, 30, "merge")
+	o := NewOracle(wf)
+	full := ValidateView(o, v)
+	// ownAll carves In then Out in composite order: the first non-empty
+	// set starts the shared array.
+	var alive weak.Pointer[int]
+	for ci := range full.Composites {
+		if cr := &full.Composites[ci]; len(cr.In) > 0 {
+			alive = weak.Make(&cr.In[0])
+			break
+		} else if len(cr.Out) > 0 {
+			alive = weak.Make(&cr.Out[0])
+			break
+		}
+	}
+	// The survivor must hold a non-empty set, or it pins nothing.
+	keep := len(full.Composites) - 1
+	for len(full.Composites[keep].In)+len(full.Composites[keep].Out) == 0 {
+		keep--
+	}
+	var dirty []int
+	for ci := range full.Composites {
+		if ci != keep {
+			dirty = append(dirty, ci)
+		}
+	}
+	merged := Merge(full, Revalidate(o, v, dirty), v)
+	if !reflect.DeepEqual(merged, full) {
+		t.Fatal("merging an unchanged revalidation changed the report")
+	}
+	full = nil
+	runtime.GC()
+	runtime.GC()
+	if alive.Value() != nil {
+		t.Fatal("the merged report pins the full report's interface array")
+	}
+	runtime.KeepAlive(merged)
 }

@@ -281,8 +281,9 @@ func carve[T any](dst, src []T) (part, rest []T) {
 }
 
 // ownAll moves every composite's slices into one exact []int and one
-// exact []Violation: a full report costs those two allocations whatever
-// its number of composites.
+// exact []Violation: a full report or a delta costs those two
+// allocations whatever its number of composites, and pins no other
+// report's arrays.
 func ownAll(composites []CompositeReport) {
 	ni, nv := 0, 0
 	for ci := range composites {

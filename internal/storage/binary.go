@@ -14,6 +14,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 
 	"wolves/internal/binwire"
@@ -113,6 +114,38 @@ func decodeRunBody(b []byte) (runBody, error) {
 		return runBody{}, fmt.Errorf("binary run body: %w", err)
 	}
 	return body, nil
+}
+
+// appendRunBatchBinary encodes runs ingested together as one record
+// body: the workflow ID, the run count, then each run ID and document.
+func appendRunBatchBinary(dst []byte, workflowID string, runIDs []string, docs [][]byte) []byte {
+	dst = append(dst, bodyBinV1)
+	dst = binwire.AppendString(dst, workflowID)
+	dst = binwire.AppendUvarint(dst, uint64(len(runIDs)))
+	for i, id := range runIDs {
+		dst = binwire.AppendString(dst, id)
+		dst = binwire.AppendBytes(dst, docs[i])
+	}
+	return dst
+}
+
+// decodeRunBatchBody decodes a batch record body into one runBody per
+// run; the documents alias b, like decodeRunBody's. A batch holds at
+// least one run.
+func decodeRunBatchBody(b []byte) ([]runBody, error) {
+	if len(b) == 0 || b[0] != bodyBinV1 {
+		return nil, binwire.ErrCorrupt
+	}
+	r := binwire.NewReader(b[1:])
+	id := r.String()
+	runs := make([]runBody, r.Len(2))
+	for i := range runs {
+		runs[i] = runBody{ID: id, Run: r.String(), Doc: r.Bytes()}
+	}
+	if err := r.Close(); err != nil || len(runs) == 0 {
+		return nil, fmt.Errorf("binary run batch body: %w", cmp.Or(err, binwire.ErrCorrupt))
+	}
+	return runs, nil
 }
 
 // recordWorkflowID extracts just the workflow ID of a register or

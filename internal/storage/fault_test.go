@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wolves/internal/engine"
+	"wolves/internal/runs"
 	"wolves/internal/storage/vfs"
 )
 
@@ -247,4 +248,92 @@ func TestFsyncFailurePoisonsThenProbeRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertRegistriesEqual(t, recovered, reg)
+}
+
+// TestCompactionStopsAtRefusedRemove fails the second segment removal
+// of the compaction that follows a workflow's first snapshot, then
+// closes the store before any later compaction can retry it. Compaction
+// must keep that segment and every later one, so the directory holds a
+// gapless segment sequence: the store reopens and recovers the registry.
+func TestCompactionStopsAtRefusedRemove(t *testing.T) {
+	ffs := vfs.NewFault(vfs.OS())
+	dir := t.TempDir()
+	st, err := Open(dir, Options{FS: ffs, Fsync: FsyncNone, SegmentBytes: 1 << 10, SnapshotEvery: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	wl := newMutationWorkload(t, 96, 1024, 81)
+	reg := engine.NewRegistry(engine.New(), engine.WithJournal(st))
+	lw := wl.register(t, reg, "phylo")
+	for i := 0; i < 40; i++ {
+		if _, err := lw.MutateCtx(context.Background(), wl.mutation(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs, err := listSegments(vfs.OS(), dir); err != nil || len(segs) < 4 {
+		t.Fatalf("want at least 4 segments before the snapshot, got %d (%v)", len(segs), err)
+	}
+
+	ffs.FailNth(vfs.OpRemove, 2, vfs.Fault{})
+	for i := 40; ffs.Injected() == 0; i++ {
+		if i == 60 {
+			t.Fatal("no snapshot compaction removed a second segment")
+		}
+		if _, err := lw.MutateCtx(context.Background(), wl.mutation(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	st2, err := Open(dir, Options{Fsync: FsyncNone})
+	if err != nil {
+		t.Fatalf("reopen after a refused removal: %v", err)
+	}
+	defer st2.Close()
+	recovered := engine.NewRegistry(engine.New())
+	if _, err := st2.RecoverWithRuns(recovered, nil); err != nil {
+		t.Fatal(err)
+	}
+	assertRegistriesEqual(t, recovered, reg)
+}
+
+// TestRunBatchRecoversWhole fails the n-th WAL write from the start of
+// a three-run batch ingest, for each n, then hard-kills the store.
+// Recovery restores the whole batch or none of it, never a prefix, and
+// all of it when the ingest succeeded.
+func TestRunBatchRecoversWhole(t *testing.T) {
+	for nth := uint64(1); nth <= 3; nth++ {
+		ffs := vfs.NewFault(vfs.OS())
+		dir := t.TempDir()
+		st, err := Open(dir, Options{FS: ffs, Fsync: FsyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl := newMutationWorkload(t, 48, 256, 82)
+		reg := engine.NewRegistry(engine.New(), engine.WithJournal(st), engine.WithProbeBackoff(time.Hour, time.Hour))
+		wl.register(t, reg, "wf")
+		rs := runs.New(reg, runs.WithJournal(st))
+		var docs [][]byte
+		for i := 0; i < 3; i++ {
+			_, doc := wl.runDoc(i)
+			docs = append(docs, doc)
+		}
+		ffs.FailNth(vfs.OpWrite, nth, vfs.Fault{})
+		_, ingestErr := rs.IngestBatchCtx(context.Background(), "wf", docs)
+		st.Close()
+
+		st2, err := Open(dir, Options{Fsync: FsyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered := engine.NewRegistry(engine.New())
+		stats, err := st2.RecoverWithRuns(recovered, runs.New(recovered))
+		st2.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Runs != 0 && stats.Runs != 3 || ingestErr == nil && stats.Runs != 3 {
+			t.Fatalf("write %d failed (ingest: %v): recovered %d of the batch's 3 runs", nth, ingestErr, stats.Runs)
+		}
+	}
 }

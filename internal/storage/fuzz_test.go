@@ -27,7 +27,7 @@ import (
 func FuzzReadRecord(f *testing.F) {
 	// A valid record of every type, an empty-body record, and classic
 	// corruptions: flipped CRC, truncated payload, oversized length.
-	for typ := recRegister; typ <= recRun; typ++ {
+	for typ := recRegister; typ <= recRunBatch; typ++ {
 		f.Add(appendRecord(nil, record{typ: typ, lsn: uint64(typ) * 7, body: []byte(`{"id":"wf"}`)}))
 	}
 	f.Add(appendRecord(nil, record{typ: recRegister, lsn: 1}))
@@ -68,7 +68,7 @@ func FuzzReadRecord(f *testing.F) {
 				}
 				t.Fatalf("readRecord: unexpected error shape: %v", err)
 			}
-			if rec.typ < recRegister || rec.typ > recRun {
+			if rec.typ < recRegister || rec.typ > recRunBatch {
 				t.Fatalf("accepted record with unknown type %d", rec.typ)
 			}
 			if n != int64(recHeaderLen+recPrefixLen+len(rec.body)) {

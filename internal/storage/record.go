@@ -28,6 +28,7 @@ const (
 	recDetach   byte = 4 // detachBody: view detached
 	recDelete   byte = 5 // deleteBody: workflow deleted/evicted
 	recRun      byte = 6 // runBody: execution trace ingested/replaced
+	recRunBatch byte = 7 // runBody per run: traces ingested together, restored whole
 )
 
 // segMagic opens every WAL segment file; a file without it is rejected
@@ -119,7 +120,7 @@ func readRecord(r *bufio.Reader) (record, int64, error) {
 		lsn:  binary.LittleEndian.Uint64(payload[1:recPrefixLen]),
 		body: payload[recPrefixLen:],
 	}
-	if rec.typ < recRegister || rec.typ > recRun {
+	if rec.typ < recRegister || rec.typ > recRunBatch {
 		return record{}, 0, fmt.Errorf("storage: unknown record type %d at lsn %d", rec.typ, rec.lsn)
 	}
 	return rec, int64(recHeaderLen) + int64(payloadLen), nil

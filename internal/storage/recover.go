@@ -366,13 +366,13 @@ type decodedRec struct {
 	wfID string
 	skip bool // snapshot-covered: counted, not applied
 
-	wf  *workflow.Workflow // register: decoded workflow document
-	reg *registerBody
-	mut *mutateBody
-	att *attachBody
-	det *detachBody
-	del *deleteBody
-	run *runBody
+	wf   *workflow.Workflow // register: decoded workflow document
+	reg  *registerBody
+	mut  *mutateBody
+	att  *attachBody
+	det  *detachBody
+	del  *deleteBody
+	runs []runBody // a run record's one run, or a batch record's runs
 }
 
 // decodeRecord parses one record's body (sniffing binary vs compat
@@ -431,8 +431,15 @@ func decodeRecord(rec record, snapLSN map[string]uint64) (*decodedRec, error) {
 		if err != nil {
 			return fail(err)
 		}
-		d.run, d.wfID = &body, body.ID
+		d.runs, d.wfID = []runBody{body}, body.ID
 		d.skip = rec.lsn <= snapLSN[body.ID]
+	case recRunBatch:
+		runs, err := decodeRunBatchBody(rec.body)
+		if err != nil {
+			return fail(err)
+		}
+		d.runs, d.wfID = runs, runs[0].ID
+		d.skip = rec.lsn <= snapLSN[d.wfID]
 	default:
 		return fail(fmt.Errorf("unknown record type %d", rec.typ))
 	}
@@ -451,7 +458,7 @@ func applyDecoded(ctx context.Context, reg *engine.Registry, rr RunRestorer, d *
 	fail := func(err error) error {
 		return fmt.Errorf("storage: replay lsn %d: %w", d.lsn, err)
 	}
-	if d.skip || (d.typ == recRun && rr == nil) {
+	if d.skip || (d.runs != nil && rr == nil) {
 		stats.Skipped++
 		return nil
 	}
@@ -515,15 +522,17 @@ func applyDecoded(ctx context.Context, reg *engine.Registry, rr RunRestorer, d *
 			return fail(err)
 		}
 		deleted[d.del.ID] = true
-	case recRun:
-		if err := rr.RestoreRun(d.run.ID, d.run.Run, d.run.Doc); err != nil {
-			if engine.IsCode(err, engine.ErrUnknownWorkflow) {
-				stats.Skipped++
-				return nil
+	case recRun, recRunBatch:
+		for _, run := range d.runs {
+			if err := rr.RestoreRun(run.ID, run.Run, run.Doc); err != nil {
+				if engine.IsCode(err, engine.ErrUnknownWorkflow) {
+					stats.Skipped++
+					return nil
+				}
+				return fail(err)
 			}
-			return fail(err)
+			stats.Runs++
 		}
-		stats.Runs++
 	}
 	stats.Replayed++
 	return nil

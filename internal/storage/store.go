@@ -699,7 +699,14 @@ func (s *Store) appendRunLocked(workflowID, runID string, doc []byte) (uint64, e
 		s.enc = appendRunBinary(s.enc[:0], workflowID, runID, doc)
 		body = s.enc
 	}
-	ticket, n, err := s.appendLocked(recRun, body)
+	return s.appendRunsLocked(workflowID, recRun, body, 1)
+}
+
+// appendRunsLocked appends a record that holds the given number of runs
+// and counts them in the workflow's snapshot-trigger bookkeeping;
+// callers hold s.mu.
+func (s *Store) appendRunsLocked(workflowID string, typ byte, body []byte, runs int) (uint64, error) {
+	ticket, n, err := s.appendLocked(typ, body)
 	if err != nil {
 		return 0, err
 	}
@@ -708,17 +715,17 @@ func (s *Store) appendRunLocked(workflowID, runID string, doc []byte) (uint64, e
 		ws = &wfState{}
 		s.wfs[workflowID] = ws
 	}
-	ws.sinceSnapRecs++
+	ws.sinceSnapRecs += runs
 	ws.sinceSnapBytes += n
 	return ticket, nil
 }
 
-// RunsIngested journals a batch of runs ingested together: every record
-// is appended under one hold of the store lock — so the batch occupies
-// a contiguous LSN range with nothing interleaved — and the caller
-// waits on the last record's group-commit ticket, so the whole burst
-// rides one fsync instead of one per run. The snapshot-trigger answer
-// covers the batch as a whole.
+// RunsIngested journals a batch of runs ingested together as one record,
+// so recovery restores the whole batch or none of it, and the batch
+// rides one fsync. A batch of one run is an ordinary run record, and so
+// is each run under LegacyJSONBodies: the JSON era had no batch record.
+// The snapshot-trigger bookkeeping counts each run, as if journaled
+// alone.
 func (s *Store) RunsIngested(ctx context.Context, workflowID string, runIDs []string, docs [][]byte) (bool, error) {
 	ctx, span := obs.StartSpan(ctx, "storage", "runs.journal")
 	defer span.End()
@@ -731,13 +738,18 @@ func (s *Store) RunsIngested(ctx context.Context, workflowID string, runIDs []st
 		return false, err
 	}
 	var ticket uint64
-	for i, runID := range runIDs {
-		t, err := s.appendRunLocked(workflowID, runID, docs[i])
-		if err != nil {
-			s.mu.Unlock()
-			return false, err
+	var err error
+	if len(runIDs) == 1 || s.opts.LegacyJSONBodies {
+		for i := 0; i < len(runIDs) && err == nil; i++ {
+			ticket, err = s.appendRunLocked(workflowID, runIDs[i], docs[i])
 		}
-		ticket = t
+	} else {
+		s.enc = appendRunBatchBinary(s.enc[:0], workflowID, runIDs, docs)
+		ticket, err = s.appendRunsLocked(workflowID, recRunBatch, s.enc, len(runIDs))
+	}
+	if err != nil {
+		s.mu.Unlock()
+		return false, err
 	}
 	want := s.wfs[workflowID].wantSnapshot(s.opts)
 	s.mu.Unlock()

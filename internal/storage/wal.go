@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -378,26 +379,26 @@ func (w *wal) seal() error {
 	return nil
 }
 
-// compact deletes sealed segments whose every record is covered by
-// snapshots (maxLSN <= coveredLSN).
+// compact deletes the oldest sealed segments whose every record is
+// covered by snapshots (maxLSN <= coveredLSN). It stops at the first
+// segment that refuses removal and keeps it and every later one: a hole
+// in the sequence would make the next Open refuse the directory, while
+// a kept segment only delays compaction.
 func (w *wal) compact(coveredLSN uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	kept := w.sealed[:0]
-	removed := false
+	n := 0
 	for _, seg := range w.sealed {
-		if seg.maxLSN <= coveredLSN {
-			// Best-effort: a segment that refuses to die only delays
-			// compaction, it never corrupts state.
-			if err := w.fs.Remove(seg.path); err == nil || os.IsNotExist(err) {
-				removed = true
-				continue
-			}
+		if seg.maxLSN > coveredLSN {
+			break
 		}
-		kept = append(kept, seg)
+		if err := w.fs.Remove(seg.path); err != nil && !os.IsNotExist(err) {
+			break
+		}
+		n++
 	}
-	w.sealed = kept
-	if removed && w.mode != FsyncNone {
+	w.sealed = slices.Delete(w.sealed, 0, n)
+	if n > 0 && w.mode != FsyncNone {
 		_ = syncDir(w.fs, w.dir)
 	}
 }
