@@ -14,7 +14,10 @@
 // per-workflow snapshots, the registry is recovered from it at boot, and
 // a final checkpoint is written on graceful shutdown — a restarted
 // daemon serves the same workflows, versions and reports it held before.
-// Without -data-dir the registry is in-memory, exactly as before.
+// Boot recovery replays GOMAXPROCS wide and needs -live-workflows to hold
+// every workflow alive at the end of the log; it refuses to boot
+// otherwise. Without -data-dir the registry is in-memory, exactly as
+// before.
 //
 // If the disk misbehaves at runtime the daemon degrades instead of
 // lying: reads keep serving the in-memory state, mutations and ingests
@@ -174,8 +177,6 @@ func run(args []string) error {
 		"additionally snapshot a workflow after this many journaled records (0 = size-based only)")
 	probeBackoff := fs.Duration("probe-backoff", engine.DefaultProbeBackoffMin,
 		"initial backoff between journal recovery probes while degraded")
-	recoveryWorkers := fs.Int("recovery-workers", 0,
-		"parallelism of boot recovery: snapshot loading and WAL replay (0 = GOMAXPROCS, 1 = sequential)")
 	pprofAddr := fs.String("pprof-addr", "",
 		"serve net/http/pprof on this private listener (e.g. 127.0.0.1:6060; empty = disabled; never expose publicly)")
 	traceSample := fs.Int64("trace-sample", 0,
@@ -220,10 +221,9 @@ func run(args []string) error {
 			return err
 		}
 		store, err = openStore(*dataDir, storage.Options{
-			Fsync:           mode,
-			SnapshotBytes:   *snapshotBytes,
-			SnapshotEvery:   *snapshotEvery,
-			RecoveryWorkers: *recoveryWorkers,
+			Fsync:         mode,
+			SnapshotBytes: *snapshotBytes,
+			SnapshotEvery: *snapshotEvery,
 		})
 		if err != nil {
 			return fmt.Errorf("open data dir: %w", err)

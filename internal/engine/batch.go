@@ -29,8 +29,8 @@ type CorrectJob struct {
 	Workflow  *workflow.Workflow
 	View      *view.View
 	Criterion core.Criterion
-	// Options overrides the engine's corrector options for this job
-	// (nil means the engine default).
+	// Options are this job's corrector options (nil means the package
+	// defaults).
 	Options *core.Options
 }
 
@@ -120,7 +120,7 @@ func (e *Engine) validateSequential(ctx context.Context, wf *workflow.Workflow, 
 func (e *Engine) correctSequential(ctx context.Context, j CorrectJob) (*core.ViewCorrection, error) {
 	ctx, cancel := e.optimalCtx(ctx, j.Criterion)
 	defer cancel()
-	return core.CorrectViewCtx(ctx, e.Oracle(j.Workflow), j.View, j.Criterion, e.corrOptions(j.Options), 1)
+	return core.CorrectViewCtx(ctx, e.Oracle(j.Workflow), j.View, j.Criterion, j.Options, 1)
 }
 
 // CorrectBatch corrects every job over a pool of workers goroutines

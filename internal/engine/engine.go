@@ -42,7 +42,6 @@ const DefaultCacheSize = 128
 // per-request state lives on the stack of each call.
 type Engine struct {
 	workers        int
-	corrOpts       *core.Options
 	optimalTimeout time.Duration
 	cache          *oracleCache
 }
@@ -61,12 +60,6 @@ func WithWorkers(n int) Option {
 // default is DefaultCacheSize.
 func WithOracleCache(n int) Option {
 	return func(e *Engine) { e.cache = newOracleCache(n) }
-}
-
-// WithCorrectorOptions sets the default corrector options applied by
-// Correct and SplitTask when the caller passes none.
-func WithCorrectorOptions(opts *core.Options) Option {
-	return func(e *Engine) { e.corrOpts = opts }
 }
 
 // WithOptimalTimeout bounds every Optimal correction: when d > 0,
@@ -162,14 +155,6 @@ func (e *Engine) optimalCtx(ctx context.Context, crit core.Criterion) (context.C
 	return ctx, func() {}
 }
 
-// corrOptions resolves per-call options against the engine default.
-func (e *Engine) corrOptions(opts *core.Options) *core.Options {
-	if opts != nil {
-		return opts
-	}
-	return e.corrOpts
-}
-
 // Correct repairs every unsound composite of v under crit and returns
 // the provably sound result. Under core.Optimal the call is bounded by
 // WithOptimalTimeout (when set) and aborts with an ErrCanceled-coded
@@ -181,16 +166,15 @@ func (e *Engine) Correct(ctx context.Context, wf *workflow.Workflow, v *view.Vie
 	return e.CorrectWithOracle(ctx, e.Oracle(wf), v, crit, nil)
 }
 
-// CorrectWithOracle is Correct against a caller-held oracle, with an
-// optional per-call options override (nil falls back to the engine's
-// WithCorrectorOptions, then to the package defaults).
+// CorrectWithOracle is Correct against a caller-held oracle, with
+// optional per-call corrector options (nil means the package defaults).
 func (e *Engine) CorrectWithOracle(ctx context.Context, o *soundness.Oracle, v *view.View, crit core.Criterion, opts *core.Options) (*core.ViewCorrection, error) {
 	if o == nil || v == nil {
 		return nil, errf(ErrBadInput, "correct", "nil oracle or view")
 	}
 	ctx, cancel := e.optimalCtx(ctx, crit)
 	defer cancel()
-	vc, err := core.CorrectViewCtx(ctx, o, v, crit, e.corrOptions(opts), e.workers)
+	vc, err := core.CorrectViewCtx(ctx, o, v, crit, opts, e.workers)
 	if err != nil {
 		return nil, wrapErr("correct", err)
 	}
@@ -211,15 +195,15 @@ func (e *Engine) SplitTask(ctx context.Context, wf *workflow.Workflow, members [
 	return e.SplitWithOracle(ctx, e.Oracle(wf), members, crit, nil)
 }
 
-// SplitWithOracle is SplitTask against a caller-held oracle, with an
-// optional per-call options override.
+// SplitWithOracle is SplitTask against a caller-held oracle, with
+// optional per-call corrector options (nil means the package defaults).
 func (e *Engine) SplitWithOracle(ctx context.Context, o *soundness.Oracle, members []int, crit core.Criterion, opts *core.Options) (*core.Result, error) {
 	if o == nil {
 		return nil, errf(ErrBadInput, "split", "nil oracle")
 	}
 	ctx, cancel := e.optimalCtx(ctx, crit)
 	defer cancel()
-	res, err := core.SplitTaskCtx(ctx, o, members, crit, e.corrOptions(opts))
+	res, err := core.SplitTaskCtx(ctx, o, members, crit, opts)
 	if err != nil {
 		return nil, wrapErr("split", err)
 	}

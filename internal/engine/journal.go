@@ -21,12 +21,15 @@ import (
 // calls arrive in commit order. Calls for different workflows may arrive
 // concurrently; the journal serializes them itself.
 //
-// Failure contract: a journal error fails the triggering operation.
-// Registration is unpublished on journal failure; a mutation or view
-// change that fails to journal remains applied in memory (unwinding a
-// merged report is not worth the complexity for a failing disk) —
-// implementations are expected to treat any append error as sticky, so
-// no later operation can fork memory further from the durable history.
+// Failure contract: a journal error fails the triggering operation, and
+// the operation stays applied in memory — a registration (whose
+// replaced workflow is already closed), a mutation or a view change
+// alike (unwinding a merged report is not worth the complexity for a
+// failing disk). The one exception is a registration whose eviction of
+// another workflow fails to journal its delete: that registration is
+// unpublished. Implementations are expected to treat any append error
+// as sticky, so no later operation can fork memory further from the
+// durable history.
 // A sticky error that implements JournalUnavailable() bool flips the
 // registry into degraded read-only mode (health.go): queries keep
 // serving from memory, writes return typed degraded errors, and when

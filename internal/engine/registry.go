@@ -63,8 +63,8 @@ import (
 //
 // The registry reuses the Engine's machinery rather than duplicating
 // it: initial view validation fans composites over the Engine's worker
-// pool, and corrections run through CorrectWithOracle (inheriting
-// corrector options and the Optimal timeout) against the live oracle.
+// pool, and corrections run through CorrectWithOracle (inheriting the
+// Optimal timeout) against the live oracle.
 // The Engine's oracle cache stays a plain LRU over stateless requests:
 // snapshots are plain workflow copies and never touch it.
 
@@ -375,8 +375,10 @@ func (r *Registry) retire(ctx context.Context, lw *LiveWorkflow, journal bool) e
 	return r.JournalFault("delete", r.journal.Deleted(ctx, lw.id))
 }
 
-// unpublish removes lw from the map if it is still the published entry
-// (journal-failure rollback of a registration).
+// unpublish removes lw from the map if it is still the published entry:
+// the rollback of a registration whose eviction of another workflow
+// failed to journal. A registration whose own record fails to journal
+// stays published (see register).
 func (r *Registry) unpublish(lw *LiveWorkflow) {
 	r.mu.Lock()
 	if r.lws[lw.id] == lw {

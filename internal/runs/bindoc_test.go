@@ -9,7 +9,7 @@ import (
 // ingested run's canonical bytes open with the docBinV1 tag, decode
 // back to the exact normalized wire content, and restore through
 // RestoreRun to a store that answers lineage identically — while a
-// legacy-docs store keeps emitting JSON from the same input.
+// JSON-era canonical document restores verbatim.
 func TestBinaryDocRoundTrip(t *testing.T) {
 	s, reg := figure1Store(t)
 	if _, err := s.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1")); err != nil {
@@ -88,13 +88,13 @@ func TestBinaryDocRoundTrip(t *testing.T) {
 		}
 	}
 
-	// A legacy-docs store canonicalizes the same ingest as JSON.
-	legacy := New(reg, WithLegacyJSONDocs())
-	if _, err := legacy.IngestCtx(context.Background(), "phylo", figure1RunDoc("r1")); err != nil {
+	// A JSON-era canonical document restores verbatim: it stays JSON.
+	s3 := New(reg)
+	if err := s3.RestoreRun("phylo", "r1", figure1RunDoc("r1")); err != nil {
 		t.Fatal(err)
 	}
-	_, ldocs := legacy.SnapshotRuns("phylo")
-	if len(ldocs) != 1 || len(ldocs[0]) == 0 || ldocs[0][0] != '{' {
-		t.Fatalf("legacy store emitted non-JSON canonical doc")
+	_, jdocs := s3.SnapshotRuns("phylo")
+	if len(jdocs) != 1 || string(jdocs[0]) != string(figure1RunDoc("r1")) {
+		t.Fatalf("JSON-era canonical doc was not retained verbatim")
 	}
 }

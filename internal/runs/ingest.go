@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -59,11 +58,17 @@ type wireUsed struct {
 	Process, Artifact span
 }
 
-// wireRun is one decoded run document, the span form of jsonRun (which
-// documents the fields). When Invocations is empty, process references
-// (generated_by, used.process) name workflow tasks directly and one
-// implicit invocation is created per referenced task — the paper's own
-// simplification, and the natural encoding for Execute-style traces.
+// wireRun is one decoded run document, the span form of the JSON shape
+//
+//	{"run": …, "version": …,
+//	 "invocations": [{"id": …, "task": …}],
+//	 "artifacts": [{"id": …, "generated_by": …}],
+//	 "used": [{"process": …, "artifact": …}]}
+//
+// When Invocations is empty, process references (generated_by,
+// used.process) name workflow tasks directly and one implicit invocation
+// is created per referenced task — the paper's own simplification, and
+// the natural encoding for Execute-style traces.
 type wireRun struct {
 	Run span
 	// Version is ingestion metadata, not part of the trace: the workflow
@@ -91,32 +96,6 @@ func (w *wireRun) put(b []byte) span {
 	return span{Off: off, End: len(w.arena)}
 }
 
-// jsonRun is the JSON document shape of one run, with string fields: the
-// shape the decoders' spans stand for, and the one JSON canonical
-// documents (WithLegacyJSONDocs) are marshaled from.
-type jsonRun struct {
-	Run         string           `json:"run"`
-	Version     uint64           `json:"version,omitempty"`
-	Invocations []jsonInvocation `json:"invocations,omitempty"`
-	Artifacts   []jsonArtifact   `json:"artifacts,omitempty"`
-	Used        []jsonUsed       `json:"used,omitempty"`
-}
-
-type jsonInvocation struct {
-	ID   string `json:"id"`
-	Task string `json:"task"`
-}
-
-type jsonArtifact struct {
-	ID          string `json:"id"`
-	GeneratedBy string `json:"generated_by,omitempty"`
-}
-
-type jsonUsed struct {
-	Process  string `json:"process"`
-	Artifact string `json:"artifact"`
-}
-
 // NDJSON framing limits. The line cap equals the HTTP layer's request
 // body cap (server.MaxBodyBytes — a compile-time assertion there ties
 // the two), so no request a client can legally send is rejected by the
@@ -138,9 +117,9 @@ const (
 
 // ingestScratch recycles the per-ingest working set: the decoded wire
 // run and its arena (capacities survive), the build-time invocation
-// indexes, the CSR fill cursor, the binary-doc encode buffer, and the
-// NDJSON stream reader. One scratch serves one ingest at a time, whole
-// batches included.
+// indexes, the CSR fill cursor, the binary-doc encode buffer, the NDJSON
+// stream reader, and the runs built so far. One scratch serves one
+// ingest at a time, whole batches included.
 type ingestScratch struct {
 	w        wireRun
 	line     wireLine
@@ -156,6 +135,9 @@ type ingestScratch struct {
 	enc      []byte
 	br       *bufio.Reader
 	spill    []byte
+	// runs holds the ingest's built runs until they are inserted; trim
+	// clears it, so the pool never pins a run.
+	runs []*Run
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -179,6 +161,7 @@ func (sc *ingestScratch) trim() *ingestScratch {
 	if cap(sc.enc) > scratchKeep {
 		sc.enc = nil
 	}
+	sc.runs = jsonwire.Reuse(sc.runs)
 	sc.jd.Release()
 	sc.br.Reset(nil)
 	return sc
@@ -226,7 +209,7 @@ func (s *Store) IngestCtx(ctx context.Context, workflowID string, doc []byte) (*
 	if err := sc.decodeDoc(w, doc); err != nil {
 		return nil, errf(engine.ErrInvalidTrace, "ingest", "malformed run document: %v", err)
 	}
-	return s.ingestWire(ctx, workflowID, w, true, nil, sc)
+	return s.ingestOne(ctx, workflowID, sc, w)
 }
 
 // wireLine is one NDJSON record — {"run": …}, {"invocation": {…}},
@@ -293,7 +276,16 @@ func (s *Store) IngestNDJSONCtx(ctx context.Context, workflowID string, r io.Rea
 			break
 		}
 	}
-	return s.ingestWire(ctx, workflowID, w, true, nil, sc)
+	return s.ingestOne(ctx, workflowID, sc, w)
+}
+
+// ingestOne ingests the one decoded run w of a document or stream.
+func (s *Store) ingestOne(ctx context.Context, workflowID string, sc *ingestScratch, w *wireRun) (*RunInfo, error) {
+	infos, err := s.ingest(ctx, workflowID, sc, input{w: w})
+	if err != nil {
+		return nil, err
+	}
+	return &infos[0], nil
 }
 
 // accumulate folds one NDJSON record into the run under construction.
@@ -326,93 +318,132 @@ func accumulate(w *wireRun, rec *wireLine, lineNo int) *engine.Error {
 	return nil
 }
 
-// ingestWire is the shared ingestion path: validate + intern under the
-// workflow's read lock, insert into the shard, journal, snapshot.
-// rawDoc, when non-nil, is an already-canonical document to retain
-// verbatim (the restore path — keeps recovered runs byte-identical).
-func (s *Store) ingestWire(ctx context.Context, workflowID string, w *wireRun, journal bool, rawDoc []byte, sc *ingestScratch) (*RunInfo, error) {
+// input is what an entry point hands the write path: the one decoded run
+// of a document, an NDJSON stream or a restore, or the documents of a
+// batch, which the write path decodes one at a time into the scratch (its
+// arena holds one document at a time).
+type input struct {
+	w    *wireRun
+	docs [][]byte
+	// restore marks recovery replay of an already-durable run: it is not
+	// gated, journaled or counted, and keeps the version stamp its
+	// document carries. raw, when non-nil, is the canonical document to
+	// retain verbatim, so recovered runs stay byte-identical.
+	restore bool
+	raw     []byte
+}
+
+// ingest is the write path of every ingest entry point: it validates and
+// interns the input's runs against the workflow, inserts them into its
+// shard and journals them, all or nothing — any rejection rejects every
+// run before any state is touched. One run is journaled with RunIngested,
+// a batch with RunsIngested as one record and one durability wait. The
+// returned infos are in input order.
+func (s *Store) ingest(ctx context.Context, workflowID string, sc *ingestScratch, in input) ([]RunInfo, error) {
 	start := time.Now()
-	ctx, span := obs.StartSpan(ctx, "runs", "ingest")
+	name := "ingest"
+	if in.docs != nil {
+		name = "ingest.batch"
+	}
+	ctx, span := obs.StartSpan(ctx, "runs", name)
 	defer span.End()
 	span.SetAttr("workflow", workflowID)
-	if span != nil {
-		span.SetAttr("run", w.str(w.Run))
+	if span != nil && in.w != nil {
+		span.SetAttr("run", in.w.str(in.w.Run))
 	}
 	lw, err := s.reg.Get(workflowID)
 	if err != nil {
 		return nil, wrapErr("ingest", err)
 	}
 	// Degraded gate, checked before any state is touched: an ingest
-	// rejected here leaves no partial run anywhere. (Only live ingests
-	// are gated; the restore path replays already-durable documents.)
-	if journal {
+	// rejected here leaves no partial run anywhere.
+	if !in.restore {
 		if gerr := s.reg.CheckWritable("ingest"); gerr != nil {
 			return nil, wrapErr("ingest", gerr)
 		}
 	}
-	if w.Run.Len() == 0 {
-		return nil, errf(engine.ErrInvalidTrace, "ingest", "run document missing run id")
+	n := 1
+	if in.docs != nil {
+		n = len(in.docs)
 	}
-	if len(w.Artifacts) == 0 && len(w.Invocations) == 0 {
-		return nil, errf(engine.ErrInvalidTrace, "ingest",
-			"run %q is empty: no invocations and no artifacts", w.bytes(w.Run))
-	}
+	var infos []RunInfo
+	var wantSnap bool
 	// Validation, shard insertion and the journal append all run inside
 	// one read-locked State call. The lock is what orders this ingestion
 	// against a same-ID re-registration: replacing a workflow close()s
 	// the old incarnation under its WRITE lock before the registry
-	// journals the new registration record, so a recRun record appended
+	// journals the new registration record, so a run record appended
 	// here can never land after the registration record that supersedes
 	// its workflow — replay always re-validates the run against the
 	// incarnation it was validated against live.
-	var run *Run
-	var replaced, wantSnap bool
 	if err := lw.State(func(st *engine.LiveState) error {
-		version := st.Version
-		if !journal && w.Version != 0 {
-			// Restore path: keep the version stamp the run was originally
-			// validated under, so recovered metadata is byte-identical.
-			version = w.Version
+		for i := 0; i < n; i++ {
+			w, batchIdx := in.w, -1
+			if in.docs != nil {
+				w, batchIdx = sc.wire(), i
+				if derr := sc.decodeDoc(w, in.docs[i]); derr != nil {
+					return errf(engine.ErrInvalidTrace, "ingest",
+						"batch document %d: malformed run document: %v", i, derr)
+				}
+			}
+			version := st.Version
+			if in.restore && w.Version != 0 {
+				version = w.Version
+			}
+			r, berr := buildRun(st.Workflow, version, w, batchIdx, in.raw, sc)
+			if berr != nil {
+				return berr
+			}
+			sc.runs = append(sc.runs, r)
 		}
-		r, berr := buildRun(st.Workflow, version, w, rawDoc, sc, s.legacyDocs)
-		if berr != nil {
-			return berr
-		}
-		run = r
 
+		infos = make([]RunInfo, n)
 		sh := s.shardFor(lw)
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		_, replaced = sh.runs[run.id]
-		sh.runs[run.id] = run
-		if !replaced {
-			sh.order = append(sh.order, run.id)
-		}
-		if journal && s.journal != nil {
-			// Journaled under the shard lock so per-run records of one
-			// workflow hit the WAL in ingestion order. A journal error
-			// leaves the run applied in memory and flips the registry
-			// into degraded read-only mode (JournalFault): every later
-			// ingest is gated until the background probe resyncs the
-			// store — which folds this run into a snapshot — the same
-			// contract as the registry's mutations.
-			ws, jerr := s.journal.RunIngested(ctx, workflowID, run.id, run.doc)
-			if jerr != nil {
-				return s.reg.JournalFault("ingest", jerr)
+		for i, r := range sc.runs {
+			_, replaced := sh.runs[r.id]
+			sh.runs[r.id] = r
+			if !replaced {
+				sh.order = append(sh.order, r.id)
 			}
-			wantSnap = ws
+			infos[i] = *r.info(workflowID)
+			infos[i].Replaced = replaced
+		}
+		if in.restore || s.journal == nil {
+			return nil
+		}
+		// Journaled under the shard lock so the run records of one
+		// workflow hit the WAL in ingestion order. A journal error leaves
+		// the runs applied in memory and flips the registry into degraded
+		// read-only mode (JournalFault): every later ingest is gated until
+		// the background probe resyncs the store — which folds these runs
+		// into a snapshot — the same contract as the registry's mutations.
+		var jerr error
+		if in.docs == nil {
+			wantSnap, jerr = s.journal.RunIngested(ctx, workflowID, sc.runs[0].id, sc.runs[0].doc)
+		} else {
+			ids, docs := make([]string, n), make([][]byte, n)
+			for i, r := range sc.runs {
+				ids[i], docs[i] = r.id, r.doc
+			}
+			wantSnap, jerr = s.journal.RunsIngested(ctx, workflowID, ids, docs)
+		}
+		if jerr != nil {
+			return s.reg.JournalFault("ingest", jerr)
 		}
 		return nil
 	}); err != nil {
 		return nil, wrapErr("ingest", err)
 	}
-	if journal {
-		obs.MIngestRuns.Inc()
-		obs.MIngestLatency.Observe(time.Since(start).Seconds())
+	if in.restore {
+		return infos, nil
 	}
+	obs.MIngestRuns.Add(uint64(n))
+	obs.MIngestLatency.Observe(time.Since(start).Seconds())
 
 	if wantSnap {
-		// The run's WAL growth passed the snapshot trigger: fold the
+		// The runs' WAL growth passed the snapshot trigger: fold the
 		// workflow (runs included, via the store's run provider) into a
 		// fresh snapshot. Taken outside the shard lock — the provider
 		// re-reads the shard.
@@ -422,117 +453,50 @@ func (s *Store) ingestWire(ctx context.Context, workflowID string, w *wireRun, j
 			return nil, wrapErr("ingest", s.reg.JournalFault("ingest", serr))
 		}
 	}
-	info := run.info(workflowID)
-	info.Replaced = replaced
-	return info, nil
+	return infos, nil
 }
 
 // IngestBatchCtx validates and stores a batch of run documents for
 // workflowID in one journaled operation: all documents are validated
 // and interned first (any rejection rejects the whole batch before any
-// state is touched), then inserted and journaled together — through the
-// journal's batch append, so one group-commit fsync covers the burst.
-// The returned infos are in document order. ctx is used as in
-// IngestCtx.
+// state is touched), then inserted and journaled together as one record,
+// so one group-commit fsync covers the burst. The returned infos are in
+// document order. ctx is used as in IngestCtx.
 func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]byte) ([]RunInfo, error) {
-	infos := make([]RunInfo, 0, len(docs))
 	if len(docs) == 0 {
-		return infos, nil
-	}
-	start := time.Now()
-	ctx, span := obs.StartSpan(ctx, "runs", "ingest.batch")
-	defer span.End()
-	span.SetAttr("workflow", workflowID)
-	lw, err := s.reg.Get(workflowID)
-	if err != nil {
-		return nil, wrapErr("ingest", err)
-	}
-	if gerr := s.reg.CheckWritable("ingest"); gerr != nil {
-		return nil, wrapErr("ingest", gerr)
+		return []RunInfo{}, nil
 	}
 	sc := scratchPool.Get().(*ingestScratch)
 	defer func() { scratchPool.Put(sc.trim()) }()
-
-	var wantSnap bool
-	if err := lw.State(func(st *engine.LiveState) error {
-		version := st.Version
-		built := make([]*Run, 0, len(docs))
-		for i, doc := range docs {
-			w := sc.wire()
-			if derr := sc.decodeDoc(w, doc); derr != nil {
-				return errf(engine.ErrInvalidTrace, "ingest",
-					"batch document %d: malformed run document: %v", i, derr)
-			}
-			if w.Run.Len() == 0 {
-				return errf(engine.ErrInvalidTrace, "ingest",
-					"batch document %d: run document missing run id", i)
-			}
-			if len(w.Artifacts) == 0 && len(w.Invocations) == 0 {
-				return errf(engine.ErrInvalidTrace, "ingest",
-					"run %q is empty: no invocations and no artifacts", w.bytes(w.Run))
-			}
-			r, berr := buildRun(st.Workflow, version, w, nil, sc, s.legacyDocs)
-			if berr != nil {
-				return berr
-			}
-			built = append(built, r)
-		}
-		ids := make([]string, len(built))
-		runDocs := make([][]byte, len(built))
-		for i, r := range built {
-			ids[i], runDocs[i] = r.id, r.doc
-		}
-		sh := s.shardFor(lw)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		for _, r := range built {
-			_, replaced := sh.runs[r.id]
-			sh.runs[r.id] = r
-			if !replaced {
-				sh.order = append(sh.order, r.id)
-			}
-			info := r.info(workflowID)
-			info.Replaced = replaced
-			infos = append(infos, *info)
-		}
-		if s.journal != nil {
-			// One batch append: contiguous records, one durability wait.
-			ws, jerr := s.journal.RunsIngested(ctx, workflowID, ids, runDocs)
-			if jerr != nil {
-				return s.reg.JournalFault("ingest", jerr)
-			}
-			wantSnap = ws
-		}
-		return nil
-	}); err != nil {
-		return nil, wrapErr("ingest", err)
-	}
-	obs.MIngestRuns.Add(uint64(len(docs)))
-	obs.MIngestLatency.Observe(time.Since(start).Seconds())
-
-	if wantSnap {
-		if serr := lw.State(func(st *engine.LiveState) error {
-			return s.journal.SnapshotWorkflow(ctx, st)
-		}); serr != nil && !engine.IsCode(serr, engine.ErrUnknownWorkflow) {
-			return nil, wrapErr("ingest", s.reg.JournalFault("ingest", serr))
-		}
-	}
-	return infos, nil
+	return s.ingest(ctx, workflowID, sc, input{docs: docs})
 }
 
 // buildRun validates the wire run against wf's task space and interns it
-// into the dense representation. All errors are ErrInvalidTrace-coded
-// (wrapping workflow.ErrUnknownTask where a task lookup failed). The
-// canonical document is rawDoc verbatim when non-nil (restore path),
-// otherwise freshly encoded — binary by default, JSON under the
-// legacy-docs knob.
+// into the dense representation, like the string reference's
+// refIngestWire: the run must name itself (a batch document's message
+// carries its index, batchIdx; -1 outside a batch) and hold something.
+// All errors are ErrInvalidTrace-coded (wrapping workflow.ErrUnknownTask
+// where a task lookup failed). The canonical document is rawDoc verbatim
+// when non-nil (restore path), otherwise freshly encoded in the binary
+// form.
 //
 // References resolve by bytes against the arena, so no transient string
 // is built. The Run's strings are its ID and ids, one string holding
 // every explicit invocation ID and then every artifact ID in document
 // order: procID, artID and the artIdx and procIdx keys are slices of it.
-func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, rawDoc []byte,
-	sc *ingestScratch, legacyDocs bool) (*Run, *engine.Error) {
+func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, batchIdx int, rawDoc []byte,
+	sc *ingestScratch) (*Run, *engine.Error) {
+	if w.Run.Len() == 0 {
+		if batchIdx >= 0 {
+			return nil, errf(engine.ErrInvalidTrace, "ingest",
+				"batch document %d: run document missing run id", batchIdx)
+		}
+		return nil, errf(engine.ErrInvalidTrace, "ingest", "run document missing run id")
+	}
+	if len(w.Artifacts) == 0 && len(w.Invocations) == 0 {
+		return nil, errf(engine.ErrInvalidTrace, "ingest",
+			"run %q is empty: no invocations and no artifacts", w.bytes(w.Run))
+	}
 	n := wf.N()
 	runID := string(w.bytes(w.Run))
 	var sb strings.Builder
@@ -719,19 +683,12 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, rawDoc []byte,
 	// Canonical document: the normalized wire shape (implicit invocations
 	// materialized, everything in dense order). Journal records and
 	// snapshots carry these bytes, so recovery rebuilds this exact run.
-	switch {
-	case rawDoc != nil:
+	if rawDoc != nil {
 		// Restore path: the document is already canonical — retain it
 		// verbatim so recovered runs are byte-identical, whichever
 		// encoding (JSON era or binary) they were written with.
 		run.doc = rawDoc
-	case legacyDocs:
-		doc, err := json.Marshal(run.jsonDoc(wf))
-		if err != nil {
-			return nil, errf(engine.ErrInternal, "ingest", "encode run %q: %v", runID, err)
-		}
-		run.doc = doc
-	default:
+	} else {
 		sc.enc = run.appendDocBinary(sc.enc[:0], wf)
 		run.doc = append(make([]byte, 0, len(sc.enc)), sc.enc...)
 	}
@@ -747,24 +704,4 @@ func traceErr(runID string, cause error) *engine.Error {
 		Message: fmt.Sprintf("run %q: %v", runID, cause),
 		Err:     cause,
 	}
-}
-
-// jsonDoc re-encodes the dense run as its normalized JSON document;
-// called at build time, while the workflow is lock-protected.
-func (r *Run) jsonDoc(wf *workflow.Workflow) *jsonRun {
-	w := &jsonRun{Run: r.id, Version: r.version}
-	for i, id := range r.procID {
-		w.Invocations = append(w.Invocations, jsonInvocation{ID: id, Task: wf.Task(int(r.procTask[i])).ID})
-	}
-	for i, id := range r.artID {
-		a := jsonArtifact{ID: id}
-		if g := r.artGen[i]; g >= 0 {
-			a.GeneratedBy = r.procID[g]
-		}
-		w.Artifacts = append(w.Artifacts, a)
-	}
-	for _, e := range r.used {
-		w.Used = append(w.Used, jsonUsed{Process: r.procID[e[0]], Artifact: r.artID[e[1]]})
-	}
-	return w
 }

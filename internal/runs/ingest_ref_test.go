@@ -31,6 +31,30 @@ import (
 // error code and message, every interned Run field, the RunInfo and the
 // canonical document bytes.
 
+// jsonRun is the string-field shape of one run document (wireRun).
+type jsonRun struct {
+	Run         string           `json:"run"`
+	Version     uint64           `json:"version,omitempty"`
+	Invocations []jsonInvocation `json:"invocations,omitempty"`
+	Artifacts   []jsonArtifact   `json:"artifacts,omitempty"`
+	Used        []jsonUsed       `json:"used,omitempty"`
+}
+
+type jsonInvocation struct {
+	ID   string `json:"id"`
+	Task string `json:"task"`
+}
+
+type jsonArtifact struct {
+	ID          string `json:"id"`
+	GeneratedBy string `json:"generated_by,omitempty"`
+}
+
+type jsonUsed struct {
+	Process  string `json:"process"`
+	Artifact string `json:"artifact"`
+}
+
 // jsonLine is the string-field shape of one NDJSON record (wireLine).
 type jsonLine struct {
 	Run        string          `json:"run,omitempty"`
@@ -155,7 +179,7 @@ func refAccumulate(w *jsonRun, rec *jsonLine, lineNo int) *engine.Error {
 	return nil
 }
 
-// refCheckRun is ingestWire's pre-build validation (batch documents
+// refCheckRun is buildRun's pre-build validation (batch documents
 // prefix their messages, see IngestBatchCtx).
 func refCheckRun(w *jsonRun, batchIdx int) *engine.Error {
 	if w.Run == "" {

@@ -5,7 +5,8 @@ import "wolves/internal/jsonwire"
 // The JSON run-document and NDJSON-record decoders: the run wire shapes
 // (ingest.go) decoded field by field with the internal/jsonwire
 // primitives, which pin acceptance, rejection and values to
-// json.Unmarshal into the string-field shapes jsonRun and jsonLine.
+// json.Unmarshal into the string-field shapes jsonRun and jsonLine
+// (ingest_ref_test.go).
 
 // wireLineBufs are the pointee buffers behind a decoded wireLine's
 // pointer fields, so the per-line NDJSON decode allocates nothing. The

@@ -53,8 +53,9 @@ type Journal interface {
 	// RunIngested journals one ingested (or replaced) run document.
 	RunIngested(ctx context.Context, workflowID, runID string, doc []byte) (wantSnapshot bool, err error)
 	// RunsIngested journals a batch of run documents for one workflow as
-	// contiguous records with a single durability wait, so one
-	// group-commit fsync covers the whole burst (IngestBatchCtx).
+	// one record with a single durability wait, so recovery restores the
+	// whole batch or none of it and one group-commit fsync covers the
+	// burst (IngestBatchCtx).
 	RunsIngested(ctx context.Context, workflowID string, runIDs []string, docs [][]byte) (wantSnapshot bool, err error)
 	// SnapshotWorkflow folds the workflow into a fresh snapshot covering
 	// everything journaled so far (runs included, via the run provider).
@@ -71,11 +72,6 @@ type Store struct {
 	// (SetJournal) — not synchronized with live traffic, exactly like
 	// the registry's journal seam.
 	journal Journal
-	// legacyDocs forces the pre-PR-9 JSON canonical document encoding
-	// (WithLegacyJSONDocs) — for benchmark baselines and compat tests
-	// that write old-format state on purpose. Decoding always accepts
-	// both encodings.
-	legacyDocs bool
 
 	mu     sync.Mutex // guards shards map only
 	shards map[string]*shard
@@ -87,13 +83,6 @@ type Option func(*Store)
 // WithJournal installs the durability journal (see Journal).
 func WithJournal(j Journal) Option {
 	return func(s *Store) { s.journal = j }
-}
-
-// WithLegacyJSONDocs forces the pre-PR-9 JSON canonical run documents
-// instead of the binary form. For benchmark baselines and compat tests;
-// decoding always accepts both encodings regardless of this knob.
-func WithLegacyJSONDocs() Option {
-	return func(s *Store) { s.legacyDocs = true }
 }
 
 // WithWorkers sets the default fan-out width of LineageBatch. n <= 0
@@ -199,8 +188,7 @@ type Run struct {
 	invokedList []int32
 
 	// doc is the canonical document (journal, snapshots, export): binary
-	// (bindoc.go) unless a legacy-docs store wrote it as JSON or it was
-	// restored from a JSON-era data dir.
+	// (bindoc.go) unless it was restored from a JSON-era data dir.
 	doc []byte
 }
 
@@ -208,8 +196,8 @@ type Run struct {
 func (r *Run) ID() string { return r.id }
 
 // Doc returns the canonical document of the run: binary (docBinV1)
-// unless written by a WithLegacyJSONDocs store or restored from JSON-era
-// state, which stay JSON. Shared; do not mutate.
+// unless restored from JSON-era state, which stays JSON. Shared; do not
+// mutate.
 func (r *Run) Doc() []byte { return r.doc }
 
 // RunInfo is the wire metadata of one ingested run.
@@ -355,15 +343,12 @@ func (s *Store) RestoreRun(workflowID, runID string, doc []byte) error {
 	// pre-crash one, whichever encoding it was written with.
 	raw := doc
 	if w.Run.Len() == 0 {
-		w.Run = w.put([]byte(runID)) // pre-canonical document: re-encode below instead
+		w.Run = w.put([]byte(runID)) // pre-canonical document: re-encode instead
 		raw = nil
 	}
 	ctx := context.Background() //lint:allow ctxpass replay of durable state: journaling is off, nothing downstream to trace or cancel
-	_, ierr := s.ingestWire(ctx, workflowID, w, false, raw, sc)
-	if ierr != nil {
-		return ierr
-	}
-	return nil
+	_, err := s.ingest(ctx, workflowID, sc, input{w: w, restore: true, raw: raw})
+	return err
 }
 
 // --- error helpers ------------------------------------------------------------

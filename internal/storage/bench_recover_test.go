@@ -10,24 +10,17 @@ import (
 
 // benchRecoverDir builds a run-heavy crashed data dir: four workflows,
 // each with a trickle of mutations and a flood of ingested runs — the
-// record mix of a provenance store doing its job (PR 9's motivating
-// profile). legacy selects the pre-PR-9 encodings (JSON record bodies,
-// JSON canonical run documents) for the baseline config. Snapshots are
+// record mix of a provenance store doing its job. Snapshots are
 // disabled so recovery replays every record.
-func benchRecoverDir(b *testing.B, legacy bool) (string, int64) {
+func benchRecoverDir(b *testing.B) (string, int64) {
 	b.Helper()
 	dir := b.TempDir()
-	opts := Options{Fsync: FsyncNone, SnapshotBytes: 1 << 40, LegacyJSONBodies: legacy}
-	st, err := Open(dir, opts)
+	st, err := Open(dir, Options{Fsync: FsyncNone, SnapshotBytes: 1 << 40})
 	if err != nil {
 		b.Fatal(err)
 	}
 	reg := engine.NewRegistry(engine.New(), engine.WithJournal(st))
-	rsOpts := []runs.Option{runs.WithJournal(st)}
-	if legacy {
-		rsOpts = append(rsOpts, runs.WithLegacyJSONDocs())
-	}
-	rs := runs.New(reg, rsOpts...)
+	rs := runs.New(reg, runs.WithJournal(st))
 	st.SetRunProvider(rs)
 
 	var records int64
@@ -55,32 +48,28 @@ func benchRecoverDir(b *testing.B, legacy bool) (string, int64) {
 }
 
 // BenchmarkRecover measures end-to-end cold-boot recovery throughput —
-// Open + RecoverWithRuns + Close over a run-heavy WAL — in the three
-// configurations PR 9 compares:
+// Open + RecoverWithRuns + Close over a run-heavy WAL of binary bodies
+// and binary run documents — at two replay widths:
 //
-//	json/workers=1      the pre-PR-9 baseline: JSON record bodies, JSON
-//	                    canonical run documents, sequential replay
-//	binary/workers=1    binary bodies + binary run documents, sequential
-//	binary/workers=N    same bytes through the parallel replay pipeline
+//	binary/workers=1    the sequential reference
+//	binary/workers=max  the parallel replay pipeline, GOMAXPROCS wide
 //
-// Reported as records/sec. The acceptance bar is binary ≥ 3x json.
+// Reported as records/sec.
 func BenchmarkRecover(b *testing.B) {
 	for _, cfg := range []struct {
 		name    string
-		legacy  bool
 		workers int
 	}{
-		{"json/workers=1", true, 1},
-		{"binary/workers=1", false, 1},
-		{"binary/workers=max", false, 0}, // 0 = GOMAXPROCS
+		{"binary/workers=1", 1},
+		{"binary/workers=max", 0}, // 0 = GOMAXPROCS
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			dir, records := benchRecoverDir(b, cfg.legacy)
+			dir, records := benchRecoverDir(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var replayed int64
 			for i := 0; i < b.N; i++ {
-				st, err := Open(dir, Options{Fsync: FsyncNone, RecoveryWorkers: cfg.workers})
+				st, err := Open(dir, Options{Fsync: FsyncNone, recoveryWorkers: cfg.workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,9 +1,9 @@
 // The designated compat codec: every encoding/json touch of WAL record
-// bodies and of the workflow/view documents they embed lives in this
-// file (snapshot documents, which are JSON by design, live in
-// snapshot.go). The jsonseam analyzer fences the rest of the package,
-// which keeps the binary write path of PR 9 honest — a hot-path
-// json.Marshal cannot creep back in unnoticed.
+// bodies lives in this file (snapshot documents, which are JSON by
+// design, live in snapshot.go; the workflow and view documents the cold
+// kinds embed are rendered by their own MarshalJSON). The jsonseam
+// analyzer fences the rest of the package, which keeps the binary write
+// path honest — a hot-path json.Marshal cannot creep back in unnoticed.
 //
 // The JSON shapes are frozen: they are what every WAL written before
 // PR 9 contains, and the sniffing decoders in binary.go fall back to
@@ -11,16 +11,12 @@
 // tag (JSON object bodies always open with '{', so the two encodings
 // are disjoint on the first byte). The cold record kinds — register,
 // attach, detach, delete — still write JSON: they carry workflow/view
-// documents that are JSON anyway, or are too rare to matter.
+// documents that are JSON anyway, or are too rare to matter. The hot
+// kinds' JSON shapes (mutateBody, runBody) have decoders only, which
+// JSON-era data directories need.
 package storage
 
-import (
-	"encoding/json"
-
-	"wolves/internal/engine"
-	"wolves/internal/view"
-	"wolves/internal/workflow"
-)
+import "encoding/json"
 
 // taskBody is one task addition inside a mutateBody, mirroring the
 // registry's workflow.Task (an empty Name defaults to the ID on replay,
@@ -80,7 +76,7 @@ type runBody struct {
 	Doc json.RawMessage `json:"doc"`
 }
 
-// --- encoders (cold kinds + the legacy knob) ----------------------------------
+// --- encoders (cold kinds) ---------------------------------------------------
 
 func encodeRegisterBody(id string, version uint64, wfRaw json.RawMessage) ([]byte, error) {
 	return json.Marshal(registerBody{ID: id, Version: version, Workflow: wfRaw})
@@ -96,23 +92,6 @@ func encodeDetachBody(id, vid string, version uint64) ([]byte, error) {
 
 func encodeDeleteBody(id string) ([]byte, error) {
 	return json.Marshal(deleteBody{ID: id})
-}
-
-// encodeMutateJSON is the pre-PR-9 mutate body encoding, kept for
-// Options.LegacyJSONBodies (benchmark baselines and compat tests that
-// write old-format directories on purpose).
-func encodeMutateJSON(id string, version uint64, batch *engine.AppliedBatch) ([]byte, error) {
-	body := mutateBody{ID: id, Version: version, Edges: batch.Edges}
-	for _, t := range batch.Tasks {
-		body.Tasks = append(body.Tasks, taskBody{ID: t.ID, Name: t.Name, Kind: t.Kind})
-	}
-	return json.Marshal(body)
-}
-
-// encodeRunJSON is the pre-PR-9 run body encoding; doc must be a JSON
-// document (the RawMessage embeds it verbatim).
-func encodeRunJSON(workflowID, runID string, doc []byte) ([]byte, error) {
-	return json.Marshal(runBody{ID: workflowID, Run: runID, Doc: doc})
 }
 
 // --- decoders (always-JSON kinds + the compat halves of the sniffers) ---------
@@ -151,18 +130,4 @@ func decodeRunJSON(b []byte) (runBody, error) {
 	var body runBody
 	err := json.Unmarshal(b, &body)
 	return body, err
-}
-
-// --- document marshals --------------------------------------------------------
-
-// marshalWorkflowJSON renders the canonical workflow document embedded
-// in register records and snapshots.
-func marshalWorkflowJSON(wf *workflow.Workflow) (json.RawMessage, error) {
-	return json.Marshal(wf)
-}
-
-// marshalViewJSON renders the canonical view document embedded in
-// attach records and snapshots.
-func marshalViewJSON(v *view.View) (json.RawMessage, error) {
-	return json.Marshal(v)
 }

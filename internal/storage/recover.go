@@ -27,8 +27,8 @@ type RecoveryStats struct {
 	SnapshotsDropped int `json:"snapshots_dropped"`
 	// Segments counts the WAL segment files scanned during replay.
 	Segments int `json:"segments"`
-	// Replayed and Skipped count WAL records applied vs already covered
-	// by a snapshot (or referencing a workflow evicted during restore).
+	// Replayed and Skipped count WAL records applied vs skipped: covered
+	// by a snapshot, or of a workflow the log ends up deleting.
 	Replayed int64 `json:"replayed"`
 	Skipped  int64 `json:"skipped"`
 	// Runs counts execution traces restored into the run store — from
@@ -37,9 +37,8 @@ type RecoveryStats struct {
 	Runs int64 `json:"runs"`
 	// TornBytes is how much of the last segment the crash tore off.
 	TornBytes int64 `json:"torn_bytes"`
-	// Workers is the parallelism replay actually ran with (it can be
-	// lower than Options.RecoveryWorkers when the capacity headroom
-	// forces the sequential path); WallMillis the recovery wall time.
+	// Workers is the parallelism replay ran with (GOMAXPROCS);
+	// WallMillis the recovery wall time.
 	Workers    int   `json:"workers"`
 	WallMillis int64 `json:"wall_millis"`
 }
@@ -65,14 +64,13 @@ type RunRestorer interface {
 // a nil rr, run records and snapshot-embedded runs are skipped (counted,
 // not applied); registries that never ingested runs lose nothing.
 //
-// Replay parallelism (Options.RecoveryWorkers) is a pipeline: one
-// reader scans the segments in order, a pool of workers decodes and
-// validates record bodies ahead of the apply cursor, and application
-// fans out across per-workflow partitions — records of one workflow
-// apply in strict LSN order, distinct workflows in parallel (their
-// registry entries and run shards are lock-independent). The parallel
-// path is equivalence-pinned against RecoveryWorkers=1, the sequential
-// reference.
+// Replay runs GOMAXPROCS workers wide as a pipeline: one reader scans
+// the segments in order, a pool of workers decodes and validates record
+// bodies ahead of the apply cursor, and application fans out across
+// per-workflow partitions — records of one workflow apply in strict LSN
+// order, distinct workflows in parallel (their registry entries and run
+// shards are lock-independent). The parallel path is equivalence-pinned
+// against one worker, the sequential reference.
 func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*RecoveryStats, error) {
 	start := time.Now()
 	s.mu.Lock()
@@ -88,7 +86,7 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 	s.snaps, s.corrupt = nil, nil
 	s.mu.Unlock()
 
-	workers := s.opts.RecoveryWorkers
+	workers := s.opts.recoveryWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -112,43 +110,36 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 	// would evict the overflow — and during recovery an eviction means
 	// a durable workflow silently missing from the restored registry. A
 	// misconfigured -live-workflows must fail the boot, not lose data.
-	// The pre-pass simulates exactly the ID-level lifecycle the replay
-	// will perform (snapshots, then uncovered register/delete records)
-	// and checks the peak concurrent population; it also reports the
-	// no-deletion upper bound that gates parallel apply below.
-	peak, upper, err := s.replayPopulation(snapLSN)
+	// Workflows the log ends up deleting are skipped whole, so replay
+	// needs room only for the ones alive at its end.
+	alive, dead, err := s.replayPopulation(snapLSN)
 	if err != nil {
 		return stats, err
 	}
-	if peak > reg.Capacity() {
+	if alive > reg.Capacity() {
 		return stats, fmt.Errorf("storage: replay needs room for %d workflows but the registry capacity is %d; raise -live-workflows",
-			peak, reg.Capacity())
+			alive, reg.Capacity())
 	}
 	for _, path := range corrupt {
 		s.fs.Remove(path)
 		stats.SnapshotsDropped++
 	}
-	if err := s.restoreSnapshots(ctx, reg, rr, snaps, snapLSN, snapSize, stats, workers); err != nil {
+	restore := make([]loadedSnapshot, 0, len(snaps))
+	for _, ls := range snaps {
+		if !dead[ls.doc.ID] {
+			restore = append(restore, ls)
+		}
+	}
+	if err := s.restoreSnapshots(ctx, reg, rr, restore, snapLSN, snapSize, stats, workers); err != nil {
 		return stats, err
 	}
 
-	deleted := make(map[string]bool)
 	paths := s.wal.segmentPaths()
 	stats.Segments = len(paths)
-	// Parallel apply reorders deletes relative to other workflows'
-	// records, so the transient population can reach the no-deletion
-	// upper bound; when that exceeds the capacity (sequential peak fits,
-	// thanks to interleaved deletes), an LRU eviction — silent data loss
-	// — becomes possible and the sequential path is the only safe one.
-	replayWorkers := workers
-	if upper > reg.Capacity() {
-		replayWorkers = 1
-	}
-	stats.Workers = replayWorkers
-	if replayWorkers > 1 {
-		err = s.replayParallel(ctx, reg, rr, paths, snapLSN, deleted, stats, replayWorkers)
+	if workers > 1 {
+		err = s.replayParallel(ctx, reg, rr, paths, snapLSN, dead, stats, workers)
 	} else {
-		err = s.replaySequential(ctx, reg, rr, paths, snapLSN, deleted, stats)
+		err = s.replaySequential(ctx, reg, rr, paths, snapLSN, dead, stats)
 	}
 	if err != nil {
 		return stats, err
@@ -156,20 +147,17 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 
 	// Reconcile bookkeeping with what actually survived: workflows the
 	// registry holds keep their snapshot coverage. A snapshot file is
-	// removed only when a replayed delete record explains its absence —
-	// never merely because the workflow is missing from the registry —
-	// so no recovery path can silently destroy durable state.
-	live := make(map[string]bool)
-	for _, id := range reg.IDs() {
-		live[id] = true
-		stats.Workflows++
-	}
+	// removed only when a delete record explains its absence — never
+	// merely because the workflow is missing from the registry — so no
+	// recovery path can silently destroy durable state.
+	ids := reg.IDs()
+	stats.Workflows = len(ids)
 	for _, info := range reg.Infos() {
 		stats.Views += len(info.Views)
 	}
 	s.mu.Lock()
-	s.wfs = make(map[string]*wfState, len(live))
-	for id := range live {
+	s.wfs = make(map[string]*wfState, len(ids))
+	for _, id := range ids {
 		// Seed lastSnapBytes from the restored snapshot so the
 		// size-proportional trigger survives restarts; a workflow
 		// restored from WAL records alone starts at the floor and
@@ -179,7 +167,7 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 	s.recovered = true
 	s.mu.Unlock()
 	for _, ls := range snaps {
-		if !live[ls.doc.ID] && deleted[ls.doc.ID] {
+		if dead[ls.doc.ID] {
 			s.fs.Remove(ls.path)
 		}
 	}
@@ -190,20 +178,18 @@ func (s *Store) RecoverWithRuns(reg *engine.Registry, rr RunRestorer) (*Recovery
 	return stats, nil
 }
 
-// replayPopulation simulates the ID-level lifecycle the replay will
-// perform — snapshot-restored workflows plus uncovered register/delete
-// records in log order — and returns the maximum number of workflows
-// alive at any point (peak), plus the count alive if no delete ever
-// applied (upper): the worst transient population parallel replay can
-// reach when deletes of one workflow apply after registers of others.
-func (s *Store) replayPopulation(snapLSN map[string]uint64) (peak, upper int, err error) {
-	alive := make(map[string]bool, len(snapLSN))
-	ever := make(map[string]bool, len(snapLSN))
-	for id := range snapLSN {
-		alive[id] = true
-		ever[id] = true
-	}
-	peak = len(alive)
+// replayPopulation reads the lifecycle the replay will see — the
+// snapshot-restored workflows, then the uncovered register and delete
+// records in log order — and returns how many workflows are alive at its
+// end, plus the dead ones: those whose last uncovered lifecycle record is
+// a delete. Replay skips a dead workflow's snapshot and records whole.
+// Restoring it only to delete it again would need a registry slot the
+// workflow no longer held when the log ended, and could evict a live one.
+// Every other workflow that comes alive during replay stays alive to the
+// end, so the end count bounds the population at every point of the
+// replay, in whatever order the partitions apply their records.
+func (s *Store) replayPopulation(snapLSN map[string]uint64) (alive int, dead map[string]bool, err error) {
+	last := make(map[string]byte) // last uncovered lifecycle record per ID
 	paths := s.wal.segmentPaths()
 	for i, path := range paths {
 		_, _, serr := scanSegment(s.fs, path, i == len(paths)-1, func(rec record) error {
@@ -214,27 +200,29 @@ func (s *Store) replayPopulation(snapLSN map[string]uint64) (peak, upper int, er
 			if derr != nil {
 				return fmt.Errorf("storage: replay pre-pass lsn %d: %w", rec.lsn, derr)
 			}
-			if rec.lsn <= snapLSN[id] {
-				return nil
-			}
-			if rec.typ == recRegister {
-				ever[id] = true
-				if !alive[id] {
-					alive[id] = true
-					if len(alive) > peak {
-						peak = len(alive)
-					}
-				}
-			} else {
-				delete(alive, id)
+			if rec.lsn > snapLSN[id] {
+				last[id] = rec.typ
 			}
 			return nil
 		})
 		if serr != nil {
-			return 0, 0, serr
+			return 0, nil, serr
 		}
 	}
-	return peak, len(ever), nil
+	dead = make(map[string]bool)
+	for id, typ := range last {
+		if typ == recDelete {
+			dead[id] = true
+		} else if _, snap := snapLSN[id]; !snap {
+			alive++
+		}
+	}
+	for id := range snapLSN {
+		if !dead[id] {
+			alive++
+		}
+	}
+	return alive, dead, nil
 }
 
 // decodeError marks snapshot/record payloads that fail to decode.
@@ -364,7 +352,7 @@ type decodedRec struct {
 	lsn  uint64
 	typ  byte
 	wfID string
-	skip bool // snapshot-covered: counted, not applied
+	skip bool // snapshot-covered or of a dead workflow: counted, not applied
 
 	wf   *workflow.Workflow // register: decoded workflow document
 	reg  *registerBody
@@ -376,11 +364,12 @@ type decodedRec struct {
 }
 
 // decodeRecord parses one record's body (sniffing binary vs compat
-// JSON), resolves its workflow ID, and pre-decodes the embedded
-// workflow document for uncovered register records. The snapLSN map is
-// read-only during replay, so decodeRecord is safe to call from many
-// goroutines at once.
-func decodeRecord(rec record, snapLSN map[string]uint64) (*decodedRec, error) {
+// JSON), resolves its workflow ID, marks it skipped when a snapshot
+// covers it or its workflow is dead (replayPopulation), and pre-decodes
+// the embedded workflow document of a register record it applies. The
+// snapLSN and dead maps are read-only during replay, so decodeRecord is
+// safe to call from many goroutines at once.
+func decodeRecord(rec record, snapLSN map[string]uint64, dead map[string]bool) (*decodedRec, error) {
 	fail := func(err error) (*decodedRec, error) {
 		return nil, fmt.Errorf("storage: replay lsn %d: %w", rec.lsn, err)
 	}
@@ -392,69 +381,61 @@ func decodeRecord(rec record, snapLSN map[string]uint64) (*decodedRec, error) {
 			return fail(err)
 		}
 		d.reg, d.wfID = &body, body.ID
-		if d.skip = rec.lsn <= snapLSN[body.ID]; d.skip {
-			break
-		}
-		if d.wf, err = workflow.DecodeBytes(body.Workflow); err != nil {
-			return fail(err)
-		}
 	case recMutate:
 		body, err := decodeMutateBody(rec.body)
 		if err != nil {
 			return fail(err)
 		}
 		d.mut, d.wfID = &body, body.ID
-		d.skip = rec.lsn <= snapLSN[body.ID]
 	case recAttach:
 		body, err := decodeAttachBody(rec.body)
 		if err != nil {
 			return fail(err)
 		}
 		d.att, d.wfID = &body, body.ID
-		d.skip = rec.lsn <= snapLSN[body.ID]
 	case recDetach:
 		body, err := decodeDetachBody(rec.body)
 		if err != nil {
 			return fail(err)
 		}
 		d.det, d.wfID = &body, body.ID
-		d.skip = rec.lsn <= snapLSN[body.ID]
 	case recDelete:
 		body, err := decodeDeleteBody(rec.body)
 		if err != nil {
 			return fail(err)
 		}
 		d.del, d.wfID = &body, body.ID
-		d.skip = rec.lsn <= snapLSN[body.ID]
 	case recRun:
 		body, err := decodeRunBody(rec.body)
 		if err != nil {
 			return fail(err)
 		}
 		d.runs, d.wfID = []runBody{body}, body.ID
-		d.skip = rec.lsn <= snapLSN[body.ID]
 	case recRunBatch:
 		runs, err := decodeRunBatchBody(rec.body)
 		if err != nil {
 			return fail(err)
 		}
 		d.runs, d.wfID = runs, runs[0].ID
-		d.skip = rec.lsn <= snapLSN[d.wfID]
 	default:
 		return fail(fmt.Errorf("unknown record type %d", rec.typ))
+	}
+	d.skip = rec.lsn <= snapLSN[d.wfID] || dead[d.wfID]
+	if d.reg != nil && !d.skip {
+		var err error
+		if d.wf, err = workflow.DecodeBytes(d.reg.Workflow); err != nil {
+			return fail(err)
+		}
 	}
 	return d, nil
 }
 
-// applyDecoded applies one decoded record to reg, honoring snapshot
-// coverage and tracking applied deletions in deleted (a later register
-// for the same ID clears the mark). Unknown-workflow lookups are
-// tolerated (the workflow was evicted during restore, or a delete raced
-// the crash); anything else a clean log cannot produce is an error. In
+// applyDecoded applies one decoded record to reg, honoring its skip
+// mark. Unknown-workflow lookups are tolerated (a delete raced the
+// crash); anything else a clean log cannot produce is an error. In
 // parallel replay each partition owns a disjoint set of workflow IDs,
-// so distinct appliers never touch the same registry entry, run shard,
-// or deleted-map key.
-func applyDecoded(ctx context.Context, reg *engine.Registry, rr RunRestorer, d *decodedRec, deleted map[string]bool, stats *RecoveryStats) error {
+// so distinct appliers never touch the same registry entry or run shard.
+func applyDecoded(ctx context.Context, reg *engine.Registry, rr RunRestorer, d *decodedRec, stats *RecoveryStats) error {
 	fail := func(err error) error {
 		return fmt.Errorf("storage: replay lsn %d: %w", d.lsn, err)
 	}
@@ -467,7 +448,6 @@ func applyDecoded(ctx context.Context, reg *engine.Registry, rr RunRestorer, d *
 		if _, err := reg.Restore(ctx, d.reg.ID, d.reg.Version, d.wf, nil); err != nil {
 			return fail(err)
 		}
-		delete(deleted, d.reg.ID)
 	case recMutate:
 		lw, err := reg.Get(d.mut.ID)
 		if err != nil {
@@ -521,7 +501,6 @@ func applyDecoded(ctx context.Context, reg *engine.Registry, rr RunRestorer, d *
 		if err := reg.DeleteCtx(ctx, d.del.ID); err != nil && !engine.IsCode(err, engine.ErrUnknownWorkflow) {
 			return fail(err)
 		}
-		deleted[d.del.ID] = true
 	case recRun, recRunBatch:
 		for _, run := range d.runs {
 			if err := rr.RestoreRun(run.ID, run.Run, run.Doc); err != nil {
@@ -542,14 +521,14 @@ func applyDecoded(ctx context.Context, reg *engine.Registry, rr RunRestorer, d *
 // record inline, in log order. The parallel path is pinned against it
 // by TestParallelRecoveryEquivalence.
 func (s *Store) replaySequential(ctx context.Context, reg *engine.Registry, rr RunRestorer, paths []string,
-	snapLSN map[string]uint64, deleted map[string]bool, stats *RecoveryStats) error {
+	snapLSN map[string]uint64, dead map[string]bool, stats *RecoveryStats) error {
 	for i, path := range paths {
 		_, _, err := scanSegment(s.fs, path, i == len(paths)-1, func(rec record) error {
-			d, derr := decodeRecord(rec, snapLSN)
+			d, derr := decodeRecord(rec, snapLSN, dead)
 			if derr != nil {
 				return derr
 			}
-			return applyDecoded(ctx, reg, rr, d, deleted, stats)
+			return applyDecoded(ctx, reg, rr, d, stats)
 		})
 		if err != nil {
 			return err
@@ -580,10 +559,10 @@ func partitionOf(id string, n int) int {
 // global order into FIFO channels), so per-workflow apply order — the
 // only order the state machines depend on — is exactly sequential
 // replay's; distinct workflows apply concurrently. The caller has
-// already ruled out LRU eviction (capacity upper bound), which is the
-// one cross-workflow coupling replay has.
+// already ruled out LRU eviction (replayPopulation's bound), which is
+// the one cross-workflow coupling replay has.
 func (s *Store) replayParallel(ctx context.Context, reg *engine.Registry, rr RunRestorer, paths []string,
-	snapLSN map[string]uint64, deleted map[string]bool, stats *RecoveryStats, workers int) error {
+	snapLSN map[string]uint64, dead map[string]bool, stats *RecoveryStats, workers int) error {
 	type rawRec struct {
 		seq uint64
 		rec record
@@ -640,7 +619,7 @@ func (s *Store) replayParallel(ctx context.Context, reg *engine.Registry, rr Run
 		go func() {
 			defer dwg.Done()
 			for it := range rawc {
-				d, err := decodeRecord(it.rec, snapLSN)
+				d, err := decodeRecord(it.rec, snapLSN, dead)
 				select {
 				case decc <- decRec{seq: it.seq, d: d, err: err}:
 				case <-stop:
@@ -656,19 +635,17 @@ func (s *Store) replayParallel(ctx context.Context, reg *engine.Registry, rr Run
 
 	// Stage 4 — partition appliers (started before the dispatcher so its
 	// sends have somewhere to go). Each partition owns a disjoint ID set,
-	// with its own deleted-map and stats merged at the end.
+	// with its own stats merged at the end.
 	partc := make([]chan *decodedRec, workers)
 	partStats := make([]RecoveryStats, workers)
-	partDel := make([]map[string]bool, workers)
 	var pwg sync.WaitGroup
 	for p := 0; p < workers; p++ {
 		partc[p] = make(chan *decodedRec, 64)
-		partDel[p] = make(map[string]bool)
 		pwg.Add(1)
 		go func(p int) {
 			defer pwg.Done()
 			for d := range partc[p] {
-				if err := applyDecoded(ctx, reg, rr, d, partDel[p], &partStats[p]); err != nil {
+				if err := applyDecoded(ctx, reg, rr, d, &partStats[p]); err != nil {
 					abort(err)
 					for range partc[p] { // drain so the dispatcher never blocks
 					}
@@ -717,9 +694,6 @@ dispatch:
 		stats.Replayed += partStats[p].Replayed
 		stats.Skipped += partStats[p].Skipped
 		stats.Runs += partStats[p].Runs
-		for id := range partDel[p] {
-			deleted[id] = true
-		}
 	}
 	return nil
 }

@@ -1,39 +1,45 @@
 package storage
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"wolves/internal/engine"
 	"wolves/internal/runs"
 )
 
+// mixedIDs are the workflows of buildMixedDir's stream.
+var mixedIDs = []string{"wf-a", "wf-b", "wf-c"}
+
+// mixedWorkload is the workload of the k-th workflow of mixedIDs.
+func mixedWorkload(t testing.TB, k int) *mutationWorkload {
+	return newMutationWorkload(t, 48+8*k, 512, int64(100+k))
+}
+
 // buildMixedDir journals a multi-workflow stream — mutations, run
 // ingestions, a mid-stream delete + re-register — into dir and
 // hard-kills the store (no checkpoint), leaving snapshots, sealed
-// segments and a live WAL suffix behind. Returns the workload
-// generators and the workflow IDs.
-func buildMixedDir(t *testing.T, dir string, opts Options) ([]string, map[string]*mutationWorkload) {
+// segments and a live WAL suffix behind.
+func buildMixedDir(t *testing.T, dir string) {
 	t.Helper()
-	st, err := Open(dir, opts)
+	st, err := Open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := engine.NewRegistry(engine.New(), engine.WithJournal(st))
-	rsOpts := []runs.Option{runs.WithJournal(st)}
-	if opts.LegacyJSONBodies {
-		rsOpts = append(rsOpts, runs.WithLegacyJSONDocs())
-	}
-	rs := runs.New(reg, rsOpts...)
+	rs := runs.New(reg, runs.WithJournal(st))
 	st.SetRunProvider(rs)
 
-	ids := []string{"wf-a", "wf-b", "wf-c"}
+	ids := mixedIDs
 	wls := make(map[string]*mutationWorkload, len(ids))
 	lws := make(map[string]*engine.LiveWorkflow, len(ids))
 	for k, id := range ids {
-		wl := newMutationWorkload(t, 48+8*k, 512, int64(100+k))
+		wl := mixedWorkload(t, k)
 		wls[id] = wl
 		lws[id] = wl.register(t, reg, id)
 	}
@@ -59,7 +65,6 @@ func buildMixedDir(t *testing.T, dir string, opts Options) ([]string, map[string
 		}
 	}
 	st.Close() // hard kill: no checkpoint
-	return ids, wls
 }
 
 // recoverDirAt copies dir aside and recovers it with the given worker
@@ -69,7 +74,7 @@ func recoverDirAt(t *testing.T, dir string, workers int) (*engine.Registry, *run
 	sub := t.TempDir()
 	copyDir(t, dir, sub)
 	opts := testOpts()
-	opts.RecoveryWorkers = workers
+	opts.recoveryWorkers = workers
 	st, err := Open(sub, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +97,7 @@ func recoverDirAt(t *testing.T, dir string, workers int) (*engine.Registry, *run
 // themselves.
 func TestParallelRecoveryEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	ids, _ := buildMixedDir(t, dir, testOpts())
+	buildMixedDir(t, dir)
 
 	refReg, refRuns, refStats := recoverDirAt(t, dir, 1)
 	if refStats.Workers != 1 {
@@ -107,7 +112,7 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 		if got, want := mustRegistryFingerprint(t, gotReg), mustRegistryFingerprint(t, refReg); got != want {
 			t.Fatalf("workers=%d: registry fingerprints diverge:\ngot:  %s\nwant: %s", workers, got, want)
 		}
-		for _, id := range ids {
+		for _, id := range mixedIDs {
 			assertRunsEqual(t, id, gotRuns, refRuns)
 		}
 		if gotStats.Replayed != refStats.Replayed || gotStats.Skipped != refStats.Skipped ||
@@ -120,38 +125,24 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 }
 
 // TestRecoverJSONEraDataDir pins backward compatibility with data dirs
-// written before the binary WAL bodies existed: a directory journaled
-// entirely with the legacy JSON encodings (record bodies and canonical
-// run documents alike) must recover under the current defaults —
-// binary-capable decoders, parallel replay — to the exact same state,
-// with every recovered run document byte-identical to the pre-crash
-// one. New traffic journaled after the recovery then mixes binary
+// written before the binary WAL bodies existed. testdata/json-era is
+// one: buildMixedDir's stream, journaled at commit 1d7831a, the last
+// with the JSON writers, with JSON record bodies and JSON canonical run
+// documents throughout. testdata/json-era.golden is recoveredState of
+// what that commit recovered from it. The directory must recover under
+// the current defaults — binary-capable decoders, parallel replay — to
+// exactly that state, with every run document byte-identical and still
+// JSON. New traffic journaled after the recovery then mixes binary
 // records into the JSON-era log, and a second crash + recovery must
 // replay across the era seam.
 func TestRecoverJSONEraDataDir(t *testing.T) {
 	dir := t.TempDir()
-	legacy := testOpts()
-	legacy.LegacyJSONBodies = true
-	ids, wls := buildMixedDir(t, dir, legacy)
-
-	// The on-disk docs are the reference: capture them from a pure
-	// legacy-mode recovery (knobs identical to the writer's).
-	sub := t.TempDir()
-	copyDir(t, dir, sub)
-	lst, err := Open(sub, legacy)
+	copyDir(t, filepath.Join("testdata", "json-era"), dir)
+	golden, err := os.ReadFile(filepath.Join("testdata", "json-era.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyReg := engine.NewRegistry(engine.New())
-	legacyRuns := runs.New(legacyReg, runs.WithLegacyJSONDocs())
-	if _, err := lst.RecoverWithRuns(legacyReg, legacyRuns); err != nil {
-		t.Fatal(err)
-	}
-	lst.Close()
-
-	// Recover the same bytes with the current defaults.
-	opts := testOpts()
-	st, err := Open(dir, opts)
+	st, err := Open(dir, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,23 +152,26 @@ func TestRecoverJSONEraDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Runs == 0 || stats.Workflows != len(ids) {
+	if stats.Runs == 0 || stats.Workflows != len(mixedIDs) {
 		t.Fatalf("JSON-era recovery stats: %+v", stats)
 	}
-	assertRegistriesEqual(t, reg, legacyReg)
-	for _, id := range ids {
-		assertRunsEqual(t, id, rs, legacyRuns)
-		gotIDs, gotDocs := rs.SnapshotRuns(id)
-		wantIDs, wantDocs := legacyRuns.SnapshotRuns(id)
-		if len(gotIDs) == 0 || len(gotIDs) != len(wantIDs) {
-			t.Fatalf("workflow %q: recovered %d runs, want %d", id, len(gotIDs), len(wantIDs))
-		}
-		for i := range gotIDs {
-			if gotIDs[i] != wantIDs[i] || !bytes.Equal(gotDocs[i], wantDocs[i]) {
-				t.Fatalf("workflow %q run %q: recovered document not byte-identical", id, gotIDs[i])
+	if got := recoveredState(t, reg, rs); got != string(golden) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(golden), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("recovered state diverges from the golden at line %d:\ngot:  %s\nwant: %s", i+1, gl[i], wl[i])
 			}
-			if len(gotDocs[i]) == 0 || gotDocs[i][0] != '{' {
-				t.Fatalf("workflow %q run %q: JSON-era document was re-encoded: %q...", id, gotIDs[i], gotDocs[i][:1])
+		}
+		t.Fatalf("recovered state has %d lines, the golden %d", len(gl), len(wl))
+	}
+	for _, id := range mixedIDs {
+		runIDs, docs := rs.SnapshotRuns(id)
+		if len(runIDs) == 0 {
+			t.Fatalf("workflow %q: no runs recovered", id)
+		}
+		for i, doc := range docs {
+			if len(doc) == 0 || doc[0] != '{' {
+				t.Fatalf("workflow %q run %q: JSON-era document was re-encoded: %q...", id, runIDs[i], doc[:1])
 			}
 		}
 	}
@@ -191,12 +185,13 @@ func TestRecoverJSONEraDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wl := mixedWorkload(t, 0)
 	for i := 0; i < 40; i++ {
-		if _, err := lw.MutateCtx(context.Background(), wls["wf-a"].mutation(1000+i)); err != nil {
+		if _, err := lw.MutateCtx(context.Background(), wl.mutation(1000+i)); err != nil {
 			t.Fatalf("post-recovery mutation %d: %v", i, err)
 		}
 		if i%4 == 0 {
-			_, doc := wls["wf-a"].runDoc(1000 + i)
+			_, doc := wl.runDoc(1000 + i)
 			if _, err := rs.IngestCtx(context.Background(), "wf-a", doc); err != nil {
 				t.Fatalf("post-recovery ingest %d: %v", i, err)
 			}
@@ -215,9 +210,52 @@ func TestRecoverJSONEraDataDir(t *testing.T) {
 		t.Fatalf("mixed-era recovery: %v", err)
 	}
 	assertRegistriesEqual(t, reg2, reg)
-	for _, id := range ids {
+	for _, id := range mixedIDs {
 		assertRunsEqual(t, id, rs2, rs)
 	}
+}
+
+// recoveredState renders what a recovery restored as text: the registry
+// fingerprint (IDs, versions, documents and reports), each workflow's
+// info, and per run its info, canonical document and the lineage
+// answers assertRunsEqual compares.
+func recoveredState(t *testing.T, reg *engine.Registry, rs *runs.Store) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(mustRegistryFingerprint(t, reg))
+	for _, id := range reg.IDs() {
+		lw, err := reg.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := lw.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := json.Marshal(info)
+		fmt.Fprintf(&b, "info=%s\n", raw)
+		infos, err := rs.Runs(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, docs := rs.SnapshotRuns(id)
+		for i, ri := range infos {
+			raw, _ := json.Marshal(ri)
+			fmt.Fprintf(&b, "run=%s\ndoc=%s\n", raw, docs[i])
+			for _, q := range []runs.Query{
+				{Run: ri.Run, Artifact: ri.Run + "/a3", Witness: true},
+				{Run: ri.Run, Artifact: ri.Run + "/a3", Level: runs.LevelAudited, View: "interval"},
+			} {
+				ans, err := rs.LineageCtx(context.Background(), id, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, _ := json.Marshal(ans)
+				fmt.Fprintf(&b, "lineage=%s\n", raw)
+			}
+		}
+	}
+	return b.String()
 }
 
 // TestRunsIngestedBatch covers the batch journal path end to end: a

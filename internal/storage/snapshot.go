@@ -94,13 +94,13 @@ func snapName(id string) string {
 func encodeSnapshot(st *engine.LiveState, lsn uint64, wfRaw json.RawMessage, runIDs []string, runDocs [][]byte) (*snapshotDoc, error) {
 	var err error
 	if wfRaw == nil {
-		if wfRaw, err = json.Marshal(st.Workflow); err != nil {
+		if wfRaw, err = st.Workflow.MarshalJSON(); err != nil {
 			return nil, fmt.Errorf("storage: snapshot %q: encode workflow: %w", st.ID, err)
 		}
 	}
 	doc := &snapshotDoc{LSN: lsn, ID: st.ID, Version: st.Version, Workflow: wfRaw}
 	for _, av := range st.Views {
-		raw, err := json.Marshal(av.View)
+		raw, err := av.View.MarshalJSON()
 		if err != nil {
 			return nil, fmt.Errorf("storage: snapshot %q: encode view %q: %w", st.ID, av.ID, err)
 		}

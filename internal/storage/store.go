@@ -48,19 +48,6 @@ type Options struct {
 	SnapshotEvery int
 	// Fsync selects the durability mode (FsyncBatch by default).
 	Fsync FsyncMode
-	// LegacyJSONBodies forces the pre-PR-9 JSON encoding for the hot
-	// record bodies (mutation batches and runs) instead of the compact
-	// binary form. Decoding always accepts both encodings regardless, so
-	// this knob only exists for benchmark baselines and for compat tests
-	// that write an old-format directory on purpose; production has no
-	// reason to set it.
-	LegacyJSONBodies bool
-	// RecoveryWorkers bounds the parallelism of RecoverWithRuns: snapshot
-	// loading and WAL body decoding fan out across this many workers,
-	// and record application fans out per workflow. 0 (the default)
-	// means GOMAXPROCS; 1 pins the sequential reference path that the
-	// parallel path is equivalence-tested against.
-	RecoveryWorkers int
 	// FS is the filesystem seam every store I/O goes through; nil means
 	// the real filesystem. Tests install a vfs.FaultFS here to inject
 	// disk faults at any I/O site, including acquisition of the
@@ -68,6 +55,10 @@ type Options struct {
 	// its os-backed inner FS, so the lock still arbitrates between
 	// processes.
 	FS vfs.FS
+
+	// recoveryWorkers pins the width of RecoverWithRuns for the tests
+	// and benchmarks that compare widths; 0 means GOMAXPROCS.
+	recoveryWorkers int
 }
 
 func (o Options) withDefaults() Options {
@@ -461,7 +452,7 @@ func (s *Store) coveredLocked() uint64 {
 // newborn workflow, giving it a covered LSN so compaction is never
 // blocked by a workflow that happens not to mutate.
 func (s *Store) Registered(ctx context.Context, st *engine.LiveState) error {
-	wfRaw, err := marshalWorkflowJSON(st.Workflow)
+	wfRaw, err := st.Workflow.MarshalJSON()
 	if err != nil {
 		return s.fail(err)
 	}
@@ -486,6 +477,51 @@ func (s *Store) Registered(ctx context.Context, st *engine.LiveState) error {
 	return s.waitDurable(ticket)
 }
 
+// journal is the write path of every record but a registration or a
+// deletion: it gates the store, encodes and appends the record, counts
+// it toward workflowID's snapshot trigger (its bytes, and as records the
+// mutation batches or runs it holds), snapshots st when the trigger
+// fires, and waits for durability. With no st in hand (the run records)
+// it reports the trigger instead, and the caller follows up with
+// SnapshotWorkflow.
+//
+// The body is either encoded beforehand (the JSON kinds, outside the
+// lock) or, when encode is non-nil, appended by encode under s.mu to the
+// store's scratch, which the WAL copies before appendLocked returns.
+func (s *Store) journal(workflowID string, st *engine.LiveState, typ byte, records int, body []byte, encode func(dst []byte) []byte) (bool, error) {
+	s.mu.Lock()
+	if err := s.usableLocked(); err != nil {
+		s.mu.Unlock()
+		return false, err
+	}
+	if encode != nil {
+		s.enc = encode(s.enc[:0])
+		body = s.enc
+	}
+	ticket, n, err := s.appendLocked(typ, body)
+	if err != nil {
+		s.mu.Unlock()
+		return false, err
+	}
+	ws := s.wfs[workflowID]
+	if ws == nil {
+		ws = &wfState{}
+		s.wfs[workflowID] = ws
+	}
+	ws.sinceSnapRecs += records
+	ws.sinceSnapBytes += n
+	snap := ws.wantSnapshot(s.opts)
+	coverLSN := s.lsn
+	s.mu.Unlock()
+	if snap && st != nil {
+		if err := s.writeSnapshot(st, coverLSN, nil); err != nil {
+			return false, err
+		}
+		snap = false
+	}
+	return snap, s.waitDurable(ticket)
+}
+
 // Committed appends the mutation batch; once the workflow's WAL growth
 // passes the snapshot trigger (see Options.SnapshotBytes) it is folded
 // into a fresh snapshot and fully covered segments are compacted.
@@ -493,47 +529,10 @@ func (s *Store) Committed(ctx context.Context, batch *engine.AppliedBatch, st *e
 	ctx, span := obs.StartSpan(ctx, "storage", "committed")
 	defer span.End()
 	span.SetAttr("workflow", st.ID)
-	s.mu.Lock()
-	if err := s.usableLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	// Hot path: encode the batch into the store's scratch under mu (the
-	// WAL copies it before appendLocked returns). The legacy knob keeps
-	// the old JSON encoding reachable for baselines and compat tests.
-	var body []byte
-	if s.opts.LegacyJSONBodies {
-		var jerr error
-		if body, jerr = encodeMutateJSON(st.ID, st.Version, batch); jerr != nil {
-			jerr = s.failLocked(jerr)
-			s.mu.Unlock()
-			return jerr
-		}
-	} else {
-		s.enc = appendMutateBinary(s.enc[:0], st.ID, st.Version, batch)
-		body = s.enc
-	}
-	ticket, n, err := s.appendLocked(recMutate, body)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	ws := s.wfs[st.ID]
-	if ws == nil {
-		ws = &wfState{}
-		s.wfs[st.ID] = ws
-	}
-	ws.sinceSnapRecs++
-	ws.sinceSnapBytes += n
-	snap := ws.wantSnapshot(s.opts)
-	coverLSN := s.lsn
-	s.mu.Unlock()
-	if snap {
-		if err := s.writeSnapshot(st, coverLSN, nil); err != nil {
-			return err
-		}
-	}
-	return s.waitDurable(ticket)
+	_, err := s.journal(st.ID, st, recMutate, 1, nil, func(dst []byte) []byte {
+		return appendMutateBinary(dst, st.ID, st.Version, batch)
+	})
+	return err
 }
 
 // ViewAttached appends the attach record carrying the view document.
@@ -542,7 +541,7 @@ func (s *Store) Committed(ctx context.Context, batch *engine.AppliedBatch, st *e
 // without mutating still gets folded into snapshots and its log still
 // compacts, keeping the ~2x-of-live-state disk bound honest.
 func (s *Store) ViewAttached(ctx context.Context, st *engine.LiveState, vid string, v *view.View) error {
-	raw, err := marshalViewJSON(v)
+	raw, err := v.MarshalJSON()
 	if err != nil {
 		return s.fail(err)
 	}
@@ -550,30 +549,8 @@ func (s *Store) ViewAttached(ctx context.Context, st *engine.LiveState, vid stri
 	if err != nil {
 		return s.fail(err)
 	}
-	s.mu.Lock()
-	if err := s.usableLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	ticket, n, err := s.appendLocked(recAttach, body)
-	snap := false
-	coverLSN := s.lsn
-	if err == nil {
-		if ws := s.wfs[st.ID]; ws != nil {
-			ws.sinceSnapBytes += n
-			snap = ws.wantSnapshot(s.opts)
-		}
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if snap {
-		if err := s.writeSnapshot(st, coverLSN, nil); err != nil {
-			return err
-		}
-	}
-	return s.waitDurable(ticket)
+	_, err = s.journal(st.ID, st, recAttach, 0, body, nil)
+	return err
 }
 
 // ViewDetached appends the detach record.
@@ -582,30 +559,8 @@ func (s *Store) ViewDetached(ctx context.Context, st *engine.LiveState, vid stri
 	if err != nil {
 		return s.fail(err)
 	}
-	s.mu.Lock()
-	if err := s.usableLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	ticket, n, err := s.appendLocked(recDetach, body)
-	snap := false
-	coverLSN := s.lsn
-	if err == nil {
-		if ws := s.wfs[st.ID]; ws != nil {
-			ws.sinceSnapBytes += n
-			snap = ws.wantSnapshot(s.opts)
-		}
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if snap {
-		if err := s.writeSnapshot(st, coverLSN, nil); err != nil {
-			return err
-		}
-	}
-	return s.waitDurable(ticket)
+	_, err = s.journal(st.ID, st, recDetach, 0, body, nil)
+	return err
 }
 
 // Deleted appends the delete record, waits for it to be durable, and
@@ -666,94 +621,31 @@ func (s *Store) Deleted(ctx context.Context, id string) error {
 func (s *Store) RunIngested(ctx context.Context, workflowID, runID string, doc []byte) (bool, error) {
 	ctx, span := obs.StartSpan(ctx, "storage", "run.journal")
 	defer span.End()
-	s.mu.Lock()
-	if err := s.usableLocked(); err != nil {
-		s.mu.Unlock()
-		return false, err
-	}
-	ticket, err := s.appendRunLocked(workflowID, runID, doc)
-	want := false
-	if err == nil {
-		want = s.wfs[workflowID].wantSnapshot(s.opts)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	return want, s.waitDurable(ticket)
-}
-
-// appendRunLocked encodes and appends one run record and rolls its size
-// into the workflow's snapshot-trigger bookkeeping; callers hold s.mu.
-// The legacy JSON body is only expressible for JSON documents (the
-// RawMessage embeds the doc verbatim), so binary docs always take the
-// binary body even under the legacy knob.
-func (s *Store) appendRunLocked(workflowID, runID string, doc []byte) (uint64, error) {
-	var body []byte
-	if s.opts.LegacyJSONBodies && len(doc) > 0 && doc[0] == '{' {
-		var jerr error
-		if body, jerr = encodeRunJSON(workflowID, runID, doc); jerr != nil {
-			return 0, s.failLocked(jerr)
-		}
-	} else {
-		s.enc = appendRunBinary(s.enc[:0], workflowID, runID, doc)
-		body = s.enc
-	}
-	return s.appendRunsLocked(workflowID, recRun, body, 1)
-}
-
-// appendRunsLocked appends a record that holds the given number of runs
-// and counts them in the workflow's snapshot-trigger bookkeeping;
-// callers hold s.mu.
-func (s *Store) appendRunsLocked(workflowID string, typ byte, body []byte, runs int) (uint64, error) {
-	ticket, n, err := s.appendLocked(typ, body)
-	if err != nil {
-		return 0, err
-	}
-	ws := s.wfs[workflowID]
-	if ws == nil {
-		ws = &wfState{}
-		s.wfs[workflowID] = ws
-	}
-	ws.sinceSnapRecs += runs
-	ws.sinceSnapBytes += n
-	return ticket, nil
+	return s.journal(workflowID, nil, recRun, 1, nil, func(dst []byte) []byte {
+		return appendRunBinary(dst, workflowID, runID, doc)
+	})
 }
 
 // RunsIngested journals a batch of runs ingested together as one record,
 // so recovery restores the whole batch or none of it, and the batch
-// rides one fsync. A batch of one run is an ordinary run record, and so
-// is each run under LegacyJSONBodies: the JSON era had no batch record.
-// The snapshot-trigger bookkeeping counts each run, as if journaled
-// alone.
+// rides one fsync. A batch of one run is an ordinary run record. The
+// snapshot-trigger bookkeeping counts each run, as if journaled alone.
 func (s *Store) RunsIngested(ctx context.Context, workflowID string, runIDs []string, docs [][]byte) (bool, error) {
 	ctx, span := obs.StartSpan(ctx, "storage", "runs.journal")
 	defer span.End()
 	if len(runIDs) == 0 {
 		return false, nil
 	}
-	s.mu.Lock()
-	if err := s.usableLocked(); err != nil {
-		s.mu.Unlock()
-		return false, err
+	typ := recRunBatch
+	if len(runIDs) == 1 {
+		typ = recRun
 	}
-	var ticket uint64
-	var err error
-	if len(runIDs) == 1 || s.opts.LegacyJSONBodies {
-		for i := 0; i < len(runIDs) && err == nil; i++ {
-			ticket, err = s.appendRunLocked(workflowID, runIDs[i], docs[i])
+	return s.journal(workflowID, nil, typ, len(runIDs), nil, func(dst []byte) []byte {
+		if typ == recRun {
+			return appendRunBinary(dst, workflowID, runIDs[0], docs[0])
 		}
-	} else {
-		s.enc = appendRunBatchBinary(s.enc[:0], workflowID, runIDs, docs)
-		ticket, err = s.appendRunsLocked(workflowID, recRunBatch, s.enc, len(runIDs))
-	}
-	if err != nil {
-		s.mu.Unlock()
-		return false, err
-	}
-	want := s.wfs[workflowID].wantSnapshot(s.opts)
-	s.mu.Unlock()
-	return want, s.waitDurable(ticket)
+		return appendRunBatchBinary(dst, workflowID, runIDs, docs)
+	})
 }
 
 // SnapshotWorkflow folds st into a fresh snapshot covering everything

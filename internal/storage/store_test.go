@@ -612,6 +612,63 @@ func TestRecoverRefusesUndersizedCapacity(t *testing.T) {
 	st3.Close()
 }
 
+// TestRecoverAtOwnCapacityAfterDeletes: a daemon that evicted or
+// deleted a workflow boots again at its own capacity. The dead
+// workflow's register record is covered by no snapshot (its snapshot
+// file went with the delete), so a replay that restored it only to
+// delete it again would need one slot more than the registry ever held.
+// The third case crashes between the durable delete record and the
+// removal of the snapshot file: that snapshot must not restore either,
+// and recovery removes it.
+func TestRecoverAtOwnCapacityAfterDeletes(t *testing.T) {
+	for _, tc := range []string{"evict", "delete", "delete-before-snapshot-removal"} {
+		t.Run(tc, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir, testOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := engine.NewRegistry(engine.New(), engine.WithJournal(st), engine.WithRegistryCapacity(3))
+			wl := newMutationWorkload(t, 16, 64, 21)
+			for i := 0; i < 3; i++ {
+				wl.register(t, reg, fmt.Sprintf("wf-%d", i))
+			}
+			var stale []byte // wf-1's snapshot, put back after the crash
+			if tc != "evict" {
+				if tc == "delete-before-snapshot-removal" {
+					if stale, err = os.ReadFile(snapPath(dir, "wf-1")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := reg.DeleteCtx(context.Background(), "wf-1"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wl.register(t, reg, "wf-3") // evicts wf-0 when nothing was deleted
+			st.Close()                  // crash: no checkpoint
+			if stale != nil {
+				if err := os.WriteFile(snapPath(dir, "wf-1"), stale, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			st2, err := Open(dir, testOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			recovered := engine.NewRegistry(engine.New(), engine.WithRegistryCapacity(3))
+			if _, err := st2.RecoverWithRuns(recovered, nil); err != nil {
+				t.Fatalf("recover into the daemon's own capacity 3: %v", err)
+			}
+			assertRegistriesEqual(t, recovered, reg)
+			if _, err := os.Stat(snapPath(dir, "wf-1")); stale != nil && !os.IsNotExist(err) {
+				t.Fatalf("the deleted workflow's snapshot survived recovery: %v", err)
+			}
+		})
+	}
+}
+
 // copyDir clones the store directory so each truncation experiment works
 // on its own files.
 func copyDir(t *testing.T, src, dst string) {

@@ -33,8 +33,7 @@
 //	fixed, _ := eng.Correct(ctx, wf, v, wolves.Strong)  // fixed.Corrected is sound
 //
 // Engines take functional options — WithWorkers (fan-out width),
-// WithOracleCache (LRU capacity), WithCorrectorOptions, and
-// WithOptimalTimeout — and expose batch entry points (ValidateBatch,
+// WithOracleCache (LRU capacity) and WithOptimalTimeout — and expose batch entry points (ValidateBatch,
 // CorrectBatch) that spread independent jobs over the worker pool.
 // eng.Oracle(wf) hands out the cached oracle that the oracle-level
 // helpers (MergeUp, NewAdvisor, Compact, Summary, …) take, and the
@@ -110,8 +109,6 @@ var (
 	WithWorkers = engine.WithWorkers
 	// WithOracleCache sets the oracle LRU capacity (0 disables caching).
 	WithOracleCache = engine.WithOracleCache
-	// WithCorrectorOptions sets default corrector options.
-	WithCorrectorOptions = engine.WithCorrectorOptions
 	// WithOptimalTimeout bounds every Optimal correction.
 	WithOptimalTimeout = engine.WithOptimalTimeout
 )
