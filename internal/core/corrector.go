@@ -319,13 +319,31 @@ func newPartitioner(o *soundness.Oracle, members []int) *partitioner {
 		p.blockOf[t] = id
 		p.alive[id] = true
 	}
-	order, err := o.Workflow().Graph().TopoOrder()
-	if err != nil {
-		panic("core: built workflows are acyclic")
+	// Order the members topologically over the edges among them (Kahn,
+	// with p.topo as the queue and selBuf lent for the in-degrees): a
+	// doom set reads only member predecessors, so any such order gives
+	// the same sets.
+	g, indeg := o.Workflow().Graph(), p.selBuf[:m]
+	clear(indeg)
+	for _, t := range p.members {
+		for _, s := range g.Succs(t) {
+			if id := p.blockOf[s]; id >= 0 {
+				indeg[id]++
+			}
+		}
 	}
-	for _, t := range order {
-		if p.memberSet.Test(t) {
+	for id, t := range p.members {
+		if indeg[id] == 0 {
 			p.topo = append(p.topo, t)
+		}
+	}
+	for i := 0; i < len(p.topo); i++ {
+		for _, s := range g.Succs(p.topo[i]) {
+			if id := p.blockOf[s]; id >= 0 {
+				if indeg[id]--; indeg[id] == 0 {
+					p.topo = append(p.topo, int(s))
+				}
+			}
 		}
 	}
 	return p

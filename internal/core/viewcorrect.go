@@ -54,18 +54,14 @@ func CorrectViewCtx(ctx context.Context, o *soundness.Oracle, v *view.View, crit
 		return nil, canceledErr(ctx)
 	}
 	vc := &ViewCorrection{Criterion: crit, CompositesBefore: v.N()}
-	cur := v
+	splits := make([]view.Split, 0, len(rep.Unsound))
 	for _, ci := range rep.Unsound {
 		comp := v.Composite(ci)
 		res, err := SplitTaskCtx(ctx, o, comp.Members(), crit, opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: splitting composite %q: %w", comp.ID, err)
 		}
-		next, err := cur.ReplaceComposite(comp.ID, res.Blocks)
-		if err != nil {
-			return nil, fmt.Errorf("core: applying split of %q: %w", comp.ID, err)
-		}
-		cur = next
+		splits = append(splits, view.Split{ID: comp.ID, Blocks: res.Blocks})
 		vc.Tasks = append(vc.Tasks, TaskCorrection{
 			CompositeID: comp.ID,
 			Before:      comp.Size(),
@@ -73,8 +69,12 @@ func CorrectViewCtx(ctx context.Context, o *soundness.Oracle, v *view.View, crit
 			Result:      res,
 		})
 	}
-	vc.Corrected = cur
-	vc.CompositesAfter = cur.N()
+	corrected, err := v.ReplaceComposites(splits...)
+	if err != nil {
+		return nil, fmt.Errorf("core: applying the splits: %w", err)
+	}
+	vc.Corrected = corrected
+	vc.CompositesAfter = corrected.N()
 	vc.Elapsed = time.Since(start)
 	return vc, nil
 }

@@ -50,26 +50,19 @@ type IncrementalClosure struct {
 	// (rebuildOverGrownLabels).
 	labels        *Labels
 	revLabels     *Labels
-	labelBudget   func(n int) int // interval budget of label builds
-	labelBuilt    int             // pair size (intervals + words) at the last build
-	labelBuilds   int64           // label-index (pair) builds: construction, rollback, size rule
-	labelRebuilds int64           // rebuilds forced by the size rule
-	labelPatches  int64           // lifetime Patch calls, both directions
+	labelBuilt    int   // pair size (row words) at the last build
+	labelBuilds   int64 // label-index (pair) builds: construction, rollback, size rule
+	labelRebuilds int64 // rebuilds forced by the size rule
+	labelPatches  int64 // lifetime Patch calls, both directions
 }
 
 // NewIncrementalClosure computes the initial closure of g (which must be
 // acyclic) and its label pair, and takes ownership of g.
 func NewIncrementalClosure(g *Graph) (*IncrementalClosure, error) {
-	return newIncrementalClosure(g, labelBudget)
-}
-
-// newIncrementalClosure is NewIncrementalClosure with an explicit label
-// interval budget (tests force bitmap rows with a zero budget).
-func newIncrementalClosure(g *Graph, budget func(n int) int) (*IncrementalClosure, error) {
 	if !g.IsAcyclic() {
 		return nil, ErrCycle
 	}
-	ic := &IncrementalClosure{g: g, labelBudget: budget}
+	ic := &IncrementalClosure{g: g}
 	ic.rebuild()
 	return ic, nil
 }
@@ -83,28 +76,22 @@ func (ic *IncrementalClosure) rebuild() {
 
 // rebuildLabels builds the forward/reverse label pair.
 func (ic *IncrementalClosure) rebuildLabels() {
-	ic.labels, ic.revLabels = buildLabelPair(ic.g, ic.labelBudget(ic.g.n))
+	ic.labels, ic.revLabels = BuildLabelPair(ic.g)
 	ic.labelBuilt = ic.labelSize()
 	ic.labelBuilds++
 }
 
-// labelSize is the pair's current size: intervals plus bitmap words,
-// both directions.
-func (ic *IncrementalClosure) labelSize() int {
-	return ic.labels.intervals + ic.labels.words + ic.revLabels.intervals + ic.revLabels.words
-}
+// labelSize is the pair's current size in row words, both directions.
+func (ic *IncrementalClosure) labelSize() int { return ic.labels.words + ic.revLabels.words }
 
 // rebuildOverGrownLabels rebuilds the patched pair in place once it has
-// doubled in size since its last build or an interval index has passed
-// the interval budget (the rebuild then picks bitmap rows). Patches can
-// fragment covers, but not much under local edits: on a 4096-task
-// layered DAG taking random forward edges that span at most n/16
-// tasks, the patched forward cover is 1.02×, 1.10× and 1.38× a fresh
-// build's after 250, 1000 and 4000 edges (reverse 1.00×), while the
-// pair's total size never exceeds 1.01× its built size — far from 2×.
+// doubled in size since its last build. Patches can fragment a row's
+// runs, but not much under local edits, and never past the bitmap of
+// its span, which appendRow then picks instead: a history of local
+// edges on a layered DAG stays far below 2× and never rebuilds
+// (checkPatchHistoryKeepsLabels).
 func (ic *IncrementalClosure) rebuildOverGrownLabels() {
-	budget := ic.labelBudget(ic.g.n)
-	if ic.labelSize() <= 2*ic.labelBuilt && ic.labels.intervals <= budget && ic.revLabels.intervals <= budget {
+	if ic.labelSize() <= 2*ic.labelBuilt {
 		return
 	}
 	ic.rebuildLabels()
@@ -174,7 +161,7 @@ func (ic *IncrementalClosure) AddEdge(u, v int, dirty *bitset.Set) (bool, error)
 	}
 	// Reverse-label patches run first, while the forward rows are still
 	// pre-insertion: every descendant x of v that u did not already
-	// reach gains u's reflexive ancestor cover (anc'(x) = anc(x) ∪
+	// reach gains u's reflexive ancestor row (anc'(x) = anc(x) ∪
 	// anc(u); u already reaching x implies anc(u) ⊆ anc(x), so the skip
 	// is exact). revLabels' row u is never a patched row — u ∈ desc(v)
 	// would be the cycle rejected above — so the merge source is stable,
@@ -199,8 +186,8 @@ func (ic *IncrementalClosure) AddEdge(u, v int, dirty *bitset.Set) (bool, error)
 		}
 		ic.fwd.Row(w).Or(srcRow)
 		// Patch the label index in the same pass: w's reach set became
-		// reach(w) ∪ reach(v), so merging v's interval cover into w's
-		// keeps the exact-cover invariant.
+		// reach(w) ∪ reach(v), so merging v's row into w's keeps the
+		// exact-set invariant.
 		ic.labels.Patch(w, v)
 		ic.labelPatches++
 		if dirty != nil {

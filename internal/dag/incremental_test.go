@@ -3,6 +3,7 @@ package dag
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wolves/internal/bitset"
@@ -76,17 +77,16 @@ func TestIncrementalClosureDirtySet(t *testing.T) {
 // TestIncrementalClosureRollback verifies that a rollback after a
 // partially applied batch restores the exact pre-batch state, and that
 // a rollback with nothing to undo touches nothing. Subtests run over
-// both label row kinds.
+// both row shapes (rowShapes).
 func TestIncrementalClosureRollback(t *testing.T) {
-	for _, lb := range labelBudgets {
-		t.Run(lb.name, func(t *testing.T) { checkRollback(t, lb.budget) })
+	for _, shape := range rowShapes {
+		t.Run(shape.name, func(t *testing.T) { checkRollback(t, shape.graph(rand.New(rand.NewSource(3)), 40)) })
 	}
 }
 
-func checkRollback(t *testing.T, budget func(int) int) {
-	g := New(4)
-	g.MustAddEdge(0, 1)
-	ic, err := newIncrementalClosure(g, budget)
+func checkRollback(t *testing.T, g *Graph) {
+	n := g.N()
+	ic, err := NewIncrementalClosure(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,20 +95,21 @@ func checkRollback(t *testing.T, budget func(int) int) {
 
 	// Apply a batch: one new node, two edges, then pretend the next edge
 	// failed and roll everything back.
+	u, v := newIdleEdge(t, ic)
 	ic.Grow(1)
 	checkAgainstScratch(t, ic)
 	applied := [][2]int{}
-	for _, e := range [][2]int{{1, 2}, {2, 4}} {
+	for _, e := range [][2]int{{u, v}, {v, n}} {
 		if _, err := ic.AddEdge(e[0], e[1], nil); err != nil {
 			t.Fatalf("AddEdge(%v): %v", e, err)
 		}
 		applied = append(applied, e)
 		checkAgainstScratch(t, ic)
 	}
-	ic.Rollback(4, applied)
+	ic.Rollback(n, applied)
 
-	if ic.N() != 4 || ic.Graph().M() != wantM {
-		t.Fatalf("rollback left n=%d m=%d, want n=4 m=%d", ic.N(), ic.Graph().M(), wantM)
+	if ic.N() != n || ic.Graph().M() != wantM {
+		t.Fatalf("rollback left n=%d m=%d, want n=%d m=%d", ic.N(), ic.Graph().M(), n, wantM)
 	}
 	if !ic.Fwd().Matrix().Equal(wantFwd) {
 		t.Fatal("rollback did not restore the forward closure")
@@ -117,11 +118,12 @@ func checkRollback(t *testing.T, budget func(int) int) {
 
 	// A batch rejected at its first edge applied nothing: the rollback
 	// must keep every structure, not rebuild it.
+	a := slices.IndexFunc(ic.g.succs, func(s []int32) bool { return len(s) > 0 })
 	fwd, labels, rev, builds := ic.Fwd(), ic.Labels(), ic.RevLabels(), ic.LabelBuilds()
-	if _, err := ic.AddEdge(1, 0, nil); !errors.Is(err, ErrCycle) {
-		t.Fatalf("AddEdge(1,0) = %v, want a cycle rejection", err)
+	if _, err := ic.AddEdge(int(ic.g.succs[a][0]), a, nil); !errors.Is(err, ErrCycle) {
+		t.Fatalf("AddEdge(%d,%d) = %v, want a cycle rejection", ic.g.succs[a][0], a, err)
 	}
-	ic.Rollback(4, nil)
+	ic.Rollback(n, nil)
 	if ic.Fwd() != fwd || ic.Labels() != labels || ic.RevLabels() != rev || ic.LabelBuilds() != builds {
 		t.Fatal("a rollback with nothing to undo replaced the closure or labels")
 	}

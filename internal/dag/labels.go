@@ -6,50 +6,47 @@ import (
 	"sync"
 )
 
-// This file implements the interval / tree-cover reachability label
-// index (Agrawal–Borgida–Jagadish): each node carries a short sorted
-// list of postorder intervals whose union covers exactly the postorder
-// positions of its reachable set. Membership — "does u reach v?" — is a
-// binary search over u's intervals instead of a closure-row bit test,
-// and, unlike closure rows, a label of a graph within the interval
-// budget fits in a couple of cache lines.
+// This file implements the reachability label index: each node carries
+// one row holding exactly the postorder positions of its reachable set,
+// in whichever of two containers is smaller — the set's canonical
+// interval runs (Agrawal–Borgida–Jagadish tree-cover labels) or a
+// bitmap of the word span the set occupies (Roaring's run-versus-bitmap
+// container choice). Membership — "does u reach v?" — is a binary
+// search over u's runs or one bit test, and the index is total: no row
+// is more than one word larger than a closure row.
 //
 // Construction numbers a spanning forest of the condensation in
 // postorder (so every subtree owns a contiguous interval), then unions
-// successor labels in reverse topological order through a word bitmap
-// read back as runs — no sorting anywhere. The reverse (ancestor)
-// index is built from the predecessor lists over the same condensation
-// (BuildLabelPair). Cyclic inputs (view quotient graphs of unsound
-// views) are handled by labeling the condensation: all members of a
-// strongly connected component share one label and one postorder
-// position, which reproduces the reflexive closure semantics of
-// Reachability exactly.
+// successor rows in reverse topological order through a word bitmap,
+// which one function (appendRow) turns into a row — no sorting
+// anywhere. The reverse (ancestor) index is built from the predecessor
+// lists over the same condensation (BuildLabelPair). Cyclic inputs
+// (view quotient graphs of unsound views) are handled by labeling the
+// condensation: all members of a strongly connected component share
+// one row and one postorder position, which reproduces the reflexive
+// closure semantics of Reachability exactly.
 //
 // A build makes a fixed number of allocations, however many rows it
-// produces: it appends every row's runs to pooled scratch and copies
-// them once into one exact-length backing array (bitmap rows: one word
-// array), of which each row is a capacity-limited slice. After the
-// build, rows are only ever patched: Patch merges two sorted covers in
-// one linear pass into a fresh row of exactly the merged length, and
-// the owning IncrementalClosure rebuilds the pair only when patching
-// has doubled its size (incremental.go). A patched index must not pin
-// its build array through the rows it patched away, so the first Patch
-// moves every row into an exact allocation of its own; from then on a
-// patched-away row is freed on its own. Forks taken before that keep
-// reading the immutable build array, and an index that is never patched
-// — a view's quotient labels — keeps it for life.
-//
-// Worst-case label size is O(n) intervals per node. A graph whose
-// cover exceeds the interval budget gets bitmap rows instead: each row
-// is a position bitmap of MarkWords(n) words, the size of a closure
-// row, so the index is total — every graph has one, with memory bounded
-// by about one closure matrix — and every operation keeps its contract
-// for both row kinds.
+// produces: it appends every row to pooled scratch and copies them once
+// into one exact-length backing array, of which each row is a
+// capacity-limited slice. After the build, rows are only ever patched:
+// Patch marks two rows and emits their union through appendRow into a
+// fresh row of exactly its length, and the owning IncrementalClosure
+// rebuilds the pair only when patching has doubled its size
+// (incremental.go). A patched index must not pin its build array
+// through the rows it patched away, so the first Patch moves every row
+// into an exact allocation of its own; from then on a patched-away row
+// is freed on its own. Forks taken before that keep reading the
+// immutable build array, and an index that is never patched — a view's
+// quotient labels — keeps it for life.
 
-// Interval is a closed range [Lo, Hi] of postorder positions.
-type Interval struct {
-	Lo, Hi int32
-}
+// A row is a non-empty position set in one of two containers. A run
+// row is the set's canonical cover — sorted, disjoint, non-adjacent
+// runs — one word per run, lo<<32 | hi. A bitmap row is a header word,
+// bitmapRow | w, and then the set's bitmap from word w to the word of
+// its last position. Positions are below 2³¹, so no run word has the
+// top bit set, and a row's first word names its container.
+const bitmapRow = 1 << 63
 
 // Labels is a reachability label index over a fixed node set. It is
 // immutable from the reader's point of view: the maintenance entry
@@ -66,54 +63,29 @@ type Labels struct {
 	// node.
 	byPosStart []int32
 	byPosNodes []int32
-	// An index holds exactly one kind of row. rows[u] is u's sorted,
-	// disjoint, non-adjacent interval cover; bitRows[u] (over-budget
-	// graphs only) is u's reachable positions as a bitmap, words past
-	// its length being zero. Members of one SCC share a row at build
-	// time; Patch always installs a freshly allocated row, never
-	// mutates one in place, so forked snapshots stay immutable.
-	rows    [][]Interval
-	bitRows [][]uint64
+	// rows[u] is u's row (see bitmapRow). Members of one SCC share a row
+	// at build time; Patch always installs a freshly allocated row,
+	// never mutates one in place, so forked snapshots stay immutable.
+	rows [][]uint64
 	// shared reports that the built rows are still capacity-limited
 	// slices of the build's one backing array; the first Patch moves
 	// them out (copyOut).
 	shared bool
-
-	intervals int // current total interval count across rows
-	words     int // current total word count across bitRows
+	// words is the total row length, a row shared by the members of one
+	// SCC counted once.
+	words int
 }
 
-// labelBudgetFactor bounds the total interval count of a label index to
-// factor×n (+ a small constant floor). Beyond it the cover is
-// degenerating toward quadratic memory and bitmap rows are the better
-// representation, so the build switches to them. 128 admits dense
-// layered DAGs (a 4096-task, 16-layer, p=0.05 graph needs ~85
-// intervals/node ≈ 2.7 MB) while still refusing covers within ~3% of
-// the quadratic worst case at that size.
-const labelBudgetFactor = 128
-
-func labelBudget(n int) int { return labelBudgetFactor*n + 256 }
-
-// BuildLabels computes the label index of g, cyclic or not. It never
-// returns nil: a graph over the interval budget gets bitmap rows.
-func BuildLabels(g *Graph) *Labels { return buildLabels(g, labelBudget(g.n)) }
+// BuildLabels computes the label index of g, cyclic or not.
+func BuildLabels(g *Graph) *Labels { return condense(g).labels(g.succs) }
 
 // BuildLabelPair computes the forward label index of g and its reverse
 // (ancestor-direction) index in one pass: the reverse index is built
 // from g's predecessor lists over the same condensation, so it equals
 // BuildLabels of the reversed graph without materializing that graph.
-func BuildLabelPair(g *Graph) (fwd, rev *Labels) { return buildLabelPair(g, labelBudget(g.n)) }
-
-// buildLabels is BuildLabels with an explicit interval budget (tests
-// force bitmap rows with a budget of 0).
-func buildLabels(g *Graph, budget int) *Labels {
-	return condense(g).labels(g.succs, budget)
-}
-
-// buildLabelPair is BuildLabelPair with an explicit interval budget.
-func buildLabelPair(g *Graph, budget int) (fwd, rev *Labels) {
+func BuildLabelPair(g *Graph) (fwd, rev *Labels) {
 	c := condense(g)
-	return c.labels(g.succs, budget), c.labels(g.preds, budget)
+	return c.labels(g.succs), c.labels(g.preds)
 }
 
 // condensation is the strongly-connected-component structure of a graph,
@@ -161,16 +133,16 @@ func condense(g *Graph) *condensation {
 }
 
 // labelScratch is the transient state of one direction's label build,
-// pooled across builds. Rows are appended to ivs one component after
+// pooled across builds. Rows are appended to buf one component after
 // another in postorder — the component at position q owns
-// ivs[off[q]:off[q+1]] — and copied out once, into the index's one
+// buf[off[q]:off[q+1]] — and copied out once, into the index's one
 // backing array, when the build completes.
 type labelScratch struct {
 	post  []int32
 	order []int32
 	stack []dfsFrame
 	mark  []uint64
-	ivs   []Interval
+	buf   []uint64
 	off   []int32
 	// The condensation adjacency of a cyclic graph: csuccs[c] is
 	// cadj[cend[c-1]:cend[c]]; stamp deduplicates while it is derived.
@@ -196,30 +168,31 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// reserve returns ivs with room for k more intervals, at least doubling
-// its capacity when it must grow: append's gentler growth on large
-// slices would reallocate the scratch a dozen times in one big build.
-func reserve(ivs []Interval, k int) []Interval {
-	if len(ivs)+k <= cap(ivs) {
-		return ivs
+// reserve returns s with room for k more words, at least doubling its
+// capacity when it must grow: append's gentler growth on large slices
+// would reallocate the scratch a dozen times in one big build. A nil s
+// gets exactly k.
+func reserve(s []uint64, k int) []uint64 {
+	if len(s)+k <= cap(s) {
+		return s
 	}
-	grown := make([]Interval, len(ivs), max(2*cap(ivs), len(ivs)+k))
-	copy(grown, ivs)
+	grown := make([]uint64, len(s), max(2*cap(s), len(s)+k))
+	copy(grown, s)
 	return grown
 }
 
 // labels builds the label index over one direction of the graph: adj is
 // its successor lists (forward index) or predecessor lists (reverse
 // index).
-func (cd *condensation) labels(adj [][]int32, budget int) *Labels {
+func (cd *condensation) labels(adj [][]int32) *Labels {
 	n, p := len(cd.sccOf), len(cd.start)-1
 	l := &Labels{
 		pos:        make([]int32, n),
 		byPosStart: make([]int32, 1, n+1),
 		byPosNodes: make([]int32, 0, n),
+		rows:       make([][]uint64, n),
 	}
 	if n == 0 {
-		l.rows = [][]Interval{}
 		return l
 	}
 	sc := labelScratchPool.Get().(*labelScratch)
@@ -287,63 +260,52 @@ func (cd *condensation) labels(adj [][]int32, budget int) *Labels {
 		l.byPosStart = append(l.byPosStart, int32(len(l.byPosNodes)))
 	}
 
-	// Reverse-topological label merge over the condensation. The DFS
+	// Reverse-topological row merge over the condensation. The DFS
 	// finish order is a reverse topological order of the condensation
 	// (every successor finishes before its predecessors), so iterating
 	// it forward visits all successors of c before c. Each row is c's
 	// own position plus the union of its successors' rows — which
 	// include the tree children's, so the whole subtree below c. The
-	// covers are set word-wise into a position bitmap, as MarkRow does,
-	// and read back as maximal runs: no sort, and only the touched word
-	// span is scanned and cleared. A successor whose position is
-	// already set is skipped: some successor unioned before it reaches
-	// it, so its row is already contained. Past the interval budget the
-	// build switches to bitmap rows over the same order.
+	// rows are marked into a position bitmap and emitted by appendRow;
+	// only the touched word span is scanned and cleared. A successor
+	// whose position is already set is skipped: some successor unioned
+	// before it reaches it, so its row is already contained.
 	mark := grow(sc.mark, MarkWords(p))
 	clear(mark)
-	ivs, off := sc.ivs[:0], grow(sc.off, p+1)
-	if cap(ivs) < 4*p {
-		ivs = make([]Interval, 0, 4*p) // a few intervals per row to start
+	buf, off := sc.buf[:0], grow(sc.off, p+1)
+	if cap(buf) < 4*p {
+		buf = make([]uint64, 0, 4*p) // a few words per row to start
 	}
 	off[0] = 0
 	for q, c := range order {
-		lw, hw := int32(q)>>6, int32(q)>>6
+		lw, hw := q>>6, q>>6
 		for _, s := range csuccs[c] {
 			ps := post[s]
 			if mark[ps>>6]&(1<<(uint(ps)&63)) != 0 {
 				continue
 			}
-			row := ivs[off[ps]:off[ps+1]]
-			for _, iv := range row {
-				markRun(mark, iv.Lo, iv.Hi)
-			}
-			lw, hw = min(lw, row[0].Lo>>6), max(hw, row[len(row)-1].Hi>>6)
+			slw, shw := markRow(mark, buf[off[ps]:off[ps+1]])
+			lw, hw = min(lw, slw), max(hw, shw)
 		}
 		mark[q>>6] |= 1 << (uint(q) & 63)
-		ivs = appendRuns(reserve(ivs, int(hw-lw+1)*32), mark[lw:hw+1], lw<<6)
+		buf = appendRow(buf, mark, lw, hw)
 		clear(mark[lw : hw+1])
-		off[q+1] = int32(len(ivs))
-		if len(ivs) > budget {
-			sc.mark, sc.ivs, sc.off = mark, ivs, off
-			l.buildBitRows(order, csuccs, post, cd.sccOf)
-			return l
-		}
+		off[q+1] = int32(len(buf))
 	}
-	sc.mark, sc.ivs, sc.off = mark, ivs, off
+	sc.mark, sc.buf, sc.off = mark, buf, off
 	// Copy the rows into the index's one backing array. Rows are
 	// shared across SCC members (and counted once: the shared slice is
 	// resident once); each is capacity-limited, so no row can grow into
 	// its neighbour. Patch only ever runs on acyclic graphs, where
 	// every component is a singleton, so its per-row accounting agrees
 	// with this count.
-	arena := make([]Interval, len(ivs))
-	copy(arena, ivs)
-	l.rows = make([][]Interval, n)
+	arena := make([]uint64, len(buf))
+	copy(arena, buf)
 	for u, c := range cd.sccOf {
 		q := post[c]
 		l.rows[u] = arena[off[q]:off[q+1]:off[q+1]]
 	}
-	l.intervals = len(arena)
+	l.words = len(arena)
 	l.shared = true
 	return l
 }
@@ -384,54 +346,35 @@ func (sc *labelScratch) condenseAdj(cd *condensation, adj [][]int32) [][]int32 {
 	return csuccs
 }
 
-// buildBitRows fills l with bitmap rows of MarkWords(n) words, merged
-// over the condensation in the same reverse topological order as the
-// interval rows, each component's row shared by its members. The rows
-// are consecutive slices of one backing array, in position order.
-func (l *Labels) buildBitRows(order []int32, csuccs [][]int32, post, sccOf []int32) {
-	w := MarkWords(len(sccOf))
-	slab := make([]uint64, len(order)*w)
-	row := func(q int32) []uint64 { return slab[int(q)*w : int(q+1)*w : int(q+1)*w] }
-	for q, c := range order {
-		dst := row(int32(q))
-		for _, s := range csuccs[c] {
-			if dst[post[s]>>6]&(1<<(uint(post[s])&63)) != 0 {
-				continue // contained in a row unioned before
-			}
-			for i, x := range row(post[s]) {
-				dst[i] |= x
-			}
-		}
-		dst[q>>6] |= 1 << (uint(q) & 63)
+// appendRow appends to dst the row of the positions set in mark's words
+// lw..hw, in the smaller container — the canonical runs, one word each,
+// or a header word and the span's bitmap; runs on a tie. Room is made
+// as reserve makes it, so a nil dst gets a row of exactly its length.
+// It is the one place a row's container is chosen: builds and Patch
+// both emit their rows through it.
+func appendRow(dst, mark []uint64, lw, hw int) []uint64 {
+	words := mark[lw : hw+1]
+	if runs := countRuns(words); runs <= len(words)+1 {
+		return appendRuns(reserve(dst, runs), words, int32(lw)<<6)
 	}
-	l.words = len(slab)
-	l.bitRows = make([][]uint64, len(sccOf))
-	for u, c := range sccOf {
-		l.bitRows[u] = row(post[c])
-	}
-	l.shared = true
+	dst = append(reserve(dst, len(words)+1), bitmapRow|uint64(lw))
+	return append(dst, words...)
 }
 
-// markRun sets positions lo..hi (inclusive) in mark, word-wise.
-func markRun(mark []uint64, lo, hi int32) {
-	lw, hw := int(lo)>>6, int(hi)>>6
-	loMask := ^uint64(0) << (uint(lo) & 63)
-	hiMask := ^uint64(0) >> (63 - (uint(hi) & 63))
-	if lw == hw {
-		mark[lw] |= loMask & hiMask
-		return
+// countRuns returns the number of maximal runs of set bits in words.
+func countRuns(words []uint64) int {
+	runs, carry := 0, uint64(0)
+	for _, x := range words {
+		runs += bits.OnesCount64(x &^ (x<<1 | carry)) // bits that start a run
+		carry = x >> 63
 	}
-	mark[lw] |= loMask
-	for w := lw + 1; w < hw; w++ {
-		mark[w] = ^uint64(0)
-	}
-	mark[hw] |= hiMask
+	return runs
 }
 
 // appendRuns appends the maximal runs of set bits in words — whose bit
-// 0 is position base — to dst as intervals, in ascending order: the
+// 0 is position base — to dst as run words, in ascending order: the
 // canonical (sorted, disjoint, non-adjacent) cover of the set.
-func appendRuns(dst []Interval, words []uint64, base int32) []Interval {
+func appendRuns(dst, words []uint64, base int32) []uint64 {
 	var start int32
 	inRun := false
 	for i, x := range words {
@@ -452,90 +395,85 @@ func appendRuns(dst []Interval, words []uint64, base int32) []Interval {
 				break // the run continues into the next word
 			}
 			off += ones
-			dst = append(dst, Interval{Lo: start, Hi: wbase + int32(off) - 1})
+			dst = append(dst, run(start, wbase+int32(off)-1))
 			inRun = false
 		}
 	}
 	if inRun {
-		dst = append(dst, Interval{Lo: start, Hi: base + int32(len(words))<<6 - 1})
+		dst = append(dst, run(start, base+int32(len(words))<<6-1))
 	}
 	return dst
 }
 
-// unionCovers writes the canonical cover of the union of the canonical
-// covers a and b into out — in one linear merge pass — and returns its
-// length. With a nil out it only counts, so callers can allocate the
-// result at exactly its length.
-func unionCovers(out, a, b []Interval) int {
-	n := 0
-	var cur Interval
-	for i, j := 0, 0; i < len(a) || j < len(b); {
-		var iv Interval
-		if j == len(b) || (i < len(a) && a[i].Lo <= b[j].Lo) {
-			iv, i = a[i], i+1
-		} else {
-			iv, j = b[j], j+1
+// run encodes the run of positions lo..hi (inclusive) as a row word.
+func run(lo, hi int32) uint64 { return uint64(lo)<<32 | uint64(hi) }
+
+// markRow sets row's positions in mark and returns the span of words
+// they lie in.
+func markRow(mark, row []uint64) (lw, hw int) {
+	if h := row[0]; h&bitmapRow != 0 {
+		lw = int(h &^ bitmapRow)
+		for i, x := range row[1:] {
+			mark[lw+i] |= x
 		}
-		if n > 0 && iv.Lo <= cur.Hi+1 {
-			cur.Hi = max(cur.Hi, iv.Hi)
-			continue
-		}
-		if n > 0 && out != nil {
-			out[n-1] = cur
-		}
-		cur = iv
-		n++
+		return lw, lw + len(row) - 2
 	}
-	if n > 0 && out != nil {
-		out[n-1] = cur
+	for _, r := range row {
+		markRun(mark, int(r>>32), int(uint32(r)))
 	}
-	return n
+	return int(row[0]>>32) >> 6, int(uint32(row[len(row)-1])) >> 6
+}
+
+// markRun sets positions lo..hi (inclusive) in mark, word-wise.
+func markRun(mark []uint64, lo, hi int) {
+	lw, hw := lo>>6, hi>>6
+	loMask := ^uint64(0) << (uint(lo) & 63)
+	hiMask := ^uint64(0) >> (63 - (uint(hi) & 63))
+	if lw == hw {
+		mark[lw] |= loMask & hiMask
+		return
+	}
+	mark[lw] |= loMask
+	for w := lw + 1; w < hw; w++ {
+		mark[w] = ^uint64(0)
+	}
+	mark[hw] |= hiMask
 }
 
 // Reaches reports whether u reaches v, reflexively, exactly as
-// Closure.Reaches does. O(log k) in u's interval count k, with a linear
-// scan below a handful of intervals.
+// Closure.Reaches does: one bit test in a bitmap row, O(log k) in a row
+// of k runs, with a linear scan below a handful of runs.
 func (l *Labels) Reaches(u, v int) bool {
 	p := l.pos[v]
-	if l.bitRows != nil {
-		row := l.bitRows[u]
-		w := int(p >> 6)
-		return w < len(row) && row[w]&(1<<(uint(p)&63)) != 0
-	}
 	row := l.rows[u]
+	if h := row[0]; h&bitmapRow != 0 {
+		i := int(p>>6) - int(h&^bitmapRow) + 1
+		return i > 0 && i < len(row) && row[i]&(1<<(uint(p)&63)) != 0
+	}
+	// The candidate is the last run starting at or before p; the run
+	// words starting there are those below (p+1)<<32.
+	i := 0
 	if len(row) <= 8 {
-		for _, iv := range row {
-			if p < iv.Lo {
-				return false
-			}
-			if p <= iv.Hi {
-				return true
-			}
+		for i < len(row) && int32(row[i]>>32) <= p {
+			i++
 		}
-		return false
+	} else {
+		i, _ = slices.BinarySearch(row, uint64(p+1)<<32)
 	}
-	// First interval with Lo > p; the candidate is its predecessor.
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid].Lo <= p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo > 0 && row[lo-1].Hi >= p
+	return i > 0 && int32(uint32(row[i-1])) >= p
 }
 
 // forEachReachable calls fn for every node u reaches (reflexively), in
-// postorder-position order, not node order: it walks u's intervals (or
-// set bits) through the position→node table. AddEdge enumerates
-// ancestors this way over the reverse index. fn must not patch row u.
+// postorder-position order, not node order: it walks u's runs (or set
+// bits) through the position→node table. AddEdge enumerates ancestors
+// this way over the reverse index. fn must not patch row u.
 func (l *Labels) forEachReachable(u int, fn func(v int)) {
-	if l.bitRows != nil {
-		for i, x := range l.bitRows[u] {
+	row := l.rows[u]
+	if h := row[0]; h&bitmapRow != 0 {
+		base := int(h&^bitmapRow) << 6
+		for i, x := range row[1:] {
 			for ; x != 0; x &= x - 1 {
-				p := i<<6 + bits.TrailingZeros64(x)
+				p := base + i<<6 + bits.TrailingZeros64(x)
 				for _, v := range l.byPosNodes[l.byPosStart[p]:l.byPosStart[p+1]] {
 					fn(int(v))
 				}
@@ -543,21 +481,22 @@ func (l *Labels) forEachReachable(u int, fn func(v int)) {
 		}
 		return
 	}
-	for _, iv := range l.rows[u] {
-		for _, v := range l.byPosNodes[l.byPosStart[iv.Lo]:l.byPosStart[iv.Hi+1]] {
+	for _, r := range row {
+		for _, v := range l.byPosNodes[l.byPosStart[r>>32]:l.byPosStart[uint32(r)+1]] {
 			fn(int(v))
 		}
 	}
 }
 
-// Patch merges v's label row into w's, maintaining the exact-cover
-// invariant after the closure gains reach(w) ⊇ reach(v) (the Italiano
-// edge-insertion step): a linear merge of the two sorted covers, or a
-// word-wise OR of bitmap rows. The merged row is freshly allocated at
-// exactly its length and assigned — rows shared with forked snapshots
-// are never written, and no spare capacity escapes MemoryBytes. Patch
-// is only meaningful on indexes built over acyclic graphs (the
-// IncrementalClosure's case); SCC-shared rows are never patched.
+// Patch merges v's row into w's, maintaining the exact-set invariant
+// after the closure gains reach(w) ⊇ reach(v) (the Italiano
+// edge-insertion step): both rows are marked into a pooled position
+// mark, and appendRow emits their union, in whichever container is now
+// smaller, into a fresh row of exactly its length — rows shared with
+// forked snapshots are never written, and no spare capacity escapes
+// MemoryBytes. Patch is only meaningful on indexes built over acyclic
+// graphs (the IncrementalClosure's case); SCC-shared rows are never
+// patched.
 //
 // The first Patch on a freshly built index first moves every row out of
 // the build's backing array into an exact allocation of its own
@@ -568,22 +507,14 @@ func (l *Labels) Patch(w, v int) {
 	if l.shared {
 		l.copyOut()
 	}
-	if l.bitRows != nil {
-		old, src := l.bitRows[w], l.bitRows[v]
-		row := make([]uint64, max(len(old), len(src)))
-		copy(row, old)
-		for i, x := range src {
-			row[i] |= x
-		}
-		l.bitRows[w] = row
-		l.words += len(row) - len(old)
-		return
-	}
-	old, src := l.rows[w], l.rows[v]
-	row := make([]Interval, unionCovers(nil, old, src))
-	unionCovers(row, old, src)
+	mp := ScratchMark(l.N())
+	lw, hw := markRow(*mp, l.rows[w])
+	vlw, vhw := markRow(*mp, l.rows[v])
+	lw, hw = min(lw, vlw), max(hw, vhw)
+	row := appendRow(nil, *mp, lw, hw)
+	ReleaseMark(mp)
+	l.words += len(row) - len(l.rows[w])
 	l.rows[w] = row
-	l.intervals += len(row) - len(old)
 }
 
 // copyOut gives every row an exact allocation of its own, one per
@@ -592,16 +523,7 @@ func (l *Labels) Patch(w, v int) {
 func (l *Labels) copyOut() {
 	for q := 0; q+1 < len(l.byPosStart); q++ {
 		nodes := l.byPosNodes[l.byPosStart[q]:l.byPosStart[q+1]]
-		if l.bitRows != nil {
-			src := l.bitRows[nodes[0]]
-			row := append(make([]uint64, 0, len(src)), src...)
-			for _, u := range nodes {
-				l.bitRows[u] = row
-			}
-			continue
-		}
-		src := l.rows[nodes[0]]
-		row := append(make([]Interval, 0, len(src)), src...)
+		row := slices.Clone(l.rows[nodes[0]])
 		for _, u := range nodes {
 			l.rows[u] = row
 		}
@@ -610,11 +532,10 @@ func (l *Labels) copyOut() {
 }
 
 // Grow appends k new isolated nodes, each its own postorder position
-// with a singleton self-interval (or self-bit) — exactly what a
-// from-scratch build of the grown graph produces for isolated nodes
-// appended last. All existing rows and tables are untouched
-// (append-only; older bitmap rows stay shorter, their missing words
-// zero), so forked snapshots remain valid.
+// with a one-run row — exactly what a from-scratch build of the grown
+// graph produces for isolated nodes appended last. All existing rows
+// and tables are untouched (append-only; no existing row covers the new
+// positions), so forked snapshots remain valid.
 func (l *Labels) Grow(k int) {
 	for i := 0; i < k; i++ {
 		u := int32(len(l.pos))
@@ -622,15 +543,8 @@ func (l *Labels) Grow(k int) {
 		l.pos = append(l.pos, q)
 		l.byPosNodes = append(l.byPosNodes, u)
 		l.byPosStart = append(l.byPosStart, int32(len(l.byPosNodes)))
-		if l.bitRows != nil {
-			row := make([]uint64, q>>6+1)
-			row[q>>6] = 1 << (uint(q) & 63)
-			l.bitRows = append(l.bitRows, row)
-			l.words += len(row)
-			continue
-		}
-		l.rows = append(l.rows, []Interval{{Lo: q, Hi: q}})
-		l.intervals++
+		l.rows = append(l.rows, []uint64{run(q, q)})
+		l.words++
 	}
 }
 
@@ -640,36 +554,18 @@ func (l *Labels) Grow(k int) {
 // The snapshot is safe for concurrent readers while the original keeps
 // mutating under its owner's lock.
 func (l *Labels) Fork() *Labels {
-	return &Labels{
-		pos:        l.pos,
-		byPosStart: l.byPosStart,
-		byPosNodes: l.byPosNodes,
-		rows:       slices.Clone(l.rows),
-		bitRows:    slices.Clone(l.bitRows),
-		shared:     l.shared,
-		intervals:  l.intervals,
-		words:      l.words,
-	}
+	f := *l
+	f.rows = slices.Clone(l.rows)
+	return &f
 }
 
 // MarkRow sets, in mark — a position-indexed bit array with at least
 // MarkWords(l.N()) words, zeroed by the caller — every postorder
 // position of u's reachable set. Together with Marked this turns a
 // batch of membership tests against one source node into O(1) lookups:
-// interval runs are set word-wise, so marking costs O(intervals +
-// span/64) regardless of how many tests follow (a bitmap row is OR-ed
-// in, O(n/64)).
-func (l *Labels) MarkRow(mark []uint64, u int) {
-	if l.bitRows != nil {
-		for i, x := range l.bitRows[u] {
-			mark[i] |= x
-		}
-		return
-	}
-	for _, iv := range l.rows[u] {
-		markRun(mark, iv.Lo, iv.Hi)
-	}
-}
+// runs are set word-wise and a bitmap row is OR-ed in, so marking costs
+// O(row length + span/64) regardless of how many tests follow.
+func (l *Labels) MarkRow(mark []uint64, u int) { markRow(mark, l.rows[u]) }
 
 // Marked reports whether v's position was set in mark by a MarkRow on
 // this same index: Marked(mark, v) after MarkRow(mark, u) is exactly
@@ -678,6 +574,27 @@ func (l *Labels) Marked(mark []uint64, v int) bool {
 	p := l.pos[v]
 	return mark[p>>6]&(1<<(uint(p)&63)) != 0
 }
+
+// markPool holds the pooled position marks (ScratchMark).
+var markPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// ScratchMark returns a zeroed pooled mark of MarkWords(n) words, for
+// MarkRow over an index of n nodes; ReleaseMark hands it back. The run
+// store's serve path, LiveWorkflow.Lineage and Patch take their marks
+// here, so a warm caller allocates none.
+func ScratchMark(n int) *[]uint64 {
+	p := markPool.Get().(*[]uint64) //lint:allow poolret ownership transfers to the caller; ReleaseMark is the Put
+	if w := MarkWords(n); cap(*p) < w {
+		*p = make([]uint64, w)
+	} else {
+		*p = (*p)[:w]
+		clear(*p)
+	}
+	return p
+}
+
+// ReleaseMark returns a mark taken with ScratchMark to the pool.
+func ReleaseMark(p *[]uint64) { markPool.Put(p) }
 
 // PosNodes returns the position→node table that forEachReachable
 // walks, in CSR layout: the nodes at postorder position p — the bit
@@ -693,16 +610,9 @@ func MarkWords(n int) int { return (n + 63) / 64 }
 // N returns the number of labeled nodes.
 func (l *Labels) N() int { return len(l.pos) }
 
-// Intervals returns the total interval count across all rows, a row
-// shared by the members of one SCC counted once per component; 0 for
-// an index with bitmap rows.
-func (l *Labels) Intervals() int { return l.intervals }
-
-// MemoryBytes estimates the resident size of the index. An interval
-// and a bitmap word are both 8 bytes.
+// MemoryBytes estimates the resident size of the index: its tables, one
+// slice header per row and 8 bytes per row word.
 func (l *Labels) MemoryBytes() int64 {
 	b := int64(len(l.pos))*4 + int64(len(l.byPosStart))*4 + int64(len(l.byPosNodes))*4
-	b += int64(len(l.rows)+len(l.bitRows)) * 24 // slice headers
-	b += int64(l.intervals+l.words) * 8
-	return b
+	return b + int64(len(l.rows))*24 + int64(l.words)*8
 }

@@ -36,30 +36,50 @@ func randDigraph(rng *rand.Rand, n int, p float64) *Graph {
 	return g
 }
 
-// labelBudgets are the interval budgets the label property tests run
-// under: the production budget, which keeps these graphs on interval
-// rows, and zero, which forces bitmap rows.
-var labelBudgets = []struct {
-	name   string
-	budget func(n int) int
+// rowShapes are the graph shapes the label property tests run over,
+// named after the container most of their rows take: a sparse random
+// DAG keeps most rows as runs, a dense layered one most as bitmaps.
+// Both hold rows of either kind, so each subtest meets both containers,
+// and edges patch rows between them. Node index order is topological
+// in both. edges is the length of a local-edge history that keeps a
+// 512-node graph of the shape under twice its built label size
+// (checkPatchHistoryKeepsLabels).
+var rowShapes = []struct {
+	name  string
+	graph func(rng *rand.Rand, n int) *Graph
+	edges int
 }{
-	{"intervals", labelBudget},
-	{"bitmap", func(int) int { return 0 }},
+	{"intervals", func(rng *rand.Rand, n int) *Graph { return randDAG(rng, n, 1.5/float64(n)) }, 100},
+	{"bitmap", func(rng *rand.Rand, n int) *Graph { return layeredDAG(n, min(n, 4), 0.3, 0.03, rng.Int63()) }, 1500},
 }
 
-// checkRowKind asserts that a non-empty l holds only the kind of rows
-// named by want ("intervals" or "bitmap").
-func checkRowKind(t *testing.T, l *Labels, want string) {
-	t.Helper()
-	got := "mixed"
-	switch {
-	case l.rows != nil && l.bitRows == nil:
-		got = "intervals"
-	case l.bitRows != nil && l.rows == nil:
-		got = "bitmap"
+// isBitmap reports whether row is a bitmap row.
+func isBitmap(row []uint64) bool { return row[0]&bitmapRow != 0 }
+
+// rowKinds counts l's rows by container, a row shared by the members
+// of one component once.
+func rowKinds(l *Labels) (runs, bitmaps int) {
+	for q := 0; q+1 < len(l.byPosStart); q++ {
+		if isBitmap(l.rows[l.byPosNodes[l.byPosStart[q]]]) {
+			bitmaps++
+		} else {
+			runs++
+		}
 	}
-	if l.N() > 0 && got != want {
-		t.Fatalf("want %s rows, index holds %s rows", want, got)
+	return runs, bitmaps
+}
+
+// checkMostly asserts that most of the rows of the indexes ls take the
+// container kind names ("intervals" or "bitmap").
+func checkMostly(t *testing.T, kind string, ls ...*Labels) {
+	t.Helper()
+	var runs, bitmaps int
+	for _, l := range ls {
+		r, b := rowKinds(l)
+		runs, bitmaps = runs+r, bitmaps+b
+	}
+	if (kind == "bitmap") != (bitmaps > runs) {
+		t.Fatalf("%s shape: %d run rows, %d bitmap rows", kind, runs, bitmaps)
 	}
 }
 
@@ -120,15 +140,25 @@ func checkLabelsMatchClosure(t *testing.T, g *Graph, l *Labels) {
 }
 
 func TestLabelsMatchClosureRandomDAGs(t *testing.T) {
-	for _, lb := range labelBudgets {
-		t.Run(lb.name, func(t *testing.T) {
+	for _, shape := range rowShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(8))
+			var built []*Labels
+			for _, n := range []int{0, 1, 2, 3, 8, 17, 40, 80, 130} {
+				g := shape.graph(rng, n)
+				l := BuildLabels(g)
+				checkLabelsMatchClosure(t, g, l)
+				built = append(built, l)
+			}
+			checkMostly(t, shape.name, built...)
+			if shape.name != "intervals" {
+				return
+			}
+			// Empty, sparse, dense and nearly complete DAGs.
 			for _, n := range []int{0, 1, 2, 3, 8, 17, 40, 80, 130} {
 				for _, p := range []float64{0, 0.02, 0.1, 0.4, 0.9} {
 					g := randDAG(rng, n, p)
-					l := buildLabels(g, lb.budget(n))
-					checkRowKind(t, l, lb.name)
-					checkLabelsMatchClosure(t, g, l)
+					checkLabelsMatchClosure(t, g, BuildLabels(g))
 				}
 			}
 		})
@@ -139,16 +169,18 @@ func TestLabelsMatchClosureRandomDAGs(t *testing.T) {
 // on raw random digraphs and on quotients of random DAGs under random
 // partitions — the cyclic view graphs of unsound views.
 func TestLabelsMatchClosureCyclic(t *testing.T) {
-	for _, lb := range labelBudgets {
-		t.Run(lb.name, func(t *testing.T) {
+	for _, shape := range rowShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))
 			var graphs []*Graph
 			for _, n := range []int{2, 3, 8, 17, 40, 90} {
 				for _, p := range []float64{0.05, 0.15, 0.5} {
 					graphs = append(graphs, randDigraph(rng, n, p))
-					g := randDAG(rng, n, p)
-					k := 1 + rng.Intn(n/2+1)
-					partOf := make([]int, n)
+				}
+				for range 3 {
+					g := shape.graph(rng, 2*n)
+					k := 1 + rng.Intn(n)
+					partOf := make([]int, 2*n)
 					for u := range partOf {
 						partOf[u] = rng.Intn(k)
 					}
@@ -162,9 +194,7 @@ func TestLabelsMatchClosureCyclic(t *testing.T) {
 			sawCycle := false
 			for _, g := range graphs {
 				sawCycle = sawCycle || !g.IsAcyclic()
-				l := buildLabels(g, lb.budget(g.N()))
-				checkRowKind(t, l, lb.name)
-				checkLabelsMatchClosure(t, g, l)
+				checkLabelsMatchClosure(t, g, BuildLabels(g))
 			}
 			if !sawCycle {
 				t.Fatal("no cyclic input generated; strengthen the workload")
@@ -178,17 +208,18 @@ func TestLabelsMatchClosureCyclic(t *testing.T) {
 // size-rule rebuilds), checking them against the closure as they go;
 // every Fork taken along the way must keep answering for the graph it
 // was taken at. It then pins the rebuild rule: a patch history that
-// keeps the pair under twice its built size never rebuilds, and (for
-// interval rows, whose covers patches can fragment) one that fragments
-// the covers rebuilds exactly when the patched pair would pass 2×.
+// keeps the pair under twice its built size never rebuilds, and one
+// that fragments the rows rebuilds exactly when the patched pair would
+// pass 2×.
 func TestLabelsGrowAndPatchViaIncremental(t *testing.T) {
-	for _, lb := range labelBudgets {
-		t.Run(lb.name, func(t *testing.T) {
+	for _, shape := range rowShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(10))
-			ic, err := newIncrementalClosure(New(6), lb.budget)
+			ic, err := NewIncrementalClosure(shape.graph(rng, 40))
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkMostly(t, shape.name, ic.Labels(), ic.RevLabels())
 			type fork struct {
 				g        *Graph
 				fwd, rev *Labels
@@ -196,8 +227,6 @@ func TestLabelsGrowAndPatchViaIncremental(t *testing.T) {
 			var forks []fork
 			check := func() {
 				fwd, rev := ic.Labels(), ic.RevLabels()
-				checkRowKind(t, fwd, lb.name)
-				checkRowKind(t, rev, lb.name)
 				checkLabelsMatchClosure(t, ic.Graph(), fwd)
 				checkLabelsMatchClosure(t, ic.Graph().Reversed(), rev)
 				forks = append(forks, fork{g: ic.Graph().Clone(), fwd: fwd.Fork(), rev: rev.Fork()})
@@ -207,10 +236,8 @@ func TestLabelsGrowAndPatchViaIncremental(t *testing.T) {
 					ic.Grow(1 + rng.Intn(3))
 				}
 				n := ic.N()
-				if n >= 2 {
-					u, v := rng.Intn(n), rng.Intn(n)
-					_, _ = ic.AddEdge(u, v, nil) // cycles/self-loops rejected, fine
-				}
+				u, v := rng.Intn(n), rng.Intn(n)
+				_, _ = ic.AddEdge(u, v, nil) // cycles/self-loops rejected, fine
 				if step%97 == 0 {
 					check()
 				}
@@ -222,33 +249,34 @@ func TestLabelsGrowAndPatchViaIncremental(t *testing.T) {
 			}
 
 			t.Run("under 2x never rebuilds", func(t *testing.T) {
-				checkPatchHistoryKeepsLabels(t, lb.budget)
+				checkPatchHistoryKeepsLabels(t, shape.graph(rng, 512), shape.edges)
 			})
-			if lb.name == "intervals" {
+			if shape.name == "intervals" {
 				t.Run("fragmented past 2x rebuilds", checkFragmentedLabelsRebuild)
 			}
 		})
 	}
 }
 
-// checkPatchHistoryKeepsLabels drives a long history of local forward
-// edges (spanning at most n/16 nodes of a layered DAG) and asserts the
-// patched pair stays under twice its built size and is never rebuilt,
-// while answering exactly like the closure.
-func checkPatchHistoryKeepsLabels(t *testing.T, budget func(int) int) {
-	const n = 512
-	ic, err := newIncrementalClosure(layeredDAG(n, 8, 0.05, 0, 12), budget)
+// checkPatchHistoryKeepsLabels drives a history of local forward edges
+// (spanning at most n/16 nodes of g, whose index order must be
+// topological) and asserts the patched pair stays under twice its
+// built size and is never rebuilt, while answering exactly like the
+// closure.
+func checkPatchHistoryKeepsLabels(t *testing.T, g *Graph, edges int) {
+	n := g.N()
+	ic, err := NewIncrementalClosure(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(12))
-	for i := 1; i <= 1500; i++ {
+	for i := 1; i <= edges; i++ {
 		u := rng.Intn(n - 1)
 		v := u + 1 + rng.Intn(min(n/16, n-1-u))
 		if _, err := ic.AddEdge(u, v, nil); err != nil {
-			t.Fatal(err) // index order is topological
+			t.Fatal(err)
 		}
-		if i%500 == 0 {
+		if i%500 == 0 || i == edges {
 			checkLabelsMatchClosure(t, ic.Graph(), ic.Labels())
 			checkLabelsMatchClosure(t, ic.Graph().Reversed(), ic.RevLabels())
 		}
@@ -262,13 +290,13 @@ func checkPatchHistoryKeepsLabels(t *testing.T, budget func(int) int) {
 }
 
 // checkFragmentedLabelsRebuild adds edges i→i+2 over isolated nodes,
-// which splits every cover into alternating positions, and asserts the
+// which splits every row into alternating positions, and asserts the
 // pair is rebuilt exactly at the first edge after which its patched
 // size would exceed twice the built size — computed independently as
-// the canonical cover of every reach set over the pair's positions —
-// and that the rebuilt pair matches the closure.
+// the reference row of every reach set over the pair's positions — and
+// that the rebuilt pair matches the closure.
 func checkFragmentedLabelsRebuild(t *testing.T) {
-	const n = 64
+	const n = 256
 	ic, err := NewIncrementalClosure(New(n))
 	if err != nil {
 		t.Fatal(err)
@@ -280,14 +308,14 @@ func checkFragmentedLabelsRebuild(t *testing.T) {
 		if _, err := ic.AddEdge(i, i+2, nil); err != nil {
 			t.Fatal(err)
 		}
-		crossed = referenceCoverSize(ic.Graph(), fwd, rev) > 2*built
+		crossed = referenceSize(ic.Graph(), fwd, rev) > 2*built
 		want := int64(0)
 		if crossed {
 			want = 1
 		}
 		if ic.LabelRebuilds() != want {
 			t.Fatalf("edge %d→%d: %d rebuilds, want %d (patched size %d, built %d)",
-				i, i+2, ic.LabelRebuilds(), want, referenceCoverSize(ic.Graph(), fwd, rev), built)
+				i, i+2, ic.LabelRebuilds(), want, referenceSize(ic.Graph(), fwd, rev), built)
 		}
 		if !crossed {
 			checkLabelsMatchClosure(t, ic.Graph(), ic.labels)
@@ -304,41 +332,43 @@ func checkFragmentedLabelsRebuild(t *testing.T) {
 	}
 }
 
-// referenceCoverSize is the interval count of the canonical covers of
-// every reach set of g (forward over fwd's positions, ancestors over
-// rev's), merged by the reference mergeIntervals.
-func referenceCoverSize(g *Graph, fwd, rev *Labels) int {
+// referenceSize is the total length of the reference rows of every
+// reach set of g: forward over fwd's positions, ancestors over rev's.
+func referenceSize(g *Graph, fwd, rev *Labels) int {
 	c := g.Reachability()
 	size := 0
 	for u := 0; u < g.N(); u++ {
-		var down, up []Interval
+		var down, up []int32
 		for v := 0; v < g.N(); v++ {
 			if c.Reaches(u, v) {
-				down = append(down, Interval{fwd.pos[v], fwd.pos[v]})
+				down = append(down, fwd.pos[v])
 			}
 			if c.Reaches(v, u) {
-				up = append(up, Interval{rev.pos[v], rev.pos[v]})
+				up = append(up, rev.pos[v])
 			}
 		}
-		size += len(mergeIntervals(nil, down)) + len(mergeIntervals(nil, up))
+		size += len(referenceRow(down)) + len(referenceRow(up))
 	}
 	return size
 }
 
-// mergeIntervals is the reference merge: it sorts ivs by Lo and
+// interval is a closed range [lo, hi] of positions.
+type interval struct{ lo, hi int32 }
+
+// mergeIntervals is the reference merge: it sorts ivs by lo and
 // coalesces overlapping or adjacent intervals into dst (reset to length
 // 0 first). Positions are integral, so [1,3] and [4,6] merge into [1,6].
-func mergeIntervals(dst, ivs []Interval) []Interval {
+func mergeIntervals(dst, ivs []interval) []interval {
 	dst = dst[:0]
 	if len(ivs) == 0 {
 		return dst
 	}
-	slices.SortFunc(ivs, func(a, b Interval) int { return int(a.Lo) - int(b.Lo) })
+	slices.SortFunc(ivs, func(a, b interval) int { return int(a.lo) - int(b.lo) })
 	cur := ivs[0]
 	for _, iv := range ivs[1:] {
-		if iv.Lo <= cur.Hi+1 {
-			if iv.Hi > cur.Hi {
-				cur.Hi = iv.Hi
+		if iv.lo <= cur.hi+1 {
+			if iv.hi > cur.hi {
+				cur.hi = iv.hi
 			}
 			continue
 		}
@@ -348,71 +378,133 @@ func mergeIntervals(dst, ivs []Interval) []Interval {
 	return append(dst, cur)
 }
 
-// TestLabelKernelsMatchReference is the differential test of the
-// sort-free kernels. Build: every interval row equals the reference
-// cover — the sort-based merge of the singleton positions the closure
-// says the node reaches — and the reverse index of BuildLabelPair
-// equals BuildLabels of the reversed graph row for row. Sizes straddle
-// word boundaries so runs end on bit 63 and cross words. Patch: every
-// patched row equals the reference merge of the two covers and is
-// allocated at exactly its length.
+// referenceRow encodes the non-empty position set ps in the smaller
+// container, independently of appendRow: its runs by the sort-based
+// reference merge of the singleton positions, its bitmap bit by bit
+// over the words from its least to its greatest position; runs on a
+// tie.
+func referenceRow(ps []int32) []uint64 {
+	var ivs []interval
+	lw, hw := int(ps[0])>>6, int(ps[0])>>6
+	for _, p := range ps {
+		ivs = append(ivs, interval{p, p})
+		lw, hw = min(lw, int(p)>>6), max(hw, int(p)>>6)
+	}
+	ivs = mergeIntervals(nil, ivs)
+	if len(ivs) <= hw-lw+2 {
+		row := make([]uint64, len(ivs))
+		for i, iv := range ivs {
+			row[i] = uint64(iv.lo)<<32 | uint64(iv.hi)
+		}
+		return row
+	}
+	row := make([]uint64, hw-lw+2)
+	row[0] = 1<<63 | uint64(lw)
+	for _, p := range ps {
+		row[1+int(p)>>6-lw] |= 1 << (uint(p) & 63)
+	}
+	return row
+}
+
+// TestLabelKernelsMatchReference is the differential test of the row
+// kernels. Build: every row holds exactly the reference position set —
+// the positions of the nodes the closure says it reaches — in the
+// smaller container, encoded exactly as referenceRow encodes it, and
+// the reverse index of BuildLabelPair equals BuildLabels of the
+// reversed graph row for row. Sizes straddle word boundaries so runs
+// end on bit 63 and cross words, and the densities give rows of both
+// kinds. Patch: every patched row is the reference row of the union of
+// the two rows' sets, allocated at exactly its length, and the index's
+// word count follows it.
 func TestLabelKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
+	var runs, bitmaps int
 	for _, n := range []int{1, 63, 64, 65, 127, 128, 129, 300} {
 		for _, p := range []float64{0.3 / float64(n), 3 / float64(n), 0.05} {
 			for _, g := range []*Graph{randDAG(rng, n, p), randDigraph(rng, n, p/2)} {
-				fwd, rev := buildLabelPair(g, labelBudget(n))
-				checkRowKind(t, fwd, "intervals")
+				fwd, rev := BuildLabelPair(g)
 				checkRowsMatchReference(t, g, fwd, false)
 				checkRowsMatchReference(t, g, rev, true)
 				if want := BuildLabels(g.Reversed()); !reflect.DeepEqual(rev, want) {
 					t.Fatalf("n=%d: BuildLabelPair's reverse index differs from BuildLabels(g.Reversed())", n)
 				}
+				r, b := rowKinds(fwd)
+				runs, bitmaps = runs+r, bitmaps+b
 				if g.IsAcyclic() {
 					checkPatchMatchesReference(t, rng, fwd)
 				}
 			}
 		}
 	}
+	if runs == 0 || bitmaps == 0 {
+		t.Fatalf("built %d run rows and %d bitmap rows; the sizes must give both", runs, bitmaps)
+	}
+}
+
+// rowPositions returns the positions l's row u holds, ascending.
+func rowPositions(l *Labels, u int) []int32 {
+	mark := make([]uint64, MarkWords(l.N()))
+	l.MarkRow(mark, u)
+	var ps []int32
+	for p := 0; p < l.N(); p++ {
+		if mark[p>>6]&(1<<(uint(p)&63)) != 0 {
+			ps = append(ps, int32(p))
+		}
+	}
+	return ps
 }
 
 // checkRowsMatchReference compares every row of l with the reference
-// cover of the node's reach set (its ancestors when up is set).
+// row of the node's reach set (its ancestors when up is set), and the
+// index's word count with their total, each component's row once.
 func checkRowsMatchReference(t *testing.T, g *Graph, l *Labels, up bool) {
 	t.Helper()
 	c := g.Reachability()
+	words := 0
 	for u := 0; u < g.N(); u++ {
-		var ivs []Interval
+		var ps []int32
 		for v := 0; v < g.N(); v++ {
 			if (!up && c.Reaches(u, v)) || (up && c.Reaches(v, u)) {
-				ivs = append(ivs, Interval{l.pos[v], l.pos[v]})
+				ps = append(ps, l.pos[v])
 			}
 		}
-		if want := mergeIntervals(nil, ivs); !slices.Equal(l.rows[u], want) {
-			t.Fatalf("n=%d up=%v: row %d = %v, reference %v", g.N(), up, u, l.rows[u], want)
+		slices.Sort(ps)
+		ps = slices.Compact(ps)
+		want := referenceRow(ps)
+		if !slices.Equal(l.rows[u], want) {
+			t.Fatalf("n=%d up=%v: row %d = %x, reference %x (positions %v)", g.N(), up, u, l.rows[u], want, ps)
 		}
+		if start, nodes := l.PosNodes(); int(nodes[start[l.pos[u]]]) == u {
+			words += len(want)
+		}
+	}
+	if l.words != words {
+		t.Fatalf("n=%d up=%v: the index counts %d row words, its rows hold %d", g.N(), up, l.words, words)
 	}
 }
 
 // checkPatchMatchesReference patches random row pairs of a fork of l and
-// checks each result against the reference merge and for cap == len.
+// checks each result against the reference row of the union and for
+// cap == len.
 func checkPatchMatchesReference(t *testing.T, rng *rand.Rand, l *Labels) {
 	t.Helper()
 	f := l.Fork()
 	for i := 0; i < 2*f.N(); i++ {
 		w, v := rng.Intn(f.N()), rng.Intn(f.N())
-		want := mergeIntervals(nil, append(slices.Clone(f.rows[w]), f.rows[v]...))
-		before := f.intervals - len(f.rows[w])
+		union := append(rowPositions(f, w), rowPositions(f, v)...)
+		slices.Sort(union)
+		want := referenceRow(slices.Compact(union))
+		before := f.words - len(f.rows[w])
 		f.Patch(w, v)
 		got := f.rows[w]
 		if !slices.Equal(got, want) {
-			t.Fatalf("Patch(%d,%d) = %v, reference %v", w, v, got, want)
+			t.Fatalf("Patch(%d,%d) = %x, reference %x", w, v, got, want)
 		}
 		if cap(got) != len(got) {
 			t.Fatalf("Patch(%d,%d): cap %d != len %d", w, v, cap(got), len(got))
 		}
-		if f.intervals != before+len(got) {
-			t.Fatalf("Patch(%d,%d): interval count %d, want %d", w, v, f.intervals, before+len(got))
+		if f.words != before+len(got) {
+			t.Fatalf("Patch(%d,%d): word count %d, want %d", w, v, f.words, before+len(got))
 		}
 	}
 }
@@ -436,75 +528,85 @@ func TestLabelsRollbackRebuilds(t *testing.T) {
 }
 
 func TestLabelsFork(t *testing.T) {
-	for _, lb := range labelBudgets {
-		t.Run(lb.name, func(t *testing.T) {
-			g := New(5)
-			g.MustAddEdge(0, 1)
-			g.MustAddEdge(1, 2)
-			ic, err := newIncrementalClosure(g, lb.budget)
+	for _, shape := range rowShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			ic, err := NewIncrementalClosure(shape.graph(rand.New(rand.NewSource(4)), 64))
 			if err != nil {
 				t.Fatal(err)
 			}
+			before := ic.Graph().Clone()
 			snap := ic.Labels().Fork()
-			if _, err := ic.AddEdge(2, 3, nil); err != nil {
+			u, v := newIdleEdge(t, ic)
+			if _, err := ic.AddEdge(u, v, nil); err != nil {
 				t.Fatal(err)
 			}
 			ic.Grow(2)
-			// The fork answers for the old world: 2 did not reach 3.
-			if snap.Reaches(2, 3) {
+			// The fork answers for the old world: u did not reach v.
+			if snap.Reaches(u, v) {
 				t.Fatal("fork sees a post-fork edge")
 			}
-			if !snap.Reaches(0, 2) {
-				t.Fatal("fork lost a pre-fork path")
-			}
+			checkLabelsMatchClosure(t, before, snap)
 			// The live index answers for the new world.
 			checkLabelsMatchClosure(t, ic.Graph(), ic.Labels())
 		})
 	}
 }
 
+// TestLabelsStats pins the memory account — 4 bytes per table entry,
+// one slice header per row and 8 bytes per row word, a component's
+// shared row counted once — on a DAG, before and after a patch, and on
+// a cyclic graph whose components share rows of both kinds.
 func TestLabelsStats(t *testing.T) {
-	g := randDAG(rand.New(rand.NewSource(11)), 30, 0.1)
-	l := BuildLabels(g)
-	if l.N() != 30 {
-		t.Fatalf("N = %d", l.N())
+	rng := rand.New(rand.NewSource(11))
+	ic, err := NewIncrementalClosure(randDAG(rng, 30, 0.1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if l.Intervals() <= 0 {
-		t.Fatal("no intervals counted")
+	cyclic := BuildLabels(randDigraph(rng, 300, 0.004))
+	if runs, bitmaps := rowKinds(cyclic); runs == 0 || bitmaps == 0 || runs+bitmaps == cyclic.N() {
+		t.Fatalf("cyclic index: %d run rows, %d bitmap rows over %d nodes; want both kinds and a shared row",
+			runs, bitmaps, cyclic.N())
 	}
-	if l.MemoryBytes() <= 0 {
-		t.Fatal("no memory accounted")
+	checkMemoryBytes(t, ic.Labels())
+	checkMemoryBytes(t, cyclic)
+	u, v := newIdleEdge(t, ic)
+	if _, err := ic.AddEdge(u, v, nil); err != nil {
+		t.Fatal(err)
 	}
-	// Bitmap rows: no intervals, and one MarkWords(n)-word row per node
-	// (every node is its own component here).
-	b := buildLabels(g, 0)
-	if b.Intervals() != 0 {
-		t.Fatalf("bitmap index counts %d intervals", b.Intervals())
+	checkMemoryBytes(t, ic.Labels())
+}
+
+// checkMemoryBytes recounts l's memory from its tables and rows.
+func checkMemoryBytes(t *testing.T, l *Labels) {
+	t.Helper()
+	words, seen := 0, map[*uint64]bool{}
+	for _, row := range l.rows {
+		if !seen[&row[0]] {
+			seen[&row[0]] = true
+			words += len(row)
+		}
 	}
-	if want := int64(30*MarkWords(30)) * 8; b.MemoryBytes() < want || b.MemoryBytes() > want+64*30 {
-		t.Fatalf("bitmap index MemoryBytes = %d, want %d + O(n)", b.MemoryBytes(), want)
+	want := int64(4*(len(l.pos)+len(l.byPosStart)+len(l.byPosNodes)) + 24*len(l.rows) + 8*words)
+	if got := l.MemoryBytes(); got != want {
+		t.Fatalf("MemoryBytes = %d, want %d (%d nodes, %d row words)", got, want, l.N(), words)
 	}
 }
 
 // rowArrayProbe reports, when called, whether the backing array of l's
 // row u is still reachable.
 func rowArrayProbe(l *Labels, u int) func() bool {
-	if l.bitRows != nil {
-		p := weak.Make(&l.bitRows[u][0])
-		return func() bool { return p.Value() != nil }
-	}
 	p := weak.Make(&l.rows[u][0])
 	return func() bool { return p.Value() != nil }
 }
 
 // newIdleEdge returns an edge u→v of ic's graph between two nodes that
-// do not reach each other, so inserting it patches both label
+// do not reach each other, u < v, so inserting it patches both label
 // directions.
 func newIdleEdge(t *testing.T, ic *IncrementalClosure) (int, int) {
 	t.Helper()
 	for u := 0; u < ic.N(); u++ {
-		for v := 0; v < ic.N(); v++ {
-			if u != v && !ic.Labels().Reaches(u, v) && !ic.Labels().Reaches(v, u) {
+		for v := u + 1; v < ic.N(); v++ {
+			if !ic.Labels().Reaches(u, v) && !ic.Labels().Reaches(v, u) {
 				return u, v
 			}
 		}
@@ -517,9 +619,9 @@ func newIdleEdge(t *testing.T, ic *IncrementalClosure) (int, int) {
 // array, and the first Patch moves every row out of it, so once the
 // forks taken before that patch are dropped, the array is collected.
 func TestFirstPatchFreesBuildArray(t *testing.T) {
-	for _, lb := range labelBudgets {
-		t.Run(lb.name, func(t *testing.T) {
-			ic, err := newIncrementalClosure(randDAG(rand.New(rand.NewSource(5)), 200, 0.02), lb.budget)
+	for _, shape := range rowShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			ic, err := NewIncrementalClosure(shape.graph(rand.New(rand.NewSource(5)), 200))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -555,12 +657,12 @@ func TestFirstPatchFreesBuildArray(t *testing.T) {
 // from-scratch build of that graph, while the patched index answers for
 // the new one.
 func TestForkBeforeFirstPatchKeepsBuild(t *testing.T) {
-	for _, lb := range labelBudgets {
-		t.Run(lb.name, func(t *testing.T) {
+	for _, shape := range rowShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(9))
-			g := randDAG(rng, 120, 0.03)
+			g := shape.graph(rng, 120)
 			before := g.Clone()
-			ic, err := newIncrementalClosure(g, lb.budget)
+			ic, err := NewIncrementalClosure(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -568,7 +670,7 @@ func TestForkBeforeFirstPatchKeepsBuild(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				u, v := rng.Intn(120), rng.Intn(120)
 				if u > v {
-					u, v = v, u // randDAG's edges run low → high
+					u, v = v, u // index order is topological
 				}
 				if u != v {
 					if _, err := ic.AddEdge(u, v, nil); err != nil {
@@ -579,7 +681,7 @@ func TestForkBeforeFirstPatchKeepsBuild(t *testing.T) {
 			if ic.LabelPatches() == 0 {
 				t.Fatal("no edge patched the labels")
 			}
-			checkRowKind(t, fwd, lb.name)
+			checkMostly(t, shape.name, fwd, rev)
 			checkLabelsMatchClosure(t, before, fwd)
 			checkLabelsMatchClosure(t, before.Reversed(), rev)
 			checkLabelsMatchClosure(t, ic.Graph(), ic.Labels())

@@ -751,35 +751,57 @@ func (lw *LiveWorkflow) Lineage(vid, taskID string) (*LineageResult, error) {
 		return nil, errf(ErrUnknownTask, "lineage", "no task %q in workflow %q", taskID, lw.id)
 	}
 	v, home := ev.v, ev.v.CompOf(t)
+	// Mark t's ancestors and home's upstream composites once; every
+	// membership test below is one bit probe, in ascending order.
+	mp, cmp := dag.ScratchMark(ep.Tasks()), dag.ScratchMark(v.N())
+	defer dag.ReleaseMark(mp)
+	defer dag.ReleaseMark(cmp)
+	mark, cmark := *mp, *cmp
+	ep.rev.MarkRow(mark, t)
+	ev.revLabels.MarkRow(cmark, home)
+	// walk emits the answer's entries list by list: 0 CompositeLineage,
+	// 1 WorkflowLineage, 2 ViewLineage, 3 FalsePositives. One pass
+	// counts them and a second fills the lists, each exactly its
+	// length, from one array.
+	walk := func(emit func(list int, id string)) {
+		for ci := 0; ci < v.N(); ci++ {
+			if ci != home && ev.revLabels.Marked(cmark, ci) {
+				emit(0, v.Composite(ci).ID)
+			}
+		}
+		for u := 0; u < ep.Tasks(); u++ {
+			exact := ep.rev.Marked(mark, u)
+			if exact && u != t {
+				emit(1, ep.taskIDs[u])
+			}
+			if cu := v.CompOf(u); cu != home && ev.revLabels.Marked(cmark, cu) {
+				emit(2, ep.taskIDs[u])
+				if !exact {
+					emit(3, ep.taskIDs[u])
+				}
+			}
+		}
+	}
+	var count [4]int
+	walk(func(list int, _ string) { count[list]++ })
+	var lists [4][]string
+	all := make([]string, count[0]+count[1]+count[2]+count[3])
+	for i, k := range count {
+		lists[i], all = all[:0:k], all[k:]
+	}
+	walk(func(list int, id string) { lists[list] = append(lists[list], id) })
 	res := &LineageResult{
 		Task:            taskID,
 		Version:         ep.version,
 		ViewSound:       ev.sound,
-		WorkflowLineage: []string{},
-		ViewLineage:     []string{},
+		WorkflowLineage: lists[1],
+		ViewLineage:     lists[2],
 	}
-	// Mark t's ancestors and home's upstream composites once; every
-	// membership test below is one bit probe, in ascending order.
-	mark := make([]uint64, dag.MarkWords(ep.Tasks()))
-	ep.rev.MarkRow(mark, t)
-	cmark := make([]uint64, dag.MarkWords(v.N()))
-	ev.revLabels.MarkRow(cmark, home)
-	for ci := 0; ci < v.N(); ci++ {
-		if ci != home && ev.revLabels.Marked(cmark, ci) {
-			res.CompositeLineage = append(res.CompositeLineage, v.Composite(ci).ID)
-		}
+	if count[0] > 0 {
+		res.CompositeLineage = lists[0]
 	}
-	for u := 0; u < ep.Tasks(); u++ {
-		exact := ep.rev.Marked(mark, u)
-		if exact && u != t {
-			res.WorkflowLineage = append(res.WorkflowLineage, ep.taskIDs[u])
-		}
-		if cu := v.CompOf(u); cu != home && ev.revLabels.Marked(cmark, cu) {
-			res.ViewLineage = append(res.ViewLineage, ep.taskIDs[u])
-			if !exact {
-				res.FalsePositives = append(res.FalsePositives, ep.taskIDs[u])
-			}
-		}
+	if count[3] > 0 {
+		res.FalsePositives = lists[3]
 	}
 	return res, nil
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestSplitNeverFoldsIntoExistingComposite: the "Split Task" operation
-// applies its blocks with ReplaceComposite too, so splitting a = {p, q}
+// applies its blocks with ReplaceComposites too, so splitting a = {p, q}
 // next to an existing composite a.1 = {r} must leave a.1 alone and give
 // a sound view with one composite more per extra block.
 func TestSplitNeverFoldsIntoExistingComposite(t *testing.T) {

@@ -159,7 +159,7 @@ func (s *Session) SplitTaskCtx(ctx context.Context, compID string, crit core.Cri
 	if err != nil {
 		return nil, err
 	}
-	next, err := s.current.ReplaceComposite(compID, res.Blocks)
+	next, err := s.current.ReplaceComposites(view.Split{ID: compID, Blocks: res.Blocks})
 	if err != nil {
 		return nil, err
 	}

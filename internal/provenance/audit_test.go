@@ -129,9 +129,11 @@ func TestAuditLabelsMatchesAuditView(t *testing.T) {
 		check(tc.name, tc.v)
 	}
 
+	// The dense graph's interval covers would take about 4× a closure
+	// matrix; within one, its rows are bitmaps.
 	dense := gen.Layered(gen.LayeredConfig{Name: "dense", Tasks: 2048, Layers: 2, EdgeProb: 0.5, Seed: 1})
-	if l := dag.BuildLabels(dense.Graph()); l.Intervals() != 0 {
-		t.Fatalf("dense graph: %d intervals; want bitmap rows", l.Intervals())
+	if l, n := dag.BuildLabels(dense.Graph()), int64(dense.N()); l.MemoryBytes() > n*n/8+64*n {
+		t.Fatalf("dense graph: labels hold %d bytes, over n²/8 + O(n); want bitmap rows", l.MemoryBytes())
 	}
 	iv := gen.IntervalView(dense, 24, "iv")
 	check("bitmap rows interval", iv)

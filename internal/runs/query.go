@@ -275,7 +275,7 @@ func (s *Store) lineageLabels(lw *engine.LiveWorkflow, run *Run, q Query, ai int
 		// Mark home's row once, then every membership test is one bit
 		// probe. Composite enumeration scans ascending, home excluded —
 		// the order a closure row enumerates.
-		mp := scratchMark(vl)
+		mp := dag.ScratchMark(vl.N())
 		mark := *mp
 		vl.MarkRow(mark, home)
 		for ci, k := 0, v.N(); ci < k; ci++ {
@@ -284,7 +284,7 @@ func (s *Store) lineageLabels(lw *engine.LiveWorkflow, run *Run, q Query, ai int
 			}
 		}
 		run.fillViewLabels(ans, ep, v, vl, mark, home)
-		releaseMark(mp)
+		dag.ReleaseMark(mp)
 
 		if level == LevelAudited {
 			var spur, miss []int32
@@ -327,7 +327,7 @@ func (r *Run) fillExactLabels(ans *Answer, ep *engine.ReadEpoch, home int, anc b
 	if anc {
 		l = ep.RevLabels()
 	}
-	mp := scratchMark(l)
+	mp := dag.ScratchMark(l.N())
 	mark := *mp
 	l.MarkRow(mark, home)
 	for _, u32 := range r.invokedList {
@@ -343,7 +343,7 @@ func (r *Run) fillExactLabels(ans *Answer, ep *engine.ReadEpoch, home int, anc b
 			ans.Artifacts = append(ans.Artifacts, r.artID[i])
 		}
 	}
-	releaseMark(mp)
+	dag.ReleaseMark(mp)
 }
 
 // fillViewLabels is fillExactLabels at the composite level, reusing the
@@ -366,23 +366,6 @@ func (r *Run) fillViewLabels(ans *Answer, ep *engine.ReadEpoch, v *view.View, vl
 		}
 	}
 }
-
-// markPool holds position-mark scratch for the label serve path.
-var markPool = sync.Pool{New: func() any { return new([]uint64) }}
-
-// scratchMark returns a zeroed mark sized for l's position space.
-func scratchMark(l *dag.Labels) *[]uint64 {
-	p := markPool.Get().(*[]uint64) //lint:allow poolret ownership transfers to the caller; releaseMark is the Put
-	if w := dag.MarkWords(l.N()); cap(*p) < w {
-		*p = make([]uint64, w)
-	} else {
-		*p = (*p)[:w]
-		clear(*p)
-	}
-	return p
-}
-
-func releaseMark(p *[]uint64) { markPool.Put(p) }
 
 // inRun reports whether task u (an index of the possibly-grown live
 // workflow) had an invocation in the run; tasks added after ingestion

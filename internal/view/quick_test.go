@@ -85,7 +85,7 @@ func TestQuickPartitionRoundTrip(t *testing.T) {
 }
 
 // Property: MergeComposites reduces the composite count by k-1, keeps
-// the partition exact, and ReplaceComposite with singleton blocks undoes
+// the partition exact, and ReplaceComposites with singleton blocks undoes
 // nothing structurally (still a partition, composite count restored).
 func TestQuickMergeThenSplitInverse(t *testing.T) {
 	f := func(seed int64) bool {
@@ -114,7 +114,7 @@ func TestQuickMergeThenSplitInverse(t *testing.T) {
 		for _, m := range mx.Members() {
 			blocks = append(blocks, []int{m})
 		}
-		split, err := merged.ReplaceComposite("mx", blocks)
+		split, err := merged.ReplaceComposites(Split{ID: "mx", Blocks: blocks})
 		if err != nil {
 			return false
 		}

@@ -4,7 +4,7 @@
 // preserving all inter-composite edges.
 //
 // A View is immutable; correction and user feedback produce new Views via
-// ReplaceComposite and MergeComposites.
+// ReplaceComposites and MergeComposites.
 package view
 
 import (
@@ -115,7 +115,7 @@ func (b *Builder) Build() (*View, error) {
 const unknownMember = -1
 
 // assemble is the one view constructor: Builder.Build, the JSON decoder,
-// FromPartition, Atomic, ReplaceComposite and MergeComposites all hand
+// FromPartition, Atomic, ReplaceComposites and MergeComposites all hand
 // it composites (distinct IDs, names set) whose members are workflow
 // task indices. It checks the partition in the order given — per
 // composite, no members, then each member unknown (unknownMember: member
@@ -358,56 +358,98 @@ func (v *View) MergeComposites(newID string, compIDs ...string) (*View, error) {
 	return assemble(v.wf, v.name, comps, nil)
 }
 
-// ReplaceComposite returns a new view in which composite id is replaced
-// by the given blocks (task-index sets partitioning its members), in its
-// place. A single block keeps the ID id. Otherwise block i is named
-// id+".k" for the next k, counting from 1, that names no other
-// composite of v — so a split never folds a block into an existing
-// composite that happens to be called id+".1". Blocks are named after
-// their IDs; every other composite keeps its ID, name and member list,
-// shared with v. This is how corrector splits are applied.
-func (v *View) ReplaceComposite(id string, blocks [][]int) (*View, error) {
-	ci, ok := v.index[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownComp, id)
-	}
+// Split is one composite's replacement: the blocks (task-index sets
+// partitioning its members) that take composite ID's place.
+type Split struct {
+	ID     string
+	Blocks [][]int
+}
+
+// ReplaceComposites returns a new view in which each split's composite
+// is replaced, in its place, by the split's blocks; the view is built
+// once, whatever the number of splits. A single block keeps its
+// composite's ID. Otherwise block i is named id+".k" for the next k,
+// counting from 1, that names no other composite — neither a composite
+// of v that no earlier split replaced nor a block an earlier split
+// named — so a split never folds a block into an existing composite
+// that happens to be called id+".1", and the names are those the
+// splits would get applied one at a time, in order. Blocks are named
+// after their IDs; every other composite keeps its ID, name and member
+// list, shared with v. This is how corrector splits are applied.
+func (v *View) ReplaceComposites(splits ...Split) (*View, error) {
+	at := make([]int, len(v.comps)) // at[ci] = 1 + the split replacing composite ci
 	seen := make([]bool, v.wf.N())
-	total := 0
-	for _, blk := range blocks {
-		if len(blk) == 0 {
-			return nil, fmt.Errorf("%w: in split of %q", ErrEmptyComp, id)
+	total, blocks := 0, 0
+	for si, sp := range splits {
+		ci, ok := v.index[sp.ID]
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownComp, sp.ID)
 		}
-		for _, t := range blk {
-			if v.compOf[t] != ci {
-				return nil, fmt.Errorf("view: split of %q contains foreign task %q", id, v.wf.Task(t).ID)
+		if at[ci] != 0 {
+			return nil, fmt.Errorf("%w: composite %q split twice", ErrNotPartition, sp.ID)
+		}
+		at[ci] = si + 1
+		covered := 0
+		for _, blk := range sp.Blocks {
+			if len(blk) == 0 {
+				return nil, fmt.Errorf("%w: in split of %q", ErrEmptyComp, sp.ID)
 			}
-			if seen[t] {
-				return nil, fmt.Errorf("%w: task %q duplicated in split of %q", ErrNotPartition, v.wf.Task(t).ID, id)
+			for _, t := range blk {
+				if v.compOf[t] != ci {
+					return nil, fmt.Errorf("view: split of %q contains foreign task %q", sp.ID, v.wf.Task(t).ID)
+				}
+				if seen[t] {
+					return nil, fmt.Errorf("%w: task %q duplicated in split of %q", ErrNotPartition, v.wf.Task(t).ID, sp.ID)
+				}
+				seen[t] = true
+				covered++
 			}
-			seen[t] = true
-			total++
+		}
+		if covered != len(v.comps[ci].members) {
+			return nil, fmt.Errorf("%w: split of %q covers %d of %d members", ErrNotPartition, sp.ID, covered, len(v.comps[ci].members))
+		}
+		total, blocks = total+covered, blocks+len(sp.Blocks)
+	}
+	// named[id] records an ID an earlier split freed (false) or gave a
+	// block (true).
+	named := make(map[string]bool)
+	taken := func(id []byte) bool {
+		if t, ok := named[string(id)]; ok {
+			return t
+		}
+		_, ok := v.index[string(id)]
+		return ok
+	}
+	ids := make([][]string, len(splits))
+	for si, sp := range splits {
+		ids[si] = blockIDs(sp.ID, len(sp.Blocks), taken)
+		named[sp.ID] = false
+		for _, id := range ids[si] {
+			named[id] = true
 		}
 	}
-	if total != len(v.comps[ci].members) {
-		return nil, fmt.Errorf("%w: split of %q covers %d of %d members", ErrNotPartition, id, total, len(v.comps[ci].members))
-	}
-	ids := v.blockIDs(id, len(blocks))
 	members := make([]int, 0, total)
-	comps := make([]Composite, 0, len(v.comps)-1+len(blocks))
-	comps = append(comps, v.comps[:ci]...)
-	for bi, blk := range blocks {
-		lo := len(members)
-		members = append(members, blk...)
-		comps = append(comps, Composite{ID: ids[bi], Name: ids[bi], members: members[lo:len(members):len(members)]})
+	comps := make([]Composite, 0, len(v.comps)-len(splits)+blocks)
+	for ci := range v.comps {
+		if at[ci] == 0 {
+			comps = append(comps, v.comps[ci])
+			continue
+		}
+		si := at[ci] - 1
+		for bi, blk := range splits[si].Blocks {
+			lo := len(members)
+			members = append(members, blk...)
+			comps = append(comps, Composite{ID: ids[si][bi], Name: ids[si][bi], members: members[lo:len(members):len(members)]})
+		}
 	}
-	comps = append(comps, v.comps[ci+1:]...)
 	return assemble(v.wf, v.name, comps, nil)
 }
 
-// blockIDs names the n blocks ReplaceComposite splits composite id
-// into (see there). The IDs share one string, so a split costs the same
-// few allocations whatever its block count.
-func (v *View) blockIDs(id string, n int) []string {
+// blockIDs names the n blocks a split of composite id takes (see
+// ReplaceComposites), skipping the names taken reports. The IDs share
+// one string, so a split costs the same few allocations whatever its
+// block count.
+func blockIDs(id string, n int, taken func(id []byte) bool) []string {
 	if n == 1 {
 		return []string{id}
 	}
@@ -416,7 +458,7 @@ func (v *View) blockIDs(id string, n int) []string {
 	for k := 1; len(ends) < n; k++ {
 		lo := len(buf)
 		buf = strconv.AppendInt(append(append(buf, id...), '.'), int64(k), 10)
-		if _, taken := v.index[string(buf[lo:])]; taken {
+		if taken(buf[lo:]) {
 			buf = buf[:lo]
 			continue
 		}

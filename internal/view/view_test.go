@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -186,7 +187,7 @@ func TestReplaceComposite(t *testing.T) {
 		"g1": {"a"}, "g2": {"b", "c"}, "g3": {"d"},
 	})
 	b, c := w.MustIndex("b"), w.MustIndex("c")
-	split, err := v.ReplaceComposite("g2", [][]int{{b}, {c}})
+	split, err := v.ReplaceComposites(Split{ID: "g2", Blocks: [][]int{{b}, {c}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestReplaceComposite(t *testing.T) {
 		t.Fatal("split ids wrong")
 	}
 	// Single block keeps the id.
-	same, err := v.ReplaceComposite("g2", [][]int{{b, c}})
+	same, err := v.ReplaceComposites(Split{ID: "g2", Blocks: [][]int{{b, c}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,21 +206,55 @@ func TestReplaceComposite(t *testing.T) {
 		t.Fatal("single-block split must keep id")
 	}
 
-	if _, err := v.ReplaceComposite("ghost", [][]int{{b}}); !errors.Is(err, ErrUnknownComp) {
+	if _, err := v.ReplaceComposites(Split{ID: "ghost", Blocks: [][]int{{b}}}); !errors.Is(err, ErrUnknownComp) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := v.ReplaceComposite("g2", [][]int{{b}}); !errors.Is(err, ErrNotPartition) {
+	if _, err := v.ReplaceComposites(Split{ID: "g2", Blocks: [][]int{{b}}}); !errors.Is(err, ErrNotPartition) {
 		t.Fatalf("partial split err = %v", err)
 	}
-	if _, err := v.ReplaceComposite("g2", [][]int{{b}, {b, c}}); !errors.Is(err, ErrNotPartition) {
+	if _, err := v.ReplaceComposites(Split{ID: "g2", Blocks: [][]int{{b}, {b, c}}}); !errors.Is(err, ErrNotPartition) {
 		t.Fatalf("dup split err = %v", err)
 	}
 	a := w.MustIndex("a")
-	if _, err := v.ReplaceComposite("g2", [][]int{{a, b, c}}); err == nil {
+	if _, err := v.ReplaceComposites(Split{ID: "g2", Blocks: [][]int{{a, b, c}}}); err == nil {
 		t.Fatal("foreign task must error")
 	}
-	if _, err := v.ReplaceComposite("g2", [][]int{{b, c}, {}}); !errors.Is(err, ErrEmptyComp) {
+	if _, err := v.ReplaceComposites(Split{ID: "g2", Blocks: [][]int{{b, c}, {}}}); !errors.Is(err, ErrEmptyComp) {
 		t.Fatalf("empty block err = %v", err)
+	}
+	if _, err := v.ReplaceComposites(Split{ID: "g2", Blocks: [][]int{{b}, {c}}}, Split{ID: "g2", Blocks: [][]int{{b, c}}}); !errors.Is(err, ErrNotPartition) {
+		t.Fatalf("split twice err = %v", err)
+	}
+
+	// Several splits at once name their blocks as the splits applied
+	// one at a time, in order: a block may take an ID an earlier split
+	// freed, never one that a composite or an earlier block holds.
+	xv, err := FromAssignments(w, "x", map[string][]string{"x": {"a", "b"}, "x.1": {"c", "d"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := w.MustIndex("d")
+	x, x1 := Split{ID: "x", Blocks: [][]int{{a}, {b}}}, Split{ID: "x.1", Blocks: [][]int{{c}, {d}}}
+	for _, order := range [][]Split{{x, x1}, {x1, x}} {
+		want := xv
+		for _, sp := range order {
+			if want, err = want.ReplaceComposites(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := xv.ReplaceComposites(order...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci := 0; ci < want.N(); ci++ {
+			if g, wc := got.Composite(ci), want.Composite(ci); g.ID != wc.ID || !slices.Equal(g.Members(), wc.Members()) {
+				t.Fatalf("splits %s then %s: composite %d is %s %v, one at a time %s %v",
+					order[0].ID, order[1].ID, ci, g.ID, g.Members(), wc.ID, wc.Members())
+			}
+		}
+		if got.N() != want.N() {
+			t.Fatalf("%d composites, one at a time %d", got.N(), want.N())
+		}
 	}
 }
 
