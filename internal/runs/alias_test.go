@@ -103,14 +103,19 @@ func runFingerprint(t *testing.T, s *Store, runID string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, run, err := s.lookup("wf", runID)
+	lw, run, err := s.lookup("wf", runID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ep, _, err := lw.Read("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs, arts := procIDs(run, ep.TaskID), artIDs(run)
 	var b strings.Builder
-	fmt.Fprintf(&b, "%+v %q %q %x\n", *info, run.procID, run.artID, run.Doc())
-	for i := 0; i < len(run.artID); i += 7 {
-		for _, q := range levelQueries(runID, run.artID[i], []string{"iv"}) {
+	fmt.Fprintf(&b, "%+v %q %q %x\n", *info, procs, arts, run.Doc())
+	for i := 0; i < len(arts); i += 7 {
+		for _, q := range levelQueries(runID, arts[i], []string{"iv"}) {
 			ans, err := s.LineageCtx(context.Background(), "wf", q)
 			if err != nil {
 				t.Fatal(err)
@@ -200,7 +205,7 @@ func TestIngestRetainsNoRequestBuffer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, a := range run.artID {
+			for i, a := range artIDs(run) {
 				if want := fmt.Sprintf("art\"%d/é", i); a != want {
 					t.Fatalf("%s: run %s artifact %d is %q, want %q", name, id, i, a, want)
 				}
@@ -215,7 +220,7 @@ func TestIngestRetainsNoRequestBuffer(t *testing.T) {
 
 // TestScratchPoolCapsArena ingests one document, one NDJSON line and
 // one batch larger than the pool's per-buffer cap, then drains the pool:
-// no pooled scratch may keep an arena (or unquote, spill or encode
+// no pooled scratch may keep an arena (or unquote, spill, encode or ID
 // buffer) past the cap, nor still reference a request body.
 func TestScratchPoolCapsArena(t *testing.T) {
 	s, _ := figure1Store(t)
@@ -260,9 +265,9 @@ func TestScratchPoolCapsArena(t *testing.T) {
 		drained = append(drained, sc)
 		refs, unquote := sc.jd.Holds()
 		if cap(sc.w.arena) > scratchKeep || unquote > scratchKeep ||
-			cap(sc.spill) > scratchKeep || cap(sc.enc) > scratchKeep {
-			t.Fatalf("pooled scratch keeps arena %d, unquote %d, spill %d, encode %d bytes; cap %d",
-				cap(sc.w.arena), unquote, cap(sc.spill), cap(sc.enc), scratchKeep)
+			cap(sc.spill) > scratchKeep || cap(sc.enc) > scratchKeep || cap(sc.idBuf) > scratchKeep {
+			t.Fatalf("pooled scratch keeps arena %d, unquote %d, spill %d, encode %d, ID %d bytes; cap %d",
+				cap(sc.w.arena), unquote, cap(sc.spill), cap(sc.enc), cap(sc.idBuf), scratchKeep)
 		}
 		if refs {
 			t.Fatal("pooled scratch still references a decoded input or arena")
@@ -274,7 +279,9 @@ func TestScratchPoolCapsArena(t *testing.T) {
 // ingests from several goroutines into one store, each scribbling over
 // its document once the call returns, so pooled scratch (arena, slices,
 // stream reader) is shared across goroutines only through the pool.
-// Every run must render exactly as a store holding only that run did.
+// Every run must render exactly as a store holding only that run did,
+// and the store's totals, read by a concurrent scraper throughout, must
+// end equal to the sum over its runs.
 func TestConcurrentIngestKeepsRunsIntact(t *testing.T) {
 	reg, wf := aliasWorkflowStore(t)
 	const workers, perWorker = 4, 6
@@ -318,10 +325,35 @@ func TestConcurrentIngestKeepsRunsIntact(t *testing.T) {
 			}
 		}(w)
 	}
+	// A metrics scraper reads the shards' running totals meanwhile.
+	done := make(chan struct{})
+	scraped := make(chan Stats)
+	go func() {
+		var st Stats
+		for {
+			select {
+			case <-done:
+				scraped <- st
+				return
+			default:
+				st = s.Stats()
+			}
+		}
+	}()
 	wg.Wait()
+	close(done)
+	<-scraped
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	var mem int64
+	for id := range want {
+		_, run, _ := s.lookup("wf", id)
+		mem += run.memoryBytes()
+	}
+	if st := s.Stats(); st.Runs != len(want) || st.MemoryBytes != mem {
+		t.Fatalf("stats after concurrent ingest = %+v, want %d runs and %d memory bytes", st, len(want), mem)
 	}
 	for id, fp := range want {
 		if got := runFingerprint(t, s, id); got != fp {

@@ -65,7 +65,7 @@ func TestIngestAllocationCeiling(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					fmt.Fprintf(&b, "%+v %q %x;", info, run.artID, run.Doc())
+					fmt.Fprintf(&b, "%+v %q %x;", info, artIDs(run), run.Doc())
 				}
 				if i < 16 {
 					first = append(first, b.String())

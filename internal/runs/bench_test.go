@@ -36,7 +36,9 @@ func benchStore(b testing.TB, n int) (*Store, *workflow.Workflow) {
 }
 
 // windowRunDoc encodes a run invoking a window of tasks as a chain:
-// every task produces one artifact consumed by the next.
+// every task produces one artifact consumed by the next. Invocations are
+// implicit and artifact k is <run>.<k>, as wolvesbench's windowRun has
+// them.
 func windowRunDoc(wf *workflow.Workflow, runID string, start, size int) []byte {
 	doc := struct {
 		Run       string           `json:"run"`
@@ -47,11 +49,11 @@ func windowRunDoc(wf *workflow.Workflow, runID string, start, size int) []byte {
 	for k := 0; k < size; k++ {
 		task := wf.Task((start + k) % n).ID
 		doc.Artifacts = append(doc.Artifacts, map[string]any{
-			"id": fmt.Sprintf("%s/%d", runID, k), "generated_by": task,
+			"id": fmt.Sprintf("%s.%d", runID, k), "generated_by": task,
 		})
 		if k > 0 {
 			doc.Used = append(doc.Used, map[string]any{
-				"process": task, "artifact": fmt.Sprintf("%s/%d", runID, k-1),
+				"process": task, "artifact": fmt.Sprintf("%s.%d", runID, k-1),
 			})
 		}
 	}
@@ -103,10 +105,10 @@ func windowRunNDJSON(wf *workflow.Workflow, runID string, start, size int) []byt
 	for k := 0; k < size; k++ {
 		task := wf.Task((start + k) % n).ID
 		line(map[string]any{"artifact": map[string]any{
-			"id": fmt.Sprintf("%s/%d", runID, k), "generated_by": task}})
+			"id": fmt.Sprintf("%s.%d", runID, k), "generated_by": task}})
 		if k > 0 {
 			line(map[string]any{"used": map[string]any{
-				"process": task, "artifact": fmt.Sprintf("%s/%d", runID, k-1)}})
+				"process": task, "artifact": fmt.Sprintf("%s.%d", runID, k-1)}})
 		}
 	}
 	return out

@@ -27,7 +27,8 @@ import (
 // rejected rather than guessed at.
 const docBinV1 = 0xD1
 
-// appendDocBinary encodes the run's canonical document:
+// appendDocBinary encodes the run's canonical document from the run and
+// its used pairs in document order:
 //
 //	docBinV1 | uvarint version | runID
 //	| uvarint ninv  | (invocationID, taskID)*
@@ -37,22 +38,29 @@ const docBinV1 = 0xD1
 // Strings are uvarint-length-prefixed (binwire); used edges reference
 // invocations and artifacts by their dense index, task references stay
 // ID strings (indices are not stable across workflow versions, IDs are).
-func (r *Run) appendDocBinary(dst []byte, wf *workflow.Workflow) []byte {
+// An invocation the run stores no ID for is named after its task.
+func (r *Run) appendDocBinary(dst []byte, wf *workflow.Workflow, used [][2]int32) []byte {
 	dst = append(dst, docBinV1)
 	dst = binwire.AppendUvarint(dst, r.version)
 	dst = binwire.AppendString(dst, r.id)
-	dst = binwire.AppendUvarint(dst, uint64(len(r.procID)))
-	for i, id := range r.procID {
+	dst = binwire.AppendUvarint(dst, uint64(len(r.procTask)))
+	named := r.namedInvocations()
+	for i, ti := range r.procTask {
+		task := wf.Task(int(ti)).ID
+		id := task
+		if named {
+			id = r.invocationID(int32(i))
+		}
 		dst = binwire.AppendString(dst, id)
-		dst = binwire.AppendString(dst, wf.Task(int(r.procTask[i])).ID)
+		dst = binwire.AppendString(dst, task)
 	}
-	dst = binwire.AppendUvarint(dst, uint64(len(r.artID)))
-	for i, id := range r.artID {
-		dst = binwire.AppendString(dst, id)
-		dst = binwire.AppendUvarint(dst, uint64(r.artGen[i]+1))
+	dst = binwire.AppendUvarint(dst, uint64(len(r.artGen)))
+	for i, g := range r.artGen {
+		dst = binwire.AppendString(dst, r.artifactID(int32(i)))
+		dst = binwire.AppendUvarint(dst, uint64(g+1))
 	}
-	dst = binwire.AppendUvarint(dst, uint64(len(r.used)))
-	for _, e := range r.used {
+	dst = binwire.AppendUvarint(dst, uint64(len(used)))
+	for _, e := range used {
 		dst = binwire.AppendUvarint(dst, uint64(e[0]))
 		dst = binwire.AppendUvarint(dst, uint64(e[1]))
 	}

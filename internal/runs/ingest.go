@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -29,12 +28,12 @@ import (
 // a per-ingest byte arena and record spans of it, and buildRun resolves
 // task, invocation and artifact references by bytes. What the immutable
 // Run keeps is copied out once — its ID, one string holding every
-// artifact and explicit invocation ID (implicit invocations reuse the
-// workflow's task-ID strings), and exactly-sized index slices — so no
-// retained byte aliases the caller's buffer. The arena and the rest of
-// the working set are pooled (ingestScratch): at steady state an ingest
-// allocates a fixed number of objects whatever its record count, and a
-// sustained NDJSON firehose does not churn the heap per document.
+// artifact ID and the invocation IDs that differ from their task's, and
+// one exactly-sized []int32 slab — so no retained byte aliases the
+// caller's buffer. The arena and the rest of the working set are pooled
+// (ingestScratch): at steady state an ingest allocates a fixed number of
+// objects whatever its record count, and a sustained NDJSON firehose
+// does not churn the heap per document.
 
 // span locates one decoded string in its run's arena.
 type span = jsonwire.Span
@@ -108,63 +107,82 @@ const (
 	// ndjsonBufBytes sizes the pooled stream reader: lines that fit are
 	// framed with zero copies, longer ones spill.
 	ndjsonBufBytes = 64 << 10
-	// scratchKeep caps the capacity of each byte buffer (arena, decoder
-	// unquote buffer, NDJSON spill, encode buffer) the scratch pool
-	// retains: a rare multi-megabyte document or line must not pin its
-	// buffers forever.
+	// scratchKeep caps the bytes of each buffer (arena, decoder unquote
+	// buffer, NDJSON spill, encode buffer, the build's IDs and indexes)
+	// the scratch pool retains: a rare multi-megabyte document or line
+	// must not pin its buffers forever.
 	scratchKeep = jsonwire.ScratchKeep
 )
 
 // ingestScratch recycles the per-ingest working set: the decoded wire
-// run and its arena (capacities survive), the build-time invocation
-// indexes, the CSR fill cursor, the binary-doc encode buffer, the NDJSON
-// stream reader, and the runs built so far. One scratch serves one
-// ingest at a time, whole batches included.
+// run and its arena (capacities survive), the build's IDs, indexes and
+// used pairs, the CSR fill cursor, the binary-doc encode buffer, the
+// NDJSON stream reader, and the runs built so far. One scratch serves
+// one ingest at a time, whole batches included.
 type ingestScratch struct {
 	w        wireRun
 	line     wireLine
 	jd       jsonwire.Decoder
 	lineBufs wireLineBufs
-	// procIdx maps process references to their dense invocation index;
-	// its keys are slices of the Run's retained ID string (explicit
-	// invocations) or the workflow's task IDs (implicit ones).
-	procIdx  map[string]int32
+	// idBuf holds every ID the document names end to end, invocations
+	// then artifacts, ID k ending at idEnd[k]; procSlots and artSlots
+	// index the invocation and artifact IDs (index.go).
+	idBuf     []byte
+	idEnd     []int32
+	procSlots []int32
+	artSlots  []int32
+	// procOf maps the tasks of an implicit trace to their invocation
+	// plus one; a build clears the entries it set.
+	procOf   []int32
 	procTask []int32
 	artGen   []int32
-	fill     []int32
-	enc      []byte
-	br       *bufio.Reader
-	spill    []byte
+	// used holds the (invocation, artifact) pairs in document order: the
+	// CSR build and the canonical encoder read them, the run keeps
+	// neither.
+	used  [][2]int32
+	fill  []int32
+	enc   []byte
+	br    *bufio.Reader
+	spill []byte
 	// runs holds the ingest's built runs until they are inserted; trim
 	// clears it, so the pool never pins a run.
 	runs []*Run
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &ingestScratch{
-		procIdx: make(map[string]int32, 64),
-		br:      bufio.NewReaderSize(nil, ndjsonBufBytes),
-	}
+	return &ingestScratch{br: bufio.NewReaderSize(nil, ndjsonBufBytes)}
 }}
 
-// trim prepares sc for the pool: it drops byte buffers an outsized
-// ingest grew past scratchKeep and the decoder's and stream reader's
+// trim prepares sc for the pool: it drops buffers an outsized ingest
+// grew past scratchKeep bytes and the decoder's and stream reader's
 // hold on the request body. Callers defer scratchPool.Put(sc.trim()) in
 // a closure, so the trim runs at return.
 func (sc *ingestScratch) trim() *ingestScratch {
-	if cap(sc.w.arena) > scratchKeep {
-		sc.w.arena = nil
-	}
-	if cap(sc.spill) > scratchKeep {
-		sc.spill = nil
-	}
-	if cap(sc.enc) > scratchKeep {
-		sc.enc = nil
-	}
+	sc.w.arena = capped(sc.w.arena, 1)
+	sc.spill = capped(sc.spill, 1)
+	sc.enc = capped(sc.enc, 1)
+	sc.idBuf = capped(sc.idBuf, 1)
+	sc.idEnd = capped(sc.idEnd, 4)
+	sc.procSlots = capped(sc.procSlots, 4)
+	sc.artSlots = capped(sc.artSlots, 4)
+	sc.procTask = capped(sc.procTask, 4)
+	sc.artGen = capped(sc.artGen, 4)
+	sc.used = capped(sc.used, 8)
+	sc.fill = capped(sc.fill, 4)
+	sc.procOf = capped(sc.procOf, 4)
 	sc.runs = jsonwire.Reuse(sc.runs)
 	sc.jd.Release()
 	sc.br.Reset(nil)
 	return sc
+}
+
+// capped returns s, or nil once its array of size-byte elements passed
+// scratchKeep bytes.
+func capped[T any](s []T, size int) []T {
+	if cap(s)*size > scratchKeep {
+		return nil
+	}
+	return s
 }
 
 // wire resets and returns the scratch's wire run, keeping the capacities
@@ -402,11 +420,7 @@ func (s *Store) ingest(ctx context.Context, workflowID string, sc *ingestScratch
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		for i, r := range sc.runs {
-			_, replaced := sh.runs[r.id]
-			sh.runs[r.id] = r
-			if !replaced {
-				sh.order = append(sh.order, r.id)
-			}
+			replaced := sh.put(r)
 			infos[i] = *r.info(workflowID)
 			infos[i].Replaced = replaced
 		}
@@ -479,11 +493,6 @@ func (s *Store) IngestBatchCtx(ctx context.Context, workflowID string, docs [][]
 // where a task lookup failed). The canonical document is rawDoc verbatim
 // when non-nil (restore path), otherwise freshly encoded in the binary
 // form.
-//
-// References resolve by bytes against the arena, so no transient string
-// is built. The Run's strings are its ID and ids, one string holding
-// every explicit invocation ID and then every artifact ID in document
-// order: procID, artID and the artIdx and procIdx keys are slices of it.
 func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, batchIdx int, rawDoc []byte,
 	sc *ingestScratch) (*Run, *engine.Error) {
 	if w.Run.Len() == 0 {
@@ -497,68 +506,61 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, batchIdx int, r
 		return nil, errf(engine.ErrInvalidTrace, "ingest",
 			"run %q is empty: no invocations and no artifacts", w.bytes(w.Run))
 	}
-	n := wf.N()
 	runID := string(w.bytes(w.Run))
-	var sb strings.Builder
-	size := 0
+	named, err := sc.intern(wf, w, runID)
+	if len(w.Invocations) == 0 { // intern marked the invoked tasks in procOf
+		for _, ti := range sc.procTask {
+			sc.procOf[ti] = 0
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sc.layout(wf, version, w, runID, named, rawDoc), nil
+}
+
+// intern validates w against wf and interns it into sc: every ID into
+// idBuf and the artifact index, each invocation's task into procTask,
+// each artifact's generating invocation into artGen, and the used edges
+// into used. It reports whether some invocation is not named after its
+// task. References resolve by bytes, so no transient string is built.
+func (sc *ingestScratch) intern(wf *workflow.Workflow, w *wireRun, runID string) (named bool, _ *engine.Error) {
+	ni := len(w.Invocations)
+	sc.idBuf, sc.idEnd = sc.idBuf[:0], sc.idEnd[:0]
 	for _, inv := range w.Invocations {
-		size += inv.ID.Len()
+		sc.idBuf = append(sc.idBuf, w.bytes(inv.ID)...)
+		sc.idEnd = append(sc.idEnd, int32(len(sc.idBuf)))
 	}
 	for _, a := range w.Artifacts {
-		size += a.ID.Len()
+		sc.idBuf = append(sc.idBuf, w.bytes(a.ID)...)
+		sc.idEnd = append(sc.idEnd, int32(len(sc.idBuf)))
 	}
-	sb.Grow(size)
-	for _, inv := range w.Invocations {
-		sb.Write(w.bytes(inv.ID))
-	}
-	for _, a := range w.Artifacts {
-		sb.Write(w.bytes(a.ID))
-	}
-	ids := sb.String()
-	// nextID hands out the consecutive slices of ids.
-	off := 0
-	nextID := func(s span) string {
-		id := ids[off : off+s.Len()]
-		off += s.Len()
-		return id
+	sc.procSlots = emptySlots(sc.procSlots, ni)
+	sc.artSlots = emptySlots(sc.artSlots, len(w.Artifacts))
+	sc.procTask, sc.artGen, sc.used = sc.procTask[:0], sc.artGen[:0], sc.used[:0]
+	implicit := ni == 0
+	if implicit && len(sc.procOf) < wf.N() {
+		sc.procOf = make([]int32, wf.N())
 	}
 
-	run := &Run{
-		id:      runID,
-		version: version,
-		n:       n,
-		artIdx:  make(map[string]int32, len(w.Artifacts)),
-		invoked: bitset.New(n),
-		used:    make([][2]int32, len(w.Used)),
-	}
-	implicit := len(w.Invocations) == 0
-	clear(sc.procIdx)
-	procIdx := sc.procIdx
-	sc.procTask, sc.artGen = sc.procTask[:0], sc.artGen[:0]
-
-	// addProc creates the next invocation, of task ti.
-	addProc := func(ti int) int32 {
-		pi := int32(len(sc.procTask))
-		sc.procTask = append(sc.procTask, int32(ti))
-		run.invoked.Set(ti)
-		return pi
-	}
 	for i, inv := range w.Invocations {
-		id := nextID(inv.ID)
-		if id == "" {
-			return nil, errf(engine.ErrInvalidTrace, "ingest",
+		id := w.bytes(inv.ID)
+		if len(id) == 0 {
+			return false, errf(engine.ErrInvalidTrace, "ingest",
 				"run %q: invocation %d has an empty id", runID, i)
 		}
-		if _, dup := procIdx[id]; dup {
-			return nil, errf(engine.ErrInvalidTrace, "ingest",
+		if !addID(sc.procSlots, sc.idBuf, sc.idEnd, 0, i) {
+			return false, errf(engine.ErrInvalidTrace, "ingest",
 				"run %q: duplicate invocation id %q", runID, id)
 		}
-		ti, ok := wf.IndexBytes(w.bytes(inv.Task))
+		task := w.bytes(inv.Task)
+		ti, ok := wf.IndexBytes(task)
 		if !ok {
-			return nil, traceErr(runID, fmt.Errorf("invocation %q: %w: %q",
-				id, workflow.ErrUnknownTask, w.bytes(inv.Task)))
+			return false, traceErr(runID, fmt.Errorf("invocation %q: %w: %q",
+				id, workflow.ErrUnknownTask, task))
 		}
-		procIdx[id] = addProc(ti)
+		named = named || !bytes.Equal(id, task)
+		sc.procTask = append(sc.procTask, int32(ti))
 	}
 	// resolve maps a process reference onto a dense invocation index. In
 	// implicit mode the reference is a task ID and the invocation is
@@ -567,10 +569,10 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, batchIdx int, r
 	// of the hot loops below must not pay a fmt.Sprintf per edge.
 	resolve := func(ref span, whereFmt string, whereArg span) (int32, *engine.Error) {
 		b := w.bytes(ref)
-		if pi, ok := procIdx[string(b)]; ok {
-			return pi, nil
-		}
 		if !implicit {
+			if pi, ok := lookupID(sc.procSlots, sc.idBuf, sc.idEnd, 0, b); ok {
+				return pi, nil
+			}
 			return 0, errf(engine.ErrInvalidTrace, "ingest",
 				"run %q: %s references unknown invocation %q",
 				runID, fmt.Sprintf(whereFmt, w.bytes(whereArg)), b)
@@ -580,76 +582,93 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, batchIdx int, r
 			return 0, traceErr(runID, fmt.Errorf("%s: %w: %q",
 				fmt.Sprintf(whereFmt, w.bytes(whereArg)), workflow.ErrUnknownTask, b))
 		}
-		pi := addProc(ti)
-		procIdx[wf.Task(ti).ID] = pi
+		if pi := sc.procOf[ti]; pi > 0 {
+			return pi - 1, nil
+		}
+		pi := int32(len(sc.procTask))
+		sc.procTask = append(sc.procTask, int32(ti))
+		sc.procOf[ti] = pi + 1
 		return pi, nil
 	}
 
 	for i, a := range w.Artifacts {
-		id := nextID(a.ID)
-		if id == "" {
-			return nil, errf(engine.ErrInvalidTrace, "ingest",
+		if a.ID.Len() == 0 {
+			return false, errf(engine.ErrInvalidTrace, "ingest",
 				"run %q: artifact %d has an empty id", runID, i)
 		}
-		if _, dup := run.artIdx[id]; dup {
-			return nil, errf(engine.ErrInvalidTrace, "ingest",
-				"run %q: duplicate artifact id %q", runID, id)
+		if !addID(sc.artSlots, sc.idBuf, sc.idEnd, ni, i) {
+			return false, errf(engine.ErrInvalidTrace, "ingest",
+				"run %q: duplicate artifact id %q", runID, w.bytes(a.ID))
 		}
 		gen := int32(-1)
 		if a.GeneratedBy.Len() > 0 {
 			pi, gerr := resolve(a.GeneratedBy, "artifact %q generated_by", a.ID)
 			if gerr != nil {
-				return nil, gerr
+				return false, gerr
 			}
 			gen = pi
 		}
-		run.artIdx[id] = int32(i)
 		sc.artGen = append(sc.artGen, gen)
 	}
 
-	for i, u := range w.Used {
+	for _, u := range w.Used {
 		pi, uerr := resolve(u.Process, "used edge for artifact %q", u.Artifact)
 		if uerr != nil {
-			return nil, uerr
+			return false, uerr
 		}
-		ai, ok := run.artIdx[string(w.bytes(u.Artifact))]
+		ai, ok := lookupID(sc.artSlots, sc.idBuf, sc.idEnd, ni, w.bytes(u.Artifact))
 		if !ok {
-			return nil, errf(engine.ErrInvalidTrace, "ingest",
+			return false, errf(engine.ErrInvalidTrace, "ingest",
 				"run %q: dangling used edge: process %q consumes unknown artifact %q",
 				runID, w.bytes(u.Process), w.bytes(u.Artifact))
 		}
-		run.used[i] = [2]int32{pi, ai}
+		sc.used = append(sc.used, [2]int32{pi, ai})
 	}
+	return named, nil
+}
 
-	// The run is valid: lay out its retained slices, sized from the final
-	// counts. Both ID tables share one []string and every dense index one
-	// []int32 slab, each carved with capped capacity.
-	np, na := len(sc.procTask), len(w.Artifacts)
-	strs := make([]string, np+na)
-	run.procID, run.artID = strs[:np:np], strs[np:]
-	off = 0 // hand out ids again, in the same order
-	for i, inv := range w.Invocations {
-		run.procID[i] = nextID(inv.ID)
+// layout builds the run sc interned from w. Its strings are its ID and
+// ids, copied out of idBuf once (the invocation IDs only when named);
+// every index slice is carved, with capped capacity, from one []int32
+// slab sized from the final counts.
+func (sc *ingestScratch) layout(wf *workflow.Workflow, version uint64, w *wireRun, runID string, named bool,
+	rawDoc []byte) *Run {
+	n := wf.N()
+	ni, na := len(w.Invocations), len(w.Artifacts)
+	np, nu := len(sc.procTask), len(sc.used)
+	first, from := 0, int32(0) // the first ID kept, and where it starts
+	if !named && ni > 0 {
+		first, from = ni, sc.idEnd[ni-1]
 	}
-	if implicit {
-		for i, ti := range sc.procTask {
-			run.procID[i] = wf.Task(int(ti)).ID
-		}
+	run := &Run{
+		id:      runID,
+		version: version,
+		n:       n,
+		ids:     string(sc.idBuf[from:]),
+		invoked: *bitset.New(n),
 	}
-	for i, a := range w.Artifacts {
-		run.artID[i] = nextID(a.ID)
+	for _, ti := range sc.procTask {
+		run.invoked.Set(int(ti))
 	}
 	nInvoked := run.invoked.Count()
-	slab := make([]int32, 2*np+1+na+len(w.Used)+nInvoked)
+	slab := make([]int32, len(sc.idEnd)-first+np+na+len(sc.artSlots)+np+1+nu+nInvoked)
 	carve := func(k int) []int32 {
 		s := slab[:k:k]
 		slab = slab[k:]
 		return s
 	}
+	run.idEnd = carve(len(sc.idEnd) - first)
+	for k, end := range sc.idEnd[first:] {
+		run.idEnd[k] = end - from
+	}
 	run.procTask = carve(np)
 	copy(run.procTask, sc.procTask)
 	run.artGen = carve(na)
 	copy(run.artGen, sc.artGen)
+	// An index slot depends only on its ID's bytes, so the build's
+	// index serves the run as is.
+	run.artSlots = carve(len(sc.artSlots))
+	copy(run.artSlots, sc.artSlots)
 
 	// Sorted invoked-task list for the label query path (invocations may
 	// arrive in any order and repeat tasks; the bitset dedups).
@@ -663,19 +682,19 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, batchIdx int, r
 	// walks: O(invocations + used) words, built once at ingestion. Only
 	// the fill cursor is scratch.
 	run.usedStart = carve(np + 1)
-	for _, e := range run.used {
+	for _, e := range sc.used {
 		run.usedStart[e[0]+1]++
 	}
 	for i := 1; i < len(run.usedStart); i++ {
 		run.usedStart[i] += run.usedStart[i-1]
 	}
-	run.usedArt = carve(len(run.used))
+	run.usedArt = carve(nu)
 	if cap(sc.fill) < np {
 		sc.fill = make([]int32, np)
 	}
 	fill := sc.fill[:np]
 	clear(fill)
-	for _, e := range run.used {
+	for _, e := range sc.used {
 		run.usedArt[run.usedStart[e[0]]+fill[e[0]]] = e[1]
 		fill[e[0]]++
 	}
@@ -689,10 +708,10 @@ func buildRun(wf *workflow.Workflow, version uint64, w *wireRun, batchIdx int, r
 		// encoding (JSON era or binary) they were written with.
 		run.doc = rawDoc
 	} else {
-		sc.enc = run.appendDocBinary(sc.enc[:0], wf)
+		sc.enc = run.appendDocBinary(sc.enc[:0], wf, sc.used)
 		run.doc = append(make([]byte, 0, len(sc.enc)), sc.enc...)
 	}
-	return run, nil
+	return run
 }
 
 // traceErr wraps a cause (typically workflow.ErrUnknownTask) in an

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -26,10 +25,11 @@ import (
 // shapes (exactly what the string-per-field JSON decoder produced — it
 // was differentially fuzzed against encoding/json), binary documents
 // through the string-per-field binary decoder below, and refBuildRun is
-// the string interning loop, one Go string per field. TestIngestMatchesStringReference and
-// the ingest fuzz targets require both paths to agree on acceptance,
-// error code and message, every interned Run field, the RunInfo and the
-// canonical document bytes.
+// the string interning loop: one Go string per ID, a map index and the
+// used pairs (refRun). TestIngestMatchesStringReference and the ingest
+// fuzz targets require both paths to agree on acceptance, error code
+// and message, everything a Run answers through its accessors
+// (compareRuns), the RunInfo and the canonical document bytes.
 
 // jsonRun is the string-field shape of one run document (wireRun).
 type jsonRun struct {
@@ -196,15 +196,94 @@ func refCheckRun(w *jsonRun, batchIdx int) *engine.Error {
 	return nil
 }
 
+// refRun is the string model of an interned run: one Go string per ID,
+// a map from artifact ID to index, and the used pairs in document order.
+type refRun struct {
+	id       string
+	version  uint64
+	wf       *workflow.Workflow // the task space the run was validated against
+	procID   []string
+	procTask []int32
+	artID    []string
+	artGen   []int32
+	artIdx   map[string]int32
+	used     [][2]int32
+	invoked  *bitset.Set
+	doc      []byte
+}
+
+// info is Run.info of the model.
+func (r *refRun) info(workflowID string) RunInfo {
+	return RunInfo{
+		Run: r.id, Workflow: workflowID, Version: r.version,
+		Invocations: len(r.procID), Artifacts: len(r.artID), UsedEdges: len(r.used),
+		TasksInvoked: r.invoked.Count(), Bytes: int64(len(r.doc)),
+	}
+}
+
+// appendDoc is the binary canonical encoder over the model.
+func (r *refRun) appendDoc(dst []byte) []byte {
+	dst = append(dst, docBinV1)
+	dst = binwire.AppendUvarint(dst, r.version)
+	dst = binwire.AppendString(dst, r.id)
+	dst = binwire.AppendUvarint(dst, uint64(len(r.procID)))
+	for i, id := range r.procID {
+		dst = binwire.AppendString(dst, id)
+		dst = binwire.AppendString(dst, r.wf.Task(int(r.procTask[i])).ID)
+	}
+	dst = binwire.AppendUvarint(dst, uint64(len(r.artID)))
+	for i, id := range r.artID {
+		dst = binwire.AppendString(dst, id)
+		dst = binwire.AppendUvarint(dst, uint64(r.artGen[i]+1))
+	}
+	dst = binwire.AppendUvarint(dst, uint64(len(r.used)))
+	for _, e := range r.used {
+		dst = binwire.AppendUvarint(dst, uint64(e[0]))
+		dst = binwire.AppendUvarint(dst, uint64(e[1]))
+	}
+	return dst
+}
+
+// witness is appendWitness over the model: a breadth-first backward
+// walk from artifact ai over wasGeneratedBy and, once per invocation,
+// its used edges in document order.
+func (r *refRun) witness(ai int32) []WhyEdge {
+	var out []WhyEdge
+	seenArt, seenProc := map[int32]bool{ai: true}, map[int32]bool{}
+	for queue := []int32{ai}; len(queue) > 0; queue = queue[1:] {
+		a := queue[0]
+		g := r.artGen[a]
+		if g < 0 {
+			continue
+		}
+		out = append(out, WhyEdge{Relation: "wasGeneratedBy", Process: r.procID[g], Artifact: r.artID[a]})
+		if seenProc[g] {
+			continue
+		}
+		seenProc[g] = true
+		for _, e := range r.used {
+			if e[0] != g {
+				continue
+			}
+			out = append(out, WhyEdge{Relation: "used", Process: r.procID[g], Artifact: r.artID[e[1]]})
+			if !seenArt[e[1]] {
+				seenArt[e[1]] = true
+				queue = append(queue, e[1])
+			}
+		}
+	}
+	return out
+}
+
 // refBuildRun is the string-based buildRun: validate against wf's
 // task space and intern, one map insertion and one string per ID. The
 // canonical document is rawDoc when non-nil, the binary encoding
 // otherwise.
-func refBuildRun(wf *workflow.Workflow, version uint64, w *jsonRun, rawDoc []byte) (*Run, *engine.Error) {
-	run := &Run{
+func refBuildRun(wf *workflow.Workflow, version uint64, w *jsonRun, rawDoc []byte) (*refRun, *engine.Error) {
+	run := &refRun{
 		id:      w.Run,
 		version: version,
-		n:       wf.N(),
+		wf:      wf,
 		artIdx:  make(map[string]int32, len(w.Artifacts)),
 		invoked: bitset.New(wf.N()),
 	}
@@ -285,28 +364,10 @@ func refBuildRun(wf *workflow.Workflow, version uint64, w *jsonRun, rawDoc []byt
 		}
 		run.used = append(run.used, [2]int32{pi, ai})
 	}
-	run.invoked.ForEach(func(u int) bool {
-		run.invokedList = append(run.invokedList, int32(u))
-		return true
-	})
-	counts := make([]int32, len(run.procID)+1)
-	for _, e := range run.used {
-		counts[e[0]+1]++
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	run.usedStart = counts
-	run.usedArt = make([]int32, len(run.used))
-	fill := make([]int32, len(run.procID))
-	for _, e := range run.used {
-		run.usedArt[run.usedStart[e[0]]+fill[e[0]]] = e[1]
-		fill[e[0]]++
-	}
 	if rawDoc != nil {
 		run.doc = rawDoc
 	} else {
-		run.doc = run.appendDocBinary(nil, wf)
+		run.doc = run.appendDoc(nil)
 	}
 	return run, nil
 }
@@ -316,7 +377,7 @@ func refBuildRun(wf *workflow.Workflow, version uint64, w *jsonRun, rawDoc []byt
 // rejection by the decoder, whose messages quote encoding/json's errors
 // and so are compared by code only.
 type refOutcome struct {
-	runs      []*Run
+	runs      []*refRun
 	err       *engine.Error
 	decodeErr bool
 }
@@ -339,7 +400,7 @@ func refIngestWire(wf *workflow.Workflow, version uint64, w *jsonRun, batchIdx i
 	if berr != nil {
 		return refOutcome{err: berr}
 	}
-	return refOutcome{runs: []*Run{run}}
+	return refOutcome{runs: []*refRun{run}}
 }
 
 // refIngestBatch is the reference of Store.IngestBatch.
@@ -403,15 +464,19 @@ func compareOutcome(t *testing.T, what string, s *Store, workflowID string, gotE
 		t.Fatalf("%s: %d infos, reference built %d runs", what, len(infos), len(want.runs))
 	}
 	for i, ref := range want.runs {
-		_, got, err := s.lookup(workflowID, ref.id)
+		lw, got, err := s.lookup(workflowID, ref.id)
 		if err != nil {
 			t.Fatalf("%s: reference run %q not in the store: %v", what, ref.id, err)
 		}
-		// A batch may carry one run ID twice; the store keeps the last.
-		if slices.IndexFunc(want.runs[i+1:], func(r *Run) bool { return r.id == ref.id }) < 0 {
-			compareRuns(t, what, got, ref)
+		ep, _, err := lw.Read("")
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantInfo := *ref.info(workflowID)
+		// A batch may carry one run ID twice; the store keeps the last.
+		if slices.IndexFunc(want.runs[i+1:], func(r *refRun) bool { return r.id == ref.id }) < 0 {
+			compareRuns(t, what, got, ref, ep)
+		}
+		wantInfo := ref.info(workflowID)
 		gotInfo := infos[i]
 		gotInfo.Replaced = false
 		if gotInfo != wantInfo {
@@ -420,10 +485,37 @@ func compareOutcome(t *testing.T, what string, s *Store, workflowID string, gotE
 	}
 }
 
-// compareRuns fails unless every interned field of got equals ref's.
-// Nil and empty slices are equal: the span path sizes its slices from
-// the counts, the string path grew them from nil.
-func compareRuns(t *testing.T, what string, got, ref *Run) {
+// procIDs lists run r's invocation IDs through its accessors; an
+// invocation r stores no ID for is named after its task, taskID(task).
+func procIDs(r *Run, taskID func(int) string) []string {
+	var ids []string
+	for pi, ti := range r.procTask {
+		if r.namedInvocations() {
+			ids = append(ids, r.invocationID(int32(pi)))
+		} else {
+			ids = append(ids, taskID(int(ti)))
+		}
+	}
+	return ids
+}
+
+// artIDs lists run r's artifact IDs through its accessor.
+func artIDs(r *Run) []string {
+	var ids []string
+	for ai := range r.artGen {
+		ids = append(ids, r.artifactID(int32(ai)))
+	}
+	return ids
+}
+
+// compareRuns fails unless got answers through its accessors what the
+// string model ref holds: every invocation and artifact ID, every
+// artifact lookup — of present IDs, and of absent ones that are
+// prefixes or extensions of present ones (s1.2 against s1.20) — the
+// used adjacency, every artifact's why-provenance witness (invocations
+// named after their tasks through ep), the invoked tasks and the
+// canonical document.
+func compareRuns(t *testing.T, what string, got *Run, ref *refRun, ep *engine.ReadEpoch) {
 	t.Helper()
 	eq := func(field string, ok bool) {
 		if !ok {
@@ -433,17 +525,56 @@ func compareRuns(t *testing.T, what string, got, ref *Run) {
 	}
 	eq("id", got.id == ref.id)
 	eq("version", got.version == ref.version)
-	eq("n", got.n == ref.n)
-	eq("procID", slices.Equal(got.procID, ref.procID))
+	eq("n", got.n == ref.wf.N())
+	eq("invocation IDs", slices.Equal(procIDs(got, func(u int) string { return ref.wf.Task(u).ID }), ref.procID))
 	eq("procTask", slices.Equal(got.procTask, ref.procTask))
-	eq("artID", slices.Equal(got.artID, ref.artID))
+	eq("artifact IDs", slices.Equal(artIDs(got), ref.artID))
 	eq("artGen", slices.Equal(got.artGen, ref.artGen))
-	eq("artIdx", maps.Equal(got.artIdx, ref.artIdx))
-	eq("used", slices.Equal(got.used, ref.used))
-	eq("usedStart", slices.Equal(got.usedStart, ref.usedStart))
-	eq("usedArt", slices.Equal(got.usedArt, ref.usedArt))
+	probe := func(id string) {
+		ai, ok := got.artifact(id)
+		want, wok := ref.artIdx[id]
+		if ok != wok || ok && ai != want {
+			t.Fatalf("%s: run %q looks artifact %q up as %d, %v; the reference holds %d, %v",
+				what, ref.id, id, ai, ok, want, wok)
+		}
+	}
+	probe("")
+	for _, id := range ref.artID {
+		probe(id)
+		probe(id[:len(id)-1])
+		probe(id + "0")
+		probe(id + "\x00")
+	}
+	for _, id := range ref.procID {
+		probe(id)
+	}
+	var wantUsed, gotUsed [][2]int32
+	for pi := range ref.procID {
+		for _, e := range ref.used {
+			if e[0] == int32(pi) {
+				wantUsed = append(wantUsed, e)
+			}
+		}
+		if pi+1 < len(got.usedStart) {
+			for _, ai := range got.usedArt[got.usedStart[pi]:got.usedStart[pi+1]] {
+				gotUsed = append(gotUsed, [2]int32{int32(pi), ai})
+			}
+		}
+	}
+	eq("used adjacency", slices.Equal(gotUsed, wantUsed) && len(got.usedStart) == len(ref.procID)+1 &&
+		len(got.usedArt) == len(ref.used))
+	for ai := range ref.artID {
+		if w, want := got.appendWitness(nil, int32(ai), ep), ref.witness(int32(ai)); !slices.Equal(w, want) {
+			t.Fatalf("%s: run %q witness of artifact %q diverges from the string reference:\n  got:  %v\n  want: %v",
+				what, ref.id, ref.artID[ai], w, want)
+		}
+	}
 	eq("invoked", got.invoked.Equal(ref.invoked))
-	eq("invokedList", slices.Equal(got.invokedList, ref.invokedList))
+	var members []int32
+	for _, u := range ref.invoked.Members() {
+		members = append(members, int32(u))
+	}
+	eq("invokedList", slices.Equal(got.invokedList, members))
 	eq("doc", bytes.Equal(got.doc, ref.doc))
 }
 
@@ -703,8 +834,9 @@ func (g *refDocGen) doc() (doc, ndjson []byte) {
 // documents and the decoder's corner cases, single-document JSON,
 // NDJSON, batches and RestoreRun (of the JSON document, of an accepted
 // run's binary canonical document, and of a corrupted copy of it) must
-// agree with the reference on acceptance, error code and message, every
-// interned Run field, the RunInfo and the canonical bytes.
+// agree with the reference on acceptance, error code and message,
+// everything the run answers through its accessors, the RunInfo and the
+// canonical bytes.
 func TestIngestMatchesStringReference(t *testing.T) {
 	_, reg := figure1Store(t)
 	wf, version := refState(t, reg, "phylo")
@@ -739,5 +871,44 @@ func TestIngestMatchesStringReference(t *testing.T) {
 		s := New(reg)
 		infos, err := s.IngestBatchCtx(context.Background(), "phylo", docs)
 		compareOutcome(t, "batch", s, "phylo", err, infos, refIngestBatch(wf, version, docs))
+	}
+}
+
+// TestIngestPrefixIDsMatchStringReference pins artifact lookups among
+// IDs that are prefixes and extensions of one another (s1.2 absent
+// beside s1.20 and s1.200) to the string reference, in an implicit run,
+// an explicit one and an explicit one whose invocations are named after
+// their tasks, and in their JSON-era and binary restores. Only invocation
+// IDs that differ from their task's are stored.
+func TestIngestPrefixIDsMatchStringReference(t *testing.T) {
+	_, reg := figure1Store(t)
+	const arts = `"artifacts":[{"id":"s1.20","generated_by":%[1]q},{"id":"s1.2x"},` +
+		`{"id":"s1.200","generated_by":%[2]q},{"id":"s1.3","generated_by":%[1]q}],` +
+		`"used":[{"process":%[2]q,"artifact":"s1.20"},{"process":%[1]q,"artifact":"s1.200"}]`
+	for _, tc := range []struct {
+		doc   string
+		named bool
+	}{
+		{`{"run":"s1",` + fmt.Sprintf(arts, "1", "2") + `}`, false},
+		{`{"run":"s1","invocations":[{"id":"s1.2","task":"1"},{"id":"s1.21","task":"2"}],` +
+			fmt.Sprintf(arts, "s1.2", "s1.21") + `}`, true},
+		{`{"run":"s1","invocations":[{"id":"1","task":"1"},{"id":"2","task":"2"}],` +
+			fmt.Sprintf(arts, "1", "2") + `}`, false},
+	} {
+		checkIngestAgainstRef(t, reg, "phylo", []byte(tc.doc), nil)
+		s := New(reg)
+		if _, err := s.IngestCtx(context.Background(), "phylo", []byte(tc.doc)); err != nil {
+			t.Fatal(err)
+		}
+		_, run, _ := s.lookup("phylo", "s1")
+		restored := New(reg)
+		if err := restored.RestoreRun("phylo", "s1", run.Doc()); err != nil {
+			t.Fatal(err)
+		}
+		_, back, _ := restored.lookup("phylo", "s1")
+		if run.namedInvocations() != tc.named || back.namedInvocations() != tc.named {
+			t.Fatalf("%s: run stores invocation IDs %v, restored %v; want %v",
+				tc.doc, run.namedInvocations(), back.namedInvocations(), tc.named)
+		}
 	}
 }

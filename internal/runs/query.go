@@ -180,7 +180,7 @@ func (s *Store) LineageCtx(ctx context.Context, workflowID string, q Query) (*An
 	if err != nil {
 		return nil, err
 	}
-	ai, ok := run.artIdx[q.Artifact]
+	ai, ok := run.artifact(q.Artifact)
 	if !ok {
 		return nil, errf(engine.ErrUnknownArtifact, "lineage",
 			"run %q has no artifact %q", q.Run, q.Artifact)
@@ -310,7 +310,7 @@ func (s *Store) lineageLabels(lw *engine.LiveWorkflow, run *Run, q Query, ai int
 		}
 	}
 	if q.Witness {
-		ans.Witness = run.appendWitness(ans.Witness[:0], ai)
+		ans.Witness = run.appendWitness(ans.Witness[:0], ai, ep)
 	}
 	return ans, nil
 }
@@ -340,7 +340,7 @@ func (r *Run) fillExactLabels(ans *Answer, ep *engine.ReadEpoch, home int, anc b
 			continue
 		}
 		if u := int(r.procTask[g]); u != home && l.Marked(mark, u) {
-			ans.Artifacts = append(ans.Artifacts, r.artID[i])
+			ans.Artifacts = append(ans.Artifacts, r.artifactID(int32(i)))
 		}
 	}
 	dag.ReleaseMark(mp)
@@ -362,7 +362,7 @@ func (r *Run) fillViewLabels(ans *Answer, ep *engine.ReadEpoch, v *view.View, vl
 			continue
 		}
 		if cu := v.CompOf(int(r.procTask[g])); cu != home && vl.Marked(mark, cu) {
-			ans.Artifacts = append(ans.Artifacts, r.artID[i])
+			ans.Artifacts = append(ans.Artifacts, r.artifactID(int32(i)))
 		}
 	}
 }
@@ -383,19 +383,22 @@ var witnessPool = sync.Pool{New: func() any { return new(witnessScratch) }}
 
 // appendWitness appends the why-provenance of artifact ai to dst: a
 // breadth-first backward walk over this run's wasGeneratedBy/used
-// edges, O(edges), with pooled marking scratch.
-func (r *Run) appendWitness(dst []WhyEdge, ai int32) []WhyEdge {
+// edges, O(edges), with pooled marking scratch. An invocation the run
+// stores no ID for is named after its task, read from ep.
+func (r *Run) appendWitness(dst []WhyEdge, ai int32, ep *engine.ReadEpoch) []WhyEdge {
 	ws := witnessPool.Get().(*witnessScratch) //lint:allow poolret Put follows at the end of this function; the early returns are impossible
-	if cap(ws.seenArt) < len(r.artID) {
-		ws.seenArt = make([]bool, len(r.artID))
+	na, np := len(r.artGen), len(r.procTask)
+	if cap(ws.seenArt) < na {
+		ws.seenArt = make([]bool, na)
 	}
-	if cap(ws.seenProc) < len(r.procID) {
-		ws.seenProc = make([]bool, len(r.procID))
+	if cap(ws.seenProc) < np {
+		ws.seenProc = make([]bool, np)
 	}
-	seenArt := ws.seenArt[:len(r.artID)]
-	seenProc := ws.seenProc[:len(r.procID)]
+	seenArt := ws.seenArt[:na]
+	seenProc := ws.seenProc[:np]
 	clear(seenArt)
 	clear(seenProc)
+	named := r.namedInvocations()
 	queue := append(ws.queue[:0], ai)
 	seenArt[ai] = true
 	for head := 0; head < len(queue); head++ {
@@ -404,13 +407,17 @@ func (r *Run) appendWitness(dst []WhyEdge, ai int32) []WhyEdge {
 		if g < 0 {
 			continue
 		}
-		dst = append(dst, WhyEdge{Relation: "wasGeneratedBy", Process: r.procID[g], Artifact: r.artID[a]})
+		proc := ep.TaskID(int(r.procTask[g]))
+		if named {
+			proc = r.invocationID(g)
+		}
+		dst = append(dst, WhyEdge{Relation: "wasGeneratedBy", Process: proc, Artifact: r.artifactID(a)})
 		if seenProc[g] {
 			continue
 		}
 		seenProc[g] = true
 		for _, ua := range r.usedArt[r.usedStart[g]:r.usedStart[g+1]] {
-			dst = append(dst, WhyEdge{Relation: "used", Process: r.procID[g], Artifact: r.artID[ua]})
+			dst = append(dst, WhyEdge{Relation: "used", Process: proc, Artifact: r.artifactID(ua)})
 			if !seenArt[ua] {
 				seenArt[ua] = true
 				queue = append(queue, ua)

@@ -6,12 +6,13 @@
 // record is validated against the workflow's task space, artifact and
 // invocation IDs are interned into dense indices, and the run is indexed
 // under its workflow so it costs O(edges) machine words. Lineage,
-// descendant and why-provenance queries are then served at three levels:
+// descendant and why-provenance queries are then served at three levels,
+// all from the workflow's published read epoch:
 //
-//   - exact: the task-level closure, read from the registry's
-//     incrementally maintained IncrementalClosure rows;
-//   - view: the composite-level closure of an attached view — the
-//     paper's cheap answer, correct only for sound views;
+//   - exact: task-level reachability, read from the epoch's task labels;
+//   - view: composite-level reachability of an attached view, read from
+//     the epoch's labels over the view's quotient — the paper's cheap
+//     answer, correct only for sound views;
 //   - audited: the view-level answer plus the provenance-audit delta,
 //     so every response carries a soundness flag and the exact set of
 //     spurious/missing composites (the paper's 14→18 example).
@@ -34,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sync"
 
 	"wolves/internal/bitset"
@@ -120,6 +122,25 @@ type shard struct {
 	mu    sync.RWMutex
 	runs  map[string]*Run
 	order []string // ingestion order
+	// docBytes and memBytes total the runs' documents and memoryBytes,
+	// kept up to date on insert and replace so Stats reads no run.
+	docBytes, memBytes int64
+}
+
+// put inserts run r, replacing any run of the same ID, and reports
+// whether it replaced one. Callers hold sh.mu.
+func (sh *shard) put(r *Run) bool {
+	old, replaced := sh.runs[r.id]
+	if replaced {
+		sh.docBytes -= int64(len(old.doc))
+		sh.memBytes -= old.memoryBytes()
+	} else {
+		sh.order = append(sh.order, r.id)
+	}
+	sh.runs[r.id] = r
+	sh.docBytes += int64(len(r.doc))
+	sh.memBytes += r.memoryBytes()
+	return replaced
 }
 
 // shardFor returns (creating or re-anchoring as needed) the shard of the
@@ -165,23 +186,37 @@ func (s *Store) shardRead(lw *engine.LiveWorkflow) *shard {
 // Run is one ingested execution trace in dense interned form. Runs are
 // immutable after ingestion (replacement swaps the whole pointer), so
 // queries read them without any lock.
+//
+// A run holds its ID, one string of the other IDs it names, one
+// pointer-free []int32 slab every index slice below is carved from, the
+// invoked bitset and its canonical document: on ingest-heavy's shape
+// (256 artifacts in a chain) about 17 KB, of which 6 KB is the document.
+// An invocation named after its task stores no ID of its own: the
+// implicit invocations of a trace that declares none, and the
+// invocations a canonical document materializes for them, which a
+// restored run reads back.
 type Run struct {
 	id      string
 	version uint64 // workflow version at ingestion
 	n       int    // workflow task count at ingestion
 
-	procID   []string // invocation IDs, dense
-	procTask []int32  // invocation → workflow task index
+	// ids holds the stored invocation IDs (all of them or none) and then
+	// every artifact ID, in document order; ID k ends at idEnd[k] and
+	// starts where ID k-1 ends. (No leading 0 in idEnd: on ingest-heavy's
+	// shape the slab is 2,048 int32s, the 8,192-byte size class, and one
+	// more would put it in the 9,472-byte one.)
+	ids   string
+	idEnd []int32
 
-	artID  []string
-	artGen []int32 // artifact → generating invocation, -1 = external input
-	artIdx map[string]int32
+	procTask []int32 // invocation → workflow task index
+	artGen   []int32 // artifact → generating invocation, -1 = external input
+	// artSlots is the artifact index (index.go) over the artifact IDs.
+	artSlots []int32
 
-	used      [][2]int32 // (invocation, artifact), ingestion order
-	usedStart []int32    // CSR offsets: artifacts used by each invocation
+	usedStart []int32 // CSR offsets: artifacts used by each invocation
 	usedArt   []int32
 
-	invoked *bitset.Set // tasks with at least one invocation
+	invoked bitset.Set // tasks with at least one invocation
 	// invokedList mirrors invoked as a sorted dense slice: the label
 	// query path enumerates candidate tasks by walking it (O(invoked))
 	// instead of scanning an O(n) closure row per query.
@@ -199,6 +234,40 @@ func (r *Run) ID() string { return r.id }
 // unless restored from JSON-era state, which stays JSON. Shared; do not
 // mutate.
 func (r *Run) Doc() []byte { return r.doc }
+
+// namedInvocations reports whether the run stores its invocation IDs;
+// otherwise invocation pi is named after its task, procTask[pi].
+func (r *Run) namedInvocations() bool { return len(r.idEnd) > len(r.artGen) }
+
+// invocationID returns the stored ID of invocation pi, valid only when
+// namedInvocations holds.
+func (r *Run) invocationID(pi int32) string { return idAt(r.ids, r.idEnd, int(pi)) }
+
+// artifactID returns the ID of artifact ai.
+func (r *Run) artifactID(ai int32) string {
+	return idAt(r.ids, r.idEnd, len(r.idEnd)-len(r.artGen)+int(ai))
+}
+
+// artifact returns the index of the artifact with ID id.
+func (r *Run) artifact(id string) (int32, bool) {
+	s, ok := probeID(r.artSlots, r.ids, r.idEnd, len(r.idEnd)-len(r.artGen), maphash.String(idSeed, id), id)
+	return r.artSlots[s] - 1, ok
+}
+
+// runFixedBytes is what a run holds beside its slab, ID string,
+// document and bitset words: the Run struct (272 bytes, in the 288-byte
+// size class), its run ID, and its entries in the shard's map and
+// ingestion order.
+const runFixedBytes = 360
+
+// memoryBytes is the heap the run's own allocations hold, as the
+// wolves_run_memory_bytes gauge counts it.
+func (r *Run) memoryBytes() int64 {
+	slab := len(r.idEnd) + len(r.procTask) + len(r.artGen) + len(r.artSlots) +
+		len(r.usedStart) + len(r.usedArt) + len(r.invokedList)
+	words := (r.n + 63) / 64
+	return runFixedBytes + int64(len(r.id)+len(r.ids)+len(r.doc)+4*slab+8*words)
+}
 
 // RunInfo is the wire metadata of one ingested run.
 type RunInfo struct {
@@ -218,10 +287,10 @@ func (r *Run) info(workflowID string) *RunInfo {
 		Run:          r.id,
 		Workflow:     workflowID,
 		Version:      r.version,
-		Invocations:  len(r.procID),
-		Artifacts:    len(r.artID),
-		UsedEdges:    len(r.used),
-		TasksInvoked: r.invoked.Count(),
+		Invocations:  len(r.procTask),
+		Artifacts:    len(r.artGen),
+		UsedEdges:    len(r.usedArt),
+		TasksInvoked: len(r.invokedList),
 		Bytes:        int64(len(r.doc)),
 	}
 }
@@ -274,16 +343,19 @@ func (s *Store) lookup(workflowID, runID string) (*engine.LiveWorkflow, *Run, er
 	return lw, run, nil
 }
 
-// Stats is a snapshot of what the store holds: runs and their canonical
-// document bytes, summed over every live registration. /metrics serves
-// it as wolves_runs_resident and wolves_run_doc_bytes.
+// Stats is a snapshot of what the store holds, summed over every live
+// registration: runs, their canonical document bytes, and the heap
+// bytes the runs' own allocations hold (slab, ID string, document,
+// bitset and a fixed part per run). /metrics serves it as
+// wolves_runs_resident, wolves_run_doc_bytes and wolves_run_memory_bytes.
 type Stats struct {
-	Runs     int
-	DocBytes int64
+	Runs        int
+	DocBytes    int64
+	MemoryBytes int64
 }
 
-// Stats sums the resident shards. Shards of dead registrations are
-// already gone (release), so it only reads.
+// Stats sums the resident shards' running totals. Shards of dead
+// registrations are already gone (release), so it only reads.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	shards := make([]*shard, 0, len(s.shards))
@@ -296,9 +368,8 @@ func (s *Store) Stats() Stats {
 	for _, sh := range shards {
 		sh.mu.RLock()
 		st.Runs += len(sh.runs)
-		for _, r := range sh.runs {
-			st.DocBytes += int64(len(r.doc))
-		}
+		st.DocBytes += sh.docBytes
+		st.MemoryBytes += sh.memBytes
 		sh.mu.RUnlock()
 	}
 	return st

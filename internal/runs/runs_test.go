@@ -237,6 +237,12 @@ func TestReplaceAndList(t *testing.T) {
 	if st.Runs != 2 || st.DocBytes != infos[0].Bytes+infos[1].Bytes {
 		t.Fatalf("stats = %+v, runs = %+v", st, infos)
 	}
+	// The running totals drop the replaced run's bytes.
+	_, r1, _ := s.lookup("phylo", "r1")
+	_, r2, _ := s.lookup("phylo", "r2")
+	if st.MemoryBytes != r1.memoryBytes()+r2.memoryBytes() {
+		t.Fatalf("stats = %+v, want MemoryBytes %d", st, r1.memoryBytes()+r2.memoryBytes())
+	}
 	if infos[0].Artifacts+infos[1].Artifacts != 24 {
 		t.Fatalf("artifacts = %d, want 24", infos[0].Artifacts+infos[1].Artifacts)
 	}
@@ -263,7 +269,7 @@ func TestRunsDieWithRegistration(t *testing.T) {
 	if infos, err := s.Runs("phylo"); err != nil || len(infos) != 0 {
 		t.Fatalf("runs after re-registration = %v, %v", infos, err)
 	}
-	if st := s.Stats(); st.Runs != 0 || st.DocBytes != 0 {
+	if st := s.Stats(); st != (Stats{}) {
 		t.Fatalf("a replaced registration's runs must be gone: %+v", st)
 	}
 	// Deleting the workflow makes even the list 404.

@@ -210,4 +210,6 @@ func (s *Server) bindCollectors() {
 		func() float64 { return float64(s.runs.Stats().Runs) })
 	d.GaugeFunc("wolves_run_doc_bytes", "Canonical run document bytes resident.",
 		func() float64 { return float64(s.runs.Stats().DocBytes) })
+	d.GaugeFunc("wolves_run_memory_bytes", "Heap bytes resident runs hold: index slab, ID string, document, bitset and a fixed part per run.",
+		func() float64 { return float64(s.runs.Stats().MemoryBytes) })
 }

@@ -2,10 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"wolves/internal/engine"
+	"wolves/internal/view"
 	"wolves/internal/workflow"
 )
 
@@ -77,5 +80,53 @@ func TestBinaryBodyRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeRunBody(append(append([]byte{}, runBin...), 0x00)); err == nil {
 		t.Fatal("run body with trailing byte decoded clean")
+	}
+}
+
+// TestEncodeBodiesMatchMarshal pins the register and attach body
+// encoders, which append the workflow and view documents as they are,
+// to the bytes json.Marshal made of registerBody and attachBody with
+// the documents embedded as json.RawMessage, on IDs and names holding
+// characters encoding/json escapes: <, >, &, U+2028 and invalid UTF-8.
+func TestEncodeBodiesMatchMarshal(t *testing.T) {
+	nasty := []string{"plain", "<a>&b", "\u2028x\u2029", "\xff\xfe", `"q\`, "\x01\n"}
+	for i, s := range nasty {
+		b := workflow.NewBuilder("wf" + s)
+		for j, tail := range nasty {
+			b.AddTask(fmt.Sprintf("t%d%s", j, tail), workflow.WithName(s+tail))
+			if j > 0 {
+				b.AddEdge(fmt.Sprintf("t%d%s", j-1, nasty[j-1]), fmt.Sprintf("t%d%s", j, tail))
+			}
+		}
+		wf, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vb := view.NewBuilder(wf, "view"+s)
+		for j := 0; j < wf.N(); j++ {
+			vb.Assign(fmt.Sprintf("c%d%s", j/2, nasty[j/2]), wf.Task(j).ID)
+		}
+		v, err := vb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wfRaw, _ := wf.MarshalJSON()
+		viewRaw, _ := v.MarshalJSON()
+		id, vid, version := "id"+s, "vid"+nasty[len(nasty)-1-i], uint64(i)<<40+7
+
+		want, err := json.Marshal(registerBody{ID: id, Version: version, Workflow: wfRaw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encodeRegisterBody(id, version, wfRaw); !bytes.Equal(got, want) {
+			t.Fatalf("register body diverges from json.Marshal:\n  got:  %s\n  want: %s", got, want)
+		}
+		want, err = json.Marshal(attachBody{ID: id, VID: vid, Version: version, View: viewRaw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encodeAttachBody(id, vid, version, viewRaw); !bytes.Equal(got, want) {
+			t.Fatalf("attach body diverges from json.Marshal:\n  got:  %s\n  want: %s", got, want)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // The designated compat codec: every encoding/json touch of WAL record
 // bodies lives in this file (snapshot documents, which are JSON by
 // design, live in snapshot.go; the workflow and view documents the cold
-// kinds embed are rendered by their own MarshalJSON). The jsonseam
+// kinds embed are rendered by their own MarshalJSON, and the register
+// and attach bodies append them as they are). The jsonseam
 // analyzer fences the rest of the package, which keeps the binary write
 // path honest — a hot-path json.Marshal cannot creep back in unnoticed.
 //
@@ -16,7 +17,12 @@
 // JSON-era data directories need.
 package storage
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"strconv"
+
+	"wolves/internal/jsonwire"
+)
 
 // taskBody is one task addition inside a mutateBody, mirroring the
 // registry's workflow.Task (an empty Name defaults to the ID on replay,
@@ -78,12 +84,27 @@ type runBody struct {
 
 // --- encoders (cold kinds) ---------------------------------------------------
 
-func encodeRegisterBody(id string, version uint64, wfRaw json.RawMessage) ([]byte, error) {
-	return json.Marshal(registerBody{ID: id, Version: version, Workflow: wfRaw})
+// encodeRegisterBody and encodeAttachBody write the bytes json.Marshal
+// makes of a registerBody and an attachBody, appending the document
+// as is: Workflow.MarshalJSON and View.MarshalJSON already write it
+// compact and HTML-escaped, which is all json.Marshal would do to an
+// embedded json.RawMessage besides scanning it again
+// (TestEncodeBodiesMatchMarshal).
+func encodeRegisterBody(id string, version uint64, wfRaw []byte) []byte {
+	b := make([]byte, 0, len(wfRaw)+len(id)+48)
+	b = jsonwire.AppendString(append(b, `{"id":`...), id)
+	b = strconv.AppendUint(append(b, `,"version":`...), version, 10)
+	b = append(append(b, `,"workflow":`...), wfRaw...)
+	return append(b, '}')
 }
 
-func encodeAttachBody(id, vid string, version uint64, viewRaw json.RawMessage) ([]byte, error) {
-	return json.Marshal(attachBody{ID: id, VID: vid, Version: version, View: viewRaw})
+func encodeAttachBody(id, vid string, version uint64, viewRaw []byte) []byte {
+	b := make([]byte, 0, len(viewRaw)+len(id)+len(vid)+56)
+	b = jsonwire.AppendString(append(b, `{"id":`...), id)
+	b = jsonwire.AppendString(append(b, `,"vid":`...), vid)
+	b = strconv.AppendUint(append(b, `,"version":`...), version, 10)
+	b = append(append(b, `,"view":`...), viewRaw...)
+	return append(b, '}')
 }
 
 func encodeDetachBody(id, vid string, version uint64) ([]byte, error) {

@@ -456,10 +456,7 @@ func (s *Store) Registered(ctx context.Context, st *engine.LiveState) error {
 	if err != nil {
 		return s.fail(err)
 	}
-	body, err := encodeRegisterBody(st.ID, st.Version, wfRaw)
-	if err != nil {
-		return s.fail(err)
-	}
+	body := encodeRegisterBody(st.ID, st.Version, wfRaw)
 	s.mu.Lock()
 	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
@@ -545,10 +542,7 @@ func (s *Store) ViewAttached(ctx context.Context, st *engine.LiveState, vid stri
 	if err != nil {
 		return s.fail(err)
 	}
-	body, err := encodeAttachBody(st.ID, vid, st.Version, raw)
-	if err != nil {
-		return s.fail(err)
-	}
+	body := encodeAttachBody(st.ID, vid, st.Version, raw)
 	_, err = s.journal(st.ID, st, recAttach, 0, body, nil)
 	return err
 }
